@@ -12,9 +12,9 @@ PCB-to-POL loss breakdown. Five delivery plans are built in:
   A3@6V   same with a 6 V intermediate rail.
 
 Power bookkeeping works backward from the POL demand. The source power
-always equals POL power plus the sum of all loss terms; the intermediate
-plane demand is settled by a short fixed-point iteration because the plane's
-own loss adds to what the upstream stage must deliver.
+always equals POL power plus the sum of all loss terms. The intermediate
+plane's own losses add to what the upstream stage must deliver; the model is
+linear, so that demand is settled in closed form.
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ from . import pdn_grid as grid
 from . import placement as plc
 from .converter import ConverterTopology, StageSpec
 from .datasets import Datasets
-from .errors import NoConvergence, PdnxError, RatingViolation, Unsatisfiable
+from .errors import PdnxError, RatingViolation, Unsatisfiable
 from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
 
 ARCHITECTURE_NAMES = ("A0", "A1", "A2", "A3@12V", "A3@6V")
-
-_FIXED_POINT_TOL = 1e-9
-_FIXED_POINT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,6 @@ class LossBreakdown:
     domain_currents_a: dict[str, float]
     feasibility: list[FeasibilityCheck]
     assumptions: list[str]
-    iterations: int = 1
 
     def worst_status(self) -> str:
         order = {"pass": 0, "warn": 1, "fail": 2}
@@ -281,6 +277,19 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets, strict: bool = False) -
     return breakdown
 
 
+def _domain_vertical_losses(spec, datasets, demanded, domain_voltage_v: float,
+                            current_a: float) -> dict[str, float]:
+    """Loss of each vertical level in one voltage domain at that domain's current.
+
+    Levels come in stack order, so sums over the result are reproducible.
+    """
+    return {
+        a.level_name: ic.level_loss(datasets.levels[a.level_name], current_a,
+                                    max(demanded[a.level_name].per_net_count, 1))
+        for a in spec.stack if a.domain_voltage_v == domain_voltage_v
+    }
+
+
 def _evaluate_reference(spec, datasets, demanded, feasibility, assumptions) -> LossBreakdown:
     cal = datasets.calibration
     i_die = spec.total_power_w / spec.pol_voltage_v
@@ -290,12 +299,7 @@ def _evaluate_reference(spec, datasets, demanded, feasibility, assumptions) -> L
         f"{spec.input_voltage_v:g}V-to-{spec.pol_voltage_v:g}V converter at the board"
     )
 
-    vertical = {}
-    for assign in spec.stack:
-        level = datasets.levels[assign.level_name]
-        req = demanded[assign.level_name]
-        n = max(req.per_net_count, 1)
-        vertical[assign.level_name] = ic.level_loss(level, i_die, n)
+    vertical = _domain_vertical_losses(spec, datasets, demanded, spec.pol_voltage_v, i_die)
     pcb_loss = cal.pcb_lateral_resistance_ohm * i_die ** 2
 
     conv_input = spec.total_power_w / eta
@@ -320,7 +324,6 @@ def _evaluate_reference(spec, datasets, demanded, feasibility, assumptions) -> L
         domain_currents_a={f"{spec.pol_voltage_v:g}V": i_die},
         feasibility=feasibility,
         assumptions=assumptions,
-        iterations=1,
     )
 
 
@@ -369,21 +372,15 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
                                   idle_shutdown=cal.idle_shutdown, enforce_rating=False)
     feasibility.append(_rating_check(final_key, final_stage.topology, loads_final))
 
-    vertical: dict[str, float] = {}
+    # Vertical levels in the POL domain carry the die current.
+    vertical = _domain_vertical_losses(spec, datasets, demanded, spec.pol_voltage_v, i_die)
+    vert_pol = sum(vertical.values())
     horizontal: dict[str, float] = {f"{spec.pol_voltage_v:g}V": h_final}
     per_vr: dict[str, list[float]] = {final_key: loads_final}
     converter_losses: dict[str, float] = {final_key: stage_final.total_loss_w}
     domain_currents: dict[str, float] = {f"{spec.pol_voltage_v:g}V": i_die}
 
-    # Vertical levels in the POL domain carry the die current.
-    for assign in spec.stack:
-        if assign.domain_voltage_v == spec.pol_voltage_v:
-            level = datasets.levels[assign.level_name]
-            n = max(demanded[assign.level_name].per_net_count, 1)
-            vertical[assign.level_name] = ic.level_loss(level, i_die, n)
-
     stage_input = plane_in_final + stage_final.total_loss_w
-    iterations = 1
 
     if len(spec.stages) == 2:
         first_stage = spec.stages[0]
@@ -417,58 +414,41 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
         first_sites, first_plane, first_checks = _place_stage(first_stage, spec.die, n_first)
         feasibility.extend(first_checks)
 
-        mid_levels = [a for a in spec.stack if a.domain_voltage_v == v_mid]
+        sinks = [(s.x_mm, s.y_mm, p / v_mid) for s, p in zip(sites, site_powers)]
 
-        # The plane and its vertical drop are fed by the same stage, so the
-        # stage's output demand includes them; iterate until it settles.
-        extra = 0.0
-        extra_prev = 0.0
-        i_mid_prev = None
-        i_mid = base_power / v_mid
-        mid_solution = None
-        for it in range(_FIXED_POINT_MAX_ITER):
-            iterations = it + 1
-            total_power_mid = base_power + extra
-            i_mid = total_power_mid / v_mid
-            scale = total_power_mid / base_power
-            sinks = [
-                (s.x_mm, s.y_mm, p * scale / v_mid)
-                for s, p in zip(sites, site_powers)
-            ]
-            mid_problem = grid.build_problem(
+        def solve_mid(i_mid: float) -> grid.GridSolution:
+            # Explicit sinks are renormalised to i_mid, so one list serves all.
+            return grid.solve_dc(grid.build_problem(
                 spec.die, first_sites, i_mid,
                 sheet_resistance_ohm_sq=cal.sheet_resistance_ohm_sq,
                 grid_resolution=cal.grid_resolution,
                 rail_voltage_v=v_mid,
                 explicit_sinks=sinks,
                 droop_resistance_ohm=droop_first if droop_first > 0 else None,
+            ))
+
+        # The stage also feeds the plane, its vertical levels and its own
+        # terminal droop. The model is linear, so together they cost exactly
+        # c*P^2 at delivered power P, and P = base + c*P^2. One solve at the
+        # base demand gives c; the smaller root is the operating point.
+        i_base = base_power / v_mid
+        base_solution = solve_mid(i_base)
+        vert_base = sum(
+            _domain_vertical_losses(spec, datasets, demanded, v_mid, i_base).values())
+        # The stage-1 terminal droop also comes out of delivered power.
+        droop_drop = droop_first * float(
+            sum(x * x for x in base_solution.vr_currents)
+        ) if droop_first > 0 else 0.0
+        c = (base_solution.horizontal_loss_w + vert_base + droop_drop) / base_power ** 2
+        discriminant = 1.0 - 4.0 * c * base_power
+        if discriminant < 0:
+            raise Unsatisfiable(
+                f"no intermediate-plane operating point at {v_mid:g} V: the plane, "
+                f"vertical and droop losses grow faster than the power {first_key} "
+                f"passes on (4*c*P_base = {1.0 - discriminant:.3g} > 1)"
             )
-            mid_solution = grid.solve_dc(mid_problem)
-            vert_mid = 0.0
-            for assign in mid_levels:
-                level = datasets.levels[assign.level_name]
-                n = max(demanded[assign.level_name].per_net_count, 1)
-                vert_mid += ic.level_loss(level, i_mid, n)
-            # The stage-1 terminal droop also comes out of delivered power.
-            droop_drop = droop_first * float(
-                sum(x * x for x in mid_solution.vr_currents)
-            ) if droop_first > 0 else 0.0
-            extra_new = mid_solution.horizontal_loss_w + vert_mid + droop_drop
-            if i_mid_prev is not None and (
-                    abs(i_mid - i_mid_prev) <= _FIXED_POINT_TOL * max(i_mid, 1e-30)):
-                extra = extra_new
-                break
-            # Plain iteration is a contraction here; damp defensively anyway.
-            if it >= 2 and (extra_new - extra) * (extra - extra_prev) < 0:
-                extra_new = 0.5 * (extra_new + extra)
-            extra_prev = extra
-            extra = extra_new
-            i_mid_prev = i_mid
-        else:
-            raise NoConvergence(
-                f"intermediate-plane fixed point did not settle in "
-                f"{_FIXED_POINT_MAX_ITER} iterations"
-            )
+        i_mid = 2.0 * base_power / (1.0 + math.sqrt(discriminant)) / v_mid
+        mid_solution = solve_mid(i_mid)
 
         loads_first = [float(x) for x in mid_solution.vr_currents]
         h_mid = mid_solution.horizontal_loss_w
@@ -483,28 +463,18 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
         per_vr[first_key] = loads_first
         converter_losses[first_key] = stage_first.total_loss_w
         domain_currents[f"{v_mid:g}V"] = i_mid
-        for assign in mid_levels:
-            level = datasets.levels[assign.level_name]
-            n = max(demanded[assign.level_name].per_net_count, 1)
-            vertical[assign.level_name] = ic.level_loss(level, i_mid, n)
+        vertical.update(_domain_vertical_losses(spec, datasets, demanded, v_mid, i_mid))
 
         stage_input = plane_in_mid + stage_first.total_loss_w
 
     # Source-side domain: remaining vertical levels plus the board rail.
     i_in = stage_input / spec.input_voltage_v
     domain_currents[f"{spec.input_voltage_v:g}V"] = i_in
-    for assign in spec.stack:
-        if assign.domain_voltage_v == spec.input_voltage_v:
-            level = datasets.levels[assign.level_name]
-            n = max(demanded[assign.level_name].per_net_count, 1)
-            vertical[assign.level_name] = ic.level_loss(level, i_in, n)
+    vertical.update(_domain_vertical_losses(spec, datasets, demanded,
+                                            spec.input_voltage_v, i_in))
     pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
 
     vert_total = sum(vertical.values())
-    vert_pol = sum(
-        vertical[a.level_name] for a in spec.stack
-        if a.domain_voltage_v == spec.pol_voltage_v
-    )
     conv_total = sum(converter_losses.values())
     horiz_total = sum(horizontal.values())
     total_loss = conv_total + horiz_total + vert_total + pcb_loss
@@ -532,7 +502,6 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
         domain_currents_a=domain_currents,
         feasibility=feasibility,
         assumptions=assumptions,
-        iterations=iterations,
     )
 
 

@@ -24,8 +24,8 @@ from . import reporting as rpt
 from .calibrate import run_calibration
 from .config import RunConfig, load_config
 from .datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
-from .errors import (ConfigError, NoConvergence, PdnxError, RatingViolation,
-                     SingularSystem, TargetUnreachable, Unsatisfiable)
+from .errors import (ConfigError, PdnxError, RatingViolation, SingularSystem,
+                     TargetUnreachable, Unsatisfiable)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,26 +145,19 @@ def cmd_evaluate(args) -> int:
     try:
         breakdown = arch.evaluate(spec, datasets, strict=False)
     except PdnxError as exc:
-        marker = {"architecture": arch_name, "topology": topo_name,
-                  "status": "not_reported", "reason": str(exc)}
-        _emit(cfg, "breakdown", marker,
-              f"architecture,topology,status,reason\n{arch_name},{topo_name},"
-              f"not_reported,\"{exc}\"\n",
-              f"{arch_name} + {topo_name}: not reported ({exc})\n")
-        return EXIT_FEASIBILITY if cfg.strict else EXIT_OK
-
-    rating_fail = any(f.check == "converter_rating" and f.status == "fail"
-                      for f in breakdown.feasibility)
-    if rating_fail:
-        reason = next(f.detail for f in breakdown.feasibility
-                      if f.check == "converter_rating" and f.status == "fail")
+        reason = str(exc)
+    else:
+        reason = next((f.detail for f in breakdown.feasibility
+                       if f.check == "converter_rating" and f.status == "fail"), None)
+    if reason is not None:
         marker = {"architecture": arch_name, "topology": topo_name,
                   "status": "not_reported", "reason": reason}
+        line = f"{arch_name} + {topo_name}: not reported ({reason})"
         _emit(cfg, "breakdown", marker,
               f"architecture,topology,status,reason\n{arch_name},{topo_name},"
               f"not_reported,\"{reason}\"\n",
-              f"{arch_name} + {topo_name}: not reported ({reason})\n")
-        print(f"{arch_name} + {topo_name}: not reported ({reason})")
+              line + "\n")
+        print(line)
         return EXIT_FEASIBILITY if cfg.strict else EXIT_OK
 
     files = _emit(cfg, "breakdown", rpt.breakdown_to_dict(breakdown),
@@ -258,7 +251,7 @@ def cmd_sweep(args) -> int:
                 f"{sum(b.vertical_losses_w.values())!r},{b.pcb_lateral_loss_w!r},"
                 f"{b.worst_status()}"
             )
-        except PdnxError as exc:
+        except (PdnxError, ValueError) as exc:
             lines.append(f"{value!r},{arch_name},{topo_name},error,,,,,,,\"{exc}\"")
     csv_text = "\n".join(lines) + "\n"
     path = os.path.join(cfg.out_dir, f"sweep_{param}.csv")
@@ -383,13 +376,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RatingViolation as exc:
         print(f"feasibility failure: {exc}", file=sys.stderr)
         return EXIT_FEASIBILITY
-    except (TargetUnreachable, NoConvergence, SingularSystem, Unsatisfiable) as exc:
+    except (TargetUnreachable, SingularSystem, Unsatisfiable) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PdnxError as exc:

@@ -49,12 +49,13 @@ class RatingViolation(PdnxError):
     """Strict-mode evaluation hit a converter rating violation."""
 
 
-class NoConvergence(PdnxError):
-    """The load/efficiency fixed point did not settle within the iteration cap."""
-
-
 class Unsatisfiable(PdnxError):
-    """No die area within the search bound satisfies the utilization caps."""
+    """The requested operating point does not exist.
+
+    Raised when no die area within the search bound satisfies the usage
+    caps, and when a two-stage plan's intermediate plane has no operating
+    point: its losses grow faster than the power the stage passes on.
+    """
 
 
 class TargetUnreachable(PdnxError):

@@ -53,7 +53,6 @@ def breakdown_to_dict(b: LossBreakdown) -> dict:
             for f in b.feasibility
         ],
         "assumptions": list(b.assumptions),
-        "iterations": b.iterations,
     }
 
 

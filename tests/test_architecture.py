@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import pdnx
+from pdnx import converter as conv
+from pdnx import pdn_grid
 from pdnx.architecture import build_architecture, compare, evaluate, utilization_report
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets
@@ -82,6 +84,55 @@ class TestEnergyBookkeeping:
                  + sum(b.converter_losses_w.values())
                  + b.pcb_lateral_loss_w)
         assert b.total_loss_w == pytest.approx(parts, rel=1e-12)
+
+
+class TestIntermediateOperatingPoint:
+    def test_stage_output_covers_its_plane_vertical_and_droop(self, datasets):
+        # P = base + c*P^2, checked from the reported figures: the power the
+        # first stage delivers is what the final stage draws plus the
+        # intermediate plane, its vertical levels and the stage-1 droop.
+        spec = build_architecture("A3@12V", "DSCH", datasets)
+        b = evaluate(spec, datasets)
+        final_key = next(k for k in b.converter_losses_w if k.startswith("stage2_"))
+        first_key = next(k for k in b.per_vr_currents_a if k.startswith("stage1_"))
+        assert min(b.per_vr_currents_a[final_key]) > 0
+        mid_levels = [a.level_name for a in spec.stack if a.domain_voltage_v == 12.0]
+        pol_levels = [a.level_name for a in spec.stack if a.domain_voltage_v == 1.0]
+        base = (b.pol_power_w + b.horizontal_losses_w["1V"]
+                + sum(b.vertical_losses_w[n] for n in pol_levels)
+                + b.converter_losses_w[final_key])
+        droop = (datasets.calibration.droop_share_resistance_scale
+                 * conv.calibrate(spec.stages[0].topology).r_conduction_ohm)
+        feedback = (b.horizontal_losses_w["12V"]
+                    + sum(b.vertical_losses_w[n] for n in mid_levels)
+                    + droop * sum(i * i for i in b.per_vr_currents_a[first_key]))
+        assert 12.0 * b.domain_currents_a["12V"] == pytest.approx(base + feedback, rel=1e-9)
+
+    def test_three_plane_solves_per_two_stage_evaluation(self, datasets, monkeypatch):
+        calls = []
+        solve = pdn_grid.solve_dc
+
+        def counting(problem):
+            calls.append(problem.grid.n_nodes)
+            return solve(problem)
+
+        monkeypatch.setattr(pdn_grid, "solve_dc", counting)
+        for arch in ("A3@12V", "A3@6V"):
+            calls.clear()
+            evaluate(build_architecture(arch, "DSCH", datasets), datasets)
+            assert len(calls) == 3, arch
+
+    def test_missing_operating_point_is_unsatisfiable(self, datasets):
+        cal = replace(datasets.calibration,
+                      sheet_resistance_ohm_sq=100 * datasets.calibration.sheet_resistance_ohm_sq)
+        lossy = replace(datasets, calibration=cal)
+        with pytest.raises(Unsatisfiable, match="no intermediate-plane operating point"):
+            evaluate(build_architecture("A3@6V", "DSCH", lossy), lossy)
+        table = compare(["A3@6V"], ["DSCH"], lossy)
+        [cell] = table.cells
+        assert cell.status == "error"
+        assert cell.breakdown is None
+        assert "operating point" in cell.reason
 
 
 class TestReferenceArchitecture:

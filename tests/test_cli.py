@@ -70,6 +70,22 @@ class TestEvaluateCommand:
         cfg = write_config(tmp_path, {"architectures": "A9"})
         assert run_cli("evaluate", "--config", cfg, "--out", str(tmp_path / "x")) == 2
 
+    def test_pol_voltage_mismatch_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"pol_voltage_v": 0.8})
+        assert run_cli("evaluate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_missing_operating_point_not_reported(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "architectures": "A3@6V", "topologies": "DSCH",
+            "datasets": {"calibration-default": {"sheet_resistance_ohm_sq": 0.06}}})
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--config", cfg, "--out", str(out)) == 0
+        assert "A3@6V + DSCH: not reported (no intermediate-plane operating point" \
+            in capsys.readouterr().out
+        doc = json.loads((out / "breakdown.json").read_text())
+        assert doc["status"] == "not_reported"
+
     def test_format_selection(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("evaluate", "--out", str(out), "--format", "json") == 0
@@ -134,6 +150,25 @@ class TestSweepCommand:
                        "--values", "") == 0
         rows = (out / "sweep_demand_weight.csv").read_text().strip().split("\n")
         assert len(rows) == 1
+
+    def test_missing_operating_point_is_error_row(self, tmp_path):
+        cfg = write_config(tmp_path, {"architectures": "A3@6V", "topologies": "DSCH"})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out),
+                       "--param", "sheet_resistance", "--values", "0.0005,0.5") == 0
+        rows = (out / "sweep_sheet_resistance.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[3] for r in rows] == ["ok", "error"]
+        assert "no intermediate-plane operating point" in rows[1]
+
+    @pytest.mark.parametrize("param,value", [("total_power", "0"),
+                                             ("sheet_resistance", "-1")])
+    def test_invalid_value_is_error_row(self, tmp_path, param, value):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--out", str(out), "--param", param, "--values", value) == 0
+        rows = (out / f"sweep_{param}.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 1
+        assert rows[0].split(",")[3] == "error"
+        assert "must be > 0" in rows[0]
 
     def test_unknown_parameter_exit_2(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path), "--param", "magic",
