@@ -13,8 +13,8 @@ from .converter import (CalibratedLossModel, ConverterTopology, StageSpec, calib
                         duty_cycle, efficiency_at, required_vr_count, stage_loss,
                         vr_footprint_area_mm2)
 from .datasets import Calibration, Datasets, load_datasets
-from .interconnect import (InterconnectLevel, InterconnectStack, UtilizationPolicy,
-                           connection_count, effective_level_resistance, level_loss,
+from .interconnect import (InterconnectLevel, UtilizationPolicy, connection_count,
+                           effective_level_resistance, level_loss,
                            per_connection_resistance, required_connections)
 from .pdn_grid import (CurrentSpread, GridProblem, GridSolution, ResistiveGrid,
                        build_problem, current_spread, solve_dc)
@@ -27,7 +27,7 @@ __all__ = [
     "ARCHITECTURE_NAMES", "ArchitectureSpec", "CalibratedLossModel", "Calibration",
     "ComparisonTable", "ConverterTopology", "CurrentSpread", "Datasets",
     "DieFloorplan", "GridProblem", "GridSolution", "InterconnectLevel",
-    "InterconnectStack", "LossBreakdown", "ResistiveGrid", "StageSpec",
+    "LossBreakdown", "ResistiveGrid", "StageSpec",
     "UtilizationPolicy", "VrSite", "build_architecture", "build_problem",
     "calibrate", "compare", "connection_count", "current_spread", "duty_cycle",
     "effective_level_resistance", "efficiency_at", "evaluate", "level_loss",

@@ -225,20 +225,6 @@ def _rating_check(stage_key: str, topo: ConverterTopology,
     )
 
 
-def _stack_used_connections(spec: ArchitectureSpec, datasets: Datasets,
-                            policy: UtilizationPolicy) -> dict[str, ic.ConnectionRequirement]:
-    """Connection provisioning per level at nameplate domain currents."""
-    out: dict[str, ic.ConnectionRequirement] = {}
-    for assign in spec.stack:
-        level = datasets.levels[assign.level_name]
-        nominal_current = spec.total_power_w / assign.domain_voltage_v
-        platform = level.area_ratio_to_die * spec.die.die_area_mm2
-        out[assign.level_name] = ic.required_connections(
-            level, nominal_current, policy, platform_area_mm2=platform
-        )
-    return out
-
-
 def evaluate(spec: ArchitectureSpec, datasets: Datasets, strict: bool = False) -> LossBreakdown:
     """Compute the PCB-to-POL loss breakdown for one architecture.
 
@@ -248,27 +234,22 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets, strict: bool = False) -
     stage. In strict mode a converter rating violation raises RatingViolation
     instead of being recorded as a failed feasibility check.
     """
-    cal = datasets.calibration
-    policy = cal.policy()
-    i_die = spec.total_power_w / spec.pol_voltage_v
-    feasibility: list[FeasibilityCheck] = []
+    usage = utilization_report(spec, datasets)
+    feasibility = [
+        FeasibilityCheck(
+            "utilization", e.status,
+            f"{e.level} at {e.domain_voltage_v:g} V: {e.total_used} of {e.available} "
+            f"connections ({e.utilization_fraction:.2%} vs cap {e.cap:.0%})",
+        )
+        for e in usage
+    ]
     assumptions: list[str] = []
-    demanded = _stack_used_connections(spec, datasets, policy)
-
-    for assign in spec.stack:
-        req = demanded[assign.level_name]
-        status = "fail" if req.violates_cap else "pass"
-        feasibility.append(FeasibilityCheck(
-            "utilization", status,
-            f"{assign.level_name} at {assign.domain_voltage_v:g} V: "
-            f"{req.total_used} of {req.available} connections "
-            f"({req.utilization_fraction:.2%} vs cap {policy.cap(assign.level_name):.0%})",
-        ))
+    per_net = {e.level: e.per_net_count for e in usage}
 
     if not spec.stages:
-        breakdown = _evaluate_reference(spec, datasets, demanded, feasibility, assumptions)
+        breakdown = _evaluate_reference(spec, datasets, per_net, feasibility, assumptions)
     else:
-        breakdown = _evaluate_staged(spec, datasets, demanded, feasibility, assumptions)
+        breakdown = _evaluate_staged(spec, datasets, per_net, feasibility, assumptions)
 
     if strict:
         for f in breakdown.feasibility:
@@ -277,20 +258,21 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets, strict: bool = False) -
     return breakdown
 
 
-def _domain_vertical_losses(spec, datasets, demanded, domain_voltage_v: float,
+def _domain_vertical_losses(spec, datasets, per_net, domain_voltage_v: float,
                             current_a: float) -> dict[str, float]:
     """Loss of each vertical level in one voltage domain at that domain's current.
 
-    Levels come in stack order, so sums over the result are reproducible.
+    per_net maps each level to its provisioned connections per net. Levels
+    come in stack order, so sums over the result are reproducible.
     """
     return {
         a.level_name: ic.level_loss(datasets.levels[a.level_name], current_a,
-                                    max(demanded[a.level_name].per_net_count, 1))
+                                    max(per_net[a.level_name], 1))
         for a in spec.stack if a.domain_voltage_v == domain_voltage_v
     }
 
 
-def _evaluate_reference(spec, datasets, demanded, feasibility, assumptions) -> LossBreakdown:
+def _evaluate_reference(spec, datasets, per_net, feasibility, assumptions) -> LossBreakdown:
     cal = datasets.calibration
     i_die = spec.total_power_w / spec.pol_voltage_v
     eta = spec.reference_efficiency
@@ -299,7 +281,7 @@ def _evaluate_reference(spec, datasets, demanded, feasibility, assumptions) -> L
         f"{spec.input_voltage_v:g}V-to-{spec.pol_voltage_v:g}V converter at the board"
     )
 
-    vertical = _domain_vertical_losses(spec, datasets, demanded, spec.pol_voltage_v, i_die)
+    vertical = _domain_vertical_losses(spec, datasets, per_net, spec.pol_voltage_v, i_die)
     pcb_loss = cal.pcb_lateral_resistance_ohm * i_die ** 2
 
     conv_input = spec.total_power_w / eta
@@ -327,7 +309,7 @@ def _evaluate_reference(spec, datasets, demanded, feasibility, assumptions) -> L
     )
 
 
-def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> LossBreakdown:
+def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossBreakdown:
     cal = datasets.calibration
     i_die = spec.total_power_w / spec.pol_voltage_v
 
@@ -360,7 +342,7 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
         grid_resolution=cal.grid_resolution,
         rail_voltage_v=spec.pol_voltage_v,
         demand_weight=cal.demand_weight,
-        droop_resistance_ohm=droop_final if droop_final > 0 else None,
+        droop_resistance_ohm=droop_final,
     )
     solution = grid.solve_dc(problem)
     loads_final = [float(x) for x in solution.vr_currents]
@@ -373,7 +355,7 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
     feasibility.append(_rating_check(final_key, final_stage.topology, loads_final))
 
     # Vertical levels in the POL domain carry the die current.
-    vertical = _domain_vertical_losses(spec, datasets, demanded, spec.pol_voltage_v, i_die)
+    vertical = _domain_vertical_losses(spec, datasets, per_net, spec.pol_voltage_v, i_die)
     vert_pol = sum(vertical.values())
     horizontal: dict[str, float] = {f"{spec.pol_voltage_v:g}V": h_final}
     per_vr: dict[str, list[float]] = {final_key: loads_final}
@@ -424,7 +406,7 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
                 grid_resolution=cal.grid_resolution,
                 rail_voltage_v=v_mid,
                 explicit_sinks=sinks,
-                droop_resistance_ohm=droop_first if droop_first > 0 else None,
+                droop_resistance_ohm=droop_first,
             ))
 
         # The stage also feeds the plane, its vertical levels and its own
@@ -434,11 +416,9 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
         i_base = base_power / v_mid
         base_solution = solve_mid(i_base)
         vert_base = sum(
-            _domain_vertical_losses(spec, datasets, demanded, v_mid, i_base).values())
+            _domain_vertical_losses(spec, datasets, per_net, v_mid, i_base).values())
         # The stage-1 terminal droop also comes out of delivered power.
-        droop_drop = droop_first * float(
-            sum(x * x for x in base_solution.vr_currents)
-        ) if droop_first > 0 else 0.0
+        droop_drop = droop_first * float(sum(x * x for x in base_solution.vr_currents))
         c = (base_solution.horizontal_loss_w + vert_base + droop_drop) / base_power ** 2
         discriminant = 1.0 - 4.0 * c * base_power
         if discriminant < 0:
@@ -463,14 +443,14 @@ def _evaluate_staged(spec, datasets, demanded, feasibility, assumptions) -> Loss
         per_vr[first_key] = loads_first
         converter_losses[first_key] = stage_first.total_loss_w
         domain_currents[f"{v_mid:g}V"] = i_mid
-        vertical.update(_domain_vertical_losses(spec, datasets, demanded, v_mid, i_mid))
+        vertical.update(_domain_vertical_losses(spec, datasets, per_net, v_mid, i_mid))
 
         stage_input = plane_in_mid + stage_first.total_loss_w
 
     # Source-side domain: remaining vertical levels plus the board rail.
     i_in = stage_input / spec.input_voltage_v
     domain_currents[f"{spec.input_voltage_v:g}V"] = i_in
-    vertical.update(_domain_vertical_losses(spec, datasets, demanded,
+    vertical.update(_domain_vertical_losses(spec, datasets, per_net,
                                             spec.input_voltage_v, i_in))
     pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
 

@@ -15,6 +15,7 @@ reports embed a timestamp only under --stamp.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -198,15 +199,22 @@ def _parse_values(text: str) -> list[float]:
         if len(parts) not in (2, 3):
             raise ConfigError(f"bad range '{text}' (want start:stop[:step])")
         start, stop = float(parts[0]), float(parts[1])
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"range bounds must be finite: '{text}'")
+        if stop < start:
+            raise ConfigError(f"range stop {stop:g} is below start {start:g}")
+        if stop == start:
+            return [start]
         step = float(parts[2]) if len(parts) == 3 else (stop - start) / 10.0
-        if step <= 0:
+        if not step > 0:
             raise ConfigError("range step must be > 0")
-        out = []
-        v = start
-        while v <= stop + 1e-12:
-            out.append(round(v, 12))
-            v += step
-        return out
+        # Each sample is start + k*step, so rounding does not accumulate; the
+        # relative slack keeps an endpoint that the division puts just short.
+        count = math.floor((stop - start) / step * (1.0 + 1e-9)) + 1
+        # Twelve significant digits of the range's magnitude trim float noise
+        # (0.30000000000000004) without zeroing a small-valued range.
+        digits = 11 - math.floor(math.log10(max(abs(start), abs(stop))))
+        return [round(start + k * step, digits) for k in range(count)]
     return [float(p) for p in text.split(",") if p.strip()]
 
 

@@ -75,10 +75,10 @@ class StageSpec:
     """One conversion stage of an architecture: topology plus where it sits."""
 
     topology: ConverterTopology
-    placement: str                     # pcb | interposer_periphery | in_interposer | power_die
+    placement: str                     # interposer_periphery | in_interposer | power_die
     vr_count_override: int | None = None
 
-    PLACEMENTS = ("pcb", "interposer_periphery", "in_interposer", "power_die")
+    PLACEMENTS = ("interposer_periphery", "in_interposer", "power_die")
 
     def __post_init__(self):
         if self.placement not in self.PLACEMENTS:
@@ -157,7 +157,6 @@ def duty_cycle(v_in_v: float, v_out_v: float, internal_stepdown: float = 1.0) ->
 @dataclass(frozen=True)
 class StageLossResult:
     total_loss_w: float
-    per_vr_efficiency: tuple[float, ...]   # 0.0 entries mark idle VRs
 
 
 def stage_loss(
@@ -175,7 +174,6 @@ def stage_loss(
     can still report how bad the operating point is.
     """
     total = 0.0
-    effs: list[float] = []
     for k, load in enumerate(vr_loads_a):
         if load < 0:
             raise ValueError(f"VR {k}: load must be >= 0")
@@ -188,10 +186,6 @@ def stage_loss(
         if load == 0.0:
             if not idle_shutdown:
                 total += model.p_fixed_w
-            effs.append(0.0)
-            continue
-        p_loss = model.loss_w(load)
-        total += p_loss
-        p_out = topology.v_out_v * load
-        effs.append(p_out / (p_out + p_loss))
-    return StageLossResult(total, tuple(effs))
+        else:
+            total += model.loss_w(load)
+    return StageLossResult(total)

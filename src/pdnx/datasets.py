@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .converter import ConverterTopology
 from .errors import ConfigError
-from .interconnect import InterconnectLevel, InterconnectStack, UtilizationPolicy
+from .interconnect import InterconnectLevel, UtilizationPolicy
 
 BUILTIN_NAMES = ("table1", "table2", "calibration-default")
 
@@ -58,7 +58,6 @@ class Datasets:
     """Everything the evaluators need, assembled from the three datasets."""
 
     levels: dict[str, InterconnectLevel]
-    level_order: tuple[str, ...]                  # PCB side -> die side
     topologies: dict[str, ConverterTopology]
     vr_site_counts: dict[str, VrSiteCounts]
     calibration: Calibration
@@ -66,19 +65,16 @@ class Datasets:
     provenance: dict[str, str] = field(default_factory=dict)
     overridden_fields: tuple[str, ...] = ()
 
-    def stack_levels(self, include_die_attach: str | None = None) -> tuple[str, ...]:
+    def stack_levels(self) -> tuple[str, ...]:
         """Level names on the vertical power path, PCB side to die side.
 
         One of the two die-attach variants is on the path at a time; the
         calibration selects which (the other stays available in the dataset).
         """
-        attach = include_die_attach or self.calibration.die_attach_level
+        attach = self.calibration.die_attach_level
         if attach not in ("adv_pad", "u_bump"):
             raise ConfigError(f"unknown die attach level '{attach}'")
         return ("bga", "c4", "tsv", attach)
-
-    def interconnect_stack(self) -> InterconnectStack:
-        return InterconnectStack(tuple(self.levels[n] for n in self.stack_levels()))
 
 
 def _builtin_dir() -> Path:
@@ -166,7 +162,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         raise ConfigError(f"calibration-default: missing field {exc}") from None
 
     levels: dict[str, InterconnectLevel] = {}
-    order: list[str] = []
     for row in raw["table1"]["levels"]:
         material = row["material"]
         if material not in calibration.resistivity_ohm_m:
@@ -184,7 +179,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             area_ratio_to_die=float(row["area_ratio_to_die"]),
         )
         levels[lv.name] = lv
-        order.append(lv.name)
 
     topologies: dict[str, ConverterTopology] = {}
     counts: dict[str, VrSiteCounts] = {}
@@ -216,7 +210,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
 
     return Datasets(
         levels=levels,
-        level_order=tuple(order),
         topologies=topologies,
         vr_site_counts=counts,
         calibration=calibration,

@@ -55,26 +55,6 @@ class InterconnectLevel:
 
 
 @dataclass(frozen=True)
-class InterconnectStack:
-    """Ordered levels from the PCB side to the die side."""
-
-    levels: tuple[InterconnectLevel, ...]
-    power_fraction: float = 0.5   # share of connections assigned to power (rest is ground)
-
-    def __post_init__(self):
-        if not self.levels:
-            raise ValueError("stack must contain at least one level")
-        if not 0.0 < self.power_fraction < 1.0:
-            raise ValueError("power_fraction must lie in (0, 1)")
-
-    def level(self, name: str) -> InterconnectLevel:
-        for lv in self.levels:
-            if lv.name == name:
-                return lv
-        raise KeyError(name)
-
-
-@dataclass(frozen=True)
 class UtilizationPolicy:
     """Usage caps and per-connection current limits, per level name."""
 
@@ -183,14 +163,3 @@ def required_connections(
         )
     return ConnectionRequirement(per_net, total, available, utilization, violates)
 
-
-def stack_loss(
-    stack: InterconnectStack,
-    current_a: float,
-    used_per_level: dict[str, int],
-) -> dict[str, float]:
-    """Per-level round-trip loss for one current through every level in series."""
-    return {
-        lv.name: level_loss(lv, current_a, used_per_level[lv.name])
-        for lv in stack.levels
-    }

@@ -1,18 +1,22 @@
 """DC current sharing on a horizontal power plane.
 
 The plane is a uniform resistive lattice: one conductance of 1/R_sheet per
-cell edge (square cells). VR outputs pin their nodes to the rail voltage;
-point-of-load demand is drawn as current sinks spread over the nodes under
-the die shadow. Eliminating the pinned nodes leaves a symmetric positive
-definite system for the free node voltages; per-VR currents, edge currents,
-and the plane's ohmic loss (doubled for the mirrored ground plane) follow
-from the solved voltages.
+cell edge (square cells). Point-of-load demand is drawn as current sinks
+spread over the nodes under the die shadow. Every VR is one Dirichlet node
+held at its source voltage. With pinned outputs that node is the plane node
+the VR snapped to; with output droop it is a virtual node behind one branch
+per footprint contact, the branches together carrying the droop resistance.
+One Laplacian covers the plane edges and the branches. Eliminating the
+Dirichlet nodes leaves a symmetric positive definite system for the free
+node voltages. Each VR's current is the net current out of its Dirichlet
+node; edge currents and the plane's ohmic loss (doubled for the mirrored
+ground plane) follow from the solved voltages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +26,8 @@ from .errors import DegenerateGrid, SingularSystem
 from .placement import DieFloorplan, VrSite
 
 _RESIDUAL_TOL = 1e-10
+# Largest lattice build_problem will discretise; checked before allocation.
+_MAX_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class ResistiveGrid:
 class GridProblem:
     """A grid plus fixed-voltage source nodes and current-sink nodes.
 
-    With droop_resistance_ohm set, each source pins a virtual node behind a
+    With droop_resistance_ohm > 0, each source pins a virtual node behind a
     series resistance instead of the plane node itself: that is how parallel
     VRs actually share current (output droop). The series element models the
     converter's internal series resistance, so its dissipation belongs to the
@@ -78,8 +84,7 @@ class GridProblem:
     grid: ResistiveGrid
     source_nodes: dict[int, float]      # node index -> fixed voltage, insertion-ordered
     sink_currents: dict[int, float]     # node index -> drawn current (>= 0)
-    edge_conductance_s: np.ndarray | None = None   # per edge; None = uniform 1/R_sheet
-    droop_resistance_ohm: float | None = None      # None or 0 = ideal pinned sources
+    droop_resistance_ohm: float = 0.0   # 0 = ideal pinned sources
     # In droop mode a VR couples over its whole footprint pad field rather
     # than one node; maps each source node to its plane contact nodes.
     source_fanout: dict[int, tuple[int, ...]] | None = None
@@ -94,7 +99,7 @@ class GridProblem:
             raise ValueError("sink currents must be >= 0")
         if sum(self.sink_currents.values()) <= 0:
             raise ValueError("total sink current must be > 0")
-        if self.droop_resistance_ohm is not None and self.droop_resistance_ohm < 0:
+        if self.droop_resistance_ohm < 0:
             raise ValueError("droop_resistance_ohm must be >= 0")
 
 
@@ -109,9 +114,8 @@ class GridSolution:
     edge_b: np.ndarray
     edge_currents: np.ndarray           # positive from edge_a toward edge_b, A
     horizontal_loss_w: float            # both planes (power + ground return)
-    vr_plane_voltages: np.ndarray | None = None   # plane-side terminal voltage per VR
+    vr_plane_voltages: np.ndarray       # plane-side terminal voltage per VR
     residual: float = 0.0
-    vr_by_node: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,11 @@ def _build_grid(plan: DieFloorplan, sites: list[VrSite] | tuple[VrSite, ...],
         needed_half = max(needed_half, abs(s.x_mm) + w / 2.0, abs(s.y_mm) + w / 2.0)
     n_ext = math.ceil((needed_half - half) / pitch - 1e-12) if needed_half > half else 0
     n = resolution + 2 * n_ext
+    if n * n > _MAX_NODES:
+        raise ValueError(
+            f"a {n}x{n} lattice ({n * n} nodes at grid_resolution {resolution}) "
+            f"exceeds the {_MAX_NODES} node limit"
+        )
     origin = -half - n_ext * pitch
     return ResistiveGrid(n, n, pitch, sheet_resistance, origin, origin)
 
@@ -169,7 +178,7 @@ def build_problem(
     rail_voltage_v: float = 1.0,
     demand_weight: float = 0.0,
     explicit_sinks: list[tuple[float, float, float]] | None = None,
-    droop_resistance_ohm: float | None = None,
+    droop_resistance_ohm: float = 0.0,
 ) -> GridProblem:
     """Discretize a placement into a grid problem.
 
@@ -179,7 +188,9 @@ def build_problem(
     die shadow, weighted by a radial profile (weight 1 + w*(1 - (r/r0)^2)
     with r0 the die half-diagonal; w = 0 is uniform), unless explicit sinks
     (x, y, current) are given. Snapping collisions trigger one automatic
-    lattice refinement before raising DegenerateGrid.
+    lattice refinement before raising DegenerateGrid. A lattice above
+    _MAX_NODES nodes, after extension or refinement, raises ValueError
+    before it is allocated.
     """
     if demand_a <= 0:
         raise ValueError("demand_a must be > 0")
@@ -280,119 +291,86 @@ def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: dict[i
 def solve_dc(problem: GridProblem) -> GridSolution:
     """Solve the nodal system and derive currents and the plane loss.
 
-    With pinned sources those nodes are eliminated; with droop, every lattice
-    node stays unknown and each source contributes a series branch. Either
-    way the system is symmetric positive definite and solved directly; the
-    relative residual must come in at or below 1e-10.
+    Every VR is a Dirichlet node held at its source voltage: the plane node
+    it snapped to when sources are pinned, or a virtual node n + k joined to
+    each of its contacts by a branch of conductance 1/(droop * contacts)
+    with droop. One Laplacian covers the plane edges and the branches; the
+    Dirichlet nodes are eliminated, the free block is symmetric positive
+    definite and solved directly, and the relative residual must come in at
+    or below 1e-10. Each VR's current is the net current out of its
+    Dirichlet node.
     """
     grid = problem.grid
     n = grid.n_nodes
     edge_a, edge_b = grid.edges()
-    if problem.edge_conductance_s is not None:
-        g_edges = problem.edge_conductance_s
-    else:
-        g_edges = np.full(edge_a.shape[0], 1.0 / grid.sheet_resistance_ohm_sq)
-
+    g_sheet = 1.0 / grid.sheet_resistance_ohm_sq
     source_idx = np.fromiter(problem.source_nodes.keys(), dtype=np.int64)
     source_v = np.fromiter(problem.source_nodes.values(), dtype=float)
-    if source_idx.size == 0:
-        raise SingularSystem("no source node pins the grid")
 
-    injections = np.zeros(n)
+    # One branch per VR contact in droop mode; pinned sources have none.
+    droop = problem.droop_resistance_ohm
+    if droop > 0.0:
+        fanout = problem.source_fanout or {}
+        contacts = [fanout.get(int(i), (int(i),)) for i in source_idx]
+        counts = np.array([len(c) for c in contacts])
+        br_vr = np.repeat(np.arange(source_idx.size), counts)
+        br_node = np.fromiter((c for cs in contacts for c in cs), dtype=np.int64)
+        br_g = (1.0 / droop) / counts[br_vr]
+        pinned = n + np.arange(source_idx.size)
+        n_all = n + source_idx.size
+    else:
+        br_vr = br_node = np.zeros(0, dtype=np.int64)
+        br_g = np.zeros(0)
+        pinned = source_idx
+        n_all = n
+
+    a = np.concatenate([edge_a, n + br_vr])
+    b = np.concatenate([edge_b, br_node])
+    g = np.concatenate([np.full(edge_a.shape[0], g_sheet), br_g])
+    lap = sp.csr_matrix((np.concatenate([g, g, -g, -g]),
+                         (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                        shape=(n_all, n_all))
+
+    injections = np.zeros(n_all)
     for idx, cur in problem.sink_currents.items():
         injections[idx] -= cur
+    is_pinned = np.zeros(n_all, dtype=bool)
+    is_pinned[pinned] = True
+    free = np.flatnonzero(~is_pinned)
+    lap_free = lap[free]
+    lap_ff = lap_free[:, free]
+    rhs = injections[free] - lap_free[:, pinned] @ source_v
+    v_free = spla.spsolve(lap_ff.tocsc(), rhs)
+    rel_residual = float(np.linalg.norm(lap_ff @ v_free - rhs)
+                         / max(float(np.linalg.norm(rhs)), np.finfo(float).tiny))
+    if rel_residual > _RESIDUAL_TOL:
+        raise SingularSystem(
+            f"nodal solve residual {rel_residual:.2e} exceeds {_RESIDUAL_TOL:.0e}"
+        )
+    voltages = np.empty(n_all)
+    voltages[free] = v_free
+    voltages[pinned] = source_v
 
-    # Full lattice Laplacian.
-    rows = np.concatenate([edge_a, edge_b, edge_a, edge_b])
-    cols = np.concatenate([edge_a, edge_b, edge_b, edge_a])
-    vals = np.concatenate([g_edges, g_edges, -g_edges, -g_edges])
-    lap = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    vr = lap[pinned] @ voltages
+    # Plane-side terminal voltage: the source voltage less the power the
+    # VR's branches dissipate per ampere it delivers (v_src when pinned).
+    dv_br = voltages[n + br_vr] - voltages[br_node]
+    branch_loss = np.bincount(br_vr, weights=br_g * dv_br * dv_br, minlength=source_idx.size)
+    plane_voltages = source_v - np.divide(branch_loss, vr, out=np.zeros_like(vr),
+                                          where=vr != 0.0)
 
-    droop = problem.droop_resistance_ohm or 0.0
-    rel_residual = 0.0
-    if droop > 0.0:
-        g_d = 1.0 / droop
-        fanout = problem.source_fanout or {int(i): (int(i),) for i in source_idx}
-        diag_idx: list[int] = []
-        diag_val: list[float] = []
-        rhs = injections.copy()
-        for idx, v_src in zip(source_idx, source_v):
-            contacts = fanout.get(int(idx), (int(idx),))
-            g_branch = g_d / len(contacts)
-            for c in contacts:
-                diag_idx.append(c)
-                diag_val.append(g_branch)
-                rhs[c] += g_branch * v_src
-        diag = sp.csr_matrix((diag_val, (diag_idx, diag_idx)), shape=(n, n))
-        system = (lap + diag).tocsc()
-        voltages = spla.spsolve(system, rhs)
-        norm_rhs = float(np.linalg.norm(rhs))
-        if norm_rhs > 0:
-            rel_residual = float(np.linalg.norm(system @ voltages - rhs)) / norm_rhs
-            if rel_residual > _RESIDUAL_TOL:
-                raise SingularSystem(
-                    f"nodal solve residual {rel_residual:.2e} exceeds {_RESIDUAL_TOL:.0e}"
-                )
-        vr_list = []
-        plane_v_list = []
-        for idx, v_src in zip(source_idx, source_v):
-            contacts = fanout.get(int(idx), (int(idx),))
-            g_branch = g_d / len(contacts)
-            branch_i = g_branch * (v_src - voltages[list(contacts)])
-            i_site = float(branch_i.sum())
-            p_site = float((branch_i * voltages[list(contacts)]).sum())
-            vr_list.append(i_site)
-            # Effective terminal voltage: power-weighted plane-side potential.
-            plane_v_list.append(p_site / i_site if abs(i_site) > 1e-30
-                                else float(np.mean(voltages[list(contacts)])))
-        vr = np.array(vr_list)
-        plane_voltages = np.array(plane_v_list)
-    else:
-        is_source = np.zeros(n, dtype=bool)
-        is_source[source_idx] = True
-        free = np.flatnonzero(~is_source)
-        if free.size == 0:
-            voltages = np.zeros(n)
-            voltages[source_idx] = source_v
-        else:
-            lap_ff = lap[free][:, free]
-            lap_fs = lap[free][:, source_idx]
-            rhs = injections[free] - lap_fs @ source_v
-            v_free = spla.spsolve(lap_ff.tocsc(), rhs)
-            norm_rhs = float(np.linalg.norm(rhs))
-            if norm_rhs > 0:
-                rel_residual = float(np.linalg.norm(lap_ff @ v_free - rhs)) / norm_rhs
-                if rel_residual > _RESIDUAL_TOL:
-                    raise SingularSystem(
-                        f"nodal solve residual {rel_residual:.2e} exceeds {_RESIDUAL_TOL:.0e}"
-                    )
-            voltages = np.zeros(n)
-            voltages[free] = v_free
-            voltages[source_idx] = source_v
-        # Current injected into the plane by each pinned node.
-        dv_pin = voltages[edge_a] - voltages[edge_b]
-        pin_currents = dv_pin * g_edges
-        net_out = np.zeros(n)
-        np.add.at(net_out, edge_a, pin_currents)
-        np.add.at(net_out, edge_b, -pin_currents)
-        vr = net_out[source_idx]
-        plane_voltages = source_v.copy()
-
+    voltages = voltages[:n]
     dv = voltages[edge_a] - voltages[edge_b]
-    edge_currents = dv * g_edges
-    plane_loss = float(np.sum(dv * dv * g_edges))
-
     return GridSolution(
         node_voltages=voltages,
         vr_currents=vr,
         source_nodes=tuple(int(i) for i in source_idx),
         edge_a=edge_a,
         edge_b=edge_b,
-        edge_currents=edge_currents,
-        horizontal_loss_w=2.0 * plane_loss,
+        edge_currents=dv * g_sheet,
+        horizontal_loss_w=2.0 * float(np.sum(dv * dv * g_sheet)),
         vr_plane_voltages=plane_voltages,
         residual=rel_residual,
-        vr_by_node={int(i): float(c) for i, c in zip(source_idx, vr)},
     )
 
 
@@ -403,16 +381,3 @@ def current_spread(solution: GridSolution) -> CurrentSpread:
         raise ValueError("solution has no source nodes")
     return CurrentSpread(float(vr.min()), float(vr.max()), float(vr.mean()))
 
-
-def solution_to_csv(problem: GridProblem, solution: GridSolution) -> str:
-    """Node voltage map plus edge current map, plot-ready."""
-    lines = ["record,x_mm,y_mm,x2_mm,y2_mm,value"]
-    grid = problem.grid
-    for idx in range(grid.n_nodes):
-        x, y = grid.node_xy(idx)
-        lines.append(f"node_v,{x!r},{y!r},,,{solution.node_voltages[idx]!r}")
-    for a, b, cur in zip(solution.edge_a, solution.edge_b, solution.edge_currents):
-        xa, ya = grid.node_xy(int(a))
-        xb, yb = grid.node_xy(int(b))
-        lines.append(f"edge_i,{xa!r},{ya!r},{xb!r},{yb!r},{cur!r}")
-    return "\n".join(lines) + "\n"

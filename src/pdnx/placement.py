@@ -67,19 +67,17 @@ def _ring_contour_point(half_extent: float, t: float) -> tuple[float, float, flo
     return (h - (t - 6.0 * h), -h, 0.0, -1.0)
 
 
-def ring_capacity(plan: DieFloorplan, ring_index: int, site_width_mm: float,
-                  spacing_mm: float = 0.0) -> int:
-    """Sites that fit on one ring: ring perimeter over site width (plus spacing).
+def ring_capacity(plan: DieFloorplan, ring_index: int, site_width_mm: float) -> int:
+    """Sites that fit on one ring: ring perimeter over site width.
 
     Ring 0 packs against the die outline itself; each further ring is offset
     outward by one site width.
     """
     perimeter = 4.0 * (plan.side_mm + 2.0 * ring_index * site_width_mm)
-    return int(math.floor(perimeter / (site_width_mm + spacing_mm)))
+    return int(math.floor(perimeter / site_width_mm))
 
 
-def place_periphery(plan: DieFloorplan, n: int, footprint_mm2: float,
-                    spacing_mm: float = 0.0) -> list[VrSite]:
+def place_periphery(plan: DieFloorplan, n: int, footprint_mm2: float) -> list[VrSite]:
     """Distribute n sites evenly around the die, overflowing to outer rings.
 
     Each ring is filled to capacity before the next opens; sites on a ring
@@ -99,7 +97,7 @@ def place_periphery(plan: DieFloorplan, n: int, footprint_mm2: float,
     remaining = n
     ring = 0
     while remaining > 0:
-        cap = ring_capacity(plan, ring, width, spacing_mm)
+        cap = ring_capacity(plan, ring, width)
         if cap < 1:
             raise MarginExceeded(
                 f"ring {ring} cannot hold any site of width {width:.3g} mm"

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from pdnx.cli import main
+from pdnx.cli import _parse_values, main
+from pdnx.errors import ConfigError
 
 
 def run_cli(*argv) -> int:
@@ -85,6 +86,12 @@ class TestEvaluateCommand:
             in capsys.readouterr().out
         doc = json.loads((out / "breakdown.json").read_text())
         assert doc["status"] == "not_reported"
+
+    def test_oversize_lattice_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "datasets": {"calibration-default": {"grid_resolution": 5000}}})
+        assert run_cli("evaluate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert "node limit" in capsys.readouterr().err
 
     def test_format_selection(self, tmp_path):
         out = tmp_path / "out"
@@ -170,9 +177,64 @@ class TestSweepCommand:
         assert rows[0].split(",")[3] == "error"
         assert "must be > 0" in rows[0]
 
+    def test_oversize_lattice_is_error_row(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "datasets": {"calibration-default": {"grid_resolution": 5000}}})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out),
+                       "--param", "demand_weight", "--values", "1") == 0
+        rows = (out / "sweep_demand_weight.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 1
+        assert rows[0].split(",")[3] == "error"
+        assert "node limit" in rows[0]
+
+    def test_single_point_range(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--out", str(out), "--param", "demand_weight",
+                       "--values", "2:2") == 0
+        rows = (out / "sweep_demand_weight.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[:4] for r in rows] == [["2.0", "A1", "DSCH", "ok"]]
+
+    def test_descending_range_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--out", str(out), "--param", "demand_weight",
+                       "--values", "3:1") == 2
+        assert "below start" in capsys.readouterr().err
+        assert not (out / "sweep_demand_weight.csv").exists()
+
     def test_unknown_parameter_exit_2(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path), "--param", "magic",
                        "--values", "1,2") == 2
+
+
+class TestSweepRanges:
+    @pytest.mark.parametrize("text,count,last", [("100:2000:0.1", 19001, 2000.0),
+                                                 ("1e6:1001000:0.1", 10001, 1001000.0)])
+    def test_endpoint_is_exact(self, text, count, last):
+        values = _parse_values(text)
+        assert len(values) == count
+        assert values[-1] == last
+
+    def test_samples_are_start_plus_k_step(self):
+        values = _parse_values("100:2000:0.1")
+        assert values[12345] == pytest.approx(100.0 + 12345 * 0.1, rel=1e-15)
+        assert values[3] == 100.3
+
+    def test_small_valued_range_is_not_rounded_away(self):
+        assert _parse_values("1e-13:5e-13:1e-13") == pytest.approx(
+            [1e-13, 2e-13, 3e-13, 4e-13, 5e-13], rel=1e-12)
+
+    def test_two_part_range_has_eleven_samples(self):
+        assert _parse_values("0:1") == pytest.approx([k / 10 for k in range(11)], abs=1e-12)
+
+    def test_equal_bounds_give_one_sample(self):
+        assert _parse_values("2.5:2.5") == [2.5]
+        assert _parse_values("2.5:2.5:0.1") == [2.5]
+
+    @pytest.mark.parametrize("text", ["3:1", "3:1:0.5", "0:1:0", "0:1:-1", "0:inf:1"])
+    def test_bad_range_is_config_error(self, text):
+        with pytest.raises(ConfigError):
+            _parse_values(text)
 
 
 class TestCalibrateCommand:

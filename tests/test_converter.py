@@ -205,4 +205,4 @@ class TestStageRetargeting:
         with pytest.raises(ValueError):
             StageSpec(datasets.topologies["DSCH"], "on_the_moon")
         with pytest.raises(ValueError):
-            StageSpec(datasets.topologies["DSCH"], "pcb", vr_count_override=0)
+            StageSpec(datasets.topologies["DSCH"], "power_die", vr_count_override=0)

@@ -10,10 +10,9 @@ import pytest
 
 from pdnx.datasets import load_datasets
 from pdnx.errors import CapExceeded, ZeroConnections
-from pdnx.interconnect import (InterconnectLevel, InterconnectStack, UtilizationPolicy,
-                               connection_count, effective_level_resistance,
-                               level_loss, per_connection_resistance,
-                               required_connections, stack_loss)
+from pdnx.interconnect import (InterconnectLevel, UtilizationPolicy, connection_count,
+                               effective_level_resistance, level_loss,
+                               per_connection_resistance, required_connections)
 
 
 @pytest.fixture(scope="module")
@@ -134,14 +133,14 @@ class TestLevelLoss:
         assert all(a >= b for a, b in zip(losses, losses[1:]))
 
     def test_stack_additivity_vs_series_oracle(self, datasets):
-        stack = datasets.interconnect_stack()
-        used = {name: 100 for name in datasets.stack_levels()}
+        levels = [datasets.levels[name] for name in datasets.stack_levels()]
         current = 37.0
-        per_level = stack_loss(stack, current, used)
+        total = sum(level_loss(lv, current, 100) for lv in levels)
         series_r = sum(
-            2.0 * per_connection_resistance(lv) / used[lv.name] for lv in stack.levels
+            2.0 * _ohm_oracle(lv.resistivity_ohm_m, lv.height_um, lv.cross_area_um2) / 100
+            for lv in levels
         )
-        assert sum(per_level.values()) == pytest.approx(current**2 * series_r, rel=1e-12)
+        assert total == pytest.approx(current**2 * series_r, rel=1e-12)
 
 
 class TestRequiredConnections:
@@ -181,11 +180,3 @@ class TestValidation:
     def test_footprint_denser_than_pitch_warns_only(self):
         with pytest.warns(UserWarning):
             InterconnectLevel("odd", 500.0, "copper", 1.68e-8, 500.0, 10.0, 20.0)
-
-    def test_stack_needs_levels(self):
-        with pytest.raises(ValueError):
-            InterconnectStack(())
-
-    def test_power_fraction_bounds(self, datasets):
-        with pytest.raises(ValueError):
-            InterconnectStack(tuple(datasets.levels.values()), power_fraction=1.0)

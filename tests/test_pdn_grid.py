@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdnx import pdn_grid
 from pdnx.errors import DegenerateGrid
 from pdnx.pdn_grid import (GridProblem, ResistiveGrid, build_problem, current_spread,
-                           solve_dc, solution_to_csv)
+                           solve_dc)
 from pdnx.placement import DieFloorplan, VrSite, place_periphery, place_under_die
 
 
@@ -144,6 +147,154 @@ class TestDenseOracle:
         assert sol.node_voltages == pytest.approx(expected, abs=1e-12)
 
 
+def _dense_droop_oracle(grid: ResistiveGrid, sources: dict, fanout: dict,
+                        droop: float, sinks: dict):
+    """Virtual-node system with plain loops: node n + k is VR k's rail.
+
+    Returns plane voltages, per-VR currents and the power-weighted plane-side
+    terminal voltage of each VR.
+    """
+    n = grid.n_nodes
+    k_all = len(sources)
+    size = n + k_all
+    lap = np.zeros((size, size))
+
+    def branch(a, b, g):
+        lap[a, a] += g
+        lap[b, b] += g
+        lap[a, b] -= g
+        lap[b, a] -= g
+
+    g_sheet = 1.0 / grid.sheet_resistance_ohm_sq
+    for j in range(grid.ny):
+        for i in range(grid.nx):
+            for (i2, j2) in ((i + 1, j), (i, j + 1)):
+                if i2 < grid.nx and j2 < grid.ny:
+                    branch(grid.node_index(i, j), grid.node_index(i2, j2), g_sheet)
+    for k, node in enumerate(sources):
+        for c in fanout[node]:
+            branch(n + k, c, 1.0 / (droop * len(fanout[node])))
+    rhs = np.zeros(size)
+    for idx, cur in sinks.items():
+        rhs[idx] -= cur
+    v_fixed = np.array(list(sources.values()))
+    fixed = list(range(n, size))
+    free = list(range(n))
+    v_free = np.linalg.solve(lap[np.ix_(free, free)],
+                             rhs[free] - lap[np.ix_(free, fixed)] @ v_fixed)
+    currents, terminal = [], []
+    for k, (node, v_src) in enumerate(sources.items()):
+        g = 1.0 / (droop * len(fanout[node]))
+        branch_i = [g * (v_src - v_free[c]) for c in fanout[node]]
+        currents.append(sum(branch_i))
+        terminal.append(sum(i * v_free[c] for i, c in zip(branch_i, fanout[node]))
+                        / currents[-1])
+    return v_free, np.array(currents), np.array(terminal)
+
+
+class TestDroopDenseOracle:
+    @pytest.mark.parametrize("nx,ny", [(3, 3), (4, 3), (5, 5)])
+    def test_multi_contact_fanout_matches_dense(self, nx, ny):
+        grid = ResistiveGrid(nx, ny, 0.7, 0.0013)
+        n = grid.n_nodes
+        sources = {0: 1.0, n - 1: 0.98, nx - 1: 1.01}
+        fanout = {0: (0, 1, nx), n - 1: (n - 1, n - 2), nx - 1: (nx - 1,)}
+        sinks = {i: 0.5 + 0.1 * i for i in range(1, n - 1) if i != nx - 1}
+        droop = 2e-3
+        sol = solve_dc(GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
+                                   source_fanout=fanout))
+        v, currents, terminal = _dense_droop_oracle(grid, sources, fanout, droop, sinks)
+        assert sol.node_voltages == pytest.approx(v, abs=1e-12)
+        assert sol.vr_currents == pytest.approx(currents, rel=1e-10)
+        assert sol.vr_plane_voltages == pytest.approx(terminal, rel=1e-12)
+
+
+@st.composite
+def _random_problems(draw, one_rail=False):
+    nx = draw(st.integers(2, 6))
+    ny = draw(st.integers(1, 6))
+    n = nx * ny
+    grid = ResistiveGrid(nx, ny, draw(st.floats(0.1, 2.0)), draw(st.floats(1e-4, 1e-2)))
+    nodes = draw(st.permutations(range(n)))
+    n_src = draw(st.integers(1, n - 1))
+    rail = draw(st.floats(0.9, 1.1))
+    sources = {node: rail if one_rail else draw(st.floats(0.9, 1.1)) for node in nodes[:n_src]}
+    sinks = {node: draw(st.floats(0.1, 10.0)) for node in nodes[n_src:]}
+    droop = draw(st.sampled_from([0.0, 1e-4, 3e-3]))
+    fanout = {node: tuple(sorted({node, *draw(st.lists(st.integers(0, n - 1), max_size=3))}))
+              for node in sources}
+    return GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
+                       source_fanout=fanout)
+
+
+class TestUnifiedOperatorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_random_problems())
+    def test_conservation_and_kirchhoff(self, problem):
+        sol = solve_dc(problem)
+        total = sum(problem.sink_currents.values())
+        assert abs(sol.vr_currents.sum() - total) <= 1e-9 * total
+        # Net current into every free plane node: lattice edges, VR branches
+        # (droop only; their nodes are then free) and the sink draw.
+        n = problem.grid.n_nodes
+        net = np.zeros(n)
+        np.add.at(net, sol.edge_a, -sol.edge_currents)
+        np.add.at(net, sol.edge_b, sol.edge_currents)
+        for idx, cur in problem.sink_currents.items():
+            net[idx] -= cur
+        free = np.ones(n, dtype=bool)
+        droop = problem.droop_resistance_ohm
+        if droop > 0:
+            for node, v_src in problem.source_nodes.items():
+                contacts = problem.source_fanout[node]
+                for c in contacts:
+                    net[c] += (v_src - sol.node_voltages[c]) / (droop * len(contacts))
+        else:
+            free[list(problem.source_nodes)] = False
+        assert np.max(np.abs(net[free])) <= 1e-8 * total
+
+    @settings(max_examples=40, deadline=None)
+    @given(_random_problems(one_rail=True), st.floats(0.1, 10.0))
+    def test_loss_linear_in_sheet_resistance(self, problem, factor):
+        # With every VR on one rail, scaling every resistance (sheet and
+        # droop) leaves the currents as they are and scales the plane loss by
+        # the same factor. Unequal rails would add a circulating current.
+        grid = problem.grid
+        scaled = GridProblem(
+            ResistiveGrid(grid.nx, grid.ny, grid.cell_pitch_mm,
+                          grid.sheet_resistance_ohm_sq * factor),
+            problem.source_nodes, problem.sink_currents,
+            droop_resistance_ohm=problem.droop_resistance_ohm * factor,
+            source_fanout=problem.source_fanout)
+        base, other = solve_dc(problem), solve_dc(scaled)
+        assert other.horizontal_loss_w == pytest.approx(
+            factor * base.horizontal_loss_w, rel=1e-9, abs=1e-300)
+        assert other.vr_currents == pytest.approx(base.vr_currents, rel=1e-8, abs=1e-9)
+
+
+class TestNodeCap:
+    def test_resolution_over_cap_rejected(self):
+        plan = DieFloorplan(500.0, 8.0)
+        sites = place_periphery(plan, 8, 5 / 0.69)
+        with pytest.raises(ValueError, match="node limit"):
+            build_problem(plan, sites, 1000.0, 5e-4, grid_resolution=1001)
+
+    def test_extension_counts_toward_cap(self):
+        plan = DieFloorplan(100.0, 8.0)
+        far = VrSite(5000.0, 0.0, 4.0, 0, "periphery")
+        with pytest.raises(ValueError, match="node limit"):
+            build_problem(plan, [far], 50.0, 1e-3, grid_resolution=32)
+
+    def test_refined_lattice_checked_before_allocation(self, monkeypatch):
+        # A 2x2 lattice fits a 5-node cap; the 3x3 refinement the center
+        # site forces does not.
+        monkeypatch.setattr(pdn_grid, "_MAX_NODES", 5)
+        plan = DieFloorplan(100.0, 8.0)
+        site = VrSite(0.0, 0.0, 4.0, 0, "under_die")
+        with pytest.raises(ValueError, match="3x3 lattice"):
+            build_problem(plan, [site], 50.0, 1e-3, grid_resolution=2)
+
+
 class TestBuildProblem:
     def test_48_sites_snap_to_distinct_nodes(self):
         plan = DieFloorplan(500.0, 8.0)
@@ -222,14 +373,3 @@ class TestDroop:
         s0, s1 = current_spread(free), current_spread(drooped)
         assert (s1.max_a - s1.min_a) < (s0.max_a - s0.min_a)
 
-
-class TestCsv:
-    def test_solution_csv_shape(self):
-        grid = ResistiveGrid(3, 3, 1.0, 0.001)
-        problem = GridProblem(grid, {0: 1.0}, {8: 5.0})
-        sol = solve_dc(problem)
-        text = solution_to_csv(problem, sol)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("record,")
-        assert sum(1 for x in lines if x.startswith("node_v")) == 9
-        assert sum(1 for x in lines if x.startswith("edge_i")) == 12
