@@ -18,8 +18,7 @@ from .interconnect import (InterconnectLevel, UtilizationPolicy, connection_coun
                            per_connection_resistance, required_connections)
 from .pdn_grid import (CurrentSpread, GridProblem, GridSolution, ResistiveGrid,
                        build_problem, current_spread, solve_dc)
-from .placement import (DieFloorplan, VrSite, place_periphery, place_under_die,
-                        sites_to_csv)
+from .placement import DieFloorplan, VrSite, place_periphery, place_under_die
 
 __version__ = "0.1.0"
 
@@ -33,6 +32,6 @@ __all__ = [
     "effective_level_resistance", "efficiency_at", "evaluate", "level_loss",
     "load_datasets", "min_die_area_for_current", "per_connection_resistance",
     "place_periphery", "place_under_die", "required_connections",
-    "required_vr_count", "sites_to_csv", "solve_dc", "stage_loss",
+    "required_vr_count", "solve_dc", "stage_loss",
     "utilization_report", "vr_footprint_area_mm2",
 ]

@@ -20,7 +20,7 @@ linear, so that demand is settled in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import converter as conv
 from . import interconnect as ic
@@ -28,7 +28,7 @@ from . import pdn_grid as grid
 from . import placement as plc
 from .converter import ConverterTopology, StageSpec
 from .datasets import Datasets
-from .errors import PdnxError, RatingViolation, Unsatisfiable
+from .errors import PdnxError, Unsatisfiable
 from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
 
@@ -118,63 +118,45 @@ def build_architecture(
         die_area_mm2 if die_area_mm2 is not None else datasets.reference_die_area_mm2,
         cal.interposer_margin_mm,
     )
-    attach = cal.die_attach_level
-    if arch_name == "A0":
-        stack = tuple(StackAssignment(n, pol_voltage_v) for n in datasets.stack_levels())
-        return ArchitectureSpec(
-            name="A0", stages=(), stack=stack, die=die,
-            total_power_w=total_power_w, pol_voltage_v=pol_voltage_v,
-            input_voltage_v=input_voltage_v, reference_efficiency=0.90,
-        )
-
-    if topology_name is None:
-        raise ValueError(f"{arch_name} needs a converter topology")
-    topo = datasets.topologies[topology_name]
-    counts = datasets.vr_site_counts[topology_name]
-
-    if arch_name == "A1":
-        stage = StageSpec(topo, "interposer_periphery", vr_count_override=counts.periphery)
-        stages: tuple[StageSpec, ...] = (stage,)
-        stack = (
-            StackAssignment("bga", input_voltage_v),
-            StackAssignment("c4", input_voltage_v),
-            StackAssignment("tsv", pol_voltage_v),
-            StackAssignment(attach, pol_voltage_v),
-        )
-        intermediate = None
-    elif arch_name == "A2":
-        stage = StageSpec(topo, "in_interposer", vr_count_override=counts.below_die)
-        stages = (stage,)
-        stack = (
-            StackAssignment("bga", input_voltage_v),
-            StackAssignment("c4", input_voltage_v),
-            StackAssignment("tsv", pol_voltage_v),
-            StackAssignment(attach, pol_voltage_v),
-        )
-        intermediate = None
-    elif arch_name in ("A3@12V", "A3@6V"):
-        intermediate = 12.0 if arch_name == "A3@12V" else 6.0
-        first_topo = datasets.topologies["DPMIH"].for_conversion(input_voltage_v, intermediate)
-        first_counts = datasets.vr_site_counts["DPMIH"]
-        second_topo = topo.for_conversion(intermediate, pol_voltage_v)
-        stages = (
-            StageSpec(first_topo, "interposer_periphery",
-                      vr_count_override=first_counts.periphery),
-            StageSpec(second_topo, "power_die", vr_count_override=counts.below_die),
-        )
-        stack = (
-            StackAssignment("bga", input_voltage_v),
-            StackAssignment("c4", input_voltage_v),
-            StackAssignment("tsv", intermediate),
-            StackAssignment(attach, pol_voltage_v),
-        )
-    else:
+    if arch_name not in ARCHITECTURE_NAMES:
         raise ValueError(f"unknown architecture '{arch_name}'")
+    intermediate = {"A3@12V": 12.0, "A3@6V": 6.0}.get(arch_name)
+    stages: tuple[StageSpec, ...] = ()
+    if arch_name != "A0":
+        if topology_name is None:
+            raise ValueError(f"{arch_name} needs a converter topology")
+        topo = datasets.topologies[topology_name]
+        counts = datasets.vr_site_counts[topology_name]
+        if arch_name == "A1":
+            stages = (StageSpec(topo, "interposer_periphery",
+                                vr_count_override=counts.periphery),)
+        elif arch_name == "A2":
+            stages = (StageSpec(topo, "in_interposer", vr_count_override=counts.below_die),)
+        else:
+            first_topo = datasets.topologies["DPMIH"].for_conversion(input_voltage_v,
+                                                                     intermediate)
+            stages = (
+                StageSpec(first_topo, "interposer_periphery",
+                          vr_count_override=datasets.vr_site_counts["DPMIH"].periphery),
+                StageSpec(topo.for_conversion(intermediate, pol_voltage_v), "power_die",
+                          vr_count_override=counts.below_die),
+            )
 
+    # The reference chain carries the die current through every level. With
+    # conversion in the package, the board-side levels carry the input rail,
+    # the TSVs the intermediate rail (the POL rail when there is none) and
+    # the die attach the POL rail.
+    if stages:
+        tsv_v = intermediate if intermediate is not None else pol_voltage_v
+        voltages = (input_voltage_v, input_voltage_v, tsv_v, pol_voltage_v)
+    else:
+        voltages = (pol_voltage_v,) * 4
+    stack = tuple(StackAssignment(n, v) for n, v in zip(datasets.stack_levels(), voltages))
     return ArchitectureSpec(
         name=arch_name, stages=stages, stack=stack, die=die,
         total_power_w=total_power_w, pol_voltage_v=pol_voltage_v,
         input_voltage_v=input_voltage_v, intermediate_voltage_v=intermediate,
+        reference_efficiency=None if stages else 0.90,
     )
 
 
@@ -225,14 +207,14 @@ def _rating_check(stage_key: str, topo: ConverterTopology,
     )
 
 
-def evaluate(spec: ArchitectureSpec, datasets: Datasets, strict: bool = False) -> LossBreakdown:
+def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
     """Compute the PCB-to-POL loss breakdown for one architecture.
 
     Works backward from the POL demand: the final conversion stage's per-VR
     loads come from the rail-level grid solve, stage losses follow from the
     calibrated curves, and upstream domain currents are inflated stage by
-    stage. In strict mode a converter rating violation raises RatingViolation
-    instead of being recorded as a failed feasibility check.
+    stage. A converter rating violation is recorded as a failed
+    feasibility check; evaluate_cell turns it into a verdict.
     """
     usage = utilization_report(spec, datasets)
     feasibility = [
@@ -247,15 +229,8 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets, strict: bool = False) -
     per_net = {e.level: e.per_net_count for e in usage}
 
     if not spec.stages:
-        breakdown = _evaluate_reference(spec, datasets, per_net, feasibility, assumptions)
-    else:
-        breakdown = _evaluate_staged(spec, datasets, per_net, feasibility, assumptions)
-
-    if strict:
-        for f in breakdown.feasibility:
-            if f.check == "converter_rating" and f.status == "fail":
-                raise RatingViolation(f.detail)
-    return breakdown
+        return _evaluate_reference(spec, datasets, per_net, feasibility, assumptions)
+    return _evaluate_staged(spec, datasets, per_net, feasibility, assumptions)
 
 
 def _domain_vertical_losses(spec, datasets, per_net, domain_voltage_v: float,
@@ -351,7 +326,7 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
                                zip(solution.vr_plane_voltages, solution.vr_currents)))
 
     stage_final = conv.stage_loss(model_final, final_stage.topology, loads_final,
-                                  idle_shutdown=cal.idle_shutdown, enforce_rating=False)
+                                  idle_shutdown=cal.idle_shutdown)
     feasibility.append(_rating_check(final_key, final_stage.topology, loads_final))
 
     # Vertical levels in the POL domain carry the die current.
@@ -436,7 +411,7 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
                                  zip(mid_solution.vr_plane_voltages,
                                      mid_solution.vr_currents)))
         stage_first = conv.stage_loss(model_first, first_stage.topology, loads_first,
-                                      idle_shutdown=cal.idle_shutdown, enforce_rating=False)
+                                      idle_shutdown=cal.idle_shutdown)
         feasibility.append(_rating_check(first_key, first_stage.topology, loads_first))
 
         horizontal[f"{v_mid:g}V"] = h_mid
@@ -496,7 +471,38 @@ class ComparisonCell:
 
 @dataclass
 class ComparisonTable:
-    cells: list[ComparisonCell] = field(default_factory=list)
+    cells: list[ComparisonCell]
+
+
+def evaluate_cell(
+    arch_name: str,
+    topology_name: str,
+    datasets: Datasets,
+    die_area_mm2: float | None = None,
+    total_power_w: float = 1000.0,
+    pol_voltage_v: float = 1.0,
+) -> ComparisonCell:
+    """Evaluate one architecture x topology cell and give its verdict.
+
+    A model error makes an error cell. A converter bank run beyond its
+    current rating makes a not_reported cell: its losses are extrapolated
+    and never presented as a loss figure. Any other result is ok. The
+    reference chain ignores the topology (same converter either way).
+    """
+    try:
+        spec = build_architecture(
+            arch_name, topology_name, datasets, die_area_mm2=die_area_mm2,
+            total_power_w=total_power_w, pol_voltage_v=pol_voltage_v,
+        )
+        breakdown = evaluate(spec, datasets)
+    except PdnxError as exc:
+        return ComparisonCell(arch_name, topology_name, "error", str(exc))
+    violation = next((f.detail for f in breakdown.feasibility
+                      if f.check == "converter_rating" and f.status == "fail"), None)
+    if violation is not None:
+        return ComparisonCell(arch_name, topology_name, "not_reported",
+                              "converter rating violated: " + violation)
+    return ComparisonCell(arch_name, topology_name, "ok", "", breakdown)
 
 
 def compare(
@@ -507,38 +513,12 @@ def compare(
     total_power_w: float = 1000.0,
     pol_voltage_v: float = 1.0,
 ) -> ComparisonTable:
-    """Evaluate every architecture x topology cell.
-
-    Cells whose converter bank would run beyond its current rating are marked
-    not_reported rather than carrying extrapolated numbers; placement or
-    solver errors become error markers. The reference chain ignores the
-    topology axis (same converter either way).
-    """
-    table = ComparisonTable()
-    for arch in arch_names:
-        for topo in topology_names:
-            try:
-                spec = build_architecture(
-                    arch, None if arch == "A0" else topo, datasets,
-                    die_area_mm2=die_area_mm2, total_power_w=total_power_w,
-                    pol_voltage_v=pol_voltage_v,
-                )
-                breakdown = evaluate(spec, datasets, strict=False)
-            except PdnxError as exc:
-                table.cells.append(ComparisonCell(arch, topo, "error", str(exc)))
-                continue
-            rating_fails = [
-                f.detail for f in breakdown.feasibility
-                if f.check == "converter_rating" and f.status == "fail"
-            ]
-            if rating_fails:
-                table.cells.append(ComparisonCell(
-                    arch, topo, "not_reported",
-                    "converter rating violated: " + rating_fails[0],
-                ))
-            else:
-                table.cells.append(ComparisonCell(arch, topo, "ok", "", breakdown))
-    return table
+    """Evaluate every architecture x topology cell, architecture-major."""
+    return ComparisonTable([
+        evaluate_cell(arch, topo, datasets, die_area_mm2=die_area_mm2,
+                      total_power_w=total_power_w, pol_voltage_v=pol_voltage_v)
+        for arch in arch_names for topo in topology_names
+    ])
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ from . import reporting as rpt
 from .calibrate import run_calibration
 from .config import RunConfig, load_config
 from .datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
-from .errors import (ConfigError, PdnxError, RatingViolation, SingularSystem,
-                     TargetUnreachable, Unsatisfiable)
+from .errors import ConfigError, PdnxError, SingularSystem, TargetUnreachable, Unsatisfiable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,35 +135,23 @@ def cmd_datasets(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, datasets = _load(args)
-    arch_name = cfg.architectures[0]
-    topo_name = cfg.topologies[0]
-    spec = arch.build_architecture(
-        arch_name, None if arch_name == "A0" else topo_name, datasets,
+    cell = arch.evaluate_cell(
+        cfg.architectures[0], cfg.topologies[0], datasets,
         die_area_mm2=cfg.die_area_mm2, total_power_w=cfg.total_power_w,
         pol_voltage_v=cfg.pol_voltage_v,
     )
-    try:
-        breakdown = arch.evaluate(spec, datasets, strict=False)
-    except PdnxError as exc:
-        reason = str(exc)
-    else:
-        reason = next((f.detail for f in breakdown.feasibility
-                       if f.check == "converter_rating" and f.status == "fail"), None)
-    if reason is not None:
-        marker = {"architecture": arch_name, "topology": topo_name,
-                  "status": "not_reported", "reason": reason}
-        line = f"{arch_name} + {topo_name}: not reported ({reason})"
-        _emit(cfg, "breakdown", marker,
-              f"architecture,topology,status,reason\n{arch_name},{topo_name},"
-              f"not_reported,\"{reason}\"\n",
-              line + "\n")
+    if cell.status != "ok":
+        line = f"{cell.architecture} + {cell.topology}: not reported ({cell.reason})"
+        _emit(cfg, "breakdown", rpt.cell_to_dict(cell),
+              rpt.table_to_csv(arch.ComparisonTable([cell])), line + "\n")
         print(line)
         return EXIT_FEASIBILITY if cfg.strict else EXIT_OK
 
+    breakdown = cell.breakdown
     files = _emit(cfg, "breakdown", rpt.breakdown_to_dict(breakdown),
                   rpt.breakdown_to_csv(breakdown),
                   rpt.breakdown_to_text(breakdown, stamp=args.stamp))
-    print(f"{arch_name} + {breakdown.topology}: total loss "
+    print(f"{cell.architecture} + {breakdown.topology}: total loss "
           f"{breakdown.total_loss_w:.1f} W ({breakdown.total_loss_pct:.1f}% of budget)")
     for path in files:
         print(f"wrote {path}")
@@ -230,10 +217,7 @@ def cmd_sweep(args) -> int:
     arch_name = cfg.architectures[0]
     topo_name = cfg.topologies[0]
 
-    header = (f"{param},architecture,topology,status,total_loss_w,total_loss_pct,"
-              "horizontal_loss_w,converter_loss_w,vertical_loss_w,pcb_lateral_loss_w,"
-              "feasibility")
-    lines = [header]
+    lines = [f"{param},{rpt.CELL_CSV_HEADER}"]
     for value in values:
         ds = datasets
         die_area = cfg.die_area_mm2
@@ -246,21 +230,12 @@ def cmd_sweep(args) -> int:
         elif param == "total_power":
             total_power = value
         try:
-            spec = arch.build_architecture(
-                arch_name, None if arch_name == "A0" else topo_name, ds,
-                die_area_mm2=die_area, total_power_w=total_power,
-                pol_voltage_v=cfg.pol_voltage_v,
-            )
-            b = arch.evaluate(spec, ds, strict=False)
-            lines.append(
-                f"{value!r},{arch_name},{b.topology},ok,{b.total_loss_w!r},"
-                f"{b.total_loss_pct!r},{sum(b.horizontal_losses_w.values())!r},"
-                f"{sum(b.converter_losses_w.values())!r},"
-                f"{sum(b.vertical_losses_w.values())!r},{b.pcb_lateral_loss_w!r},"
-                f"{b.worst_status()}"
-            )
-        except (PdnxError, ValueError) as exc:
-            lines.append(f"{value!r},{arch_name},{topo_name},error,,,,,,,\"{exc}\"")
+            cell = arch.evaluate_cell(arch_name, topo_name, ds, die_area_mm2=die_area,
+                                      total_power_w=total_power,
+                                      pol_voltage_v=cfg.pol_voltage_v)
+        except ValueError as exc:
+            cell = arch.ComparisonCell(arch_name, topo_name, "error", str(exc))
+        lines.append(f"{value!r},{rpt.cell_to_csv_row(cell)}")
     csv_text = "\n".join(lines) + "\n"
     path = os.path.join(cfg.out_dir, f"sweep_{param}.csv")
     rpt.write_atomic(path, csv_text)
@@ -316,9 +291,8 @@ def cmd_calibrate(args) -> int:
 def cmd_feasibility(args) -> int:
     cfg, datasets = _load(args)
     arch_name = cfg.architectures[0]
-    topo_name = cfg.topologies[0]
     spec = arch.build_architecture(
-        arch_name, None if arch_name == "A0" else topo_name, datasets,
+        arch_name, cfg.topologies[0], datasets,
         die_area_mm2=cfg.die_area_mm2, total_power_w=cfg.total_power_w,
         pol_voltage_v=cfg.pol_voltage_v,
     )
@@ -387,9 +361,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RatingViolation as exc:
-        print(f"feasibility failure: {exc}", file=sys.stderr)
-        return EXIT_FEASIBILITY
     except (TargetUnreachable, SingularSystem, Unsatisfiable) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

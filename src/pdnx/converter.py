@@ -164,25 +164,17 @@ def stage_loss(
     topology: ConverterTopology,
     vr_loads_a: list[float],
     idle_shutdown: bool = False,
-    enforce_rating: bool = True,
 ) -> StageLossResult:
     """Total conversion loss of a bank of identical VRs at the given loads.
 
     Idle VRs still burn p_fixed (they keep switching) unless idle_shutdown is
-    set. With enforce_rating, the first over-rated VR raises LoadExceedsRating
-    carrying its index; without it the loss curve is extrapolated so callers
-    can still report how bad the operating point is.
+    set. Loads above the rating extrapolate the loss curve; the caller judges
+    the rating (architecture.evaluate records it as a feasibility check).
     """
     total = 0.0
     for k, load in enumerate(vr_loads_a):
         if load < 0:
             raise ValueError(f"VR {k}: load must be >= 0")
-        if load > topology.i_max_a and enforce_rating:
-            raise LoadExceedsRating(
-                f"{topology.name}: VR {k} load {load:g} A exceeds rating "
-                f"{topology.i_max_a:g} A",
-                vr_index=k,
-            )
         if load == 0.0:
             if not idle_shutdown:
                 total += model.p_fixed_w

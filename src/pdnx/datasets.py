@@ -71,10 +71,7 @@ class Datasets:
         One of the two die-attach variants is on the path at a time; the
         calibration selects which (the other stays available in the dataset).
         """
-        attach = self.calibration.die_attach_level
-        if attach not in ("adv_pad", "u_bump"):
-            raise ConfigError(f"unknown die attach level '{attach}'")
-        return ("bga", "c4", "tsv", attach)
+        return ("bga", "c4", "tsv", self.calibration.die_attach_level)
 
 
 def _builtin_dir() -> Path:
@@ -160,6 +157,12 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         )
     except KeyError as exc:
         raise ConfigError(f"calibration-default: missing field {exc}") from None
+    for name, allowed in (("die_attach_level", ("adv_pad", "u_bump")),
+                          ("dpmih_efficiency_variant", ("nominal", "text"))):
+        value = getattr(calibration, name)
+        if value not in allowed:
+            raise ConfigError(f"calibration-default: {name} '{value}' is not one of "
+                              f"{', '.join(allowed)}")
 
     levels: dict[str, InterconnectLevel] = {}
     for row in raw["table1"]["levels"]:

@@ -9,24 +9,8 @@ class ZeroConnections(PdnxError):
     """A parallel via field was requested with zero connections."""
 
 
-class CapExceeded(PdnxError):
-    """A vertical level needs more connections than its usage cap allows.
-
-    Carries the maximum current the level can support within the cap so
-    callers can report how far off the operating point is.
-    """
-
-    def __init__(self, message: str, achievable_max_a: float):
-        super().__init__(message)
-        self.achievable_max_a = achievable_max_a
-
-
 class LoadExceedsRating(PdnxError):
     """A converter was asked for more output current than its rating."""
-
-    def __init__(self, message: str, vr_index: int | None = None):
-        super().__init__(message)
-        self.vr_index = vr_index
 
 
 class MarginExceeded(PdnxError):
@@ -43,10 +27,6 @@ class DegenerateGrid(PdnxError):
 
 class SingularSystem(PdnxError):
     """The resistive grid has nodes unreachable from any source."""
-
-
-class RatingViolation(PdnxError):
-    """Strict-mode evaluation hit a converter rating violation."""
 
 
 class Unsatisfiable(PdnxError):

@@ -12,13 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, ZeroConnections
-
-# Bulk resistivities in ohm*m, overridable through the calibration dataset.
-RESISTIVITY_DEFAULTS = {
-    "copper": 1.68e-8,
-    "solder": 1.4e-7,
-}
+from .errors import ZeroConnections
 
 
 @dataclass(frozen=True)
@@ -135,13 +129,11 @@ def required_connections(
     current_a: float,
     policy: UtilizationPolicy,
     platform_area_mm2: float | None = None,
-    strict: bool = False,
 ) -> ConnectionRequirement:
     """Size the connection field for a current and check it against the usage cap.
 
     Connections are provisioned per net at ceil(I / ampacity) and doubled for
-    the ground return. In strict mode a cap violation raises CapExceeded
-    carrying the maximum current the level supports within the cap.
+    the ground return.
     """
     if current_a < 0:
         raise ValueError("current_a must be >= 0")
@@ -153,13 +145,6 @@ def required_connections(
     per_net = math.ceil(current_a / amp)
     total = 2 * per_net
     utilization = total / available
-    violates = utilization > cap
-    if violates and strict:
-        achievable = math.floor(cap * available / 2) * amp
-        raise CapExceeded(
-            f"{level.name}: {total} of {available} connections needed "
-            f"({utilization:.1%} > cap {cap:.0%})",
-            achievable_max_a=achievable,
-        )
-    return ConnectionRequirement(per_net, total, available, utilization, violates)
+    return ConnectionRequirement(per_net, total, available, utilization,
+                                 utilization > cap)
 

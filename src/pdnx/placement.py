@@ -8,7 +8,6 @@ site lists, so downstream grid problems are reproducible byte for byte.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -177,12 +176,3 @@ def place_under_die(plan: DieFloorplan, n: int, footprint_mm2: float) -> UnderDi
         over_half_occupancy=occupancy > 0.5,
         sites_overlap=width > cell + 1e-12,
     )
-
-
-def sites_to_csv(sites: list[VrSite] | tuple[VrSite, ...]) -> str:
-    """Plot-ready CSV of site coordinates (comma separated, '.' decimal)."""
-    buf = io.StringIO()
-    buf.write("x_mm,y_mm,ring,zone,footprint_mm2\n")
-    for s in sites:
-        buf.write(f"{s.x_mm!r},{s.y_mm!r},{s.ring_index},{s.zone},{s.footprint_mm2!r}\n")
-    return buf.getvalue()

@@ -11,7 +11,12 @@ import os
 import tempfile
 from datetime import datetime, timezone
 
-from .architecture import ComparisonTable, LossBreakdown, UtilizationEntry
+from .architecture import ComparisonCell, ComparisonTable, LossBreakdown, UtilizationEntry
+
+# One row per comparison cell; the sweep CSV prefixes the swept value.
+CELL_CSV_HEADER = ("architecture,topology,status,total_loss_w,total_loss_pct,"
+                   "horizontal_loss_w,converter_loss_w,vertical_loss_w,pcb_lateral_loss_w,"
+                   "feasibility,vr_current_min_a,vr_current_max_a,reason")
 
 
 def dump_json(obj) -> str:
@@ -118,43 +123,42 @@ def breakdown_to_text(b: LossBreakdown, stamp: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_to_dict(t: ComparisonTable) -> dict:
+def cell_to_dict(c: ComparisonCell) -> dict:
     return {
-        "cells": [
-            {
-                "architecture": c.architecture,
-                "topology": c.topology,
-                "status": c.status,
-                "reason": c.reason,
-                "breakdown": None if c.breakdown is None else breakdown_to_dict(c.breakdown),
-            }
-            for c in t.cells
-        ]
+        "architecture": c.architecture,
+        "topology": c.topology,
+        "status": c.status,
+        "reason": c.reason,
+        "breakdown": None if c.breakdown is None else breakdown_to_dict(c.breakdown),
     }
 
 
-def table_to_csv(t: ComparisonTable) -> str:
-    lines = ["architecture,topology,status,total_loss_w,total_loss_pct,"
-             "converter_loss_w,horizontal_loss_w,vertical_loss_w,pcb_lateral_loss_w,"
-             "vr_current_min_a,vr_current_max_a,reason"]
-    for c in t.cells:
-        if c.breakdown is None:
-            lines.append(f"{c.architecture},{c.topology},{c.status},,,,,,,,,"
-                         f"\"{c.reason}\"")
-            continue
-        b = c.breakdown
+def table_to_dict(t: ComparisonTable) -> dict:
+    return {"cells": [cell_to_dict(c) for c in t.cells]}
+
+
+def cell_to_csv_row(c: ComparisonCell) -> str:
+    """One CELL_CSV_HEADER row; loss columns stay empty unless the cell is ok."""
+    b = c.breakdown
+    if b is None:
+        figures = [""] * 9
+    else:
         currents = [x for vals in b.per_vr_currents_a.values() for x in vals]
-        cmin = repr(min(currents)) if currents else ""
-        cmax = repr(max(currents)) if currents else ""
-        lines.append(
-            f"{c.architecture},{c.topology},{c.status},"
-            f"{b.total_loss_w!r},{b.total_loss_pct!r},"
-            f"{sum(b.converter_losses_w.values())!r},"
-            f"{sum(b.horizontal_losses_w.values())!r},"
-            f"{sum(b.vertical_losses_w.values())!r},"
-            f"{b.pcb_lateral_loss_w!r},{cmin},{cmax},"
-        )
-    return "\n".join(lines) + "\n"
+        figures = [
+            repr(b.total_loss_w), repr(b.total_loss_pct),
+            repr(sum(b.horizontal_losses_w.values())),
+            repr(sum(b.converter_losses_w.values())),
+            repr(sum(b.vertical_losses_w.values())),
+            repr(b.pcb_lateral_loss_w), b.worst_status(),
+            repr(min(currents)) if currents else "",
+            repr(max(currents)) if currents else "",
+        ]
+    reason = f'"{c.reason}"' if c.reason else ""
+    return ",".join([c.architecture, c.topology, c.status, *figures, reason])
+
+
+def table_to_csv(t: ComparisonTable) -> str:
+    return "\n".join([CELL_CSV_HEADER, *map(cell_to_csv_row, t.cells)]) + "\n"
 
 
 def table_to_text(t: ComparisonTable, stamp: bool = False) -> str:

@@ -11,7 +11,7 @@ from pdnx import pdn_grid
 from pdnx.architecture import build_architecture, compare, evaluate, utilization_report
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets
-from pdnx.errors import RatingViolation, Unsatisfiable
+from pdnx.errors import Unsatisfiable
 
 
 @pytest.fixture(scope="module")
@@ -215,14 +215,9 @@ class TestMonotonicity:
 
 
 class TestRatingHandling:
-    def test_3lhd_strict_raises(self, datasets):
-        spec = build_architecture("A1", "3LHD", datasets)
-        with pytest.raises(RatingViolation):
-            evaluate(spec, datasets, strict=True)
-
     def test_3lhd_nonstrict_flags(self, datasets):
         spec = build_architecture("A1", "3LHD", datasets)
-        b = evaluate(spec, datasets, strict=False)
+        b = evaluate(spec, datasets)
         fails = [f for f in b.feasibility
                  if f.check == "converter_rating" and f.status == "fail"]
         assert fails

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, file outputs, and reproducibility."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -21,6 +22,17 @@ def write_config(tmp_path: Path, doc: dict) -> str:
     return str(path)
 
 
+def csv_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+# Columns of a comparison row that only an ok cell fills.
+LOSS_COLUMNS = ("total_loss_w", "total_loss_pct", "horizontal_loss_w", "converter_loss_w",
+                "vertical_loss_w", "pcb_lateral_loss_w", "feasibility",
+                "vr_current_min_a", "vr_current_max_a")
+
+
 class TestDatasetsCommand:
     def test_lists_builtins(self, capsys):
         assert run_cli("datasets") == 0
@@ -40,6 +52,16 @@ class TestDatasetsCommand:
         cfg = write_config(tmp_path, {"datasets": {"mystery": {}}})
         assert run_cli("datasets", "--config", cfg) == 2
         assert "mystery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("arch", ["A0", "A1"])
+    def test_unknown_die_attach_exits_2(self, tmp_path, capsys, command, arch):
+        cfg = write_config(tmp_path, {
+            "architectures": arch,
+            "datasets": {"calibration-default": {"die_attach_level": "glue"}}})
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert "die_attach_level 'glue'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluateCommand:
@@ -85,7 +107,7 @@ class TestEvaluateCommand:
         assert "A3@6V + DSCH: not reported (no intermediate-plane operating point" \
             in capsys.readouterr().out
         doc = json.loads((out / "breakdown.json").read_text())
-        assert doc["status"] == "not_reported"
+        assert doc["status"] == "error"
 
     def test_oversize_lattice_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -129,14 +151,17 @@ class TestCompareCommand:
 class TestSweepCommand:
     def test_sheet_resistance_linearity(self, tmp_path):
         # With droop disabled the sharing is voltage-pinned and the plane
-        # loss is exactly linear in its sheet resistance.
+        # loss is exactly linear in its sheet resistance. At 500 W every
+        # pinned VR stays within its rating, so every row carries a figure.
         cfg = write_config(tmp_path, {
+            "total_power_w": 500,
             "datasets": {"calibration-default": {"droop_share_resistance_scale": 0.0}}})
         out = tmp_path / "out"
         assert run_cli("sweep", "--config", cfg, "--out", str(out),
                        "--param", "sheet_resistance", "--values", "0.00025,0.0005,0.001") == 0
         rows = (out / "sweep_sheet_resistance.csv").read_text().strip().split("\n")
         assert len(rows) == 4
+        assert [r.split(",")[3] for r in rows[1:]] == ["ok"] * 3
         h = [float(r.split(",")[6]) for r in rows[1:]]
         assert h[1] == pytest.approx(2.0 * h[0], rel=1e-12)
         assert h[2] == pytest.approx(2.0 * h[1], rel=1e-12)
@@ -205,6 +230,61 @@ class TestSweepCommand:
     def test_unknown_parameter_exit_2(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path), "--param", "magic",
                        "--values", "1,2") == 2
+
+    def test_over_rated_cell_is_not_reported(self, tmp_path):
+        # A1 + DPMIH runs 125 A per VR on a 100 A part at every demand weight.
+        cfg = write_config(tmp_path, {"architectures": "A1", "topologies": "DPMIH"})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out),
+                       "--param", "demand_weight", "--values", "1,4") == 0
+        assert run_cli("compare", "--config", cfg, "--out", str(out)) == 0
+        rows = csv_rows(out / "sweep_demand_weight.csv")
+        reason = json.loads((out / "comparison.json").read_text())["cells"][0]["reason"]
+        assert reason.startswith("converter rating violated: ")
+        assert len(rows) == 2
+        for row in rows:
+            assert row["status"] == "not_reported"
+            assert row["reason"] == reason
+            assert all(row[col] == "" for col in LOSS_COLUMNS)
+
+
+class TestOneVerdict:
+    """evaluate, compare and sweep give one cell the same status and reason."""
+
+    @pytest.mark.parametrize("arch,topo,sheet,status", [
+        ("A1", "DSCH", None, "ok"),
+        ("A1", "DPMIH", None, "not_reported"),
+        ("A3@6V", "DSCH", 0.06, "error"),
+    ])
+    def test_commands_agree(self, tmp_path, capsys, arch, topo, sheet, status):
+        doc = {"architectures": arch, "topologies": topo}
+        if sheet is not None:
+            doc["datasets"] = {"calibration-default": {"sheet_resistance_ohm_sq": sheet}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--config", cfg, "--out", str(out)) == 0
+        assert run_cli("compare", "--config", cfg, "--out", str(out)) == 0
+        assert run_cli("sweep", "--config", cfg, "--out", str(out),
+                       "--param", "total_power", "--values", "1000") == 0
+        capsys.readouterr()
+
+        evaluated = json.loads((out / "breakdown.json").read_text())
+        [compared] = json.loads((out / "comparison.json").read_text())["cells"]
+        [compared_row] = csv_rows(out / "comparison.csv")
+        [swept] = csv_rows(out / "sweep_total_power.csv")
+        assert compared["status"] == compared_row["status"] == swept["status"] == status
+        assert compared["reason"] == compared_row["reason"] == swept["reason"]
+        if status == "ok":
+            assert compared["reason"] == ""
+            total = compared["breakdown"]["total_loss_w"]
+            assert evaluated["total_loss_w"] == total
+            assert float(compared_row["total_loss_w"]) == float(swept["total_loss_w"]) == total
+        else:
+            # A cell that is not ok writes the comparison cell as its breakdown.
+            assert evaluated == compared
+            [evaluated_row] = csv_rows(out / "breakdown.csv")
+            assert evaluated_row == compared_row
+            assert all(swept[col] == "" for col in LOSS_COLUMNS)
 
 
 class TestSweepRanges:

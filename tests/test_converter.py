@@ -165,12 +165,12 @@ class TestStageLoss:
         result = stage_loss(model, topo, [17.0])
         assert result.total_loss_w == pytest.approx(model.loss_w(17.0), rel=1e-15)
 
-    def test_over_rating_raises_with_index(self, datasets):
+    def test_over_rating_extrapolates_the_curve(self, datasets):
         topo = datasets.topologies["DSCH"]
         model = calibrate(topo)
-        with pytest.raises(LoadExceedsRating) as err:
-            stage_loss(model, topo, [10.0, 31.0])
-        assert err.value.vr_index == 1
+        result = stage_loss(model, topo, [10.0, 31.0])
+        assert result.total_loss_w == pytest.approx(
+            model.loss_w(10.0) + model.loss_w(31.0), rel=1e-15)
 
     def test_even_split_minimizes_loss(self, datasets):
         # Conduction loss is convex in the split; any unequal division with

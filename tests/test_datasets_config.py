@@ -69,6 +69,16 @@ class TestOverrides:
         nominal = load_datasets()
         assert nominal.topologies["DPMIH"].eta_peak == 0.900
 
+    @pytest.mark.parametrize("name,value", [("die_attach_level", "glue"),
+                                            ("dpmih_efficiency_variant", "fancy")])
+    def test_unknown_enumerated_value_rejected_at_load(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} '{value}'"):
+            load_datasets({"calibration-default": {name: value}})
+
+    def test_u_bump_attach_is_on_the_stack(self):
+        ds = load_datasets({"calibration-default": {"die_attach_level": "u_bump"}})
+        assert ds.stack_levels() == ("bga", "c4", "tsv", "u_bump")
+
     def test_data_dir_env(self, tmp_path, monkeypatch):
         src = Path(load_raw_dataset.__globals__["_builtin_dir"]())
         for name in BUILTIN_NAMES:

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from pdnx.datasets import load_datasets
-from pdnx.errors import CapExceeded, ZeroConnections
+from pdnx.errors import ZeroConnections
 from pdnx.interconnect import (InterconnectLevel, UtilizationPolicy, connection_count,
                                effective_level_resistance, level_loss,
                                per_connection_resistance, required_connections)
@@ -156,13 +156,6 @@ class TestRequiredConnections:
         assert req.per_net_count == 2000
         assert req.total_used == 4000
         assert req.violates_cap
-
-    def test_strict_mode_reports_achievable(self, datasets):
-        policy = UtilizationPolicy({"bga": 0.60}, {"bga": 0.5})
-        with pytest.raises(CapExceeded) as err:
-            required_connections(datasets.levels["bga"], 1000.0, policy, strict=True)
-        # floor(0.6 * 2812 / 2) connections per net at 0.5 A each
-        assert err.value.achievable_max_a == pytest.approx(843 * 0.5)
 
     def test_calibrated_bga_utilization_at_48v(self, datasets):
         # 1 kW at 48 V should use only a percent-class share of the BGAs.

@@ -253,6 +253,19 @@ class TestUnifiedOperatorProperties:
             free[list(problem.source_nodes)] = False
         assert np.max(np.abs(net[free])) <= 1e-8 * total
 
+    @settings(max_examples=60, deadline=None)
+    @given(_random_problems())
+    def test_tellegen_power_balance(self, problem):
+        # Power the VR terminals put into the plane is what the sinks draw at
+        # their node voltages plus the I^2R of one plane; horizontal_loss_w
+        # counts the mirrored ground return as a second, equal plane.
+        sol = solve_dc(problem)
+        terminal_in = float(np.dot(sol.vr_plane_voltages, sol.vr_currents))
+        sunk = sum(cur * sol.node_voltages[idx]
+                   for idx, cur in problem.sink_currents.items())
+        assert terminal_in == pytest.approx(sunk + sol.horizontal_loss_w / 2.0,
+                                            rel=1e-10)
+
     @settings(max_examples=40, deadline=None)
     @given(_random_problems(one_rail=True), st.floats(0.1, 10.0))
     def test_loss_linear_in_sheet_resistance(self, problem, factor):

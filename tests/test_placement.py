@@ -5,8 +5,7 @@ import math
 import pytest
 
 from pdnx.errors import AreaExceeded, MarginExceeded
-from pdnx.placement import (DieFloorplan, place_periphery, place_under_die,
-                            ring_capacity, sites_to_csv)
+from pdnx.placement import DieFloorplan, place_periphery, place_under_die, ring_capacity
 
 DSCH_FOOTPRINT = 5 / 0.69      # mm2
 DPMIH_FOOTPRINT = 8 / 0.15
@@ -120,13 +119,3 @@ class TestUnderDie:
     def test_deterministic(self, plan):
         assert place_under_die(plan, 48, DSCH_FOOTPRINT) == place_under_die(
             plan, 48, DSCH_FOOTPRINT)
-
-
-class TestCsvExport:
-    def test_header_and_rows(self, plan):
-        sites = place_periphery(plan, 5, DSCH_FOOTPRINT)
-        text = sites_to_csv(sites)
-        lines = text.strip().split("\n")
-        assert lines[0] == "x_mm,y_mm,ring,zone,footprint_mm2"
-        assert len(lines) == 6
-        assert all(",periphery," in line for line in lines[1:])
