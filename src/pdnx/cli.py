@@ -141,10 +141,13 @@ def cmd_evaluate(args) -> int:
         pol_voltage_v=cfg.pol_voltage_v,
     )
     if cell.status != "ok":
-        line = f"{cell.architecture} + {cell.topology}: not reported ({cell.reason})"
+        verdict = "error" if cell.status == "error" else "not reported"
+        line = f"{cell.architecture} + {cell.topology}: {verdict} ({cell.reason})"
         _emit(cfg, "breakdown", rpt.cell_to_dict(cell),
               rpt.table_to_csv(arch.ComparisonTable([cell])), line + "\n")
         print(line)
+        if cell.status == "error":
+            return EXIT_NUMERICAL
         return EXIT_FEASIBILITY if cfg.strict else EXIT_OK
 
     breakdown = cell.breakdown

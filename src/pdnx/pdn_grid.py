@@ -8,9 +8,12 @@ the VR snapped to; with output droop it is a virtual node behind one branch
 per footprint contact, the branches together carrying the droop resistance.
 One Laplacian covers the plane edges and the branches. Eliminating the
 Dirichlet nodes leaves a symmetric positive definite system for the free
-node voltages. Each VR's current is the net current out of its Dirichlet
-node; edge currents and the plane's ohmic loss (doubled for the mirrored
-ground plane) follow from the solved voltages.
+node voltages. Its factor depends only on the lattice, the Dirichlet nodes
+and the branches, so the last one is kept and reused while problems on the
+same plane differ only in sinks and source voltages. Each VR's current is
+the net current out of its Dirichlet node; edge currents and the plane's
+ohmic loss (doubled for the mirrored ground plane) follow from the solved
+voltages.
 """
 
 from __future__ import annotations
@@ -204,35 +207,34 @@ def build_problem(
         grid = _build_grid(plan, sites, resolution, sheet_resistance_ohm_sq)
         source_nodes: dict[int, float] = {}
         fanout: dict[int, tuple[int, ...]] = {}
-        ambiguous = False
-        collision = False
+        degenerate = False
         for s in sites:
             idx, tied = _snap_site(grid, s.x_mm, s.y_mm)
-            ambiguous = ambiguous or tied
-            if idx in source_nodes:
-                collision = True
+            if tied or idx in source_nodes:
+                degenerate = True
                 break
             source_nodes[idx] = rail_voltage_v
             fanout[idx] = _footprint_nodes(grid, s, idx)
 
+        # A lattice the sites do not snap to cleanly is refined without
+        # drawing any demand on it.
         sink_currents: dict[int, float] = {}
-        if not collision:
+        if not degenerate:
             if explicit_sinks is not None:
                 for (sx, sy, cur) in explicit_sinks:
                     idx, tied = _snap_site(grid, sx, sy)
-                    ambiguous = ambiguous or tied
-                    if idx in source_nodes:
-                        collision = True
+                    if tied or idx in source_nodes:
+                        degenerate = True
                         break
                     sink_currents[idx] = sink_currents.get(idx, 0.0) + cur
                 total = sum(sink_currents.values())
-                if not collision and total > 0:
+                if not degenerate and total > 0:
                     scale = demand_a / total
                     sink_currents = {k: v * scale for k, v in sink_currents.items()}
             else:
                 sink_currents = _profile_sinks(plan, grid, source_nodes, demand_a, demand_weight)
 
-        if not collision and not ambiguous and sink_currents:
+        if not degenerate and sink_currents:
             return GridProblem(grid, source_nodes, sink_currents,
                                droop_resistance_ohm=droop_resistance_ohm,
                                source_fanout=fanout)
@@ -268,107 +270,172 @@ def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: dict[i
     half = plan.side_mm / 2.0
     r0_sq = 2.0 * half * half   # squared distance to a die corner
     eps = 1e-9 * plan.side_mm
-    weights: dict[int, float] = {}
-    for idx in range(grid.n_nodes):
-        x, y = grid.node_xy(idx)
-        if abs(x) > half + eps or abs(y) > half + eps or idx in source_nodes:
-            continue
-        radial = 1.0 - (x * x + y * y) / r0_sq
-        w = 1.0 + demand_weight * max(0.0, radial)
-        # Nodes on the die outline own only half (corners: a quarter) of a
-        # cell; trapezoidal coverage keeps the drawn area resolution-stable.
-        if abs(abs(x) - half) <= eps:
-            w *= 0.5
-        if abs(abs(y) - half) <= eps:
-            w *= 0.5
-        weights[idx] = w
-    total_w = sum(weights.values())
+    x = np.tile(grid.x0_mm + np.arange(grid.nx) * grid.cell_pitch_mm, grid.ny)
+    y = np.repeat(grid.y0_mm + np.arange(grid.ny) * grid.cell_pitch_mm, grid.nx)
+    drawn = (np.abs(x) <= half + eps) & (np.abs(y) <= half + eps)
+    drawn[list(source_nodes)] = False
+    idx = np.flatnonzero(drawn)
+    x, y = x[idx], y[idx]
+    w = 1.0 + demand_weight * np.maximum(0.0, 1.0 - (x * x + y * y) / r0_sq)
+    # Nodes on the die outline own only half (corners: a quarter) of a
+    # cell; trapezoidal coverage keeps the drawn area resolution-stable.
+    w[np.abs(np.abs(x) - half) <= eps] *= 0.5
+    w[np.abs(np.abs(y) - half) <= eps] *= 0.5
+    # Summed in node order, as a Python float sum, so the total does not
+    # depend on numpy's pairwise blocking.
+    total_w = sum(w.tolist())
     if total_w <= 0:
         return {}
-    return {idx: demand_a * w / total_w for idx, w in weights.items()}
+    return dict(zip(idx.tolist(), (demand_a * w / total_w).tolist()))
+
+
+@dataclass(frozen=True)
+class _PlaneOperator:
+    """A plane's nodal system with its free block factorised.
+
+    It depends only on the lattice, the Dirichlet nodes and the VR branches
+    (`key`); sinks and source voltages enter each solve as a right-hand side.
+    """
+
+    key: tuple
+    source_nodes: tuple[int, ...]
+    n_all: int                     # plane nodes plus virtual VR nodes
+    free: np.ndarray
+    pinned: np.ndarray
+    lap_ff: sp.csc_matrix          # free rows, free columns
+    lap_fp: sp.csr_matrix          # free rows, Dirichlet columns
+    lap_p: sp.csr_matrix           # Dirichlet rows, all columns
+    lu: spla.SuperLU
+    edge_a: np.ndarray
+    edge_b: np.ndarray
+    br_vr: np.ndarray              # per VR branch: its VR, plane node, conductance
+    br_node: np.ndarray
+    br_g: np.ndarray
+
+
+# The most recently factorised operator. A problem with the same key reuses
+# it; any other problem replaces it, so at most one factor is alive.
+_operator: _PlaneOperator | None = None
+
+
+def _plane_operator(problem: GridProblem) -> _PlaneOperator:
+    """The operator of problem's plane: the one in the slot or a new one."""
+    global _operator
+    source_nodes = tuple(int(i) for i in problem.source_nodes)
+    droop = problem.droop_resistance_ohm
+    contacts = None
+    if droop > 0.0:
+        fanout = problem.source_fanout or {}
+        contacts = tuple(tuple(fanout.get(i, (i,))) for i in source_nodes)
+    key = (problem.grid, source_nodes, droop, contacts)
+    if _operator is None or _operator.key != key:
+        _operator = None    # release the old factor before building the next
+        _operator = _factor_plane(key)
+    return _operator
+
+
+def _factor_plane(key: tuple) -> _PlaneOperator:
+    """Assemble the Laplacian, split it at the Dirichlet nodes, factor the rest.
+
+    Every VR is a Dirichlet node: the plane node it snapped to when sources
+    are pinned, or a virtual node n + k joined to each of its contacts by a
+    branch of conductance 1/(droop * contacts) with droop. The free block is
+    symmetric positive definite; it is factorised with a minimum-degree
+    ordering on A^T + A, which suits a lattice Laplacian.
+    """
+    grid, source_nodes, droop, contacts = key
+    n = grid.n_nodes
+    k = len(source_nodes)
+    edge_a, edge_b = grid.edges()
+    edge_a.flags.writeable = edge_b.flags.writeable = False
+    if contacts is not None:
+        counts = np.array([len(c) for c in contacts])
+        br_vr = np.repeat(np.arange(k), counts)
+        br_node = np.fromiter((c for cs in contacts for c in cs), dtype=np.int64)
+        br_g = (1.0 / droop) / counts[br_vr]
+        pinned = n + np.arange(k)
+        n_all = n + k
+    else:
+        br_vr = br_node = np.zeros(0, dtype=np.int64)
+        br_g = np.zeros(0)
+        pinned = np.array(source_nodes, dtype=np.int64)
+        n_all = n
+
+    a = np.concatenate([edge_a, n + br_vr])
+    b = np.concatenate([edge_b, br_node])
+    g = np.concatenate([np.full(edge_a.shape[0], 1.0 / grid.sheet_resistance_ohm_sq), br_g])
+    lap = sp.csr_matrix((np.concatenate([g, g, -g, -g]),
+                         (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                        shape=(n_all, n_all))
+    is_pinned = np.zeros(n_all, dtype=bool)
+    is_pinned[pinned] = True
+    free = np.flatnonzero(~is_pinned)
+    lap_free = lap[free]
+    lap_ff = lap_free[:, free].tocsc()
+    return _PlaneOperator(
+        key=key, source_nodes=source_nodes, n_all=n_all, free=free, pinned=pinned,
+        lap_ff=lap_ff, lap_fp=lap_free[:, pinned], lap_p=lap[pinned],
+        lu=spla.splu(lap_ff, permc_spec="MMD_AT_PLUS_A"),
+        edge_a=edge_a, edge_b=edge_b, br_vr=br_vr, br_node=br_node, br_g=br_g,
+    )
 
 
 def solve_dc(problem: GridProblem) -> GridSolution:
     """Solve the nodal system and derive currents and the plane loss.
 
-    Every VR is a Dirichlet node held at its source voltage: the plane node
-    it snapped to when sources are pinned, or a virtual node n + k joined to
-    each of its contacts by a branch of conductance 1/(droop * contacts)
-    with droop. One Laplacian covers the plane edges and the branches; the
-    Dirichlet nodes are eliminated, the free block is symmetric positive
-    definite and solved directly, and the relative residual must come in at
-    or below 1e-10. Each VR's current is the net current out of its
-    Dirichlet node.
+    The factorised operator of the plane is reused while the lattice, the
+    source nodes and the droop branches stay the same; only the sinks and
+    the source voltages change the right-hand side. The unknowns are the
+    drops u = v - v_ref below the first source voltage: Laplacian rows sum
+    to zero, so this is exact, and it keeps the rail voltage out of the
+    differences the currents are computed from. The relative residual must
+    come in at or below 1e-10. Each VR's current is the net current out of
+    its Dirichlet node.
     """
-    grid = problem.grid
-    n = grid.n_nodes
-    edge_a, edge_b = grid.edges()
-    g_sheet = 1.0 / grid.sheet_resistance_ohm_sq
-    source_idx = np.fromiter(problem.source_nodes.keys(), dtype=np.int64)
-    source_v = np.fromiter(problem.source_nodes.values(), dtype=float)
+    op = _plane_operator(problem)
+    n = problem.grid.n_nodes
+    source_v = np.fromiter(problem.source_nodes.values(), dtype=float,
+                           count=len(problem.source_nodes))
+    v_ref = source_v[0]
+    u_pinned = source_v - v_ref
 
-    # One branch per VR contact in droop mode; pinned sources have none.
-    droop = problem.droop_resistance_ohm
-    if droop > 0.0:
-        fanout = problem.source_fanout or {}
-        contacts = [fanout.get(int(i), (int(i),)) for i in source_idx]
-        counts = np.array([len(c) for c in contacts])
-        br_vr = np.repeat(np.arange(source_idx.size), counts)
-        br_node = np.fromiter((c for cs in contacts for c in cs), dtype=np.int64)
-        br_g = (1.0 / droop) / counts[br_vr]
-        pinned = n + np.arange(source_idx.size)
-        n_all = n + source_idx.size
-    else:
-        br_vr = br_node = np.zeros(0, dtype=np.int64)
-        br_g = np.zeros(0)
-        pinned = source_idx
-        n_all = n
-
-    a = np.concatenate([edge_a, n + br_vr])
-    b = np.concatenate([edge_b, br_node])
-    g = np.concatenate([np.full(edge_a.shape[0], g_sheet), br_g])
-    lap = sp.csr_matrix((np.concatenate([g, g, -g, -g]),
-                         (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
-                        shape=(n_all, n_all))
-
-    injections = np.zeros(n_all)
-    for idx, cur in problem.sink_currents.items():
-        injections[idx] -= cur
-    is_pinned = np.zeros(n_all, dtype=bool)
-    is_pinned[pinned] = True
-    free = np.flatnonzero(~is_pinned)
-    lap_free = lap[free]
-    lap_ff = lap_free[:, free]
-    rhs = injections[free] - lap_free[:, pinned] @ source_v
-    v_free = spla.spsolve(lap_ff.tocsc(), rhs)
-    rel_residual = float(np.linalg.norm(lap_ff @ v_free - rhs)
+    sinks = problem.sink_currents
+    injections = np.zeros(op.n_all)
+    injections[np.fromiter(sinks.keys(), dtype=np.int64, count=len(sinks))] = \
+        -np.fromiter(sinks.values(), dtype=float, count=len(sinks))
+    rhs = injections[op.free] - op.lap_fp @ u_pinned
+    u_free = op.lu.solve(rhs)
+    rel_residual = float(np.linalg.norm(op.lap_ff @ u_free - rhs)
                          / max(float(np.linalg.norm(rhs)), np.finfo(float).tiny))
     if rel_residual > _RESIDUAL_TOL:
         raise SingularSystem(
             f"nodal solve residual {rel_residual:.2e} exceeds {_RESIDUAL_TOL:.0e}"
         )
-    voltages = np.empty(n_all)
-    voltages[free] = v_free
-    voltages[pinned] = source_v
+    u = np.empty(op.n_all)
+    u[op.free] = u_free
+    u[op.pinned] = u_pinned
 
-    vr = lap[pinned] @ voltages
+    vr = op.lap_p @ u
     # Plane-side terminal voltage: the source voltage less the power the
     # VR's branches dissipate per ampere it delivers (v_src when pinned).
-    dv_br = voltages[n + br_vr] - voltages[br_node]
-    branch_loss = np.bincount(br_vr, weights=br_g * dv_br * dv_br, minlength=source_idx.size)
+    du_br = u[n + op.br_vr] - u[op.br_node]
+    branch_loss = np.bincount(op.br_vr, weights=op.br_g * du_br * du_br,
+                              minlength=source_v.size)
     plane_voltages = source_v - np.divide(branch_loss, vr, out=np.zeros_like(vr),
                                           where=vr != 0.0)
 
-    voltages = voltages[:n]
-    dv = voltages[edge_a] - voltages[edge_b]
+    g_sheet = 1.0 / problem.grid.sheet_resistance_ohm_sq
+    du = u[op.edge_a] - u[op.edge_b]
+    voltages = u + v_ref
+    voltages[op.pinned] = source_v
     return GridSolution(
-        node_voltages=voltages,
+        node_voltages=voltages[:n],
         vr_currents=vr,
-        source_nodes=tuple(int(i) for i in source_idx),
-        edge_a=edge_a,
-        edge_b=edge_b,
-        edge_currents=dv * g_sheet,
-        horizontal_loss_w=2.0 * float(np.sum(dv * dv * g_sheet)),
+        source_nodes=op.source_nodes,
+        edge_a=op.edge_a,
+        edge_b=op.edge_b,
+        edge_currents=du * g_sheet,
+        horizontal_loss_w=2.0 * float(np.sum(du * du * g_sheet)),
         vr_plane_voltages=plane_voltages,
         residual=rel_residual,
     )

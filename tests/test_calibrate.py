@@ -5,8 +5,10 @@ from dataclasses import replace
 import pytest
 
 import pdnx
+from pdnx import pdn_grid
 from pdnx.architecture import build_architecture, evaluate, utilization_report
-from pdnx.calibrate import (calibrate_a0_loss, calibrate_min_die_area,
+from pdnx.calibrate import (_SPREAD_WEIGHT_GRID, calibrate_a0_loss,
+                            calibrate_min_die_area, calibrate_spread,
                             calibrate_utilizations, run_calibration)
 from pdnx.datasets import load_datasets
 from pdnx.errors import TargetUnreachable
@@ -64,3 +66,18 @@ def test_a1_spread_target_reachable(datasets):
     calibration, residuals = run_calibration(datasets, {"a1_spread": (16.0, 27.0)})
     assert residuals["a1_spread"] <= 0.30
     assert 0.0 <= calibration.demand_weight <= 4.0
+
+
+def test_spread_fit_factors_the_plane_once(datasets, monkeypatch):
+    # Every demand weight of the scan solves the same A1 plane: one
+    # factorisation serves all of them.
+    factored, solves = [], []
+    splu, solve = pdn_grid.spla.splu, pdn_grid.solve_dc
+    monkeypatch.setattr(pdn_grid.spla, "splu",
+                        lambda *a, **k: factored.append(a[0].shape) or splu(*a, **k))
+    monkeypatch.setattr(pdn_grid, "solve_dc",
+                        lambda problem: solves.append(problem) or solve(problem))
+    monkeypatch.setattr(pdn_grid, "_operator", None)
+    calibrate_spread(datasets, "A1", "DSCH", 16.0, 27.0)
+    assert len(solves) == len(_SPREAD_WEIGHT_GRID)
+    assert len(factored) == 1

@@ -103,8 +103,8 @@ class TestEvaluateCommand:
             "architectures": "A3@6V", "topologies": "DSCH",
             "datasets": {"calibration-default": {"sheet_resistance_ohm_sq": 0.06}}})
         out = tmp_path / "out"
-        assert run_cli("evaluate", "--config", cfg, "--out", str(out)) == 0
-        assert "A3@6V + DSCH: not reported (no intermediate-plane operating point" \
+        assert run_cli("evaluate", "--config", cfg, "--out", str(out)) == 4
+        assert "A3@6V + DSCH: error (no intermediate-plane operating point" \
             in capsys.readouterr().out
         doc = json.loads((out / "breakdown.json").read_text())
         assert doc["status"] == "error"
@@ -262,7 +262,10 @@ class TestOneVerdict:
             doc["datasets"] = {"calibration-default": {"sheet_resistance_ohm_sq": sheet}}
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        assert run_cli("evaluate", "--config", cfg, "--out", str(out)) == 0
+        # A model error is a numerical failure for evaluate; compare and
+        # sweep record it in their cell and row.
+        assert run_cli("evaluate", "--config", cfg, "--out", str(out)) == \
+            (4 if status == "error" else 0)
         assert run_cli("compare", "--config", cfg, "--out", str(out)) == 0
         assert run_cli("sweep", "--config", cfg, "--out", str(out),
                        "--param", "total_power", "--values", "1000") == 0

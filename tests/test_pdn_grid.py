@@ -147,16 +147,12 @@ class TestDenseOracle:
         assert sol.node_voltages == pytest.approx(expected, abs=1e-12)
 
 
-def _dense_droop_oracle(grid: ResistiveGrid, sources: dict, fanout: dict,
-                        droop: float, sinks: dict):
-    """Virtual-node system with plain loops: node n + k is VR k's rail.
-
-    Returns plane voltages, per-VR currents and the power-weighted plane-side
-    terminal voltage of each VR.
-    """
+def _droop_laplacian(grid: ResistiveGrid, sources: dict, fanout: dict,
+                     droop: float) -> np.ndarray:
+    """Dense Laplacian of plane plus VR branches, with plain loops: node
+    n + k is VR k's rail."""
     n = grid.n_nodes
-    k_all = len(sources)
-    size = n + k_all
+    size = n + len(sources)
     lap = np.zeros((size, size))
 
     def branch(a, b, g):
@@ -174,6 +170,19 @@ def _dense_droop_oracle(grid: ResistiveGrid, sources: dict, fanout: dict,
     for k, node in enumerate(sources):
         for c in fanout[node]:
             branch(n + k, c, 1.0 / (droop * len(fanout[node])))
+    return lap
+
+
+def _dense_droop_oracle(grid: ResistiveGrid, sources: dict, fanout: dict,
+                        droop: float, sinks: dict):
+    """Virtual-node system solved densely for the node voltages.
+
+    Returns plane voltages, per-VR currents and the power-weighted plane-side
+    terminal voltage of each VR.
+    """
+    n = grid.n_nodes
+    size = n + len(sources)
+    lap = _droop_laplacian(grid, sources, fanout, droop)
     rhs = np.zeros(size)
     for idx, cur in sinks.items():
         rhs[idx] -= cur
@@ -207,6 +216,35 @@ class TestDroopDenseOracle:
         assert sol.node_voltages == pytest.approx(v, abs=1e-12)
         assert sol.vr_currents == pytest.approx(currents, rel=1e-10)
         assert sol.vr_plane_voltages == pytest.approx(terminal, rel=1e-12)
+
+
+class TestDropFormPrecision:
+    """On a 12 V rail every VR current is a small difference of large node
+    voltages. The oracle solves for the drops below the rail directly:
+    L[:n, :n] u = injections, and VR k's current is -sum_c g_c u_c."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vr_currents_match_dense_drop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = ResistiveGrid(9, 9, float(rng.uniform(0.3, 2.0)), float(rng.uniform(1e-4, 2e-3)))
+        n = grid.n_nodes
+        nodes = [int(i) for i in rng.permutation(n)]
+        sources = {node: 12.0 for node in nodes[:4]}
+        fanout = {node: tuple(sorted({node, *(int(c) for c in rng.choice(n, 4))}))
+                  for node in sources}
+        sinks = {node: float(rng.uniform(0.1, 2.0)) for node in nodes[4:]}
+        droop = float(rng.uniform(1e-4, 5e-3))
+        sol = solve_dc(GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
+                                   source_fanout=fanout))
+
+        lap = _droop_laplacian(grid, sources, fanout, droop)
+        injections = np.zeros(n)
+        for idx, cur in sinks.items():
+            injections[idx] -= cur
+        u = np.linalg.solve(lap[:n, :n], injections)
+        currents = [-sum(u[c] for c in fanout[node]) / (droop * len(fanout[node]))
+                    for node in sources]
+        assert sol.vr_currents == pytest.approx(currents, rel=1e-13, abs=0.0)
 
 
 @st.composite
@@ -285,6 +323,101 @@ class TestUnifiedOperatorProperties:
         assert other.vr_currents == pytest.approx(base.vr_currents, rel=1e-8, abs=1e-9)
 
 
+@pytest.fixture
+def factorisations(monkeypatch):
+    """Empty operator slot; returns the list of matrices splu factorises."""
+    calls = []
+    splu = pdn_grid.spla.splu
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(pdn_grid.spla, "splu", counted)
+    monkeypatch.setattr(pdn_grid, "_operator", None)
+    return calls
+
+
+def _fanout_problem(**changes) -> GridProblem:
+    """A drooped 6x6 plane with two multi-contact VRs; fields overridable."""
+    fields = dict(grid=ResistiveGrid(6, 6, 1.0, 1e-3),
+                  source_nodes={0: 1.0, 35: 1.0},
+                  sink_currents={i: 1.0 + 0.1 * i for i in range(7, 29)},
+                  droop_resistance_ohm=2e-3,
+                  source_fanout={0: (0, 1, 6), 35: (34, 35)})
+    fields.update(changes)
+    return GridProblem(**fields)
+
+
+class TestFactorReuse:
+    def test_sinks_and_source_voltages_reuse_the_factor(self, factorisations):
+        solve_dc(_fanout_problem())
+        solve_dc(_fanout_problem(sink_currents={i: 2.0 for i in range(7, 20)}))
+        solve_dc(_fanout_problem(source_nodes={0: 1.02, 35: 0.97}))
+        assert len(factorisations) == 1
+
+    @pytest.mark.parametrize("changes", [
+        {"grid": ResistiveGrid(7, 6, 1.0, 1e-3)},
+        {"grid": ResistiveGrid(6, 6, 1.0, 2e-3)},
+        {"source_nodes": {0: 1.0, 30: 1.0},
+         "source_fanout": {0: (0, 1, 6), 30: (30, 31)}},
+        {"source_nodes": {35: 1.0, 0: 1.0}},
+        {"source_fanout": {0: (0, 1), 35: (34, 35)}},
+        {"droop_resistance_ohm": 3e-3},
+        {"droop_resistance_ohm": 0.0},
+    ], ids=["lattice", "sheet", "sources", "source_order", "fanout", "droop", "pinned"])
+    def test_a_new_plane_misses_the_slot(self, factorisations, changes):
+        base = _fanout_problem()
+        first = solve_dc(base)
+        solve_dc(_fanout_problem(**changes))
+        assert len(factorisations) == 2
+        # The slot holds only the last plane: the first one factors again.
+        again = solve_dc(base)
+        assert len(factorisations) == 3
+        assert again.vr_currents == pytest.approx(first.vr_currents, rel=1e-15)
+
+    def test_fanout_is_no_key_without_droop(self, factorisations):
+        solve_dc(_fanout_problem(droop_resistance_ohm=0.0))
+        solve_dc(_fanout_problem(droop_resistance_ohm=0.0, source_fanout={0: (0,), 35: (35,)}))
+        assert len(factorisations) == 1
+
+    def test_a3_intermediate_solves_share_one_factor(self, factorisations, monkeypatch):
+        # The final plane and the intermediate plane each factor once; the
+        # base and operating-point solves on the intermediate plane share.
+        from pdnx.architecture import build_architecture, evaluate
+        from pdnx.datasets import load_datasets
+
+        solves = []
+        solve = pdn_grid.solve_dc
+        monkeypatch.setattr(pdn_grid, "solve_dc",
+                            lambda problem: solves.append(problem) or solve(problem))
+        ds = load_datasets()
+        evaluate(build_architecture("A3@12V", "DSCH", ds), ds)
+        assert len(solves) == 3
+        assert solves[1].grid == solves[2].grid
+        assert solves[1].sink_currents != solves[2].sink_currents
+        assert len(factorisations) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.0, 10.0), min_size=25, max_size=25).filter(
+        lambda cur: sum(cur) > 0), st.sampled_from([0.0, 2e-3]))
+    def test_memoised_solve_equals_fresh_factor(self, currents, droop):
+        def problem(sinks):
+            return GridProblem(ResistiveGrid(9, 3, 0.8, 5e-4), {0: 12.0, 26: 12.0},
+                               sinks, droop_resistance_ohm=droop,
+                               source_fanout={0: (0, 1, 9), 26: (25, 26)})
+
+        solve_dc(problem({13: 1.0}))
+        sinks = dict(zip(range(1, 26), currents))
+        memoised = solve_dc(problem(sinks))
+        pdn_grid._operator = None
+        fresh = solve_dc(problem(sinks))
+        assert memoised.vr_currents == pytest.approx(fresh.vr_currents, rel=1e-12)
+        assert memoised.node_voltages == pytest.approx(fresh.node_voltages, rel=1e-12)
+        assert memoised.horizontal_loss_w == pytest.approx(fresh.horizontal_loss_w,
+                                                           rel=1e-12, abs=1e-300)
+
+
 class TestNodeCap:
     def test_resolution_over_cap_rejected(self):
         plan = DieFloorplan(500.0, 8.0)
@@ -344,6 +477,31 @@ class TestBuildProblem:
         for weight in (0.0, 2.0):
             problem = build_problem(plan, sites, 777.0, 5e-4, 32, demand_weight=weight)
             assert sum(problem.sink_currents.values()) == pytest.approx(777.0, rel=1e-12)
+
+    @pytest.mark.parametrize("resolution,weight,count", [
+        (32, 0.0, 48), (32, 2.0, 48), (2, 1.0, 4), (17, 3.5, 8), (63, 0.7, 24)])
+    def test_profile_sinks_equal_the_node_loop(self, resolution, weight, count):
+        # The node-by-node loop the vectorised profile replaced, as reference:
+        # same arithmetic per node, same summation order, so equal bits.
+        plan = DieFloorplan(500.0, 8.0)
+        sites = place_periphery(plan, count, 5 / 0.69)
+        problem = build_problem(plan, sites, 1000.0, 5e-4, resolution,
+                                demand_weight=weight)
+        grid, half = problem.grid, plan.side_mm / 2.0
+        eps = 1e-9 * plan.side_mm
+        weights = {}
+        for idx in range(grid.n_nodes):
+            x, y = grid.node_xy(idx)
+            if abs(x) > half + eps or abs(y) > half + eps or idx in problem.source_nodes:
+                continue
+            w = 1.0 + weight * max(0.0, 1.0 - (x * x + y * y) / (2.0 * half * half))
+            if abs(abs(x) - half) <= eps:
+                w *= 0.5
+            if abs(abs(y) - half) <= eps:
+                w *= 0.5
+            weights[idx] = w
+        total = sum(weights.values())
+        assert problem.sink_currents == {i: 1000.0 * w / total for i, w in weights.items()}
 
     def test_explicit_sinks(self):
         plan = DieFloorplan(500.0, 8.0)
