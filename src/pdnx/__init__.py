@@ -10,25 +10,23 @@ from .architecture import (ARCHITECTURE_NAMES, ArchitectureSpec, ComparisonTable
                            LossBreakdown, build_architecture, compare, evaluate,
                            min_die_area_for_current, utilization_report)
 from .converter import (CalibratedLossModel, ConverterTopology, StageSpec, calibrate,
-                        duty_cycle, efficiency_at, required_vr_count, stage_loss,
-                        vr_footprint_area_mm2)
+                        efficiency_at, required_vr_count, stage_loss, vr_footprint_area_mm2)
 from .datasets import Calibration, Datasets, load_datasets
 from .interconnect import (InterconnectLevel, UtilizationPolicy, connection_count,
                            effective_level_resistance, level_loss,
                            per_connection_resistance, required_connections)
-from .pdn_grid import (CurrentSpread, GridProblem, GridSolution, ResistiveGrid,
-                       build_problem, current_spread, solve_dc)
+from .pdn_grid import GridProblem, GridSolution, ResistiveGrid, build_problem, solve_dc
 from .placement import DieFloorplan, VrSite, place_periphery, place_under_die
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ARCHITECTURE_NAMES", "ArchitectureSpec", "CalibratedLossModel", "Calibration",
-    "ComparisonTable", "ConverterTopology", "CurrentSpread", "Datasets",
+    "ComparisonTable", "ConverterTopology", "Datasets",
     "DieFloorplan", "GridProblem", "GridSolution", "InterconnectLevel",
     "LossBreakdown", "ResistiveGrid", "StageSpec",
     "UtilizationPolicy", "VrSite", "build_architecture", "build_problem",
-    "calibrate", "compare", "connection_count", "current_spread", "duty_cycle",
+    "calibrate", "compare", "connection_count",
     "effective_level_resistance", "efficiency_at", "evaluate", "level_loss",
     "load_datasets", "min_die_area_for_current", "per_connection_resistance",
     "place_periphery", "place_under_die", "required_connections",

@@ -11,10 +11,14 @@ PCB-to-POL loss breakdown. Five delivery plans are built in:
           under the functional die.
   A3@6V   same with a 6 V intermediate rail.
 
-Power bookkeeping works backward from the POL demand. The source power
-always equals POL power plus the sum of all loss terms. The intermediate
-plane's own losses add to what the upstream stage must deliver; the model is
-linear, so that demand is settled in closed form.
+A staged plan is evaluated in one pass over its stages, from the POL back to
+the source. Each stage sizes and places its VR bank for the demand of the
+stage downstream of it, solves its plane, and charges its converter loss
+and its domain's vertical losses. The POL plane carries the die current;
+every upstream plane carries the per-site draw of the bank it feeds, and
+since its own losses add to what its stage must deliver, its operating point
+is settled in closed form. The source power always equals POL power plus the
+sum of all loss terms.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from . import converter as conv
 from . import interconnect as ic
 from . import pdn_grid as grid
 from . import placement as plc
-from .converter import ConverterTopology, StageSpec
+from .converter import StageSpec
 from .datasets import Datasets
 from .errors import PdnxError, Unsatisfiable
 from .interconnect import UtilizationPolicy
@@ -54,7 +58,6 @@ class ArchitectureSpec:
     total_power_w: float
     pol_voltage_v: float
     input_voltage_v: float = 48.0
-    intermediate_voltage_v: float | None = None
     reference_efficiency: float | None = None   # flat chain efficiency when stages is empty
 
     def __post_init__(self):
@@ -120,7 +123,6 @@ def build_architecture(
     )
     if arch_name not in ARCHITECTURE_NAMES:
         raise ValueError(f"unknown architecture '{arch_name}'")
-    intermediate = {"A3@12V": 12.0, "A3@6V": 6.0}.get(arch_name)
     stages: tuple[StageSpec, ...] = ()
     if arch_name != "A0":
         if topology_name is None:
@@ -133,6 +135,7 @@ def build_architecture(
         elif arch_name == "A2":
             stages = (StageSpec(topo, "in_interposer", vr_count_override=counts.below_die),)
         else:
+            intermediate = {"A3@12V": 12.0, "A3@6V": 6.0}[arch_name]
             first_topo = datasets.topologies["DPMIH"].for_conversion(input_voltage_v,
                                                                      intermediate)
             stages = (
@@ -144,19 +147,18 @@ def build_architecture(
 
     # The reference chain carries the die current through every level. With
     # conversion in the package, the board-side levels carry the input rail,
-    # the TSVs the intermediate rail (the POL rail when there is none) and
-    # the die attach the POL rail.
+    # the TSVs the first stage's output rail (the intermediate rail, or the
+    # POL rail when there is one stage) and the die attach the POL rail.
     if stages:
-        tsv_v = intermediate if intermediate is not None else pol_voltage_v
-        voltages = (input_voltage_v, input_voltage_v, tsv_v, pol_voltage_v)
+        voltages = (input_voltage_v, input_voltage_v, stages[0].topology.v_out_v,
+                    pol_voltage_v)
     else:
         voltages = (pol_voltage_v,) * 4
     stack = tuple(StackAssignment(n, v) for n, v in zip(datasets.stack_levels(), voltages))
     return ArchitectureSpec(
         name=arch_name, stages=stages, stack=stack, die=die,
         total_power_w=total_power_w, pol_voltage_v=pol_voltage_v,
-        input_voltage_v=input_voltage_v, intermediate_voltage_v=intermediate,
-        reference_efficiency=None if stages else 0.90,
+        input_voltage_v=input_voltage_v, reference_efficiency=None if stages else 0.90,
     )
 
 
@@ -192,29 +194,14 @@ def _plane_multiplier(plane: str, datasets: Datasets) -> float:
     }[plane]
 
 
-def _rating_check(stage_key: str, topo: ConverterTopology,
-                  loads: list[float]) -> FeasibilityCheck:
-    worst = max(loads) if loads else 0.0
-    if worst > topo.i_max_a:
-        return FeasibilityCheck(
-            "converter_rating", "fail",
-            f"{stage_key}: per-VR load up to {worst:.1f} A exceeds the "
-            f"{topo.i_max_a:g} A rating of {topo.name}",
-        )
-    return FeasibilityCheck(
-        "converter_rating", "pass",
-        f"{stage_key}: per-VR load up to {worst:.1f} A within {topo.i_max_a:g} A",
-    )
-
-
 def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
     """Compute the PCB-to-POL loss breakdown for one architecture.
 
-    Works backward from the POL demand: the final conversion stage's per-VR
-    loads come from the rail-level grid solve, stage losses follow from the
-    calibrated curves, and upstream domain currents are inflated stage by
-    stage. A converter rating violation is recorded as a failed
-    feasibility check; evaluate_cell turns it into a verdict.
+    Works backward from the POL demand, one stage at a time: each stage's
+    per-VR loads come from its plane solve, its losses from the calibrated
+    curve, and its input feeds the stage upstream. A converter rating
+    violation is recorded as a failed feasibility check; evaluate_cell turns
+    it into a verdict.
     """
     usage = utilization_report(spec, datasets)
     feasibility = [
@@ -286,144 +273,113 @@ def _evaluate_reference(spec, datasets, per_net, feasibility, assumptions) -> Lo
 
 def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossBreakdown:
     cal = datasets.calibration
-    i_die = spec.total_power_w / spec.pol_voltage_v
+    vertical: dict[str, float] = {}
+    horizontal: dict[str, float] = {}
+    per_vr: dict[str, list[float]] = {}
+    converter_losses: dict[str, float] = {}
+    domain_currents: dict[str, float] = {}
+    delivered: dict[str, float] = {}   # per rail: what the plane passes on downstream
+    demand_w = spec.total_power_w      # what the stage being visited must supply
+    downstream: list | None = None     # (site, power drawn) per VR of the bank fed
 
-    final_stage = spec.stages[-1]
-    final_key = f"stage{len(spec.stages)}_{final_stage.topology.name}"
-    n_final = conv.required_vr_count(
-        final_stage.topology, i_die, cal.derating, final_stage.vr_count_override
-    )
-    if final_stage.vr_count_override is not None:
-        assumptions.append(
-            f"{final_key}: VR count pinned to the datasheet site count "
-            f"({final_stage.vr_count_override})"
-        )
-    if final_stage.topology.v_in_v != 48.0 or final_stage.topology.v_out_v != 1.0:
-        assumptions.append(
-            f"{final_key}: reuses the 48V-to-1V peak-point calibration scaled to "
-            f"v_out={final_stage.topology.v_out_v:g} V"
-        )
-
-    sites, plane, checks = _place_stage(final_stage, spec.die, n_final)
-    feasibility.extend(checks)
-    model_final = conv.calibrate(final_stage.topology)
-    # Parallel VRs share current through their own effective series
-    # resistance (output droop); ideal pinned rails cannot reproduce any
-    # realistic per-VR spread.
-    droop_final = cal.droop_share_resistance_scale * model_final.r_conduction_ohm
-    problem = grid.build_problem(
-        spec.die, sites, i_die,
-        sheet_resistance_ohm_sq=cal.sheet_resistance_ohm_sq * _plane_multiplier(plane, datasets),
-        grid_resolution=cal.grid_resolution,
-        rail_voltage_v=spec.pol_voltage_v,
-        demand_weight=cal.demand_weight,
-        droop_resistance_ohm=droop_final,
-    )
-    solution = grid.solve_dc(problem)
-    loads_final = [float(x) for x in solution.vr_currents]
-    h_final = solution.horizontal_loss_w
-    plane_in_final = float(sum(v * i for v, i in
-                               zip(solution.vr_plane_voltages, solution.vr_currents)))
-
-    stage_final = conv.stage_loss(model_final, final_stage.topology, loads_final,
-                                  idle_shutdown=cal.idle_shutdown)
-    feasibility.append(_rating_check(final_key, final_stage.topology, loads_final))
-
-    # Vertical levels in the POL domain carry the die current.
-    vertical = _domain_vertical_losses(spec, datasets, per_net, spec.pol_voltage_v, i_die)
-    vert_pol = sum(vertical.values())
-    horizontal: dict[str, float] = {f"{spec.pol_voltage_v:g}V": h_final}
-    per_vr: dict[str, list[float]] = {final_key: loads_final}
-    converter_losses: dict[str, float] = {final_key: stage_final.total_loss_w}
-    domain_currents: dict[str, float] = {f"{spec.pol_voltage_v:g}V": i_die}
-
-    stage_input = plane_in_final + stage_final.total_loss_w
-
-    if len(spec.stages) == 2:
-        first_stage = spec.stages[0]
-        first_key = f"stage1_{first_stage.topology.name}"
-        v_mid = spec.intermediate_voltage_v
-        assumptions.append(
-            f"{first_key}: reuses the 48V-to-1V peak-point calibration scaled to "
-            f"v_out={v_mid:g} V"
-        )
-        if first_stage.vr_count_override is not None:
+    for n, stage in reversed(list(enumerate(spec.stages, 1))):
+        topo = stage.topology
+        key = f"stage{n}_{topo.name}"
+        v_out = topo.v_out_v
+        rail = f"{v_out:g}V"
+        if stage.vr_count_override is not None:
             assumptions.append(
-                f"{first_key}: VR count pinned to the datasheet site count "
-                f"({first_stage.vr_count_override})"
+                f"{key}: VR count pinned to the datasheet site count "
+                f"({stage.vr_count_override})"
+            )
+        if topo.v_in_v != 48.0 or v_out != 1.0:
+            assumptions.append(
+                f"{key}: reuses the 48V-to-1V peak-point calibration scaled to "
+                f"v_out={v_out:g} V"
             )
 
-        # Per-site demand the intermediate plane must deliver: each final-stage
-        # VR draws its own terminal output plus its own losses.
-        site_powers = [
-            float(v_term) * load + model_final.loss_w(load) if load > 0
-            else (0.0 if cal.idle_shutdown else model_final.p_fixed_w)
-            for v_term, load in zip(solution.vr_plane_voltages, loads_final)
-        ]
-        base_power = sum(site_powers)
-        model_first = conv.calibrate(first_stage.topology)
-        droop_first = cal.droop_share_resistance_scale * model_first.r_conduction_ohm
+        n_vr = conv.required_vr_count(topo, demand_w / v_out, cal.derating,
+                                      stage.vr_count_override)
+        sites, plane, checks = _place_stage(stage, spec.die, n_vr)
+        feasibility.extend(checks)
+        model = conv.calibrate(topo)
+        # Parallel VRs share current through their own effective series
+        # resistance (output droop); ideal pinned rails cannot reproduce any
+        # realistic per-VR spread.
+        droop = cal.droop_share_resistance_scale * model.r_conduction_ohm
 
-        n_first = conv.required_vr_count(
-            first_stage.topology, stage_input / v_mid, cal.derating,
-            first_stage.vr_count_override,
-        )
-        first_sites, first_plane, first_checks = _place_stage(first_stage, spec.die, n_first)
-        feasibility.extend(first_checks)
-
-        sinks = [(s.x_mm, s.y_mm, p / v_mid) for s, p in zip(sites, site_powers)]
-
-        def solve_mid(i_mid: float) -> grid.GridSolution:
-            # Explicit sinks are renormalised to i_mid, so one list serves all.
+        def solve(current_a: float, sinks=None) -> grid.GridSolution:
+            # Explicit sinks are renormalised to current_a.
             return grid.solve_dc(grid.build_problem(
-                spec.die, first_sites, i_mid,
-                sheet_resistance_ohm_sq=cal.sheet_resistance_ohm_sq,
+                spec.die, sites, current_a,
+                sheet_resistance_ohm_sq=(cal.sheet_resistance_ohm_sq
+                                         * _plane_multiplier(plane, datasets)),
                 grid_resolution=cal.grid_resolution,
-                rail_voltage_v=v_mid,
+                rail_voltage_v=v_out,
+                demand_weight=cal.demand_weight,
                 explicit_sinks=sinks,
-                droop_resistance_ohm=droop_first,
+                droop_resistance_ohm=droop,
             ))
 
-        # The stage also feeds the plane, its vertical levels and its own
-        # terminal droop. The model is linear, so together they cost exactly
-        # c*P^2 at delivered power P, and P = base + c*P^2. One solve at the
-        # base demand gives c; the smaller root is the operating point.
-        i_base = base_power / v_mid
-        base_solution = solve_mid(i_base)
-        vert_base = sum(
-            _domain_vertical_losses(spec, datasets, per_net, v_mid, i_base).values())
-        # The stage-1 terminal droop also comes out of delivered power.
-        droop_drop = droop_first * float(sum(x * x for x in base_solution.vr_currents))
-        c = (base_solution.horizontal_loss_w + vert_base + droop_drop) / base_power ** 2
-        discriminant = 1.0 - 4.0 * c * base_power
-        if discriminant < 0:
-            raise Unsatisfiable(
-                f"no intermediate-plane operating point at {v_mid:g} V: the plane, "
-                f"vertical and droop losses grow faster than the power {first_key} "
-                f"passes on (4*c*P_base = {1.0 - discriminant:.3g} > 1)"
-            )
-        i_mid = 2.0 * base_power / (1.0 + math.sqrt(discriminant)) / v_mid
-        mid_solution = solve_mid(i_mid)
+        if downstream is None:
+            # The POL plane carries the die current with the radial profile.
+            i_plane = demand_w / v_out
+            solution = solve(i_plane)
+        else:
+            # An upstream plane feeds each downstream VR its terminal output
+            # plus its losses. The plane, its vertical levels and its stage's
+            # droop cost exactly c*P^2 at delivered power P (the model is
+            # linear), so P = base + c*P^2. One solve at the base demand gives
+            # c; the smaller root is the operating point.
+            sinks = [(s.x_mm, s.y_mm, p / v_out) for s, p in downstream]
+            base_power = sum(p for _, p in downstream)
+            i_base = base_power / v_out
+            base_solution = solve(i_base, sinks)
+            vert_base = sum(
+                _domain_vertical_losses(spec, datasets, per_net, v_out, i_base).values())
+            droop_drop = droop * float(sum(x * x for x in base_solution.vr_currents))
+            c = (base_solution.horizontal_loss_w + vert_base + droop_drop) / base_power ** 2
+            discriminant = 1.0 - 4.0 * c * base_power
+            if discriminant < 0:
+                raise Unsatisfiable(
+                    f"no intermediate-plane operating point at {v_out:g} V: the plane, "
+                    f"vertical and droop losses grow faster than the power {key} "
+                    f"passes on (4*c*P_base = {1.0 - discriminant:.3g} > 1)"
+                )
+            i_plane = 2.0 * base_power / (1.0 + math.sqrt(discriminant)) / v_out
+            solution = solve(i_plane, sinks)
 
-        loads_first = [float(x) for x in mid_solution.vr_currents]
-        h_mid = mid_solution.horizontal_loss_w
-        plane_in_mid = float(sum(v * i for v, i in
-                                 zip(mid_solution.vr_plane_voltages,
-                                     mid_solution.vr_currents)))
-        stage_first = conv.stage_loss(model_first, first_stage.topology, loads_first,
-                                      idle_shutdown=cal.idle_shutdown)
-        feasibility.append(_rating_check(first_key, first_stage.topology, loads_first))
+        loads = [float(x) for x in solution.vr_currents]
+        plane_in = float(sum(v * i for v, i in
+                             zip(solution.vr_plane_voltages, solution.vr_currents)))
+        stage_loss_w = conv.stage_loss(model, topo, loads, idle_shutdown=cal.idle_shutdown)
+        worst = max(loads)
+        over = worst > topo.i_max_a
+        feasibility.append(FeasibilityCheck(
+            "converter_rating", "fail" if over else "pass",
+            f"{key}: per-VR load up to {worst:.1f} A "
+            + (f"exceeds the {topo.i_max_a:g} A rating of {topo.name}" if over
+               else f"within {topo.i_max_a:g} A"),
+        ))
 
-        horizontal[f"{v_mid:g}V"] = h_mid
-        per_vr[first_key] = loads_first
-        converter_losses[first_key] = stage_first.total_loss_w
-        domain_currents[f"{v_mid:g}V"] = i_mid
-        vertical.update(_domain_vertical_losses(spec, datasets, per_net, v_mid, i_mid))
+        domain_vertical = _domain_vertical_losses(spec, datasets, per_net, v_out, i_plane)
+        vertical.update(domain_vertical)
+        horizontal[rail] = solution.horizontal_loss_w
+        per_vr[key] = loads
+        converter_losses[key] = stage_loss_w
+        domain_currents[rail] = i_plane
+        delivered[rail] = (plane_in - solution.horizontal_loss_w
+                           - sum(domain_vertical.values()))
 
-        stage_input = plane_in_mid + stage_first.total_loss_w
+        downstream = [
+            (site, float(v_term) * load + model.loss_w(load) if load > 0
+             else (0.0 if cal.idle_shutdown else model.p_fixed_w))
+            for site, v_term, load in zip(sites, solution.vr_plane_voltages, loads)
+        ]
+        demand_w = plane_in + stage_loss_w
 
     # Source-side domain: remaining vertical levels plus the board rail.
-    i_in = stage_input / spec.input_voltage_v
+    i_in = demand_w / spec.input_voltage_v
     domain_currents[f"{spec.input_voltage_v:g}V"] = i_in
     vertical.update(_domain_vertical_losses(spec, datasets, per_net,
                                             spec.input_voltage_v, i_in))
@@ -433,8 +389,7 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
     conv_total = sum(converter_losses.values())
     horiz_total = sum(horizontal.values())
     total_loss = conv_total + horiz_total + vert_total + pcb_loss
-    h_pol = horizontal[f"{spec.pol_voltage_v:g}V"]
-    pol_power = plane_in_final - h_pol - vert_pol
+    pol_power = delivered[f"{spec.pol_voltage_v:g}V"]
     # Everything upstream of the final VR terminals, including the losses of
     # the levels that sit between its output plane and the POL, is supplied
     # by the source.

@@ -1,9 +1,9 @@
 """Calibration search: fit the free model parameters to reported observables.
 
-Every target is matched by a deterministic bracketed or fixed-grid search
-over its natural knob:
+Every target is matched by a closed form or a deterministic bracketed or
+fixed-grid search over its natural knob:
 
-  a0_loss_pct    -> board lateral resistance (bisection; loss is monotone)
+  a0_loss_pct    -> board lateral resistance (closed form; loss is linear)
   min_die_area   -> the binding level's ampacity (bisection on a step function)
   utilizations   -> per-level ampacities (direct back-solve)
   a1_spread      -> radial demand weight (fixed-grid scan)
@@ -46,19 +46,28 @@ def _spread(datasets: Datasets, arch_name: str, topology: str) -> tuple[float, f
 
 
 def calibrate_a0_loss(datasets: Datasets, target_pct: float) -> tuple[Calibration, float]:
+    """Board lateral resistance at which A0 loses target_pct of the budget.
+
+    A0's loss is linear in the resistance, so its values at 0 and 1 ohm fix
+    the line. A target below the zero-resistance loss would need a negative
+    resistance and is unreachable.
+    """
     cal = datasets.calibration
-    lo, hi = 0.0, 0.005
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        trial = replace(cal, pcb_lateral_resistance_ohm=mid)
-        if _a0_loss_pct(_with_calibration(datasets, trial)) < target_pct:
-            lo = mid
-        else:
-            hi = mid
-    best = replace(cal, pcb_lateral_resistance_ohm=0.5 * (lo + hi))
-    achieved = _a0_loss_pct(_with_calibration(datasets, best))
-    residual = abs(achieved - target_pct) / target_pct
-    return best, residual
+
+    def loss_pct(resistance_ohm: float) -> float:
+        trial = replace(cal, pcb_lateral_resistance_ohm=resistance_ohm)
+        return _a0_loss_pct(_with_calibration(datasets, trial))
+
+    at_zero = loss_pct(0.0)
+    resistance = (target_pct - at_zero) / (loss_pct(1.0) - at_zero)
+    if resistance < 0:
+        raise TargetUnreachable(
+            f"A0 loss target {target_pct:g}% unreachable: the board rail alone "
+            f"cannot bring A0 below {at_zero:.4g}%",
+            best_value=0.0, best_residual=abs(at_zero - target_pct) / target_pct,
+        )
+    residual = abs(loss_pct(resistance) - target_pct) / target_pct
+    return replace(cal, pcb_lateral_resistance_ohm=resistance), residual
 
 
 def calibrate_min_die_area(datasets: Datasets, target_mm2: float) -> tuple[Calibration, float]:

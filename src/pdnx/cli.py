@@ -255,7 +255,10 @@ def _parse_targets(pairs: list[str]) -> dict:
         name = name.strip()
         value = value.strip()
         if name in ("a0_loss_pct", "min_die_area"):
-            targets[name] = float(value)
+            target = float(value)
+            if not (math.isfinite(target) and target > 0):
+                raise ConfigError(f"target {name} must be a finite value > 0, got '{value}'")
+            targets[name] = target
         elif name in ("a1_spread", "a2_spread"):
             lo, _, hi = value.partition(":")
             targets[name] = (float(lo), float(hi))

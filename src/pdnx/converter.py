@@ -141,30 +141,12 @@ def required_vr_count(
     return math.ceil(total_current_a / (derating * topology.i_max_a))
 
 
-def duty_cycle(v_in_v: float, v_out_v: float, internal_stepdown: float = 1.0) -> float:
-    """Effective PWM on-time fraction for a buck-style stage.
-
-    An internal capacitive step-down ahead of the PWM raises the on-time by
-    its ratio (e.g. 48V-to-1V direct is ~2%; behind a 10x step-down, ~20%).
-    """
-    if not 0 < v_out_v <= v_in_v:
-        raise ValueError("need 0 < v_out <= v_in")
-    if internal_stepdown < 1.0:
-        raise ValueError("internal_stepdown must be >= 1")
-    return v_out_v * internal_stepdown / v_in_v
-
-
-@dataclass(frozen=True)
-class StageLossResult:
-    total_loss_w: float
-
-
 def stage_loss(
     model: CalibratedLossModel,
     topology: ConverterTopology,
     vr_loads_a: list[float],
     idle_shutdown: bool = False,
-) -> StageLossResult:
+) -> float:
     """Total conversion loss of a bank of identical VRs at the given loads.
 
     Idle VRs still burn p_fixed (they keep switching) unless idle_shutdown is
@@ -180,4 +162,4 @@ def stage_loss(
                 total += model.p_fixed_w
         else:
             total += model.loss_w(load)
-    return StageLossResult(total)
+    return total

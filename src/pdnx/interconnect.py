@@ -133,7 +133,8 @@ def required_connections(
     """Size the connection field for a current and check it against the usage cap.
 
     Connections are provisioned per net at ceil(I / ampacity) and doubled for
-    the ground return.
+    the ground return. A level with no connection sites is infinitely
+    utilized and violates any cap.
     """
     if current_a < 0:
         raise ValueError("current_a must be >= 0")
@@ -144,7 +145,7 @@ def required_connections(
     amp = policy.ampacity(level.name)
     per_net = math.ceil(current_a / amp)
     total = 2 * per_net
-    utilization = total / available
+    utilization = total / available if available else math.inf
     return ConnectionRequirement(per_net, total, available, utilization,
                                  utilization > cap)
 

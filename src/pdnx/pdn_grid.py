@@ -121,13 +121,6 @@ class GridSolution:
     residual: float = 0.0
 
 
-@dataclass(frozen=True)
-class CurrentSpread:
-    min_a: float
-    max_a: float
-    mean_a: float
-
-
 def _snap_site(grid: ResistiveGrid, x: float, y: float) -> tuple[int, bool]:
     """Nearest node to (x, y), ties toward the lower index.
 
@@ -439,12 +432,3 @@ def solve_dc(problem: GridProblem) -> GridSolution:
         vr_plane_voltages=plane_voltages,
         residual=rel_residual,
     )
-
-
-def current_spread(solution: GridSolution) -> CurrentSpread:
-    """Order statistics of the per-VR currents."""
-    vr = solution.vr_currents
-    if vr.size == 0:
-        raise ValueError("solution has no source nodes")
-    return CurrentSpread(float(vr.min()), float(vr.max()), float(vr.mean()))
-

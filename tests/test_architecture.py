@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pdnx
 from pdnx import converter as conv
@@ -87,26 +89,39 @@ class TestEnergyBookkeeping:
 
 
 class TestIntermediateOperatingPoint:
-    def test_stage_output_covers_its_plane_vertical_and_droop(self, datasets):
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sheet=st.floats(1e-4, 2e-3), droop_scale=st.floats(0.05, 2.0),
+           weight=st.floats(0.0, 8.0))
+    def test_stage_output_covers_its_plane_vertical_and_droop(self, datasets, sheet,
+                                                              droop_scale, weight):
         # P = base + c*P^2, checked from the reported figures: the power the
         # first stage delivers is what the final stage draws plus the
         # intermediate plane, its vertical levels and the stage-1 droop.
-        spec = build_architecture("A3@12V", "DSCH", datasets)
-        b = evaluate(spec, datasets)
-        final_key = next(k for k in b.converter_losses_w if k.startswith("stage2_"))
-        first_key = next(k for k in b.per_vr_currents_a if k.startswith("stage1_"))
-        assert min(b.per_vr_currents_a[final_key]) > 0
-        mid_levels = [a.level_name for a in spec.stack if a.domain_voltage_v == 12.0]
-        pol_levels = [a.level_name for a in spec.stack if a.domain_voltage_v == 1.0]
-        base = (b.pol_power_w + b.horizontal_losses_w["1V"]
-                + sum(b.vertical_losses_w[n] for n in pol_levels)
-                + b.converter_losses_w[final_key])
-        droop = (datasets.calibration.droop_share_resistance_scale
-                 * conv.calibrate(spec.stages[0].topology).r_conduction_ohm)
-        feedback = (b.horizontal_losses_w["12V"]
-                    + sum(b.vertical_losses_w[n] for n in mid_levels)
-                    + droop * sum(i * i for i in b.per_vr_currents_a[first_key]))
-        assert 12.0 * b.domain_currents_a["12V"] == pytest.approx(base + feedback, rel=1e-9)
+        cal = replace(datasets.calibration, sheet_resistance_ohm_sq=sheet,
+                      droop_share_resistance_scale=droop_scale, demand_weight=weight)
+        ds = replace(datasets, calibration=cal)
+        for arch in ("A3@12V", "A3@6V"):
+            spec = build_architecture(arch, "DSCH", ds)
+            try:
+                b = evaluate(spec, ds)
+            except Unsatisfiable:
+                continue
+            v_mid = spec.stages[0].topology.v_out_v
+            final_key = next(k for k in b.converter_losses_w if k.startswith("stage2_"))
+            first_key = next(k for k in b.per_vr_currents_a if k.startswith("stage1_"))
+            assert min(b.per_vr_currents_a[final_key]) > 0
+            mid_levels = [a.level_name for a in spec.stack if a.domain_voltage_v == v_mid]
+            pol_levels = [a.level_name for a in spec.stack if a.domain_voltage_v == 1.0]
+            base = (b.pol_power_w + b.horizontal_losses_w["1V"]
+                    + sum(b.vertical_losses_w[n] for n in pol_levels)
+                    + b.converter_losses_w[final_key])
+            droop = droop_scale * conv.calibrate(spec.stages[0].topology).r_conduction_ohm
+            feedback = (b.horizontal_losses_w[f"{v_mid:g}V"]
+                        + sum(b.vertical_losses_w[n] for n in mid_levels)
+                        + droop * sum(i * i for i in b.per_vr_currents_a[first_key]))
+            assert v_mid * b.domain_currents_a[f"{v_mid:g}V"] == pytest.approx(
+                base + feedback, rel=1e-9), arch
 
     def test_three_plane_solves_per_two_stage_evaluation(self, datasets, monkeypatch):
         calls = []

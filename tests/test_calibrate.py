@@ -33,6 +33,24 @@ def test_a0_target_monotone_bisection(datasets):
     assert b.total_loss_pct == pytest.approx(45.0, abs=0.5)
 
 
+def test_a0_target_is_fitted_exactly(datasets):
+    calibration, residual = calibrate_a0_loss(datasets, 45.0)
+    assert residual < 1e-12
+    # Far above the old 5 mOhm search ceiling.
+    calibration, residual = calibrate_a0_loss(datasets, 900.0)
+    assert calibration.pcb_lateral_resistance_ohm > 0.005
+    assert residual < 1e-12
+
+
+def test_a0_target_below_zero_resistance_unreachable(datasets):
+    zero = replace(datasets.calibration, pcb_lateral_resistance_ohm=0.0)
+    ds = replace(datasets, calibration=zero)
+    floor = evaluate(build_architecture("A0", None, ds), ds).total_loss_pct
+    calibrate_a0_loss(datasets, floor + 1e-6)
+    with pytest.raises(TargetUnreachable):
+        calibrate_a0_loss(datasets, floor - 1e-6)
+
+
 def test_min_die_area_target(datasets):
     calibration, residual = calibrate_min_die_area(datasets, 1200.0)
     assert residual < 0.05

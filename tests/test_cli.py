@@ -192,6 +192,13 @@ class TestSweepCommand:
         assert [r.split(",")[3] for r in rows] == ["ok", "error"]
         assert "no intermediate-plane operating point" in rows[1]
 
+    def test_die_without_connection_sites_is_not_ok_row(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--out", str(out), "--param", "die_area",
+                       "--values", "1e-9") == 0
+        [row] = csv_rows(out / "sweep_die_area.csv")
+        assert row["status"] != "ok"
+
     @pytest.mark.parametrize("param,value", [("total_power", "0"),
                                              ("sheet_resistance", "-1")])
     def test_invalid_value_is_error_row(self, tmp_path, param, value):
@@ -338,6 +345,22 @@ class TestCalibrateCommand:
         # 40% of 1 kW minus the conversion loss leaves a 0.3 mOhm-class rail
         assert 1e-4 <= doc["pcb_lateral_resistance_ohm"] <= 5e-4
         assert doc["residuals"]["a0_loss_pct"] < 0.01
+
+    def test_a0_target_below_converter_loss_exit_4(self, tmp_path, capsys):
+        # At zero board resistance A0 still loses 11 % in its converter,
+        # so 5 % would need a negative rail resistance.
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--out", str(out),
+                       "--target", "a0_loss_pct=5") == 4
+        assert "unreachable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["a0_loss_pct=-5", "a0_loss_pct=0", "a0_loss_pct=nan",
+                                        "a0_loss_pct=inf", "min_die_area=0",
+                                        "min_die_area=-1200", "min_die_area=nan"])
+    def test_non_positive_or_non_finite_target_exit_2(self, tmp_path, target):
+        assert run_cli("calibrate", "--out", str(tmp_path / "out"),
+                       "--target", target) == 2
 
     def test_unknown_target_exit_2(self, tmp_path):
         assert run_cli("calibrate", "--out", str(tmp_path),

@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from pdnx.converter import (StageSpec, calibrate, duty_cycle, efficiency_at,
-                            required_vr_count, stage_loss, vr_footprint_area_mm2)
+from pdnx.converter import (StageSpec, calibrate, efficiency_at, required_vr_count,
+                            stage_loss, vr_footprint_area_mm2)
 from pdnx.datasets import load_datasets
 from pdnx.errors import LoadExceedsRating
 
@@ -119,57 +119,37 @@ class TestVrCount:
         assert required_vr_count(datasets.topologies["DSCH"], 1000.0, derating=0.7) == 48
 
 
-class TestDutyCycle:
-    def test_direct_48_to_1(self):
-        assert duty_cycle(48.0, 1.0) == pytest.approx(1.0 / 48.0, rel=1e-12)
-        assert duty_cycle(48.0, 1.0) == pytest.approx(0.0208, abs=1e-4)
-
-    def test_internal_stepdown_raises_on_time(self):
-        assert duty_cycle(48.0, 1.0, internal_stepdown=10.0) == pytest.approx(
-            10.0 / 48.0, rel=1e-12)
-
-    def test_unity(self):
-        assert duty_cycle(5.0, 5.0) == 1.0
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            duty_cycle(1.0, 2.0)
-        with pytest.raises(ValueError):
-            duty_cycle(48.0, 1.0, internal_stepdown=0.5)
-
-
 class TestStageLoss:
     def test_idle_shutdown_zero(self, datasets):
         topo = datasets.topologies["DSCH"]
         model = calibrate(topo)
-        result = stage_loss(model, topo, [0.0], idle_shutdown=True)
-        assert result.total_loss_w == 0.0
+        assert stage_loss(model, topo, [0.0], idle_shutdown=True) == 0.0
 
     def test_idle_keeps_switching(self, datasets):
         topo = datasets.topologies["DSCH"]
         model = calibrate(topo)
-        result = stage_loss(model, topo, [0.0], idle_shutdown=False)
-        assert result.total_loss_w == pytest.approx(model.p_fixed_w, rel=1e-12)
+        loss = stage_loss(model, topo, [0.0], idle_shutdown=False)
+        assert loss == pytest.approx(model.p_fixed_w, rel=1e-12)
 
     def test_48_even_vrs(self, datasets):
         topo = datasets.topologies["DSCH"]
         model = calibrate(topo)
         p, r = _closed_form(1.0, 0.915, 10.0)
-        result = stage_loss(model, topo, [20.83] * 48)
-        assert result.total_loss_w == pytest.approx(48 * (p + r * 20.83**2), rel=1e-12)
-        assert result.total_loss_w == pytest.approx(119.0, rel=1e-3)
+        loss = stage_loss(model, topo, [20.83] * 48)
+        assert loss == pytest.approx(48 * (p + r * 20.83**2), rel=1e-12)
+        assert loss == pytest.approx(119.0, rel=1e-3)
 
     def test_single_vr_equals_curve(self, datasets):
         topo = datasets.topologies["DSCH"]
         model = calibrate(topo)
-        result = stage_loss(model, topo, [17.0])
-        assert result.total_loss_w == pytest.approx(model.loss_w(17.0), rel=1e-15)
+        loss = stage_loss(model, topo, [17.0])
+        assert loss == pytest.approx(model.loss_w(17.0), rel=1e-15)
 
     def test_over_rating_extrapolates_the_curve(self, datasets):
         topo = datasets.topologies["DSCH"]
         model = calibrate(topo)
-        result = stage_loss(model, topo, [10.0, 31.0])
-        assert result.total_loss_w == pytest.approx(
+        loss = stage_loss(model, topo, [10.0, 31.0])
+        assert loss == pytest.approx(
             model.loss_w(10.0) + model.loss_w(31.0), rel=1e-15)
 
     def test_even_split_minimizes_loss(self, datasets):
@@ -179,12 +159,12 @@ class TestStageLoss:
         model = calibrate(topo)
         rng = np.random.default_rng(42)
         total = 400.0
-        even = stage_loss(model, topo, [total / 20] * 20).total_loss_w
+        even = stage_loss(model, topo, [total / 20] * 20)
         for _ in range(25):
             shares = rng.dirichlet(np.ones(20)) * total
             if shares.max() > topo.i_max_a:
                 continue
-            uneven = stage_loss(model, topo, list(shares)).total_loss_w
+            uneven = stage_loss(model, topo, list(shares))
             assert uneven >= even - 1e-9
 
 

@@ -157,6 +157,14 @@ class TestRequiredConnections:
         assert req.total_used == 4000
         assert req.violates_cap
 
+    def test_level_without_sites_is_infinitely_utilized(self, datasets):
+        policy = datasets.calibration.policy()
+        req = required_connections(datasets.levels["c4"], 10.0, policy,
+                                   platform_area_mm2=1e-9)
+        assert req.available == 0
+        assert req.utilization_fraction == math.inf
+        assert req.violates_cap
+
     def test_calibrated_bga_utilization_at_48v(self, datasets):
         # 1 kW at 48 V should use only a percent-class share of the BGAs.
         policy = datasets.calibration.policy()

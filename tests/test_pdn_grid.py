@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from pdnx import pdn_grid
 from pdnx.errors import DegenerateGrid
-from pdnx.pdn_grid import (GridProblem, ResistiveGrid, build_problem, current_spread,
-                           solve_dc)
+from pdnx.pdn_grid import GridProblem, ResistiveGrid, build_problem, solve_dc
 from pdnx.placement import DieFloorplan, VrSite, place_periphery, place_under_die
 
 
@@ -34,8 +33,7 @@ class TestHandCases:
         sinks = {i: 2.0 for i in range(25) if i != 12}
         problem = GridProblem(grid, {12: 1.0}, sinks)
         sol = solve_dc(problem)
-        spread = current_spread(sol)
-        assert spread.min_a == spread.max_a == pytest.approx(48.0, rel=1e-10)
+        assert sol.vr_currents.min() == sol.vr_currents.max() == pytest.approx(48.0, rel=1e-10)
 
     def test_fourfold_symmetric_sources_share_equally(self):
         # sources at the four mid-edges of a 9x9 grid, sink at the center
@@ -541,6 +539,6 @@ class TestDroop:
         free = solve_dc(build_problem(plan, sites, 1000.0, 5e-4, 32))
         drooped = solve_dc(build_problem(plan, sites, 1000.0, 5e-4, 32,
                                          droop_resistance_ohm=3e-3))
-        s0, s1 = current_spread(free), current_spread(drooped)
-        assert (s1.max_a - s1.min_a) < (s0.max_a - s0.min_a)
+        s0, s1 = free.vr_currents, drooped.vr_currents
+        assert (s1.max() - s1.min()) < (s0.max() - s0.min())
 
