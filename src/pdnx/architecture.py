@@ -24,7 +24,7 @@ sum of all loss terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import converter as conv
 from . import interconnect as ic
@@ -61,8 +61,8 @@ class ArchitectureSpec:
     reference_efficiency: float | None = None   # flat chain efficiency when stages is empty
 
     def __post_init__(self):
-        if self.total_power_w <= 0 or self.pol_voltage_v <= 0:
-            raise ValueError("total_power_w and pol_voltage_v must be > 0")
+        if not (0 < self.total_power_w < math.inf and 0 < self.pol_voltage_v < math.inf):
+            raise ValueError("total_power_w and pol_voltage_v must be > 0 and finite")
         if self.stages:
             if self.stages[-1].topology.v_out_v != self.pol_voltage_v:
                 raise ValueError("final stage must end at the POL voltage")
@@ -469,11 +469,20 @@ def compare(
     pol_voltage_v: float = 1.0,
 ) -> ComparisonTable:
     """Evaluate every architecture x topology cell, architecture-major."""
-    return ComparisonTable([
-        evaluate_cell(arch, topo, datasets, die_area_mm2=die_area_mm2,
-                      total_power_w=total_power_w, pol_voltage_v=pol_voltage_v)
-        for arch in arch_names for topo in topology_names
-    ])
+    def cell(arch: str, topo: str) -> ComparisonCell:
+        return evaluate_cell(arch, topo, datasets, die_area_mm2=die_area_mm2,
+                             total_power_w=total_power_w, pol_voltage_v=pol_voltage_v)
+
+    cells: list[ComparisonCell] = []
+    for arch in arch_names:
+        if arch == "A0" and topology_names:
+            # The reference chain ignores the topology: one evaluation
+            # serves every topology's cell.
+            reference = cell(arch, topology_names[0])
+            cells.extend(replace(reference, topology=topo) for topo in topology_names)
+        else:
+            cells.extend(cell(arch, topo) for topo in topology_names)
+    return ComparisonTable(cells)
 
 
 @dataclass(frozen=True)

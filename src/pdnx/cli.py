@@ -225,14 +225,14 @@ def cmd_sweep(args) -> int:
         ds = datasets
         die_area = cfg.die_area_mm2
         total_power = cfg.total_power_w
-        if param in SWEEP_PARAMETERS:
-            cal = replace(ds.calibration, **{SWEEP_PARAMETERS[param]: value})
-            ds = replace(ds, calibration=cal)
-        elif param == "die_area":
+        if param == "die_area":
             die_area = value
         elif param == "total_power":
             total_power = value
         try:
+            if param in SWEEP_PARAMETERS:
+                cal = replace(ds.calibration, **{SWEEP_PARAMETERS[param]: value})
+                ds = replace(ds, calibration=cal)
             cell = arch.evaluate_cell(arch_name, topo_name, ds, die_area_mm2=die_area,
                                       total_power_w=total_power,
                                       pol_voltage_v=cfg.pol_voltage_v)
@@ -261,12 +261,20 @@ def _parse_targets(pairs: list[str]) -> dict:
             targets[name] = target
         elif name in ("a1_spread", "a2_spread"):
             lo, _, hi = value.partition(":")
-            targets[name] = (float(lo), float(hi))
+            window = (float(lo), float(hi))
+            if not 0 < window[0] < window[1] < math.inf:
+                raise ConfigError(f"target {name} must be LO:HI with finite "
+                                  f"0 < LO < HI, got '{value}'")
+            targets[name] = window
         elif name == "utilizations":
             entries = {}
             for chunk in value.split(","):
-                level, _, frac = chunk.partition(":")
-                entries[level.strip()] = float(frac)
+                level, _, text = chunk.partition(":")
+                frac = float(text)
+                if not 0 < frac <= 1:
+                    raise ConfigError(f"target utilizations: the fraction of "
+                                      f"'{level.strip()}' must be in (0, 1], got '{text}'")
+                entries[level.strip()] = frac
             targets[name] = entries
         else:
             raise ConfigError(

@@ -10,6 +10,7 @@ directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -22,9 +23,28 @@ from .interconnect import InterconnectLevel, UtilizationPolicy
 BUILTIN_NAMES = ("table1", "table2", "calibration-default")
 
 
+# Smallest admissible value of each numeric calibration field, and whether
+# that value itself is admissible.
+_LOWER_BOUNDS = {
+    "sheet_resistance_ohm_sq": (0.0, False),
+    "die_grid_multiplier": (0.0, False),
+    "power_die_multiplier": (0.0, False),
+    "derating": (0.0, False),
+    "interposer_margin_mm": (0.0, False),
+    "pcb_lateral_resistance_ohm": (0.0, True),
+    "droop_share_resistance_scale": (0.0, True),
+    "demand_weight": (-1.0, True),
+}
+
+
 @dataclass(frozen=True)
 class Calibration:
-    """Fitted model parameters shipped alongside the raw datasheets."""
+    """Fitted model parameters shipped alongside the raw datasheets.
+
+    Construction rejects, with ValueError, a number that is not finite or
+    lies outside its field's range, so loading, overrides, sweeps and
+    calibration fits share one check.
+    """
 
     resistivity_ohm_m: dict[str, float]
     ampacity_a: dict[str, float]
@@ -42,6 +62,21 @@ class Calibration:
     interposer_margin_mm: float
     idle_shutdown: bool
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name, (low, inclusive) in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
+                raise ValueError(f"{name} must be {'>=' if inclusive else '>'} {low:g} "
+                                 f"and finite, got {value!r}")
+        resolution = self.grid_resolution
+        if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 2:
+            raise ValueError(f"grid_resolution must be an integer >= 2, got {resolution!r}")
+        for name in ("resistivity_ohm_m", "ampacity_a", "max_usage_fraction"):
+            for key, value in getattr(self, name).items():
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError(f"{name}[{key}] must be >= 0 and finite, got {value!r}")
+        self.policy()   # usage caps in (0, 1] and ampacities > 0
 
     def policy(self) -> UtilizationPolicy:
         return UtilizationPolicy(dict(self.max_usage_fraction), dict(self.ampacity_a))
@@ -157,6 +192,8 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         )
     except KeyError as exc:
         raise ConfigError(f"calibration-default: missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"calibration-default: {exc}") from None
     for name, allowed in (("die_attach_level", ("adv_pad", "u_bump")),
                           ("dpmih_efficiency_variant", ("nominal", "text"))):
         value = getattr(calibration, name)

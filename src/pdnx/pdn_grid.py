@@ -1,8 +1,13 @@
 """DC current sharing on a horizontal power plane.
 
 The plane is a uniform resistive lattice: one conductance of 1/R_sheet per
-cell edge (square cells). Point-of-load demand is drawn as current sinks
-spread over the nodes under the die shadow. Every VR is one Dirichlet node
+cell edge (square cells). A placement is discretised in array operations:
+one vectorised snap puts every VR site (and every explicit sink) on its
+nearest node, ties toward the lower node index, and one pass lists each
+VR's footprint contacts, the nodes inside its square. A site at a cell
+centre, which no node represents, or two sites on one node refine the
+lattice once. Point-of-load demand is drawn as current sinks spread over
+the nodes under the die shadow. Every VR is one Dirichlet node
 held at its source voltage. With pinned outputs that node is the plane node
 the VR snapped to; with output droop it is a virtual node behind one branch
 per footprint contact, the branches together carrying the droop resistance.
@@ -95,10 +100,10 @@ class GridProblem:
     def __post_init__(self):
         if not self.source_nodes:
             raise ValueError("need at least one source node")
-        overlap = set(self.source_nodes) & set(self.sink_currents)
-        if overlap:
-            raise ValueError(f"sink and source nodes must be disjoint: {sorted(overlap)}")
-        if any(i < 0 for i in self.sink_currents.values()):
+        if not self.source_nodes.keys().isdisjoint(self.sink_currents.keys()):
+            overlap = sorted(self.source_nodes.keys() & self.sink_currents.keys())
+            raise ValueError(f"sink and source nodes must be disjoint: {overlap}")
+        if self.sink_currents and not min(self.sink_currents.values()) >= 0:
             raise ValueError("sink currents must be >= 0")
         if sum(self.sink_currents.values()) <= 0:
             raise ValueError("total sink current must be > 0")
@@ -121,39 +126,67 @@ class GridSolution:
     residual: float = 0.0
 
 
-def _snap_site(grid: ResistiveGrid, x: float, y: float) -> tuple[int, bool]:
-    """Nearest node to (x, y), ties toward the lower index.
+def _snap_points(grid: ResistiveGrid, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest node to each point (x[k], y[k]), ties toward the lower index.
 
-    Also flags a fully ambiguous snap (equidistant to all four surrounding
-    nodes, i.e. the site sits at a cell center); the caller refines the
-    lattice once in that case because no node represents the site at all.
+    A point is compared with the four corners of the lattice cell around it,
+    clipped to the lattice, so a point outside snaps to the boundary. A
+    corner within max(best * 1e-9, (pitch * 1e-7)^2) of the best squared
+    distance ties with it. The second array flags a fully ambiguous snap:
+    four distinct tied corners, a point at a cell centre that no node
+    represents; the caller refines the lattice once in that case.
     """
-    fi = (x - grid.x0_mm) / grid.cell_pitch_mm
-    fj = (y - grid.y0_mm) / grid.cell_pitch_mm
-    candidates = []
-    for j in (math.floor(fj), math.ceil(fj)):
-        for i in (math.floor(fi), math.ceil(fi)):
-            ic = min(max(i, 0), grid.nx - 1)
-            jc = min(max(j, 0), grid.ny - 1)
-            idx = grid.node_index(ic, jc)
-            nx_mm, ny_mm = grid.node_xy(idx)
-            d2 = (x - nx_mm) ** 2 + (y - ny_mm) ** 2
-            candidates.append((d2, idx))
-    best_d2 = min(d2 for d2, _ in candidates)
-    tol = max(best_d2 * 1e-9, (grid.cell_pitch_mm * 1e-7) ** 2)
-    tied = sorted({idx for d2, idx in candidates if d2 <= best_d2 + tol})
-    return tied[0], len(tied) >= 4
+    pitch = grid.cell_pitch_mm
+    fi = (x - grid.x0_mm) / pitch
+    fj = (y - grid.y0_mm) / pitch
+    i = np.clip([np.floor(fi), np.ceil(fi)], 0, grid.nx - 1).astype(np.int64)
+    j = np.clip([np.floor(fj), np.ceil(fj)], 0, grid.ny - 1).astype(np.int64)
+    ic = i[[0, 1, 0, 1]]     # corners j-major, as node indices run
+    jc = j[[0, 0, 1, 1]]
+    dx = x - (grid.x0_mm + ic * pitch)
+    dy = y - (grid.y0_mm + jc * pitch)
+    d2 = dx * dx + dy * dy
+    best = d2.min(axis=0)
+    tied = d2 <= best + np.maximum(best * 1e-9, (pitch * 1e-7) ** 2)
+    nodes = np.where(tied, jc * grid.nx + ic, grid.n_nodes).min(axis=0)
+    return nodes, tied.all(axis=0) & (i[0] != i[1]) & (j[0] != j[1])
 
 
-def _build_grid(plan: DieFloorplan, sites: list[VrSite] | tuple[VrSite, ...],
+def _footprint_contacts(grid: ResistiveGrid, x: np.ndarray, y: np.ndarray,
+                        half_width: np.ndarray,
+                        centres: np.ndarray) -> list[tuple[int, ...]]:
+    """Per site, the plane nodes its square footprint covers, j-major then i.
+
+    A footprint that covers no node contacts its site's centre node.
+    """
+    pitch = grid.cell_pitch_mm
+    i_lo = np.maximum(np.ceil((x - half_width - grid.x0_mm) / pitch - 1e-12), 0)
+    i_hi = np.minimum(np.floor((x + half_width - grid.x0_mm) / pitch + 1e-12), grid.nx - 1)
+    j_lo = np.maximum(np.ceil((y - half_width - grid.y0_mm) / pitch - 1e-12), 0)
+    j_hi = np.minimum(np.floor((y + half_width - grid.y0_mm) / pitch + 1e-12), grid.ny - 1)
+    empty = (i_hi < i_lo) | (j_hi < j_lo)
+    # An empty footprint becomes the one-node box at its centre.
+    i_lo = np.where(empty, centres % grid.nx, i_lo).astype(np.int64)
+    j_lo = np.where(empty, centres // grid.nx, j_lo).astype(np.int64)
+    ni = np.where(empty, 1, i_hi - i_lo + 1).astype(np.int64)
+    counts = ni * np.where(empty, 1, j_hi - j_lo + 1).astype(np.int64)
+    ends = np.cumsum(counts)
+    site = np.repeat(np.arange(counts.size), counts)
+    offset = np.arange(ends[-1]) - (ends - counts)[site]
+    nodes = ((j_lo[site] + offset // ni[site]) * grid.nx
+             + i_lo[site] + offset % ni[site]).tolist()
+    bounds = [0, *ends.tolist()]
+    return [tuple(nodes[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _build_grid(plan: DieFloorplan, x: np.ndarray, y: np.ndarray, half_width: np.ndarray,
                 resolution: int, sheet_resistance: float) -> ResistiveGrid:
     side = plan.side_mm
     half = side / 2.0
     pitch = side / (resolution - 1)
-    needed_half = half
-    for s in sites:
-        w = math.sqrt(s.footprint_mm2)
-        needed_half = max(needed_half, abs(s.x_mm) + w / 2.0, abs(s.y_mm) + w / 2.0)
+    needed_half = max(half, float(np.max(np.abs(x) + half_width)),
+                      float(np.max(np.abs(y) + half_width)))
     n_ext = math.ceil((needed_half - half) / pitch - 1e-12) if needed_half > half else 0
     n = resolution + 2 * n_ext
     if n * n > _MAX_NODES:
@@ -179,14 +212,17 @@ def build_problem(
     """Discretize a placement into a grid problem.
 
     The lattice spans the die shadow at grid_resolution nodes across and is
-    extended outward to cover any periphery sites. Every site pins its
-    nearest node to the rail voltage. Demand is drawn at the nodes under the
-    die shadow, weighted by a radial profile (weight 1 + w*(1 - (r/r0)^2)
-    with r0 the die half-diagonal; w = 0 is uniform), unless explicit sinks
-    (x, y, current) are given. Snapping collisions trigger one automatic
-    lattice refinement before raising DegenerateGrid. A lattice above
-    _MAX_NODES nodes, after extension or refinement, raises ValueError
-    before it is allocated.
+    extended outward to cover any periphery sites. All sites are snapped to
+    their nearest nodes in one array pass, and every site pins its node to
+    the rail voltage; its footprint contacts are the nodes inside its
+    square. Demand is drawn at the nodes under the die shadow, weighted by a
+    radial profile (weight 1 + w*(1 - (r/r0)^2) with r0 the die
+    half-diagonal; w = 0 is uniform), unless explicit sinks (x, y, current)
+    are given; those go through the same snap. A site or sink at a cell
+    centre, two sites on one node or a sink on a site's node refine the
+    lattice once, to 2r-1 nodes across, before DegenerateGrid is raised. A
+    lattice above _MAX_NODES nodes, after extension or refinement, raises
+    ValueError before it is allocated.
     """
     if demand_a <= 0:
         raise ValueError("demand_a must be > 0")
@@ -195,42 +231,44 @@ def build_problem(
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be >= 2")
 
+    site_rows = np.array([(s.x_mm, s.y_mm, s.footprint_mm2) for s in sites], dtype=float)
+    if not np.isfinite(site_rows).all():
+        raise ValueError("VR site positions and footprints must be finite")
+    x, y, footprint = site_rows.T
+    half_width = np.sqrt(footprint) / 2.0
+    if explicit_sinks is not None:
+        sink_rows = np.array(explicit_sinks, dtype=float).reshape(-1, 3)
+        if not np.isfinite(sink_rows).all():
+            raise ValueError("explicit sink positions and currents must be finite")
+        sink_x, sink_y, sink_a = sink_rows.T
+
     resolution = grid_resolution
     for attempt in range(2):
-        grid = _build_grid(plan, sites, resolution, sheet_resistance_ohm_sq)
-        source_nodes: dict[int, float] = {}
-        fanout: dict[int, tuple[int, ...]] = {}
-        degenerate = False
-        for s in sites:
-            idx, tied = _snap_site(grid, s.x_mm, s.y_mm)
-            if tied or idx in source_nodes:
-                degenerate = True
-                break
-            source_nodes[idx] = rail_voltage_v
-            fanout[idx] = _footprint_nodes(grid, s, idx)
-
-        # A lattice the sites do not snap to cleanly is refined without
-        # drawing any demand on it.
+        grid = _build_grid(plan, x, y, half_width, resolution, sheet_resistance_ohm_sq)
+        # A lattice the sites or sinks do not snap to cleanly is refined
+        # without drawing any demand on it.
+        nodes, ambiguous = _snap_points(grid, x, y)
+        degenerate = bool(ambiguous.any()) or np.unique(nodes).size < nodes.size
         sink_currents: dict[int, float] = {}
-        if not degenerate:
-            if explicit_sinks is not None:
-                for (sx, sy, cur) in explicit_sinks:
-                    idx, tied = _snap_site(grid, sx, sy)
-                    if tied or idx in source_nodes:
-                        degenerate = True
-                        break
+        if not degenerate and explicit_sinks is not None:
+            sink_nodes, ambiguous = _snap_points(grid, sink_x, sink_y)
+            degenerate = bool(ambiguous.any() or np.isin(sink_nodes, nodes).any())
+            if not degenerate:
+                for idx, cur in zip(sink_nodes.tolist(), sink_a.tolist()):
                     sink_currents[idx] = sink_currents.get(idx, 0.0) + cur
                 total = sum(sink_currents.values())
-                if not degenerate and total > 0:
+                if total > 0:
                     scale = demand_a / total
                     sink_currents = {k: v * scale for k, v in sink_currents.items()}
-            else:
-                sink_currents = _profile_sinks(plan, grid, source_nodes, demand_a, demand_weight)
+        elif not degenerate:
+            sink_currents = _profile_sinks(plan, grid, nodes, demand_a, demand_weight)
 
         if not degenerate and sink_currents:
-            return GridProblem(grid, source_nodes, sink_currents,
+            site_nodes = nodes.tolist()
+            contacts = _footprint_contacts(grid, x, y, half_width, nodes)
+            return GridProblem(grid, dict.fromkeys(site_nodes, rail_voltage_v), sink_currents,
                                droop_resistance_ohm=droop_resistance_ohm,
-                               source_fanout=fanout)
+                               source_fanout=dict(zip(site_nodes, contacts)))
         if attempt == 0:
             # One refinement keeps the old nodes and adds the midpoints.
             resolution = 2 * resolution - 1
@@ -241,24 +279,7 @@ def build_problem(
     raise AssertionError("unreachable")
 
 
-def _footprint_nodes(grid: ResistiveGrid, site: VrSite, center_idx: int) -> tuple[int, ...]:
-    """Plane nodes covered by the site's square footprint (at least the center)."""
-    w2 = math.sqrt(site.footprint_mm2) / 2.0
-    i_lo = math.ceil((site.x_mm - w2 - grid.x0_mm) / grid.cell_pitch_mm - 1e-12)
-    i_hi = math.floor((site.x_mm + w2 - grid.x0_mm) / grid.cell_pitch_mm + 1e-12)
-    j_lo = math.ceil((site.y_mm - w2 - grid.y0_mm) / grid.cell_pitch_mm - 1e-12)
-    j_hi = math.floor((site.y_mm + w2 - grid.y0_mm) / grid.cell_pitch_mm + 1e-12)
-    nodes = [
-        grid.node_index(i, j)
-        for j in range(max(j_lo, 0), min(j_hi, grid.ny - 1) + 1)
-        for i in range(max(i_lo, 0), min(i_hi, grid.nx - 1) + 1)
-    ]
-    if not nodes:
-        nodes = [center_idx]
-    return tuple(nodes)
-
-
-def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: dict[int, float],
+def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndarray,
                    demand_a: float, demand_weight: float) -> dict[int, float]:
     half = plan.side_mm / 2.0
     r0_sq = 2.0 * half * half   # squared distance to a die corner
@@ -266,7 +287,7 @@ def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: dict[i
     x = np.tile(grid.x0_mm + np.arange(grid.nx) * grid.cell_pitch_mm, grid.ny)
     y = np.repeat(grid.y0_mm + np.arange(grid.ny) * grid.cell_pitch_mm, grid.nx)
     drawn = (np.abs(x) <= half + eps) & (np.abs(y) <= half + eps)
-    drawn[list(source_nodes)] = False
+    drawn[source_nodes] = False
     idx = np.flatnonzero(drawn)
     x, y = x[idx], y[idx]
     w = 1.0 + demand_weight * np.maximum(0.0, 1.0 - (x * x + y * y) / r0_sq)

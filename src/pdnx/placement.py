@@ -22,10 +22,10 @@ class DieFloorplan:
     interposer_margin_mm: float = 8.0
 
     def __post_init__(self):
-        if self.die_area_mm2 <= 0:
-            raise ValueError("die_area_mm2 must be > 0")
-        if self.interposer_margin_mm < 0:
-            raise ValueError("interposer_margin_mm must be >= 0")
+        if not 0 < self.die_area_mm2 < math.inf:
+            raise ValueError("die_area_mm2 must be > 0 and finite")
+        if not 0 <= self.interposer_margin_mm < math.inf:
+            raise ValueError("interposer_margin_mm must be >= 0 and finite")
 
     @property
     def side_mm(self) -> float:

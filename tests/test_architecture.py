@@ -248,6 +248,26 @@ class TestRatingHandling:
         losses = {c.breakdown.total_loss_w for c in table.cells}
         assert len(losses) == 1
 
+    def test_compare_evaluates_the_reference_once(self, datasets, monkeypatch):
+        from pdnx import architecture
+        from pdnx.reporting import cell_to_csv_row
+        evaluated = []
+        real = architecture.evaluate
+
+        def counting(spec, ds):
+            evaluated.append(spec.name)
+            return real(spec, ds)
+
+        monkeypatch.setattr(architecture, "evaluate", counting)
+        topologies = ["DPMIH", "3LHD", "DSCH"]
+        table = compare(["A0"], topologies, datasets)
+        assert evaluated == ["A0"]
+        assert [(c.architecture, c.topology) for c in table.cells] == [
+            ("A0", t) for t in topologies]
+        rows = [cell_to_csv_row(c).split(",", 2) for c in table.cells]
+        assert [r[1] for r in rows] == topologies
+        assert len({r[2] for r in rows}) == 1
+
 
 class TestCompareDeterminism:
     def test_repeat_runs_identical(self, datasets):

@@ -4,11 +4,15 @@ import csv
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pdnx.cli import _parse_values, main
+from pdnx.architecture import ARCHITECTURE_NAMES
+from pdnx.cli import SWEEP_PARAMETERS, SWEEP_RUN_PARAMETERS, _parse_values, main
 from pdnx.errors import ConfigError
 
 
@@ -199,15 +203,19 @@ class TestSweepCommand:
         [row] = csv_rows(out / "sweep_die_area.csv")
         assert row["status"] != "ok"
 
-    @pytest.mark.parametrize("param,value", [("total_power", "0"),
-                                             ("sheet_resistance", "-1")])
-    def test_invalid_value_is_error_row(self, tmp_path, param, value):
+    @pytest.mark.parametrize("param,value,message", [
+        pytest.param(param, value, message, id=f"{param}-{value}")
+        for param, value, message in [
+            ("total_power", "0", "must be > 0"), ("sheet_resistance", "-1", "must be > 0"),
+            ("sheet_resistance", "nan", "must be > 0"), ("die_area", "inf", "must be > 0"),
+            ("pcb_lateral_resistance", "-1", "must be >= 0")]])
+    def test_invalid_value_is_error_row(self, tmp_path, param, value, message):
         out = tmp_path / "out"
         assert run_cli("sweep", "--out", str(out), "--param", param, "--values", value) == 0
         rows = (out / f"sweep_{param}.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 1
         assert rows[0].split(",")[3] == "error"
-        assert "must be > 0" in rows[0]
+        assert message in rows[0]
 
     def test_oversize_lattice_is_error_row(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -362,9 +370,25 @@ class TestCalibrateCommand:
         assert run_cli("calibrate", "--out", str(tmp_path / "out"),
                        "--target", target) == 2
 
+    @pytest.mark.parametrize("target", [
+        "a1_spread=nan:nan", "a1_spread=-5:-1", "a1_spread=27:16", "a1_spread=16:inf",
+        "a2_spread=0:93", "utilizations=c4:0", "utilizations=bga:0.01,c4:-1",
+        "utilizations=c4:nan", "utilizations=c4:1.5"])
+    def test_bad_spread_or_utilization_target_exit_2(self, tmp_path, capsys, target):
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--out", str(out), "--target", target) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_target_exit_2(self, tmp_path):
         assert run_cli("calibrate", "--out", str(tmp_path),
                        "--target", "coolness=11") == 2
+
+    def test_bad_calibration_override_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "datasets": {"calibration-default": {"pcb_lateral_resistance_ohm": -1}}})
+        assert run_cli("calibrate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert "pcb_lateral_resistance_ohm must be >= 0" in capsys.readouterr().err
 
 
 class TestFeasibilityCommand:
@@ -409,3 +433,46 @@ class TestStampBehavior:
     def test_a2_spread_target_is_numerical_failure(self, tmp_path):
         assert run_cli("calibrate", "--out", str(tmp_path / "o"),
                        "--target", "a2_spread=10:93") == 4
+
+
+# Zero, negative and non-finite: out of range for every sweep knob that is a
+# resistance, multiplier, area or power, and for every calibration target.
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1")
+FIGURE_COLUMNS = ("total_loss_w", "total_loss_pct", "horizontal_loss_w", "converter_loss_w",
+                  "vertical_loss_w", "pcb_lateral_loss_w")
+
+
+class TestBadValueFuzz:
+    """A documented exit code, never a traceback, and no ok row with a
+    negative loss, whatever out-of-range value a sweep or target gets."""
+
+    @pytest.mark.parametrize("param", [*SWEEP_PARAMETERS, *SWEEP_RUN_PARAMETERS])
+    @settings(max_examples=4, deadline=None)
+    @example(arch="A1", values=list(FUZZ_VALUES))
+    @given(arch=st.sampled_from(ARCHITECTURE_NAMES),
+           values=st.lists(st.sampled_from(FUZZ_VALUES), min_size=1, max_size=3))
+    def test_sweep(self, param, arch, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), {"architectures": arch, "topologies": "DSCH"})
+            code = run_cli("sweep", "--config", cfg, "--out", tmp, "--param", param,
+                           "--values=" + ",".join(values))
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                rows = csv_rows(Path(tmp) / f"sweep_{param}.csv")
+                assert len(rows) == len(values)
+                for row in rows:
+                    if row["status"] == "ok":
+                        assert all(float(row[col]) >= 0 for col in FIGURE_COLUMNS), row
+
+    @pytest.mark.parametrize("target", ["a0_loss_pct", "min_die_area", "a1_spread",
+                                        "a2_spread", "utilizations"])
+    @settings(max_examples=8, deadline=None)
+    @example(lo="nan", hi="nan", level="c4")
+    @given(lo=st.sampled_from(FUZZ_VALUES), hi=st.sampled_from(FUZZ_VALUES),
+           level=st.sampled_from(["bga", "c4", "tsv", "adv_pad"]))
+    def test_calibrate(self, target, lo, hi, level):
+        value = {"a1_spread": f"{lo}:{hi}", "a2_spread": f"{lo}:{hi}",
+                 "utilizations": f"{level}:{lo}"}.get(target, lo)
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run_cli("calibrate", "--out", tmp, "--target", f"{target}={value}")
+        assert code == 2

@@ -1,7 +1,9 @@
 """Dataset loading, override merging, and run-config parsing."""
 
 import json
+import math
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,43 @@ class TestOverrides:
         monkeypatch.setenv("PDNX_DATA_DIR", str(tmp_path))
         ds = load_datasets()
         assert ds.calibration.demand_weight == 3.5
+
+
+# One out-of-range value per check of Calibration.__post_init__.
+BAD_CALIBRATION_VALUES = [
+    ("sheet_resistance_ohm_sq", 0.0), ("sheet_resistance_ohm_sq", math.nan),
+    ("die_grid_multiplier", -1.0), ("power_die_multiplier", math.inf),
+    ("derating", 0.0), ("interposer_margin_mm", 0.0),
+    ("pcb_lateral_resistance_ohm", -1e-6), ("droop_share_resistance_scale", -math.inf),
+    ("demand_weight", -1.5), ("demand_weight", math.nan), ("grid_resolution", 1),
+]
+
+
+class TestCalibrationValidation:
+    @pytest.mark.parametrize("name,value", BAD_CALIBRATION_VALUES)
+    def test_rejected_at_load(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            load_datasets({"calibration-default": {name: value}})
+
+    @pytest.mark.parametrize("name,value", BAD_CALIBRATION_VALUES)
+    def test_rejected_by_replace(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            replace(load_datasets().calibration, **{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("pcb_lateral_resistance_ohm", 0.0), ("droop_share_resistance_scale", 0.0),
+        ("demand_weight", -1.0), ("grid_resolution", 2)])
+    def test_bounds_are_admitted(self, name, value):
+        ds = load_datasets({"calibration-default": {name: value}})
+        assert getattr(ds.calibration, name) == value
+
+    @pytest.mark.parametrize("override", [
+        {"resistivity_ohm_m": {"copper": -1e-8}}, {"ampacity_a": {"c4": math.nan}},
+        {"ampacity_a": {"c4": 0.0}}, {"max_usage_fraction": {"bga": 1.5}},
+        {"derating": None}, {"grid_resolution": math.inf}, {"demand_weight": "heavy"}])
+    def test_nested_and_malformed_values_rejected_at_load(self, override):
+        with pytest.raises(ConfigError, match="calibration-default"):
+            load_datasets({"calibration-default": override})
 
 
 class TestConfigDialects:

@@ -542,3 +542,208 @@ class TestDroop:
         s0, s1 = free.vr_currents, drooped.vr_currents
         assert (s1.max() - s1.min()) < (s0.max() - s0.min())
 
+
+
+def _snap_reference(grid: ResistiveGrid, x: float, y: float) -> tuple[int, bool]:
+    """The per-site snap the vectorised one replaced, kept as its oracle:
+    nearest of the four surrounding nodes, ties toward the lower index,
+    ambiguous when all four tie."""
+    fi = (x - grid.x0_mm) / grid.cell_pitch_mm
+    fj = (y - grid.y0_mm) / grid.cell_pitch_mm
+    candidates = []
+    for j in (math.floor(fj), math.ceil(fj)):
+        for i in (math.floor(fi), math.ceil(fi)):
+            ic = min(max(i, 0), grid.nx - 1)
+            jc = min(max(j, 0), grid.ny - 1)
+            idx = grid.node_index(ic, jc)
+            nx_mm, ny_mm = grid.node_xy(idx)
+            d2 = (x - nx_mm) ** 2 + (y - ny_mm) ** 2
+            candidates.append((d2, idx))
+    best_d2 = min(d2 for d2, _ in candidates)
+    tol = max(best_d2 * 1e-9, (grid.cell_pitch_mm * 1e-7) ** 2)
+    tied = sorted({idx for d2, idx in candidates if d2 <= best_d2 + tol})
+    return tied[0], len(tied) >= 4
+
+
+def _footprint_reference(grid: ResistiveGrid, x: float, y: float, footprint_mm2: float,
+                         center_idx: int) -> tuple[int, ...]:
+    """The per-site footprint loop the vectorised pass replaced: nodes inside
+    the square, j-major then i, or the centre node when there are none."""
+    w2 = math.sqrt(footprint_mm2) / 2.0
+    i_lo = math.ceil((x - w2 - grid.x0_mm) / grid.cell_pitch_mm - 1e-12)
+    i_hi = math.floor((x + w2 - grid.x0_mm) / grid.cell_pitch_mm + 1e-12)
+    j_lo = math.ceil((y - w2 - grid.y0_mm) / grid.cell_pitch_mm - 1e-12)
+    j_hi = math.floor((y + w2 - grid.y0_mm) / grid.cell_pitch_mm + 1e-12)
+    nodes = [
+        grid.node_index(i, j)
+        for j in range(max(j_lo, 0), min(j_hi, grid.ny - 1) + 1)
+        for i in range(max(i_lo, 0), min(i_hi, grid.nx - 1) + 1)
+    ]
+    return tuple(nodes) if nodes else (center_idx,)
+
+
+@st.composite
+def _lattices(draw):
+    nx, ny = draw(st.integers(1, 20)), draw(st.integers(2, 20))
+    return ResistiveGrid(nx, ny, draw(st.floats(0.05, 5.0)), 1e-3,
+                         draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0)))
+
+
+def _coordinate(grid: ResistiveGrid, origin: float, count: int):
+    """A coordinate on a node line, half way between two, at a random
+    fraction of a cell, or anywhere, from outside one end of the lattice to
+    outside the other."""
+    step = st.integers(-2, count)
+    fraction = st.sampled_from([0.0, 0.5, 0.5 + 1e-9, 1e-12]) | st.floats(0.0, 1.0)
+    return (st.tuples(step, fraction).map(
+        lambda t: origin + (t[0] + t[1]) * grid.cell_pitch_mm)
+        | st.floats(origin - 2.0 * grid.cell_pitch_mm,
+                    origin + (count + 1) * grid.cell_pitch_mm))
+
+
+@st.composite
+def _lattice_and_sites(draw):
+    grid = draw(_lattices())
+    # Squares a whole number of pitches wide put their edges on node lines.
+    footprint = (st.floats(0.0, (4.0 * grid.cell_pitch_mm) ** 2)
+                 | st.integers(1, 4).map(lambda k: (k * grid.cell_pitch_mm) ** 2))
+    centre = st.tuples(st.integers(-2, grid.nx), st.integers(-2, grid.ny)).map(
+        lambda c: (grid.x0_mm + (c[0] + 0.5) * grid.cell_pitch_mm,
+                   grid.y0_mm + (c[1] + 0.5) * grid.cell_pitch_mm))
+    site = (st.tuples(_coordinate(grid, grid.x0_mm, grid.nx),
+                      _coordinate(grid, grid.y0_mm, grid.ny), footprint)
+            | st.tuples(centre, footprint).map(lambda t: (*t[0], t[1])))
+    sites = draw(st.lists(site, min_size=1, max_size=20))
+    # Colliding sites: some repeat an earlier one.
+    sites += draw(st.lists(st.sampled_from(sites), max_size=3))
+    return grid, np.array(sites, dtype=float).reshape(-1, 3).T
+
+
+class TestDiscretisationOracle:
+    """The vectorised snap and footprint pass against the per-site loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lattice_and_sites())
+    def test_snap_equals_per_site_reference(self, drawn):
+        grid, (x, y, _) = drawn
+        nodes, ambiguous = pdn_grid._snap_points(grid, x, y)
+        expected = [_snap_reference(grid, a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert list(zip(nodes.tolist(), ambiguous.tolist())) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lattice_and_sites())
+    def test_footprints_equal_per_site_reference(self, drawn):
+        grid, (x, y, footprint) = drawn
+        centres, _ = pdn_grid._snap_points(grid, x, y)
+        contacts = pdn_grid._footprint_contacts(grid, x, y, np.sqrt(footprint) / 2.0, centres)
+        assert contacts == [
+            _footprint_reference(grid, a, b, f, c)
+            for a, b, f, c in zip(x.tolist(), y.tolist(), footprint.tolist(), centres.tolist())]
+
+    def test_cell_centre_is_ambiguous_and_node_is_not(self):
+        grid = ResistiveGrid(4, 4, 1.0, 1e-3)
+        nodes, ambiguous = pdn_grid._snap_points(grid, np.array([1.5, 1.0, 1.5, -7.5]),
+                                                 np.array([1.5, 2.0, 1.0, 1.5]))
+        # centre of cell (1, 1); node (1, 2); edge midpoint (two-way tie,
+        # lower index); outside the lattice (clipped to column 0, row tie).
+        assert nodes.tolist() == [5, 9, 5, 4]
+        assert ambiguous.tolist() == [True, False, False, False]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-4.5, -2.25, 0.0, 1.5, 2.25, 4.0]),
+                              st.sampled_from([-4.5, -2.25, 0.0, 2.25, 3.0]),
+                              st.sampled_from([0.01, 1.0, 4.0, 9.0])),
+                    min_size=1, max_size=4),
+           st.sampled_from([2, 3, 4, 5, 8, 9, 16, 17]))
+    def test_build_problem_follows_the_reference(self, sites, resolution):
+        # Sites on nodes, cell centres and edges, some colliding: build_problem
+        # keeps a lattice exactly when the per-site reference snaps every
+        # site to its own node and a node under the die is left to draw
+        # demand, and refines once otherwise.
+        plan = DieFloorplan(81.0, 8.0)
+        placed = [VrSite(x, y, f, 0, "under_die") for x, y, f in sites]
+        rows = np.array(sites, dtype=float).T
+
+        def lattice(r):
+            return pdn_grid._build_grid(plan, rows[0], rows[1], np.sqrt(rows[2]) / 2.0, r, 1e-3)
+
+        def clean(grid):
+            snapped = [_snap_reference(grid, x, y) for x, y, _ in sites]
+            nodes = {idx for idx, _ in snapped}
+            shadow = {i for i in range(grid.n_nodes)
+                      if max(map(abs, grid.node_xy(i))) <= 4.5 + 1e-6}
+            return (not any(tied for _, tied in snapped) and len(nodes) == len(sites)
+                    and bool(shadow - nodes))
+
+        try:
+            problem = build_problem(plan, placed, 50.0, 1e-3, resolution,
+                                    droop_resistance_ohm=1e-3)
+        except DegenerateGrid:
+            assert not clean(lattice(resolution))
+            assert not clean(lattice(2 * resolution - 1))
+            return
+        refined = problem.grid != lattice(resolution)
+        assert problem.grid == lattice(2 * resolution - 1 if refined else resolution)
+        assert clean(problem.grid)
+        assert refined == (not clean(lattice(resolution)))
+        nodes = [_snap_reference(problem.grid, x, y)[0] for x, y, _ in sites]
+        assert list(problem.source_nodes) == nodes
+        assert problem.source_fanout == {
+            idx: _footprint_reference(problem.grid, x, y, f, idx)
+            for idx, (x, y, f) in zip(nodes, sites)}
+
+    def test_even_resolution_refines_to_two_r_minus_one(self):
+        # A centred under-die grid puts sites at cell centres of an even
+        # lattice; the refined lattice has a node under each.
+        plan = DieFloorplan(500.0, 8.0)
+        sites = list(place_under_die(plan, 48, 5 / 0.69).sites)
+        assert build_problem(plan, sites, 1000.0, 5e-4, 32).grid.nx == 63
+        assert build_problem(plan, sites, 1000.0, 5e-4, 33).grid.nx == 33
+
+    def test_explicit_sink_on_a_source_node_refines(self):
+        # Within half a pitch of the centre site the sink snaps onto its
+        # node; at half the pitch it has a node of its own.
+        plan = DieFloorplan(1024.0, 8.0)
+        site = VrSite(0.0, 0.0, 0.01, 0, "under_die")
+        pitch = 32.0 / 32
+        problem = build_problem(plan, [site], 10.0, 1e-3, 33,
+                                explicit_sinks=[(0.4 * pitch, 0.0, 1.0)])
+        assert problem.grid.nx == 65
+        [sink] = problem.sink_currents
+        assert sink not in problem.source_nodes
+        assert problem.grid.node_xy(sink) == (pytest.approx(0.5 * pitch), pytest.approx(0.0))
+        with pytest.raises(DegenerateGrid):
+            build_problem(plan, [site], 10.0, 1e-3, 33, explicit_sinks=[(0.0, 0.0, 1.0)])
+
+    def test_repeated_explicit_sinks_accumulate_in_order(self):
+        plan = DieFloorplan(100.0, 8.0)
+        site = VrSite(-4.0, -4.0, 0.01, 0, "under_die")
+        sinks = [(1.0, 1.0, 0.1), (3.0, 3.0, 0.7), (1.0, 1.0, 0.2)]
+        problem = build_problem(plan, [site], 2.0, 1e-3, 11, explicit_sinks=sinks)
+        grid = problem.grid
+        first, second = (grid.node_index(6, 6), grid.node_index(8, 8))
+        assert list(problem.sink_currents) == [first, second]
+        total = (0.0 + 0.1 + 0.2) + 0.7
+        assert problem.sink_currents[first] == (0.0 + 0.1 + 0.2) * (2.0 / total)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_site_or_sink_rejected(self, bad):
+        plan = DieFloorplan(100.0, 8.0)
+        site = VrSite(0.0, 0.0, 1.0, 0, "under_die")
+        with pytest.raises(ValueError, match="finite"):
+            build_problem(plan, [VrSite(bad, 0.0, 1.0, 0, "under_die")], 1.0, 1e-3, 9)
+        with pytest.raises(ValueError, match="finite"):
+            build_problem(plan, [site], 1.0, 1e-3, 9, explicit_sinks=[(1.0, bad, 1.0)])
+
+
+class TestGridProblemValidation:
+    def test_negative_sink_anywhere_rejected(self):
+        grid = ResistiveGrid(4, 1, 1.0, 1e-3)
+        for sinks in ({1: 1.0, 2: -1.0}, {1: math.nan, 2: -1.0}, {1: -1.0, 2: math.nan}):
+            with pytest.raises(ValueError, match=">= 0"):
+                GridProblem(grid, {0: 1.0}, sinks)
+
+    def test_overlap_names_the_shared_nodes(self):
+        grid = ResistiveGrid(4, 1, 1.0, 1e-3)
+        with pytest.raises(ValueError, match=r"\[1, 3\]"):
+            GridProblem(grid, {3: 1.0, 1: 1.0, 0: 1.0}, {3: 1.0, 2: 1.0, 1: 1.0})
