@@ -23,8 +23,12 @@ sum of all loss terms.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import converter as conv
 from . import interconnect as ic
@@ -162,36 +166,59 @@ def build_architecture(
     )
 
 
-def _place_stage(stage: StageSpec, die: DieFloorplan, n_vr: int):
-    """Site list plus the lateral-plane resistance multiplier for a stage."""
-    footprint = conv.vr_footprint_area_mm2(stage.topology)
-    checks: list[FeasibilityCheck] = []
+@dataclass(frozen=True)
+class _StageBank:
+    """One stage's VR bank placed on its plane, with its converter model."""
+
+    sites: list[plc.VrSite]
+    checks: list[FeasibilityCheck]
+    model: conv.CalibratedLossModel
+    droop_ohm: float
+    # (current_a, demand_weight=, explicit_sinks=) -> the bank's plane problem;
+    # explicit sinks are renormalised to current_a.
+    problem: Callable[..., grid.GridProblem]
+
+
+def _stage_bank(stage: StageSpec, die: DieFloorplan, demand_w: float,
+                datasets: Datasets) -> _StageBank:
+    """Size and place a stage's VR bank for demand_w and model its plane."""
+    cal = datasets.calibration
+    topo = stage.topology
+    n_vr = conv.required_vr_count(topo, demand_w / topo.v_out_v, cal.derating,
+                                  stage.vr_count_override)
+    footprint = conv.vr_footprint_area_mm2(topo)
     if stage.placement == "interposer_periphery":
         sites = plc.place_periphery(die, n_vr, footprint)
         rings = 1 + max(s.ring_index for s in sites)
-        checks.append(FeasibilityCheck(
+        check = FeasibilityCheck(
             "placement", "pass",
             f"{n_vr} periphery sites in {rings} ring(s), "
             f"band {rings * math.sqrt(footprint):.2f} mm of {die.interposer_margin_mm:g} mm",
-        ))
-        return list(sites), "interposer", checks
-    placed = plc.place_under_die(die, n_vr, footprint)
-    status = "warn" if placed.over_half_occupancy or placed.sites_overlap else "pass"
-    detail = f"{n_vr} under-die sites, occupancy {placed.occupancy_fraction:.1%}"
-    if placed.sites_overlap:
-        detail += " (site footprints overlap the grid cells)"
-    checks.append(FeasibilityCheck("placement", status, detail))
-    plane = "die_grid" if stage.placement == "in_interposer" else "power_die"
-    return list(placed.sites), plane, checks
-
-
-def _plane_multiplier(plane: str, datasets: Datasets) -> float:
-    cal = datasets.calibration
-    return {
-        "interposer": 1.0,
-        "die_grid": cal.die_grid_multiplier,
-        "power_die": cal.power_die_multiplier,
-    }[plane]
+        )
+        multiplier = 1.0
+    else:
+        placed = plc.place_under_die(die, n_vr, footprint)
+        sites = placed.sites
+        status = "warn" if placed.over_half_occupancy or placed.sites_overlap else "pass"
+        detail = f"{n_vr} under-die sites, occupancy {placed.occupancy_fraction:.1%}"
+        if placed.sites_overlap:
+            detail += " (site footprints overlap the grid cells)"
+        check = FeasibilityCheck("placement", status, detail)
+        multiplier = (cal.die_grid_multiplier if stage.placement == "in_interposer"
+                      else cal.power_die_multiplier)
+    model = conv.calibrate(topo)
+    # Parallel VRs share current through their own effective series
+    # resistance (output droop); ideal pinned rails cannot reproduce any
+    # realistic per-VR spread.
+    droop = cal.droop_share_resistance_scale * model.r_conduction_ohm
+    sites = list(sites)
+    problem = functools.partial(
+        grid.build_problem, die, sites,
+        sheet_resistance_ohm_sq=cal.sheet_resistance_ohm_sq * multiplier,
+        grid_resolution=cal.grid_resolution, rail_voltage_v=topo.v_out_v,
+        droop_resistance_ohm=droop,
+    )
+    return _StageBank(sites, [check], model, droop, problem)
 
 
 def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
@@ -298,28 +325,13 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
                 f"v_out={v_out:g} V"
             )
 
-        n_vr = conv.required_vr_count(topo, demand_w / v_out, cal.derating,
-                                      stage.vr_count_override)
-        sites, plane, checks = _place_stage(stage, spec.die, n_vr)
-        feasibility.extend(checks)
-        model = conv.calibrate(topo)
-        # Parallel VRs share current through their own effective series
-        # resistance (output droop); ideal pinned rails cannot reproduce any
-        # realistic per-VR spread.
-        droop = cal.droop_share_resistance_scale * model.r_conduction_ohm
+        bank = _stage_bank(stage, spec.die, demand_w, datasets)
+        feasibility.extend(bank.checks)
+        sites, model, droop = bank.sites, bank.model, bank.droop_ohm
 
         def solve(current_a: float, sinks=None) -> grid.GridSolution:
-            # Explicit sinks are renormalised to current_a.
-            return grid.solve_dc(grid.build_problem(
-                spec.die, sites, current_a,
-                sheet_resistance_ohm_sq=(cal.sheet_resistance_ohm_sq
-                                         * _plane_multiplier(plane, datasets)),
-                grid_resolution=cal.grid_resolution,
-                rail_voltage_v=v_out,
-                demand_weight=cal.demand_weight,
-                explicit_sinks=sinks,
-                droop_resistance_ohm=droop,
-            ))
+            return grid.solve_dc(bank.problem(current_a, demand_weight=cal.demand_weight,
+                                              explicit_sinks=sinks))
 
         if downstream is None:
             # The POL plane carries the die current with the radial profile.
@@ -415,6 +427,37 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
     )
 
 
+def pol_current_curve(spec: ArchitectureSpec,
+                      datasets: Datasets) -> Callable[[float], list[float]]:
+    """The POL stage's per-VR currents as a function of the demand weight.
+
+    At weight w the POL plane draws D * (h + w * h*p) / (T + w * S) at its
+    demand nodes, with h their uniform and h*p their radial weights and T, S
+    the sums of each (pdn_grid.profile_parts). Every source sits at the rail
+    voltage, so the VR currents are linear in the sinks:
+    I(w) = (I_h + w * I_p) / (1 + w * S/T), where I_h and I_p solve the sinks
+    D * h/T and D * h*p/T on one factor. The POL stage is sized for the die
+    demand and its plane carries nothing else, so the curve is exact for any
+    plan: evaluate gives the same currents at each weight, up to rounding.
+    """
+    if not spec.stages:
+        raise ValueError(f"{spec.name} has no VR bank")
+    stage = spec.stages[-1]
+    bank = _stage_bank(stage, spec.die, spec.total_power_w, datasets)
+    demand_a = spec.total_power_w / stage.topology.v_out_v
+    problem = bank.problem(demand_a, demand_weight=0.0)
+    nodes, uniform, radial = grid.profile_parts(spec.die, problem.grid,
+                                                list(problem.source_nodes))
+    total = sum(uniform.tolist())
+    share = sum(radial.tolist()) / total
+    i_uniform = grid.solve_dc(problem).vr_currents
+    i_radial = np.zeros_like(i_uniform)
+    if share > 0:
+        radial_sinks = dict(zip(nodes.tolist(), (demand_a * radial / total).tolist()))
+        i_radial = grid.solve_dc(replace(problem, sink_currents=radial_sinks)).vr_currents
+    return lambda w: ((i_uniform + w * i_radial) / (1.0 + w * share)).tolist()
+
+
 @dataclass
 class ComparisonCell:
     architecture: str
@@ -439,19 +482,33 @@ def evaluate_cell(
 ) -> ComparisonCell:
     """Evaluate one architecture x topology cell and give its verdict.
 
-    A model error makes an error cell. A converter bank run beyond its
-    current rating makes a not_reported cell: its losses are extrapolated
-    and never presented as a loss figure. Any other result is ok. The
-    reference chain ignores the topology (same converter either way).
+    A model error makes an error cell, and so does an evaluation that
+    overflows the float range or yields a non-finite figure. A converter
+    bank run beyond its current rating makes a not_reported cell: its losses
+    are extrapolated and never presented as a loss figure. Any other result
+    is ok. The reference chain ignores the topology (same converter either
+    way).
     """
+    overflow = "numerical overflow: a figure leaves the floating-point range"
     try:
         spec = build_architecture(
             arch_name, topology_name, datasets, die_area_mm2=die_area_mm2,
             total_power_w=total_power_w, pol_voltage_v=pol_voltage_v,
         )
-        breakdown = evaluate(spec, datasets)
+        # An overflow is judged below; numpy need not warn of it as well.
+        with np.errstate(over="ignore", invalid="ignore"):
+            breakdown = evaluate(spec, datasets)
     except PdnxError as exc:
         return ComparisonCell(arch_name, topology_name, "error", str(exc))
+    except OverflowError:
+        return ComparisonCell(arch_name, topology_name, "error", overflow)
+    figures = [breakdown.total_loss_w, breakdown.total_loss_pct, breakdown.source_power_w,
+               breakdown.pol_power_w, breakdown.pcb_lateral_loss_w,
+               *breakdown.vertical_losses_w.values(), *breakdown.horizontal_losses_w.values(),
+               *breakdown.converter_losses_w.values(), *breakdown.domain_currents_a.values(),
+               *(i for loads in breakdown.per_vr_currents_a.values() for i in loads)]
+    if not all(map(math.isfinite, figures)):
+        return ComparisonCell(arch_name, topology_name, "error", overflow)
     violation = next((f.detail for f in breakdown.feasibility
                       if f.check == "converter_rating" and f.status == "fail"), None)
     if violation is not None:

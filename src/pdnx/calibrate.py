@@ -6,12 +6,15 @@ fixed-grid search over its natural knob:
   a0_loss_pct    -> board lateral resistance (closed form; loss is linear)
   min_die_area   -> the binding level's ampacity (bisection on a step function)
   utilizations   -> per-level ampacities (direct back-solve)
-  a1_spread      -> radial demand weight (fixed-grid scan)
-  a2_spread      -> radial demand weight (fixed-grid scan)
+  a1_spread      -> radial demand weight (a fixed-grid scan of a two-solve closed form)
+  a2_spread      -> radial demand weight (a fixed-grid scan of a two-solve closed form)
 
 The per-VR current spread is invariant to the sheet resistance (equal-voltage
 sources), so spread targets calibrate the demand profile instead; the sheet
-resistance remains the knob for the horizontal loss level itself.
+resistance remains the knob for the horizontal loss level itself. The POL
+currents are a closed-form function of the demand weight
+(architecture.pol_current_curve), so the scan solves the plane twice, not
+once per weight.
 """
 
 from __future__ import annotations
@@ -35,14 +38,6 @@ def _with_calibration(datasets: Datasets, calibration: Calibration) -> Datasets:
 def _a0_loss_pct(datasets: Datasets) -> float:
     spec = arch.build_architecture("A0", None, datasets)
     return arch.evaluate(spec, datasets).total_loss_pct
-
-
-def _spread(datasets: Datasets, arch_name: str, topology: str) -> tuple[float, float]:
-    spec = arch.build_architecture(arch_name, topology, datasets)
-    breakdown = arch.evaluate(spec, datasets)
-    key = sorted(breakdown.per_vr_currents_a)[-1]   # POL stage
-    currents = breakdown.per_vr_currents_a[key]
-    return min(currents), max(currents)
 
 
 def calibrate_a0_loss(datasets: Datasets, target_pct: float) -> tuple[Calibration, float]:
@@ -121,11 +116,12 @@ def calibrate_utilizations(datasets: Datasets,
 
 def calibrate_spread(datasets: Datasets, arch_name: str, topology: str,
                      target_lo: float, target_hi: float) -> tuple[Calibration, float]:
-    cal = datasets.calibration
+    currents_at = arch.pol_current_curve(
+        arch.build_architecture(arch_name, topology, datasets), datasets)
     best_w, best_res = None, math.inf
     for w in _SPREAD_WEIGHT_GRID:
-        trial = replace(cal, demand_weight=w)
-        lo, hi = _spread(_with_calibration(datasets, trial), arch_name, topology)
+        currents = currents_at(w)
+        lo, hi = min(currents), max(currents)
         res = 0.5 * (abs(lo - target_lo) / target_lo + abs(hi - target_hi) / target_hi)
         if res < best_res - 1e-12:
             best_w, best_res = w, res
@@ -135,7 +131,7 @@ def calibrate_spread(datasets: Datasets, arch_name: str, topology: str,
             f"best residual {best_res:.3f} at demand_weight {best_w:g}",
             best_value=best_w, best_residual=best_res,
         )
-    return replace(cal, demand_weight=best_w), best_res
+    return replace(datasets.calibration, demand_weight=best_w), best_res
 
 
 def run_calibration(datasets: Datasets, targets: dict) -> tuple[Calibration, dict[str, float]]:

@@ -172,6 +172,9 @@ def load_datasets(overrides: dict | None = None) -> Datasets:
 def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
     cal_doc = raw["calibration-default"]
     try:
+        resolution = cal_doc["grid_resolution"]
+        if isinstance(resolution, float) and not resolution.is_integer():
+            raise ValueError(f"grid_resolution must be an integer, got {resolution!r}")
         calibration = Calibration(
             resistivity_ohm_m=dict(cal_doc["resistivity_ohm_m"]),
             ampacity_a=dict(cal_doc["ampacity_a"]),
@@ -182,7 +185,7 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             power_die_multiplier=float(cal_doc["power_die_multiplier"]),
             pcb_lateral_resistance_ohm=float(cal_doc["pcb_lateral_resistance_ohm"]),
             demand_weight=float(cal_doc["demand_weight"]),
-            grid_resolution=int(cal_doc["grid_resolution"]),
+            grid_resolution=int(resolution),
             derating=float(cal_doc["derating"]),
             dpmih_efficiency_variant=str(cal_doc["dpmih_efficiency_variant"]),
             die_attach_level=str(cal_doc["die_attach_level"]),

@@ -281,6 +281,28 @@ def build_problem(
 
 def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndarray,
                    demand_a: float, demand_weight: float) -> dict[int, float]:
+    idx, uniform, radial = profile_parts(plan, grid, source_nodes)
+    w = uniform + demand_weight * radial
+    # Summed in node order, as a Python float sum, so the total does not
+    # depend on numpy's pairwise blocking.
+    total_w = sum(w.tolist())
+    if total_w <= 0:
+        return {}
+    return dict(zip(idx.tolist(), (demand_a * w / total_w).tolist()))
+
+
+def profile_parts(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndarray | list[int]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The demand nodes under the die shadow and the two parts of their weight.
+
+    A node's weight at demand weight w is uniform + w * radial. The uniform
+    part is the node's share of a cell: nodes on the die outline own only
+    half (corners: a quarter) of one, and that trapezoidal coverage keeps
+    the drawn area resolution-stable. The radial part is the uniform part
+    times max(0, 1 - (r/r0)^2), r0 the die half-diagonal. The shares are
+    powers of two, so the sum is bit for bit uniform * (1 + w * profile).
+    Source nodes draw no demand.
+    """
     half = plan.side_mm / 2.0
     r0_sq = 2.0 * half * half   # squared distance to a die corner
     eps = 1e-9 * plan.side_mm
@@ -290,17 +312,10 @@ def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.nda
     drawn[source_nodes] = False
     idx = np.flatnonzero(drawn)
     x, y = x[idx], y[idx]
-    w = 1.0 + demand_weight * np.maximum(0.0, 1.0 - (x * x + y * y) / r0_sq)
-    # Nodes on the die outline own only half (corners: a quarter) of a
-    # cell; trapezoidal coverage keeps the drawn area resolution-stable.
-    w[np.abs(np.abs(x) - half) <= eps] *= 0.5
-    w[np.abs(np.abs(y) - half) <= eps] *= 0.5
-    # Summed in node order, as a Python float sum, so the total does not
-    # depend on numpy's pairwise blocking.
-    total_w = sum(w.tolist())
-    if total_w <= 0:
-        return {}
-    return dict(zip(idx.tolist(), (demand_a * w / total_w).tolist()))
+    uniform = np.ones(idx.size)
+    uniform[np.abs(np.abs(x) - half) <= eps] *= 0.5
+    uniform[np.abs(np.abs(y) - half) <= eps] *= 0.5
+    return idx, uniform, uniform * np.maximum(0.0, 1.0 - (x * x + y * y) / r0_sq)
 
 
 @dataclass(frozen=True)

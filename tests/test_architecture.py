@@ -1,5 +1,6 @@
 """End-to-end architecture evaluation: bookkeeping, orderings, feasibility."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import pdnx
 from pdnx import converter as conv
 from pdnx import pdn_grid
-from pdnx.architecture import build_architecture, compare, evaluate, utilization_report
+from pdnx.architecture import (build_architecture, compare, evaluate, evaluate_cell,
+                               pol_current_curve, utilization_report)
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets
 from pdnx.errors import Unsatisfiable
@@ -267,6 +269,89 @@ class TestRatingHandling:
         rows = [cell_to_csv_row(c).split(",", 2) for c in table.cells]
         assert [r[1] for r in rows] == topologies
         assert len({r[2] for r in rows}) == 1
+
+
+class TestOverflowVerdict:
+    """An evaluation that leaves the float range is an error cell, never a
+    traceback or a figure."""
+
+    @pytest.mark.parametrize("arch", ["A0", "A1", "A2", "A3@12V", "A3@6V"])
+    def test_squared_load_overflow_is_an_error_cell(self, datasets, arch):
+        cell = evaluate_cell(arch, "DSCH", datasets, total_power_w=1e300)
+        assert cell.status == "error" and "overflow" in cell.reason
+        assert cell.breakdown is None
+
+    def test_infinite_plane_loss_is_an_error_cell(self, datasets):
+        cal = replace(datasets.calibration, sheet_resistance_ohm_sq=1e300)
+        ds = replace(datasets, calibration=cal)
+        cell = evaluate_cell("A2", "DSCH", ds)
+        assert cell.status == "error" and "overflow" in cell.reason
+
+    def test_large_finite_power_keeps_its_verdict(self, datasets):
+        cell = evaluate_cell("A1", "DSCH", datasets, total_power_w=1e30)
+        assert cell.status == "not_reported"
+
+
+def _pol_currents(breakdown) -> list[float]:
+    return breakdown.per_vr_currents_a[max(breakdown.per_vr_currents_a)]   # stageN sorts last
+
+
+class TestPolCurrentCurve:
+    """The two-solve closed form of the POL currents against evaluate."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arch=st.sampled_from(["A1", "A2", "A3@12V"]),
+           weight=st.floats(-1.0, 50.0),
+           sheet=st.floats(1e-4, 2e-3),
+           droop=st.sampled_from([0.0, 0.05, 0.6, 2.0]),
+           resolution=st.sampled_from([8, 9, 16, 17, 24, 33]))
+    def test_equals_evaluate_at_every_weight(self, datasets, arch, weight, sheet, droop,
+                                            resolution):
+        cal = replace(datasets.calibration, demand_weight=weight,
+                      sheet_resistance_ohm_sq=sheet, droop_share_resistance_scale=droop,
+                      grid_resolution=resolution)
+        ds = replace(datasets, calibration=cal)
+        spec = build_architecture(arch, "DSCH", ds)
+        want = _pol_currents(evaluate(spec, ds))
+        got = pol_current_curve(spec, ds)(weight)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+        assert math.fsum(got) == pytest.approx(1000.0, rel=1e-9)
+
+    def test_two_solves_on_one_factor(self, datasets, monkeypatch):
+        factored, solved, built = [], [], []
+        splu, solve, build = pdn_grid.spla.splu, pdn_grid.solve_dc, pdn_grid.build_problem
+        monkeypatch.setattr(pdn_grid.spla, "splu",
+                            lambda *a, **k: factored.append(1) or splu(*a, **k))
+        monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(p) or solve(p))
+        monkeypatch.setattr(pdn_grid, "build_problem",
+                            lambda *a, **k: built.append(1) or build(*a, **k))
+        monkeypatch.setattr(pdn_grid, "_operator", None)
+        curve = pol_current_curve(build_architecture("A3@12V", "DSCH", datasets), datasets)
+        assert (len(built), len(solved), len(factored)) == (1, 2, 1)
+        assert [curve(w) for w in (0.0, 2.5)] == [curve(w) for w in (0.0, 2.5)]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_no_radial_demand_leaves_a_flat_curve(self, datasets, monkeypatch, count):
+        # A 2x2 die lattice draws only at its corners, where the radial
+        # profile is zero: one solve gives the whole curve.
+        cal = replace(datasets.calibration, grid_resolution=2, demand_weight=3.0)
+        ds = replace(datasets, calibration=cal)
+        spec = build_architecture("A2", "DSCH", ds)
+        spec = replace(spec, stages=(replace(spec.stages[0], vr_count_override=count),))
+        solved, solve = [], pdn_grid.solve_dc
+        monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(p) or solve(p))
+        curve = pol_current_curve(spec, ds)
+        assert len(solved) == 1
+        assert curve(0.0) == curve(3.0) == curve(-1.0)
+        want = _pol_currents(evaluate(spec, ds))
+        assert curve(3.0) == pytest.approx(want, rel=1e-12)
+
+    def test_reference_chain_has_no_curve(self, datasets):
+        with pytest.raises(ValueError, match="no VR bank"):
+            pol_current_curve(build_architecture("A0", None, datasets), datasets)
 
 
 class TestCompareDeterminism:

@@ -1,11 +1,12 @@
 """Calibration search behavior beyond the acceptance-gated paths."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
 import pdnx
-from pdnx import pdn_grid
+from pdnx import architecture, pdn_grid
 from pdnx.architecture import build_architecture, evaluate, utilization_report
 from pdnx.calibrate import (_SPREAD_WEIGHT_GRID, calibrate_a0_loss,
                             calibrate_min_die_area, calibrate_spread,
@@ -87,15 +88,47 @@ def test_a1_spread_target_reachable(datasets):
 
 
 def test_spread_fit_factors_the_plane_once(datasets, monkeypatch):
-    # Every demand weight of the scan solves the same A1 plane: one
-    # factorisation serves all of them.
-    factored, solves = [], []
+    # The whole scan rests on two solves of the one A1 plane, the uniform
+    # and the radial demand, which share one factorisation.
+    factored, solves, evaluated = [], [], []
     splu, solve = pdn_grid.spla.splu, pdn_grid.solve_dc
     monkeypatch.setattr(pdn_grid.spla, "splu",
                         lambda *a, **k: factored.append(a[0].shape) or splu(*a, **k))
     monkeypatch.setattr(pdn_grid, "solve_dc",
                         lambda problem: solves.append(problem) or solve(problem))
+    monkeypatch.setattr(architecture, "evaluate",
+                        lambda *a: evaluated.append(a) or evaluate(*a))
     monkeypatch.setattr(pdn_grid, "_operator", None)
     calibrate_spread(datasets, "A1", "DSCH", 16.0, 27.0)
-    assert len(solves) == len(_SPREAD_WEIGHT_GRID)
+    assert len(solves) == 2
     assert len(factored) == 1
+    assert evaluated == []
+
+
+def _evaluated_scan(datasets, arch_name, target_lo, target_hi):
+    """The scan as it ran before the closed form: one evaluate per weight."""
+    best_w, best_res = None, math.inf
+    for w in _SPREAD_WEIGHT_GRID:
+        ds = replace(datasets, calibration=replace(datasets.calibration, demand_weight=w))
+        b = evaluate(build_architecture(arch_name, "DSCH", ds), ds)
+        currents = b.per_vr_currents_a[max(b.per_vr_currents_a)]
+        res = 0.5 * (abs(min(currents) - target_lo) / target_lo
+                     + abs(max(currents) - target_hi) / target_hi)
+        if res < best_res - 1e-12:
+            best_w, best_res = w, res
+    return best_w, best_res
+
+
+@pytest.mark.parametrize("arch_name,window", [
+    ("A1", (15.5, 26.5)), ("A1", (16.0, 27.0)), ("A1", (16.5, 27.5)),
+    ("A2", (20.0, 30.0)), ("A2", (14.0, 30.0)), ("A2", (10.0, 93.0))])
+def test_closed_form_scan_fits_the_evaluated_weight(datasets, arch_name, window):
+    want_w, want_res = _evaluated_scan(datasets, arch_name, *window)
+    try:
+        calibration, residual = calibrate_spread(datasets, arch_name, "DSCH", *window)
+        got_w = calibration.demand_weight
+    except TargetUnreachable as exc:
+        got_w, residual = exc.best_value, exc.best_residual
+        assert want_res > 0.30
+    assert got_w == want_w
+    assert abs(residual - want_res) <= 1e-12

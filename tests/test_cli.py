@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -438,19 +439,25 @@ class TestStampBehavior:
 # Zero, negative and non-finite: out of range for every sweep knob that is a
 # resistance, multiplier, area or power, and for every calibration target.
 FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1")
+# Valid values at the ends of the float range: a sweep must give each one a
+# verdict, and an overflow is an error row, never a traceback or a figure.
+EXTREME_VALUES = ("1e-300", "1e300")
 FIGURE_COLUMNS = ("total_loss_w", "total_loss_pct", "horizontal_loss_w", "converter_loss_w",
                   "vertical_loss_w", "pcb_lateral_loss_w")
 
 
 class TestBadValueFuzz:
     """A documented exit code, never a traceback, and no ok row with a
-    negative loss, whatever out-of-range value a sweep or target gets."""
+    negative or non-finite figure, whatever out-of-range or extreme value a
+    sweep or target gets."""
 
     @pytest.mark.parametrize("param", [*SWEEP_PARAMETERS, *SWEEP_RUN_PARAMETERS])
     @settings(max_examples=4, deadline=None)
     @example(arch="A1", values=list(FUZZ_VALUES))
+    @example(arch="A2", values=list(EXTREME_VALUES))
     @given(arch=st.sampled_from(ARCHITECTURE_NAMES),
-           values=st.lists(st.sampled_from(FUZZ_VALUES), min_size=1, max_size=3))
+           values=st.lists(st.sampled_from(FUZZ_VALUES + EXTREME_VALUES),
+                           min_size=1, max_size=3))
     def test_sweep(self, param, arch, values):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), {"architectures": arch, "topologies": "DSCH"})
@@ -462,7 +469,8 @@ class TestBadValueFuzz:
                 assert len(rows) == len(values)
                 for row in rows:
                     if row["status"] == "ok":
-                        assert all(float(row[col]) >= 0 for col in FIGURE_COLUMNS), row
+                        assert all(math.isfinite(float(row[col])) and float(row[col]) >= 0
+                                   for col in FIGURE_COLUMNS), row
 
     @pytest.mark.parametrize("target", ["a0_loss_pct", "min_die_area", "a1_spread",
                                         "a2_spread", "utilizations"])

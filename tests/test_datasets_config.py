@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pdnx.cli import main
 from pdnx.config import load_config, parse_config_text
 from pdnx.datasets import BUILTIN_NAMES, load_datasets, load_raw_dataset
 from pdnx.errors import ConfigError
@@ -128,6 +129,38 @@ class TestCalibrationValidation:
     def test_nested_and_malformed_values_rejected_at_load(self, override):
         with pytest.raises(ConfigError, match="calibration-default"):
             load_datasets({"calibration-default": override})
+
+
+class TestIntegralGridResolution:
+    """grid_resolution is never truncated: a fractional value is refused."""
+
+    @pytest.mark.parametrize("value", [32.7, 2.5, 48.000001])
+    def test_fraction_rejected_by_override(self, value):
+        with pytest.raises(ConfigError, match="grid_resolution must be an integer"):
+            load_datasets({"calibration-default": {"grid_resolution": value}})
+
+    def test_fraction_rejected_at_load(self, tmp_path, monkeypatch):
+        src = Path(load_raw_dataset.__globals__["_builtin_dir"]())
+        for name in BUILTIN_NAMES:
+            shutil.copy(src / f"{name}.json", tmp_path / f"{name}.json")
+        doc = json.loads((tmp_path / "calibration-default.json").read_text())
+        doc["grid_resolution"] = 32.7
+        (tmp_path / "calibration-default.json").write_text(json.dumps(doc))
+        monkeypatch.setenv("PDNX_DATA_DIR", str(tmp_path))
+        with pytest.raises(ConfigError, match="grid_resolution must be an integer"):
+            load_datasets()
+
+    def test_integral_float_admitted(self):
+        ds = load_datasets({"calibration-default": {"grid_resolution": 33.0}})
+        assert ds.calibration.grid_resolution == 33
+        assert isinstance(ds.calibration.grid_resolution, int)
+
+    def test_fraction_in_run_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"datasets": {"calibration-default": {"grid_resolution": 32.7}}}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "grid_resolution must be an integer" in capsys.readouterr().err
 
 
 class TestConfigDialects:

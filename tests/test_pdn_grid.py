@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdnx import pdn_grid
@@ -500,6 +500,37 @@ class TestBuildProblem:
             weights[idx] = w
         total = sum(weights.values())
         assert problem.sink_currents == {i: 1000.0 * w / total for i, w in weights.items()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(resolution=st.integers(2, 40), weight=st.floats(-1.0, 50.0),
+           count=st.sampled_from([4, 8, 24, 48]))
+    def test_split_profile_equals_the_single_weight_formula(self, resolution, weight, count):
+        # The profile as one weight per node, h * (1 + w * p), before it was
+        # split into a uniform part h and a radial part h * p: the halving
+        # is exact, so h + w * (h * p) gives the same bits.
+        plan = DieFloorplan(500.0, 8.0)
+        sites = place_periphery(plan, count, 5 / 0.69)
+        try:
+            problem = build_problem(plan, sites, 1000.0, 5e-4, resolution,
+                                    demand_weight=weight)
+        except DegenerateGrid:
+            assume(False)
+        grid, half = problem.grid, plan.side_mm / 2.0
+        eps = 1e-9 * plan.side_mm
+        x = np.tile(grid.x0_mm + np.arange(grid.nx) * grid.cell_pitch_mm, grid.ny)
+        y = np.repeat(grid.y0_mm + np.arange(grid.ny) * grid.cell_pitch_mm, grid.nx)
+        drawn = (np.abs(x) <= half + eps) & (np.abs(y) <= half + eps)
+        drawn[list(problem.source_nodes)] = False
+        idx = np.flatnonzero(drawn)
+        x, y = x[idx], y[idx]
+        w = 1.0 + weight * np.maximum(0.0, 1.0 - (x * x + y * y) / (2.0 * half * half))
+        w[np.abs(np.abs(x) - half) <= eps] *= 0.5
+        w[np.abs(np.abs(y) - half) <= eps] *= 0.5
+        want = dict(zip(idx.tolist(), (1000.0 * w / sum(w.tolist())).tolist()))
+        assert problem.sink_currents == want
+        nodes, uniform, radial = pdn_grid.profile_parts(plan, grid, list(problem.source_nodes))
+        assert nodes.tolist() == idx.tolist()
+        assert ((uniform + weight * radial) == w).all()
 
     def test_explicit_sinks(self):
         plan = DieFloorplan(500.0, 8.0)
