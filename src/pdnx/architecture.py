@@ -17,8 +17,9 @@ stage downstream of it, solves its plane, and charges its converter loss
 and its domain's vertical losses. The POL plane carries the die current;
 every upstream plane carries the per-site draw of the bank it feeds, and
 since its own losses add to what its stage must deliver, its operating point
-is settled in closed form. The source power always equals POL power plus the
-sum of all loss terms.
+is settled in closed form. The source power is defined as POL power plus the
+sum of all loss terms, so that identity holds by construction and checks
+nothing.
 """
 
 from __future__ import annotations
@@ -389,6 +390,16 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
             for site, v_term, load in zip(sites, solution.vr_plane_voltages, loads)
         ]
         demand_w = plane_in + stage_loss_w
+        # A droop branch that dissipates more than its VR delivers pulls the
+        # VR's plane-side terminal, and with it what the stage asks of the
+        # domain upstream, below zero.
+        lowest = min(p for _, p in downstream)
+        if demand_w <= 0 or (n > 1 and lowest < 0):
+            raise Unsatisfiable(
+                f"{key}: its {droop:.3g} ohm per-VR output droop dissipates more than a VR "
+                f"delivers, so the stage draws {demand_w:.4g} W from upstream "
+                f"({lowest:.4g} W at its lowest VR)"
+            )
 
     # Source-side domain: remaining vertical levels plus the board rail.
     i_in = demand_w / spec.input_voltage_v

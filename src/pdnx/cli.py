@@ -18,12 +18,12 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import architecture as arch
 from . import reporting as rpt
 from .calibrate import run_calibration
-from .config import RunConfig, load_config
+from .config import RunConfig, check_formats, load_config
 from .datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
 from .errors import ConfigError, PdnxError, SingularSystem, TargetUnreachable, Unsatisfiable
 
@@ -85,10 +85,7 @@ def _load(args) -> tuple[RunConfig, "object"]:
         cfg.out_dir = args.out
     if args.format:
         fmts = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        bad = sorted(set(fmts) - {"json", "csv", "txt"})
-        if bad:
-            raise ConfigError(f"unknown format(s): {', '.join(bad)}")
-        cfg.formats = fmts
+        cfg.formats = check_formats(fmts, "--format")
     if args.strict:
         cfg.strict = True
     datasets = load_datasets(cfg.dataset_overrides)
@@ -101,21 +98,14 @@ def _load(args) -> tuple[RunConfig, "object"]:
     return cfg, datasets
 
 
-def _emit(cfg: RunConfig, stem: str, json_doc, csv_text: str | None,
-          txt_text: str | None) -> list[str]:
+def _emit(cfg: RunConfig, stem: str, json_doc, csv_text: str, txt_text: str) -> list[str]:
     written = []
-    if "json" in cfg.formats and json_doc is not None:
-        path = os.path.join(cfg.out_dir, f"{stem}.json")
-        rpt.write_atomic(path, rpt.dump_json(json_doc))
-        written.append(path)
-    if "csv" in cfg.formats and csv_text is not None:
-        path = os.path.join(cfg.out_dir, f"{stem}.csv")
-        rpt.write_atomic(path, csv_text)
-        written.append(path)
-    if "txt" in cfg.formats and txt_text is not None:
-        path = os.path.join(cfg.out_dir, f"{stem}.txt")
-        rpt.write_atomic(path, txt_text)
-        written.append(path)
+    for fmt, content in (("json", rpt.dump_json(json_doc)), ("csv", csv_text),
+                         ("txt", txt_text)):
+        if fmt in cfg.formats:
+            path = os.path.join(cfg.out_dir, f"{stem}.{fmt}")
+            rpt.write_atomic(path, content)
+            written.append(path)
     return written
 
 
@@ -143,7 +133,7 @@ def cmd_evaluate(args) -> int:
     if cell.status != "ok":
         verdict = "error" if cell.status == "error" else "not reported"
         line = f"{cell.architecture} + {cell.topology}: {verdict} ({cell.reason})"
-        _emit(cfg, "breakdown", rpt.cell_to_dict(cell),
+        _emit(cfg, "breakdown", asdict(cell),
               rpt.table_to_csv(arch.ComparisonTable([cell])), line + "\n")
         print(line)
         if cell.status == "error":
@@ -151,7 +141,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_FEASIBILITY if cfg.strict else EXIT_OK
 
     breakdown = cell.breakdown
-    files = _emit(cfg, "breakdown", rpt.breakdown_to_dict(breakdown),
+    files = _emit(cfg, "breakdown", asdict(breakdown),
                   rpt.breakdown_to_csv(breakdown),
                   rpt.breakdown_to_text(breakdown, stamp=args.stamp))
     print(f"{cell.architecture} + {breakdown.topology}: total loss "
@@ -326,7 +316,7 @@ def cmd_feasibility(args) -> int:
 
     doc = {
         "architecture": arch_name,
-        "utilization": rpt.utilization_to_dict(entries),
+        "utilization": [asdict(e) for e in entries],
         "reference_min_die_area": area_doc,
     }
     txt_lines = [f"vertical-path utilization for {arch_name} "

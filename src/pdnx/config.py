@@ -104,6 +104,14 @@ def _as_positive(value, field_name: str) -> float:
     return float(value)
 
 
+def check_formats(fmts, source: str) -> tuple[str, ...]:
+    """The report formats as a tuple; ConfigError names any unknown one."""
+    bad = sorted(set(fmts) - set(_FORMATS))
+    if bad:
+        raise ConfigError(f"{source}: unknown format(s) {', '.join(bad)}")
+    return tuple(fmts)
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     unknown = sorted(set(doc) - _KNOWN_KEYS)
     if unknown:
@@ -128,11 +136,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError("field 'out_dir': expected a string")
         cfg.out_dir = doc["out_dir"]
     if "formats" in doc:
-        fmts = _as_str_list(doc["formats"], "formats")
-        bad = sorted(set(fmts) - set(_FORMATS))
-        if bad:
-            raise ConfigError(f"field 'formats': unknown format(s) {', '.join(bad)}")
-        cfg.formats = tuple(fmts)
+        cfg.formats = check_formats(_as_str_list(doc["formats"], "formats"), "field 'formats'")
     if "strict" in doc:
         if not isinstance(doc["strict"], bool):
             raise ConfigError("field 'strict': expected true or false")

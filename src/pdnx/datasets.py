@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -175,6 +175,9 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         resolution = cal_doc["grid_resolution"]
         if isinstance(resolution, float) and not resolution.is_integer():
             raise ValueError(f"grid_resolution must be an integer, got {resolution!r}")
+        if not isinstance(cal_doc["idle_shutdown"], bool):
+            raise ValueError("idle_shutdown must be true or false, "
+                             f"got {cal_doc['idle_shutdown']!r}")
         calibration = Calibration(
             resistivity_ohm_m=dict(cal_doc["resistivity_ohm_m"]),
             ampacity_a=dict(cal_doc["ampacity_a"]),
@@ -190,7 +193,7 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             dpmih_efficiency_variant=str(cal_doc["dpmih_efficiency_variant"]),
             die_attach_level=str(cal_doc["die_attach_level"]),
             interposer_margin_mm=float(cal_doc["interposer_margin_mm"]),
-            idle_shutdown=bool(cal_doc["idle_shutdown"]),
+            idle_shutdown=cal_doc["idle_shutdown"],
             notes=tuple(cal_doc.get("notes", ())),
         )
     except KeyError as exc:
@@ -265,25 +268,7 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
 def calibration_to_document(calibration: Calibration, provenance: str,
                             residuals: dict[str, float] | None = None) -> dict:
     """Serialize a calibration back to the dataset JSON shape."""
-    doc = {
-        "provenance": provenance,
-        "resistivity_ohm_m": dict(calibration.resistivity_ohm_m),
-        "ampacity_a": dict(calibration.ampacity_a),
-        "max_usage_fraction": dict(calibration.max_usage_fraction),
-        "sheet_resistance_ohm_sq": calibration.sheet_resistance_ohm_sq,
-        "droop_share_resistance_scale": calibration.droop_share_resistance_scale,
-        "die_grid_multiplier": calibration.die_grid_multiplier,
-        "power_die_multiplier": calibration.power_die_multiplier,
-        "pcb_lateral_resistance_ohm": calibration.pcb_lateral_resistance_ohm,
-        "demand_weight": calibration.demand_weight,
-        "grid_resolution": calibration.grid_resolution,
-        "derating": calibration.derating,
-        "dpmih_efficiency_variant": calibration.dpmih_efficiency_variant,
-        "die_attach_level": calibration.die_attach_level,
-        "interposer_margin_mm": calibration.interposer_margin_mm,
-        "idle_shutdown": calibration.idle_shutdown,
-        "notes": list(calibration.notes),
-    }
+    doc = {"provenance": provenance, **asdict(calibration)}
     if residuals is not None:
         doc["residuals"] = dict(residuals)
     return doc

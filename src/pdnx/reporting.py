@@ -1,7 +1,9 @@
 """Report serialization: JSON for machines, CSV for plotting, text for humans.
 
-All emitters are deterministic: keys are sorted, floats use repr, and no
-timestamps appear unless the caller explicitly stamps the text report.
+A JSON report is its record's dataclass as `dataclasses.asdict` gives it,
+so its keys are the record's field names. All emitters are deterministic:
+keys are sorted, floats use repr, and no timestamps appear unless the caller
+explicitly stamps the text report.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from .architecture import ComparisonCell, ComparisonTable, LossBreakdown, UtilizationEntry
@@ -38,45 +41,23 @@ def write_atomic(path: str, content: str) -> None:
         raise
 
 
-def breakdown_to_dict(b: LossBreakdown) -> dict:
-    return {
-        "architecture": b.architecture,
-        "topology": b.topology,
-        "budget_power_w": b.budget_power_w,
-        "vertical_losses_w": dict(b.vertical_losses_w),
-        "horizontal_losses_w": dict(b.horizontal_losses_w),
-        "pcb_lateral_loss_w": b.pcb_lateral_loss_w,
-        "converter_losses_w": dict(b.converter_losses_w),
-        "total_loss_w": b.total_loss_w,
-        "total_loss_pct": b.total_loss_pct,
-        "source_power_w": b.source_power_w,
-        "pol_power_w": b.pol_power_w,
-        "per_vr_currents_a": {k: list(v) for k, v in b.per_vr_currents_a.items()},
-        "domain_currents_a": dict(b.domain_currents_a),
-        "feasibility": [
-            {"check": f.check, "status": f.status, "detail": f.detail}
-            for f in b.feasibility
-        ],
-        "assumptions": list(b.assumptions),
-    }
+def _loss_rows(b: LossBreakdown):
+    """(category, name, loss in W) per loss component, in report order."""
+    for category, losses in (("vertical", b.vertical_losses_w),
+                             ("horizontal", b.horizontal_losses_w)):
+        for name in sorted(losses):
+            yield category, name, losses[name]
+    yield "horizontal", "pcb_lateral", b.pcb_lateral_loss_w
+    for name in sorted(b.converter_losses_w):
+        yield "converter", name, b.converter_losses_w[name]
 
 
 def breakdown_to_csv(b: LossBreakdown) -> str:
     """Long-form loss table: one row per loss component."""
     lines = ["architecture,topology,category,name,loss_w,pct_of_source_budget"]
-
-    def row(category: str, name: str, value: float):
+    for category, name, value in [*_loss_rows(b), ("total", "total", b.total_loss_w)]:
         pct = 100.0 * value / b.budget_power_w
         lines.append(f"{b.architecture},{b.topology},{category},{name},{value!r},{pct!r}")
-
-    for name in sorted(b.vertical_losses_w):
-        row("vertical", name, b.vertical_losses_w[name])
-    for name in sorted(b.horizontal_losses_w):
-        row("horizontal", name, b.horizontal_losses_w[name])
-    row("horizontal", "pcb_lateral", b.pcb_lateral_loss_w)
-    for name in sorted(b.converter_losses_w):
-        row("converter", name, b.converter_losses_w[name])
-    row("total", "total", b.total_loss_w)
     return "\n".join(lines) + "\n"
 
 
@@ -95,13 +76,8 @@ def breakdown_to_text(b: LossBreakdown, stamp: bool = False) -> str:
     def row(cat, name, val):
         lines.append(f"{cat:<12} {name:<22} {val:>12.4f} {100.0 * val / budget:>12.3f}")
 
-    for name in sorted(b.vertical_losses_w):
-        row("vertical", name, b.vertical_losses_w[name])
-    for name in sorted(b.horizontal_losses_w):
-        row("horizontal", name, b.horizontal_losses_w[name])
-    row("horizontal", "pcb_lateral", b.pcb_lateral_loss_w)
-    for name in sorted(b.converter_losses_w):
-        row("converter", name, b.converter_losses_w[name])
+    for category, name, value in _loss_rows(b):
+        row(category, name, value)
     lines.append("-" * 62)
     row("total", "total", b.total_loss_w)
     lines.append("")
@@ -123,18 +99,8 @@ def breakdown_to_text(b: LossBreakdown, stamp: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cell_to_dict(c: ComparisonCell) -> dict:
-    return {
-        "architecture": c.architecture,
-        "topology": c.topology,
-        "status": c.status,
-        "reason": c.reason,
-        "breakdown": None if c.breakdown is None else breakdown_to_dict(c.breakdown),
-    }
-
-
 def table_to_dict(t: ComparisonTable) -> dict:
-    return {"cells": [cell_to_dict(c) for c in t.cells]}
+    return asdict(t)
 
 
 def cell_to_csv_row(c: ComparisonCell) -> str:
@@ -187,20 +153,3 @@ def utilization_to_csv(entries: list[UtilizationEntry]) -> str:
             f"{e.total_used},{e.available},{e.utilization_fraction!r},{e.cap!r},{e.status}"
         )
     return "\n".join(lines) + "\n"
-
-
-def utilization_to_dict(entries: list[UtilizationEntry]) -> list[dict]:
-    return [
-        {
-            "level": e.level,
-            "domain_voltage_v": e.domain_voltage_v,
-            "current_a": e.current_a,
-            "per_net_count": e.per_net_count,
-            "total_used": e.total_used,
-            "available": e.available,
-            "utilization_fraction": e.utilization_fraction,
-            "cap": e.cap,
-            "status": e.status,
-        }
-        for e in entries
-    ]

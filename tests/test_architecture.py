@@ -292,6 +292,47 @@ class TestOverflowVerdict:
         assert cell.status == "not_reported"
 
 
+class TestDroopOverflowVerdict:
+    """A droop that dissipates more than its VRs deliver is an error cell
+    naming the stage, never a bare ValueError from a downstream model."""
+
+    STAGED = [(a, t) for a in ("A1", "A2", "A3@12V", "A3@6V") for t in ("DSCH", "DPMIH")]
+
+    @staticmethod
+    def _with_droop(datasets, scale):
+        cal = replace(datasets.calibration, droop_share_resistance_scale=scale)
+        return replace(datasets, calibration=cal)
+
+    @pytest.mark.parametrize("arch,topo", STAGED)
+    def test_every_staged_cell_is_an_error_at_scale_20(self, datasets, arch, topo):
+        cell = evaluate_cell(arch, topo, self._with_droop(datasets, 20.0))
+        assert cell.status == "error" and cell.breakdown is None
+        assert "output droop" in cell.reason and "stage" in cell.reason
+
+    def test_reference_chain_has_no_droop(self, datasets):
+        assert evaluate_cell("A0", "DSCH", self._with_droop(datasets, 20.0)).status == "ok"
+
+    @pytest.mark.parametrize("scale,status", [(10.0, "ok"), (11.0, "error")])
+    def test_one_negative_vr_draw_is_an_error(self, datasets, scale, status):
+        # At scale 11 the POL bank still passes positive power upstream in
+        # total, but one VR's terminal power is negative.
+        cal = replace(datasets.calibration, droop_share_resistance_scale=scale,
+                      sheet_resistance_ohm_sq=0.01, demand_weight=20.0)
+        cell = evaluate_cell("A3@12V", "DSCH", replace(datasets, calibration=cal))
+        assert cell.status == status
+        if status == "error":
+            assert cell.reason.startswith("stage2_DSCH-12to1: its 0.0511 ohm per-VR output droop")
+            assert "W from upstream (-" in cell.reason
+
+    def test_scale_5_keeps_the_other_verdicts(self, datasets):
+        ds = self._with_droop(datasets, 5.0)
+        got = {(a, t): evaluate_cell(a, t, ds).status for a, t in self.STAGED}
+        errors = {("A2", "DPMIH"), ("A3@12V", "DPMIH"), ("A3@6V", "DPMIH")}
+        assert {k for k, v in got.items() if v == "error"} == errors
+        assert got[("A1", "DSCH")] == got[("A2", "DSCH")] == "ok"
+        assert got[("A1", "DPMIH")] == "not_reported"
+
+
 def _pol_currents(breakdown) -> list[float]:
     return breakdown.per_vr_currents_a[max(breakdown.per_vr_currents_a)]   # stageN sorts last
 

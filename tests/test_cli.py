@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pdnx
 from pdnx.architecture import ARCHITECTURE_NAMES
 from pdnx.cli import SWEEP_PARAMETERS, SWEEP_RUN_PARAMETERS, _parse_values, main
 from pdnx.errors import ConfigError
@@ -126,6 +128,20 @@ class TestEvaluateCommand:
         assert (out / "breakdown.json").exists()
         assert not (out / "breakdown.csv").exists()
 
+    def test_unknown_format_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--out", str(out), "--format", "json,xml") == 2
+        assert "unknown format(s) xml" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_droop_overflow_is_an_error_cell_exit_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "datasets": {"calibration-default": {"droop_share_resistance_scale": 20}}})
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--config", cfg, "--out", str(out)) == 4
+        assert "A1 + DSCH: error (stage1_DSCH: its" in capsys.readouterr().out
+        assert json.loads((out / "breakdown.json").read_text())["status"] == "error"
+
 
 class TestCompareCommand:
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -151,6 +167,16 @@ class TestCompareCommand:
         by_key = {(c["architecture"], c["topology"]): c for c in doc["cells"]}
         assert by_key[("A1", "DSCH")]["status"] == "ok"
         assert by_key[("A2", "DPMIH")]["status"] == "not_reported"
+
+    def test_droop_overflow_keeps_the_table_exit_0(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "architectures": ["A0", "A1", "A2", "A3@12V", "A3@6V"],
+            "topologies": ["DSCH", "DPMIH"],
+            "datasets": {"calibration-default": {"droop_share_resistance_scale": 20}}})
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--out", str(out)) == 0
+        rows = csv_rows(out / "comparison.csv")
+        assert [r["status"] for r in rows] == ["ok"] * 2 + ["error"] * 8
 
 
 class TestSweepCommand:
@@ -409,9 +435,14 @@ class TestFeasibilityCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child finds the package where this process found it, installed
+        # or not.
+        src = str(Path(pdnx.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "pdnx.cli", "datasets"],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "table1" in result.stdout

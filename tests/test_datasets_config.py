@@ -163,6 +163,27 @@ class TestIntegralGridResolution:
         assert "grid_resolution must be an integer" in capsys.readouterr().err
 
 
+class TestBooleanIdleShutdown:
+    """idle_shutdown is a JSON boolean; no other value is read as one."""
+
+    @pytest.mark.parametrize("value", ["false", "no", "true", 2, 1, 0, [0], None])
+    def test_non_boolean_rejected_by_override(self, value):
+        with pytest.raises(ConfigError, match="idle_shutdown must be true or false"):
+            load_datasets({"calibration-default": {"idle_shutdown": value}})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_admitted(self, value):
+        ds = load_datasets({"calibration-default": {"idle_shutdown": value}})
+        assert ds.calibration.idle_shutdown is value
+
+    def test_string_in_run_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"datasets": {"calibration-default": {"idle_shutdown": "false"}}}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "idle_shutdown must be true or false" in capsys.readouterr().err
+
+
 class TestConfigDialects:
     JSON_DOC = """
     {
