@@ -20,13 +20,19 @@ since its own losses add to what its stage must deliver, its operating point
 is settled in closed form. The source power is defined as POL power plus the
 sum of all loss terms, so that identity holds by construction and checks
 nothing.
+
+An evaluation is a generator: it yields each plane problem it needs solved
+and is sent the solution. One loop, _drive, solves what the generators
+yield, so compare runs every cell's stage loop together and solves the
+problems of one plane back to back, while pdn_grid's one-slot memo still
+holds its factor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +43,7 @@ from . import pdn_grid as grid
 from . import placement as plc
 from .converter import StageSpec
 from .datasets import Datasets
-from .errors import PdnxError, Unsatisfiable
+from .errors import PdnxError, Unsatisfiable, ZeroConnections
 from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
 
@@ -222,6 +228,11 @@ def _stage_bank(stage: StageSpec, die: DieFloorplan, demand_w: float,
     return _StageBank(sites, [check], model, droop, problem)
 
 
+# A running evaluation: it yields each plane problem it needs solved, is sent
+# that problem's solution, and returns its breakdown.
+_Evaluation = Generator[grid.GridProblem, grid.GridSolution, LossBreakdown]
+
+
 def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
     """Compute the PCB-to-POL loss breakdown for one architecture.
 
@@ -231,38 +242,97 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
     violation is recorded as a failed feasibility check; evaluate_cell turns
     it into a verdict.
     """
-    usage = utilization_report(spec, datasets)
+    (outcome,) = _drive([_evaluate_steps(spec, datasets)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
+    """evaluate as a generator: yields each plane problem, is sent its solution."""
+    usage = {e.level: e for e in utilization_report(spec, datasets)}
     feasibility = [
         FeasibilityCheck(
             "utilization", e.status,
             f"{e.level} at {e.domain_voltage_v:g} V: {e.total_used} of {e.available} "
             f"connections ({e.utilization_fraction:.2%} vs cap {e.cap:.0%})",
         )
-        for e in usage
+        for e in usage.values()
     ]
     assumptions: list[str] = []
-    per_net = {e.level: e.per_net_count for e in usage}
 
     if not spec.stages:
-        return _evaluate_reference(spec, datasets, per_net, feasibility, assumptions)
-    return _evaluate_staged(spec, datasets, per_net, feasibility, assumptions)
+        return _evaluate_reference(spec, datasets, usage, feasibility, assumptions)
+    return (yield from _evaluate_staged(spec, datasets, usage, feasibility, assumptions))
 
 
-def _domain_vertical_losses(spec, datasets, per_net, domain_voltage_v: float,
+def _drive(evaluations: list[_Evaluation]) -> list:
+    """Run evaluations together, solving the plane problems they yield.
+
+    The next problem solved is one on the plane solved last, so every
+    evaluation that shares a plane uses the factor in pdn_grid's one-slot
+    memo before it is evicted; else one from the evaluation with the fewest
+    solves so far; else the first in list order. A solve error is thrown
+    back into its evaluation. Returns, per evaluation, its breakdown or the
+    exception it raised.
+    """
+    outcomes: list = [None] * len(evaluations)
+    waiting: dict[int, tuple[tuple, grid.GridProblem]] = {}   # index -> (plane key, problem)
+    solves = [0] * len(evaluations)
+
+    def advance(k: int, step: Callable, arg) -> None:
+        try:
+            problem = step(arg)
+        except StopIteration as done:
+            outcomes[k] = done.value
+        except Exception as exc:
+            outcomes[k] = exc
+        else:
+            waiting[k] = (grid.plane_key(problem), problem)
+
+    for k, run in enumerate(evaluations):
+        advance(k, run.send, None)
+    plane = None
+    while waiting:
+        k = min((k for k, (key, _) in waiting.items() if key == plane),
+                default=min(waiting, key=lambda k: (solves[k], k)))
+        plane, problem = waiting.pop(k)
+        solves[k] += 1
+        try:
+            solution = grid.solve_dc(problem)
+        except Exception as exc:
+            advance(k, evaluations[k].throw, exc)
+        else:
+            advance(k, evaluations[k].send, solution)
+    return outcomes
+
+
+def _domain_vertical_losses(spec, datasets, usage, domain_voltage_v: float,
                             current_a: float) -> dict[str, float]:
     """Loss of each vertical level in one voltage domain at that domain's current.
 
-    per_net maps each level to its provisioned connections per net. Levels
-    come in stack order, so sums over the result are reproducible.
+    usage maps each level to its UtilizationEntry, whose per-net count is
+    the level's provisioned connections. A level that must carry current
+    but has no connection sites raises ZeroConnections. Levels come in
+    stack order, so sums over the result are reproducible.
     """
-    return {
-        a.level_name: ic.level_loss(datasets.levels[a.level_name], current_a,
-                                    max(per_net[a.level_name], 1))
-        for a in spec.stack if a.domain_voltage_v == domain_voltage_v
-    }
+    losses = {}
+    for a in spec.stack:
+        if a.domain_voltage_v != domain_voltage_v:
+            continue
+        entry = usage[a.level_name]
+        if entry.available == 0 and current_a > 0:
+            raise ZeroConnections(
+                f"{a.level_name} has no connection sites on a "
+                f"{spec.die.die_area_mm2:g} mm2 die but must carry {current_a:.4g} A "
+                f"at {domain_voltage_v:g} V"
+            )
+        losses[a.level_name] = ic.level_loss(datasets.levels[a.level_name], current_a,
+                                             max(entry.per_net_count, 1))
+    return losses
 
 
-def _evaluate_reference(spec, datasets, per_net, feasibility, assumptions) -> LossBreakdown:
+def _evaluate_reference(spec, datasets, usage, feasibility, assumptions) -> LossBreakdown:
     cal = datasets.calibration
     i_die = spec.total_power_w / spec.pol_voltage_v
     eta = spec.reference_efficiency
@@ -271,7 +341,7 @@ def _evaluate_reference(spec, datasets, per_net, feasibility, assumptions) -> Lo
         f"{spec.input_voltage_v:g}V-to-{spec.pol_voltage_v:g}V converter at the board"
     )
 
-    vertical = _domain_vertical_losses(spec, datasets, per_net, spec.pol_voltage_v, i_die)
+    vertical = _domain_vertical_losses(spec, datasets, usage, spec.pol_voltage_v, i_die)
     pcb_loss = cal.pcb_lateral_resistance_ohm * i_die ** 2
 
     conv_input = spec.total_power_w / eta
@@ -299,7 +369,7 @@ def _evaluate_reference(spec, datasets, per_net, feasibility, assumptions) -> Lo
     )
 
 
-def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossBreakdown:
+def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evaluation:
     cal = datasets.calibration
     vertical: dict[str, float] = {}
     horizontal: dict[str, float] = {}
@@ -330,14 +400,14 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
         feasibility.extend(bank.checks)
         sites, model, droop = bank.sites, bank.model, bank.droop_ohm
 
-        def solve(current_a: float, sinks=None) -> grid.GridSolution:
-            return grid.solve_dc(bank.problem(current_a, demand_weight=cal.demand_weight,
-                                              explicit_sinks=sinks))
+        def problem(current_a: float, sinks=None) -> grid.GridProblem:
+            return bank.problem(current_a, demand_weight=cal.demand_weight,
+                                explicit_sinks=sinks)
 
         if downstream is None:
             # The POL plane carries the die current with the radial profile.
             i_plane = demand_w / v_out
-            solution = solve(i_plane)
+            solution = yield problem(i_plane)
         else:
             # An upstream plane feeds each downstream VR its terminal output
             # plus its losses. The plane, its vertical levels and its stage's
@@ -347,9 +417,9 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
             sinks = [(s.x_mm, s.y_mm, p / v_out) for s, p in downstream]
             base_power = sum(p for _, p in downstream)
             i_base = base_power / v_out
-            base_solution = solve(i_base, sinks)
+            base_solution = yield problem(i_base, sinks)
             vert_base = sum(
-                _domain_vertical_losses(spec, datasets, per_net, v_out, i_base).values())
+                _domain_vertical_losses(spec, datasets, usage, v_out, i_base).values())
             droop_drop = droop * float(sum(x * x for x in base_solution.vr_currents))
             c = (base_solution.horizontal_loss_w + vert_base + droop_drop) / base_power ** 2
             discriminant = 1.0 - 4.0 * c * base_power
@@ -360,7 +430,7 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
                     f"passes on (4*c*P_base = {1.0 - discriminant:.3g} > 1)"
                 )
             i_plane = 2.0 * base_power / (1.0 + math.sqrt(discriminant)) / v_out
-            solution = solve(i_plane, sinks)
+            solution = yield problem(i_plane, sinks)
 
         loads = [float(x) for x in solution.vr_currents]
         plane_in = float(sum(v * i for v, i in
@@ -375,7 +445,7 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
                else f"within {topo.i_max_a:g} A"),
         ))
 
-        domain_vertical = _domain_vertical_losses(spec, datasets, per_net, v_out, i_plane)
+        domain_vertical = _domain_vertical_losses(spec, datasets, usage, v_out, i_plane)
         vertical.update(domain_vertical)
         horizontal[rail] = solution.horizontal_loss_w
         per_vr[key] = loads
@@ -392,19 +462,28 @@ def _evaluate_staged(spec, datasets, per_net, feasibility, assumptions) -> LossB
         demand_w = plane_in + stage_loss_w
         # A droop branch that dissipates more than its VR delivers pulls the
         # VR's plane-side terminal, and with it what the stage asks of the
-        # domain upstream, below zero.
+        # domain upstream, below zero. A bank beyond its rating is
+        # not_reported whatever its plane shows; only what it asks of an
+        # upstream plane must stay physical.
         lowest = min(p for _, p in downstream)
-        if demand_w <= 0 or (n > 1 and lowest < 0):
+        if demand_w <= 0 or (lowest < 0 and (n > 1 or not over)):
             raise Unsatisfiable(
                 f"{key}: its {droop:.3g} ohm per-VR output droop dissipates more than a VR "
                 f"delivers, so the stage draws {demand_w:.4g} W from upstream "
                 f"({lowest:.4g} W at its lowest VR)"
             )
+        # A plane loss that overflowed is left to the verdict's overflow check.
+        if not over and -math.inf < delivered[rail] <= 0:
+            raise Unsatisfiable(
+                f"{key}: its {rail} plane and vertical levels lose more than its VRs put "
+                f"into it ({plane_in:.4g} W after a {droop:.3g} ohm output droop), so it "
+                f"passes {delivered[rail]:.4g} W on"
+            )
 
     # Source-side domain: remaining vertical levels plus the board rail.
     i_in = demand_w / spec.input_voltage_v
     domain_currents[f"{spec.input_voltage_v:g}V"] = i_in
-    vertical.update(_domain_vertical_losses(spec, datasets, per_net,
+    vertical.update(_domain_vertical_losses(spec, datasets, usage,
                                             spec.input_voltage_v, i_in))
     pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
 
@@ -500,19 +579,26 @@ def evaluate_cell(
     is ok. The reference chain ignores the topology (same converter either
     way).
     """
+    return compare([arch_name], [topology_name], datasets, die_area_mm2=die_area_mm2,
+                   total_power_w=total_power_w, pol_voltage_v=pol_voltage_v).cells[0]
+
+
+def _cell_steps(arch_name: str, topology_name: str, datasets: Datasets,
+                **plan) -> _Evaluation:
+    spec = build_architecture(arch_name, topology_name, datasets, **plan)
+    return (yield from _evaluate_steps(spec, datasets))
+
+
+def _verdict(arch_name: str, topology_name: str, outcome) -> ComparisonCell:
+    """The cell an evaluation's breakdown, or the exception it raised, makes."""
     overflow = "numerical overflow: a figure leaves the floating-point range"
-    try:
-        spec = build_architecture(
-            arch_name, topology_name, datasets, die_area_mm2=die_area_mm2,
-            total_power_w=total_power_w, pol_voltage_v=pol_voltage_v,
-        )
-        # An overflow is judged below; numpy need not warn of it as well.
-        with np.errstate(over="ignore", invalid="ignore"):
-            breakdown = evaluate(spec, datasets)
-    except PdnxError as exc:
-        return ComparisonCell(arch_name, topology_name, "error", str(exc))
-    except OverflowError:
+    if isinstance(outcome, PdnxError):
+        return ComparisonCell(arch_name, topology_name, "error", str(outcome))
+    if isinstance(outcome, OverflowError):
         return ComparisonCell(arch_name, topology_name, "error", overflow)
+    if isinstance(outcome, Exception):
+        raise outcome
+    breakdown = outcome
     figures = [breakdown.total_loss_w, breakdown.total_loss_pct, breakdown.source_power_w,
                breakdown.pol_power_w, breakdown.pcb_lateral_loss_w,
                *breakdown.vertical_losses_w.values(), *breakdown.horizontal_losses_w.values(),
@@ -536,21 +622,26 @@ def compare(
     total_power_w: float = 1000.0,
     pol_voltage_v: float = 1.0,
 ) -> ComparisonTable:
-    """Evaluate every architecture x topology cell, architecture-major."""
-    def cell(arch: str, topo: str) -> ComparisonCell:
-        return evaluate_cell(arch, topo, datasets, die_area_mm2=die_area_mm2,
-                             total_power_w=total_power_w, pol_voltage_v=pol_voltage_v)
+    """Evaluate every architecture x topology cell; each gets evaluate_cell's verdict.
 
-    cells: list[ComparisonCell] = []
-    for arch in arch_names:
-        if arch == "A0" and topology_names:
-            # The reference chain ignores the topology: one evaluation
-            # serves every topology's cell.
-            reference = cell(arch, topology_names[0])
-            cells.extend(replace(reference, topology=topo) for topo in topology_names)
-        else:
-            cells.extend(cell(arch, topo) for topo in topology_names)
-    return ComparisonTable(cells)
+    Cells come back architecture-major, but their plane solves run
+    plane-major: all cells are evaluated together, and cells that share a
+    plane (A3@12V and A3@6V share a POL plane, two topologies share an A3
+    intermediate plane) solve it back to back on one factor. The reference
+    chain ignores the topology: one evaluation serves every topology's cell.
+    """
+    cells = [(arch, topology_names[0] if arch == "A0" else topo, topo)
+             for arch in arch_names for topo in topology_names]
+    evaluated = list(dict.fromkeys((arch, topo) for arch, topo, _ in cells))
+    plan = {"die_area_mm2": die_area_mm2, "total_power_w": total_power_w,
+            "pol_voltage_v": pol_voltage_v}
+    runs = [_cell_steps(arch, topo, datasets, **plan) for arch, topo in evaluated]
+    # An overflow is judged by _verdict; numpy need not warn of it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = _drive(runs)
+    verdicts = {cell: _verdict(*cell, outcome) for cell, outcome in zip(evaluated, outcomes)}
+    return ComparisonTable([replace(verdicts[arch, topo], topology=shown)
+                            for arch, topo, shown in cells])
 
 
 @dataclass(frozen=True)

@@ -347,16 +347,26 @@ class _PlaneOperator:
 _operator: _PlaneOperator | None = None
 
 
-def _plane_operator(problem: GridProblem) -> _PlaneOperator:
-    """The operator of problem's plane: the one in the slot or a new one."""
-    global _operator
+def plane_key(problem: GridProblem) -> tuple:
+    """What a plane's factor depends on: the lattice, the Dirichlet nodes in
+    order and, with droop, the droop resistance and each VR's contacts.
+
+    Problems with equal keys differ only in sinks and source voltages, so
+    they are solved on one factor.
+    """
     source_nodes = tuple(int(i) for i in problem.source_nodes)
     droop = problem.droop_resistance_ohm
     contacts = None
     if droop > 0.0:
         fanout = problem.source_fanout or {}
         contacts = tuple(tuple(fanout.get(i, (i,))) for i in source_nodes)
-    key = (problem.grid, source_nodes, droop, contacts)
+    return (problem.grid, source_nodes, droop, contacts)
+
+
+def _plane_operator(problem: GridProblem) -> _PlaneOperator:
+    """The operator of problem's plane: the one in the slot or a new one."""
+    global _operator
+    key = plane_key(problem)
     if _operator is None or _operator.key != key:
         _operator = None    # release the old factor before building the next
         _operator = _factor_plane(key)

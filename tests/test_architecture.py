@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import pdnx
 from pdnx import converter as conv
 from pdnx import pdn_grid
-from pdnx.architecture import (build_architecture, compare, evaluate, evaluate_cell,
-                               pol_current_curve, utilization_report)
+from pdnx.architecture import (ARCHITECTURE_NAMES, build_architecture, compare, evaluate,
+                               evaluate_cell, pol_current_curve, utilization_report)
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets
-from pdnx.errors import Unsatisfiable
+from pdnx.errors import SingularSystem, Unsatisfiable
 
 
 @pytest.fixture(scope="module")
@@ -254,13 +254,13 @@ class TestRatingHandling:
         from pdnx import architecture
         from pdnx.reporting import cell_to_csv_row
         evaluated = []
-        real = architecture.evaluate
+        real = architecture._evaluate_reference
 
-        def counting(spec, ds):
+        def counting(spec, *args):
             evaluated.append(spec.name)
-            return real(spec, ds)
+            return real(spec, *args)
 
-        monkeypatch.setattr(architecture, "evaluate", counting)
+        monkeypatch.setattr(architecture, "_evaluate_reference", counting)
         topologies = ["DPMIH", "3LHD", "DSCH"]
         table = compare(["A0"], topologies, datasets)
         assert evaluated == ["A0"]
@@ -312,6 +312,16 @@ class TestDroopOverflowVerdict:
     def test_reference_chain_has_no_droop(self, datasets):
         assert evaluate_cell("A0", "DSCH", self._with_droop(datasets, 20.0)).status == "ok"
 
+    @pytest.mark.parametrize("scale,reason", [
+        (9.32, "its 1V plane and vertical levels lose more than its VRs put into it"),
+        (10.06, "W from upstream (-"), (10.87, "W from upstream (-")])
+    def test_negative_pol_power_is_an_error(self, datasets, scale, reason):
+        # At these scales A2+DSCH used to be ok with a POL power of -4.6,
+        # -78.3 and -158.9 W; at the two larger ones one VR's draw is negative.
+        cell = evaluate_cell("A2", "DSCH", self._with_droop(datasets, scale))
+        assert cell.status == "error" and cell.breakdown is None
+        assert cell.reason.startswith("stage1_DSCH: its ") and reason in cell.reason
+
     @pytest.mark.parametrize("scale,status", [(10.0, "ok"), (11.0, "error")])
     def test_one_negative_vr_draw_is_an_error(self, datasets, scale, status):
         # At scale 11 the POL bank still passes positive power upstream in
@@ -354,12 +364,15 @@ class TestPolCurrentCurve:
                       grid_resolution=resolution)
         ds = replace(datasets, calibration=cal)
         spec = build_architecture(arch, "DSCH", ds)
-        want = _pol_currents(evaluate(spec, ds))
         got = pol_current_curve(spec, ds)(weight)
+        assert math.fsum(got) == pytest.approx(1000.0, rel=1e-9)
+        try:
+            want = _pol_currents(evaluate(spec, ds))
+        except Unsatisfiable:
+            return   # no operating point, so no breakdown to compare with
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * abs(w)
-        assert math.fsum(got) == pytest.approx(1000.0, rel=1e-9)
 
     def test_two_solves_on_one_factor(self, datasets, monkeypatch):
         factored, solved, built = [], [], []
@@ -393,6 +406,76 @@ class TestPolCurrentCurve:
     def test_reference_chain_has_no_curve(self, datasets):
         with pytest.raises(ValueError, match="no VR bank"):
             pol_current_curve(build_architecture("A0", None, datasets), datasets)
+
+
+class TestPlaneMajorCompare:
+    """compare runs every cell's stage loop together, plane-major, and gives
+    each cell exactly what evaluate_cell gives it alone."""
+
+    BENCH_ARCHS = ["A0", "A1", "A2", "A3@12V", "A3@6V"]
+
+    @staticmethod
+    def _compare_counted(archs, topos, ds):
+        """compare with an empty slot; returns its cells, the plane keys of
+        its solves and the number of factorisations."""
+        keys, factored = [], []
+        solve, factor = pdn_grid.solve_dc, pdn_grid._factor_plane
+
+        def factor_counted(key):
+            assert pdn_grid._operator is None, "two plane factors alive"
+            factored.append(key)
+            return factor(key)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pdn_grid, "_operator", None)
+            m.setattr(pdn_grid, "_factor_plane", factor_counted)
+            m.setattr(pdn_grid, "solve_dc",
+                      lambda p: keys.append(pdn_grid.plane_key(p)) or solve(p))
+            cells = compare(archs, topos, ds).cells
+        return cells, keys, len(factored)
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(archs=st.lists(st.sampled_from(ARCHITECTURE_NAMES), min_size=1, max_size=5,
+                          unique=True),
+           topos=st.lists(st.sampled_from(["DSCH", "DPMIH", "3LHD"]), min_size=1,
+                          max_size=3, unique=True))
+    def test_equals_per_cell_evaluation_one_factor_per_plane(self, datasets, archs, topos):
+        cells, keys, factored = self._compare_counted(archs, topos, datasets)
+        assert cells == [evaluate_cell(a, t, datasets) for a in archs for t in topos]
+        assert factored == len(set(keys))
+
+    @pytest.mark.parametrize("archs,topos", [
+        (BENCH_ARCHS, ["DSCH", "DPMIH"]),
+        (["A3@6V", "A2", "A0", "A3@12V", "A1"], ["DPMIH", "DSCH"]),
+        (["A3@12V", "A1", "A3@6V", "A0", "A2"], ["DSCH", "DPMIH"])])
+    def test_benchmark_cells_make_eight_factors_and_sixteen_solves(self, datasets, archs,
+                                                                   topos):
+        # Of 12 planes, A3@12V and A3@6V share each POL plane and the two
+        # topologies share each A3 intermediate plane.
+        _, keys, factored = self._compare_counted(archs, topos, datasets)
+        assert (factored, len(keys)) == (8, 16)
+
+    def test_one_solve_error_fails_only_its_cell(self, datasets, monkeypatch):
+        args = (self.BENCH_ARCHS, ["DSCH", "DPMIH"], datasets)
+        want = compare(*args).cells
+        keys, solve = [], pdn_grid.solve_dc
+        monkeypatch.setattr(pdn_grid, "solve_dc",
+                            lambda p: keys.append(pdn_grid.plane_key(p)) or solve(p))
+        evaluate(build_architecture("A2", "DSCH", datasets), datasets)
+        [bad] = keys
+
+        def failing(problem):
+            if pdn_grid.plane_key(problem) == bad:
+                raise SingularSystem("nodal solve residual 1e-03 exceeds 1e-10")
+            return solve(problem)
+
+        monkeypatch.setattr(pdn_grid, "solve_dc", failing)
+        got = compare(*args).cells
+        failed = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert [(got[i].architecture, got[i].topology) for i in failed] == [("A2", "DSCH")]
+        assert got[failed[0]].status == "error"
+        assert got[failed[0]].reason == "nodal solve residual 1e-03 exceeds 1e-10"
 
 
 class TestCompareDeterminism:

@@ -230,6 +230,17 @@ class TestSweepCommand:
         [row] = csv_rows(out / "sweep_die_area.csv")
         assert row["status"] != "ok"
 
+    def test_reference_level_without_connection_sites_is_error_row(self, tmp_path):
+        # It used to be an ok row of 412.04 W, the vertical loss charged at
+        # one connection per level on a die with room for none.
+        cfg = write_config(tmp_path, {"architectures": "A0"})
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--param", "die_area",
+                       "--values", "1e-9") == 0
+        [row] = csv_rows(out / "sweep_die_area.csv")
+        assert row["status"] == "error" and row["total_loss_w"] == ""
+        assert "bga has no connection sites on a 1e-09 mm2 die" in row["reason"]
+
     @pytest.mark.parametrize("param,value,message", [
         pytest.param(param, value, message, id=f"{param}-{value}")
         for param, value, message in [
