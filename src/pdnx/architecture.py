@@ -528,7 +528,9 @@ def pol_current_curve(spec: ArchitectureSpec,
     I(w) = (I_h + w * I_p) / (1 + w * S/T), where I_h and I_p solve the sinks
     D * h/T and D * h*p/T on one factor. The POL stage is sized for the die
     demand and its plane carries nothing else, so the curve is exact for any
-    plan: evaluate gives the same currents at each weight, up to rounding.
+    plan evaluate accepts: it gives the same currents at each weight, up to
+    rounding. The curve makes none of evaluate's checks on what the plane
+    passes on, so it also returns currents for a plan evaluate refuses.
     """
     if not spec.stages:
         raise ValueError(f"{spec.name} has no VR bank")

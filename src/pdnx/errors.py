@@ -33,8 +33,10 @@ class Unsatisfiable(PdnxError):
     """The requested operating point does not exist.
 
     Raised when no die area within the search bound satisfies the usage
-    caps, and when a two-stage plan's intermediate plane has no operating
-    point: its losses grow faster than the power the stage passes on.
+    caps, when a two-stage plan's intermediate plane has no operating
+    point (its losses grow faster than the power the stage passes on), and
+    when a stage's plane passes on no power or one of its VRs draws
+    negative power.
     """
 
 

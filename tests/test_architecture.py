@@ -1,11 +1,12 @@
 """End-to-end architecture evaluation: bookkeeping, orderings, feasibility."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import pdnx
@@ -150,6 +151,7 @@ class TestIntermediateOperatingPoint:
         assert cell.status == "error"
         assert cell.breakdown is None
         assert "operating point" in cell.reason
+        assert not _passes_on_no_power(Unsatisfiable(cell.reason))
 
 
 class TestReferenceArchitecture:
@@ -321,6 +323,7 @@ class TestDroopOverflowVerdict:
         cell = evaluate_cell("A2", "DSCH", self._with_droop(datasets, scale))
         assert cell.status == "error" and cell.breakdown is None
         assert cell.reason.startswith("stage1_DSCH: its ") and reason in cell.reason
+        assert _passes_on_no_power(Unsatisfiable(cell.reason))
 
     @pytest.mark.parametrize("scale,status", [(10.0, "ok"), (11.0, "error")])
     def test_one_negative_vr_draw_is_an_error(self, datasets, scale, status):
@@ -333,6 +336,7 @@ class TestDroopOverflowVerdict:
         if status == "error":
             assert cell.reason.startswith("stage2_DSCH-12to1: its 0.0511 ohm per-VR output droop")
             assert "W from upstream (-" in cell.reason
+            assert not _passes_on_no_power(Unsatisfiable(cell.reason))
 
     def test_scale_5_keeps_the_other_verdicts(self, datasets):
         ds = self._with_droop(datasets, 5.0)
@@ -341,6 +345,18 @@ class TestDroopOverflowVerdict:
         assert {k for k, v in got.items() if v == "error"} == errors
         assert got[("A1", "DSCH")] == got[("A2", "DSCH")] == "ok"
         assert got[("A1", "DPMIH")] == "not_reported"
+
+
+def _passes_on_no_power(exc: Unsatisfiable) -> bool:
+    """Whether evaluate refused a plan because a stage's plane passes on no
+    power, or because a VR of a bank fed straight from the source draws
+    negative power, rather than for a missing operating point."""
+    reason = str(exc)
+    if "lose more than its VRs put into it" in reason:
+        return True
+    draw = re.match(r"stage1_\S+: its .* droop dissipates more than a VR delivers, "
+                    r"so the stage draws (\S+) W", reason)
+    return draw is not None and float(draw.group(1)) > 0
 
 
 def _pol_currents(breakdown) -> list[float]:
@@ -368,8 +384,13 @@ class TestPolCurrentCurve:
         assert math.fsum(got) == pytest.approx(1000.0, rel=1e-9)
         try:
             want = _pol_currents(evaluate(spec, ds))
-        except Unsatisfiable:
-            return   # no operating point, so no breakdown to compare with
+        except Unsatisfiable as exc:
+            # A plan whose plane passes on no power has no breakdown to
+            # compare with (about 3 % of draws, all of them A2); any
+            # other refusal is a failure.
+            if not _passes_on_no_power(exc):
+                raise
+            assume(False)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * abs(w)
