@@ -545,8 +545,9 @@ def pol_current_curve(spec: ArchitectureSpec,
     i_uniform = grid.solve_dc(problem).vr_currents
     i_radial = np.zeros_like(i_uniform)
     if share > 0:
-        radial_sinks = dict(zip(nodes.tolist(), (demand_a * radial / total).tolist()))
-        i_radial = grid.solve_dc(replace(problem, sink_currents=radial_sinks)).vr_currents
+        radial_problem = replace(problem, sink_nodes=nodes,
+                                 sink_currents=demand_a * radial / total)
+        i_radial = grid.solve_dc(radial_problem).vr_currents
     return lambda w: ((i_uniform + w * i_radial) / (1.0 + w * share)).tolist()
 
 
@@ -591,7 +592,21 @@ def _cell_steps(arch_name: str, topology_name: str, datasets: Datasets,
     return (yield from _evaluate_steps(spec, datasets))
 
 
-def _verdict(arch_name: str, topology_name: str, outcome) -> ComparisonCell:
+def evaluate_plans(plans: list[tuple[str, str, Datasets, dict]]) -> list:
+    """Evaluate (architecture, topology, datasets, plan) tuples together, plane-major.
+
+    plan holds build_architecture's keyword arguments. Plans that share a
+    plane solve it back to back on one factor (see _drive). Returns, per
+    plan, its breakdown or the exception it raised; verdict makes a cell of
+    either.
+    """
+    runs = [_cell_steps(arch, topo, ds, **plan) for arch, topo, ds, plan in plans]
+    # An overflow is judged by verdict; numpy need not warn of it as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _drive(runs)
+
+
+def verdict(arch_name: str, topology_name: str, outcome) -> ComparisonCell:
     """The cell an evaluation's breakdown, or the exception it raised, makes."""
     overflow = "numerical overflow: a figure leaves the floating-point range"
     if isinstance(outcome, PdnxError):
@@ -637,11 +652,8 @@ def compare(
     evaluated = list(dict.fromkeys((arch, topo) for arch, topo, _ in cells))
     plan = {"die_area_mm2": die_area_mm2, "total_power_w": total_power_w,
             "pol_voltage_v": pol_voltage_v}
-    runs = [_cell_steps(arch, topo, datasets, **plan) for arch, topo in evaluated]
-    # An overflow is judged by _verdict; numpy need not warn of it as well.
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = _drive(runs)
-    verdicts = {cell: _verdict(*cell, outcome) for cell, outcome in zip(evaluated, outcomes)}
+    outcomes = evaluate_plans([(arch, topo, datasets, plan) for arch, topo in evaluated])
+    verdicts = {cell: verdict(*cell, outcome) for cell, outcome in zip(evaluated, outcomes)}
     return ComparisonTable([replace(verdicts[arch, topo], topology=shown)
                             for arch, topo, shown in cells])
 

@@ -210,24 +210,35 @@ def cmd_sweep(args) -> int:
     arch_name = cfg.architectures[0]
     topo_name = cfg.topologies[0]
 
-    lines = [f"{param},{rpt.CELL_CSV_HEADER}"]
+    # Every point is evaluated in one plane-major batch, so points that share
+    # a plane share its factor. A bad value is an error row.
+    cells: list[arch.ComparisonCell | None] = []
+    plans = []
     for value in values:
         ds = datasets
-        die_area = cfg.die_area_mm2
-        total_power = cfg.total_power_w
+        plan = {"die_area_mm2": cfg.die_area_mm2, "total_power_w": cfg.total_power_w,
+                "pol_voltage_v": cfg.pol_voltage_v}
         if param == "die_area":
-            die_area = value
+            plan["die_area_mm2"] = value
         elif param == "total_power":
-            total_power = value
+            plan["total_power_w"] = value
         try:
             if param in SWEEP_PARAMETERS:
                 cal = replace(ds.calibration, **{SWEEP_PARAMETERS[param]: value})
                 ds = replace(ds, calibration=cal)
-            cell = arch.evaluate_cell(arch_name, topo_name, ds, die_area_mm2=die_area,
-                                      total_power_w=total_power,
-                                      pol_voltage_v=cfg.pol_voltage_v)
         except ValueError as exc:
-            cell = arch.ComparisonCell(arch_name, topo_name, "error", str(exc))
+            cells.append(arch.ComparisonCell(arch_name, topo_name, "error", str(exc)))
+        else:
+            cells.append(None)
+            plans.append((arch_name, topo_name, ds, plan))
+    outcomes = iter(arch.evaluate_plans(plans))
+    lines = [f"{param},{rpt.CELL_CSV_HEADER}"]
+    for value, cell in zip(values, cells):
+        if cell is None:
+            try:
+                cell = arch.verdict(arch_name, topo_name, next(outcomes))
+            except ValueError as exc:
+                cell = arch.ComparisonCell(arch_name, topo_name, "error", str(exc))
         lines.append(f"{value!r},{rpt.cell_to_csv_row(cell)}")
     csv_text = "\n".join(lines) + "\n"
     path = os.path.join(cfg.out_dir, f"sweep_{param}.csv")

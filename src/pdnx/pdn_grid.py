@@ -7,14 +7,19 @@ nearest node, ties toward the lower node index, and one pass lists each
 VR's footprint contacts, the nodes inside its square. A site at a cell
 centre, which no node represents, or two sites on one node refine the
 lattice once. Point-of-load demand is drawn as current sinks spread over
-the nodes under the die shadow. Every VR is one Dirichlet node
-held at its source voltage. With pinned outputs that node is the plane node
-the VR snapped to; with output droop it is a virtual node behind one branch
-per footprint contact, the branches together carrying the droop resistance.
-One Laplacian covers the plane edges and the branches. Eliminating the
-Dirichlet nodes leaves a symmetric positive definite system for the free
-node voltages. Its factor depends only on the lattice, the Dirichlet nodes
-and the branches, so the last one is kept and reused while problems on the
+the nodes under the die shadow; a problem keeps them as one node-index
+array and one current array, and each VR's contacts as a count per VR and
+one flat node array. Every VR is one Dirichlet node held at its source
+voltage. With pinned outputs that node is the plane node the VR snapped to;
+with output droop it is a virtual node behind one branch per footprint
+contact, the branches together carrying the droop resistance.
+The plane operator is assembled straight from the lattice's 5-point
+stencil, its diagonal one bincount over the edges and the branches. With
+droop every plane node is free, so the stencil is the free block and the
+branches give the Dirichlet couplings; with pinned sources the Dirichlet
+nodes are split off the stencil. The free block is symmetric positive
+definite. Its factor depends only on the lattice, the Dirichlet nodes and
+the branches, so the last one is kept and reused while problems on the
 same plane differ only in sinks and source voltages. Each VR's current is
 the net current out of its Dirichlet node; edge currents and the plane's
 ohmic loss (doubled for the mirrored ground plane) follow from the solved
@@ -23,7 +28,9 @@ voltages.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,21 +98,58 @@ class GridProblem:
 
     grid: ResistiveGrid
     source_nodes: dict[int, float]      # node index -> fixed voltage, insertion-ordered
-    sink_currents: dict[int, float]     # node index -> drawn current (>= 0)
+    # Drawn current per sink (>= 0), A. A {node: amps} mapping is accepted
+    # and split once into sink_nodes and this array.
+    sink_currents: np.ndarray
+    sink_nodes: np.ndarray | None = None    # node index per sink, distinct
     droop_resistance_ohm: float = 0.0   # 0 = ideal pinned sources
     # In droop mode a VR couples over its whole footprint pad field rather
-    # than one node; maps each source node to its plane contact nodes.
-    source_fanout: dict[int, tuple[int, ...]] | None = None
+    # than one node: VR k (source order) has contact_counts[k] plane contacts,
+    # listed VR after VR in contact_nodes. Default: each VR its own node.
+    contact_counts: np.ndarray | None = None
+    contact_nodes: np.ndarray | None = None
 
     def __post_init__(self):
+        set_field = functools.partial(object.__setattr__, self)
+        if isinstance(self.sink_currents, Mapping):
+            if self.sink_nodes is not None:
+                raise TypeError("sink_nodes goes with a current array, not a mapping")
+            set_field("sink_nodes", np.array(list(self.sink_currents.keys()), dtype=np.int64))
+            set_field("sink_currents", np.array(list(self.sink_currents.values()), dtype=float))
+        if self.sink_nodes is None:
+            raise TypeError("sink_nodes is required with a current array")
+        nodes = np.asarray(self.sink_nodes, dtype=np.int64)
+        amps = np.asarray(self.sink_currents, dtype=float)
+        set_field("sink_nodes", nodes)
+        set_field("sink_currents", amps)
+        if nodes.ndim != 1 or nodes.shape != amps.shape:
+            raise ValueError("need one sink current per sink node")
         if not self.source_nodes:
             raise ValueError("need at least one source node")
-        if not self.source_nodes.keys().isdisjoint(self.sink_currents.keys()):
-            overlap = sorted(self.source_nodes.keys() & self.sink_currents.keys())
-            raise ValueError(f"sink and source nodes must be disjoint: {overlap}")
-        if self.sink_currents and not min(self.sink_currents.values()) >= 0:
+        sources = np.array(list(self.source_nodes), dtype=np.int64)
+        if self.contact_counts is None and self.contact_nodes is None:
+            counts, contacts = np.ones(sources.size, dtype=np.int64), sources
+        else:
+            counts = np.asarray(self.contact_counts, dtype=np.int64)
+            contacts = np.asarray(self.contact_nodes, dtype=np.int64)
+        set_field("contact_counts", counts)
+        set_field("contact_nodes", contacts)
+        if (counts.shape != sources.shape or not (counts >= 1).all()
+                or contacts.shape != (int(counts.sum()),)):
+            raise ValueError("contact_counts must give every VR one or more of contact_nodes")
+        n = self.grid.n_nodes
+        for idx in (sources, nodes, contacts):
+            if idx.size and not (idx.min() >= 0 and idx.max() < n):
+                raise ValueError(f"node indices must lie in the {n}-node lattice")
+        sinks_at = np.bincount(nodes, minlength=n)
+        if sinks_at.max(initial=0) > 1:
+            raise ValueError("sink nodes must be distinct")
+        overlap = np.sort(sources[sinks_at[sources] > 0])
+        if overlap.size:
+            raise ValueError(f"sink and source nodes must be disjoint: {overlap.tolist()}")
+        if not (amps >= 0).all():
             raise ValueError("sink currents must be >= 0")
-        if sum(self.sink_currents.values()) <= 0:
+        if not (amps > 0).any():
             raise ValueError("total sink current must be > 0")
         if self.droop_resistance_ohm < 0:
             raise ValueError("droop_resistance_ohm must be >= 0")
@@ -123,7 +167,7 @@ class GridSolution:
     edge_currents: np.ndarray           # positive from edge_a toward edge_b, A
     horizontal_loss_w: float            # both planes (power + ground return)
     vr_plane_voltages: np.ndarray       # plane-side terminal voltage per VR
-    residual: float = 0.0
+    residual: float = 0.0               # normwise backward error of the solve
 
 
 def _snap_points(grid: ResistiveGrid, x: np.ndarray,
@@ -155,10 +199,11 @@ def _snap_points(grid: ResistiveGrid, x: np.ndarray,
 
 def _footprint_contacts(grid: ResistiveGrid, x: np.ndarray, y: np.ndarray,
                         half_width: np.ndarray,
-                        centres: np.ndarray) -> list[tuple[int, ...]]:
+                        centres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per site, the plane nodes its square footprint covers, j-major then i.
 
-    A footprint that covers no node contacts its site's centre node.
+    Returns the count per site and every site's nodes in turn. A footprint
+    that covers no node contacts its site's centre node.
     """
     pitch = grid.cell_pitch_mm
     i_lo = np.maximum(np.ceil((x - half_width - grid.x0_mm) / pitch - 1e-12), 0)
@@ -174,10 +219,8 @@ def _footprint_contacts(grid: ResistiveGrid, x: np.ndarray, y: np.ndarray,
     ends = np.cumsum(counts)
     site = np.repeat(np.arange(counts.size), counts)
     offset = np.arange(ends[-1]) - (ends - counts)[site]
-    nodes = ((j_lo[site] + offset // ni[site]) * grid.nx
-             + i_lo[site] + offset % ni[site]).tolist()
-    bounds = [0, *ends.tolist()]
-    return [tuple(nodes[a:b]) for a, b in zip(bounds, bounds[1:])]
+    nodes = (j_lo[site] + offset // ni[site]) * grid.nx + i_lo[site] + offset % ni[site]
+    return counts, nodes
 
 
 def _build_grid(plan: DieFloorplan, x: np.ndarray, y: np.ndarray, half_width: np.ndarray,
@@ -249,26 +292,22 @@ def build_problem(
         # without drawing any demand on it.
         nodes, ambiguous = _snap_points(grid, x, y)
         degenerate = bool(ambiguous.any()) or np.unique(nodes).size < nodes.size
-        sink_currents: dict[int, float] = {}
+        sink_nodes, sink_currents = np.zeros(0, dtype=np.int64), np.zeros(0)
         if not degenerate and explicit_sinks is not None:
-            sink_nodes, ambiguous = _snap_points(grid, sink_x, sink_y)
-            degenerate = bool(ambiguous.any() or np.isin(sink_nodes, nodes).any())
+            snapped, ambiguous = _snap_points(grid, sink_x, sink_y)
+            degenerate = bool(ambiguous.any() or np.isin(snapped, nodes).any())
             if not degenerate:
-                for idx, cur in zip(sink_nodes.tolist(), sink_a.tolist()):
-                    sink_currents[idx] = sink_currents.get(idx, 0.0) + cur
-                total = sum(sink_currents.values())
-                if total > 0:
-                    scale = demand_a / total
-                    sink_currents = {k: v * scale for k, v in sink_currents.items()}
+                sink_nodes, sink_currents = _explicit_sinks(snapped, sink_a, demand_a)
         elif not degenerate:
-            sink_currents = _profile_sinks(plan, grid, nodes, demand_a, demand_weight)
+            sink_nodes, sink_currents = _profile_sinks(plan, grid, nodes, demand_a,
+                                                       demand_weight)
 
-        if not degenerate and sink_currents:
-            site_nodes = nodes.tolist()
-            contacts = _footprint_contacts(grid, x, y, half_width, nodes)
-            return GridProblem(grid, dict.fromkeys(site_nodes, rail_voltage_v), sink_currents,
+        if not degenerate and sink_nodes.size:
+            counts, contacts = _footprint_contacts(grid, x, y, half_width, nodes)
+            return GridProblem(grid, dict.fromkeys(nodes.tolist(), rail_voltage_v),
+                               sink_currents, sink_nodes,
                                droop_resistance_ohm=droop_resistance_ohm,
-                               source_fanout=dict(zip(site_nodes, contacts)))
+                               contact_counts=counts, contact_nodes=contacts)
         if attempt == 0:
             # One refinement keeps the old nodes and adds the midpoints.
             resolution = 2 * resolution - 1
@@ -279,16 +318,33 @@ def build_problem(
     raise AssertionError("unreachable")
 
 
+def _explicit_sinks(nodes: np.ndarray, amps: np.ndarray,
+                    demand_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Snapped sinks merged per node, in order of first occurrence, and scaled
+    to demand_a.
+
+    Currents on one node accumulate in the order given; the total is a
+    Python float sum over the merged currents in first-occurrence order.
+    """
+    merged, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    summed = np.bincount(inverse, weights=amps, minlength=merged.size)[order]
+    total = sum(summed.tolist())
+    if total > 0:
+        summed = summed * (demand_a / total)
+    return merged[order], summed
+
+
 def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndarray,
-                   demand_a: float, demand_weight: float) -> dict[int, float]:
+                   demand_a: float, demand_weight: float) -> tuple[np.ndarray, np.ndarray]:
     idx, uniform, radial = profile_parts(plan, grid, source_nodes)
     w = uniform + demand_weight * radial
     # Summed in node order, as a Python float sum, so the total does not
     # depend on numpy's pairwise blocking.
     total_w = sum(w.tolist())
     if total_w <= 0:
-        return {}
-    return dict(zip(idx.tolist(), (demand_a * w / total_w).tolist()))
+        return idx[:0], w[:0]
+    return idx, demand_a * w / total_w
 
 
 def profile_parts(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndarray | list[int]
@@ -329,12 +385,13 @@ class _PlaneOperator:
     key: tuple
     source_nodes: tuple[int, ...]
     n_all: int                     # plane nodes plus virtual VR nodes
-    free: np.ndarray
-    pinned: np.ndarray
+    free: np.ndarray | slice
+    pinned: np.ndarray | slice
     lap_ff: sp.csc_matrix          # free rows, free columns
-    lap_fp: sp.csr_matrix          # free rows, Dirichlet columns
-    lap_p: sp.csr_matrix           # Dirichlet rows, all columns
+    norm_inf: float                # ||lap_ff||_inf, never below ||lap_ff||_2
     lu: spla.SuperLU
+    couple: Callable[[np.ndarray], np.ndarray]    # u_pinned -> L_fp @ u_pinned
+    outflow: Callable[[np.ndarray], np.ndarray]   # u -> L_p @ u, per Dirichlet node
     edge_a: np.ndarray
     edge_b: np.ndarray
     br_vr: np.ndarray              # per VR branch: its VR, plane node, conductance
@@ -349,7 +406,8 @@ _operator: _PlaneOperator | None = None
 
 def plane_key(problem: GridProblem) -> tuple:
     """What a plane's factor depends on: the lattice, the Dirichlet nodes in
-    order and, with droop, the droop resistance and each VR's contacts.
+    order and, with droop, the droop resistance and each VR's contacts (the
+    bytes of the contact arrays).
 
     Problems with equal keys differ only in sinks and source voltages, so
     they are solved on one factor.
@@ -358,8 +416,7 @@ def plane_key(problem: GridProblem) -> tuple:
     droop = problem.droop_resistance_ohm
     contacts = None
     if droop > 0.0:
-        fanout = problem.source_fanout or {}
-        contacts = tuple(tuple(fanout.get(i, (i,))) for i in source_nodes)
+        contacts = (problem.contact_counts.tobytes(), problem.contact_nodes.tobytes())
     return (problem.grid, source_nodes, droop, contacts)
 
 
@@ -373,48 +430,107 @@ def _plane_operator(problem: GridProblem) -> _PlaneOperator:
     return _operator
 
 
+def _stencil(grid: ResistiveGrid, diag: np.ndarray,
+             g_sheet: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, indices, indptr) of the lattice operator with diagonal diag.
+
+    Row r holds the columns r-nx, r-1, r, r+1, r+nx that the lattice has,
+    -g_sheet off the diagonal. The operator is symmetric, so these are its
+    CSR and its CSC arrays alike.
+    """
+    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
+    i, j = np.arange(nx), np.arange(ny)[:, None]
+    present = np.empty((ny, nx, 5), dtype=bool)
+    for slot, has in enumerate((j > 0, i > 0, True, i < nx - 1, j < ny - 1)):
+        present[..., slot] = has
+    present = present.reshape(n, 5)
+    offsets = np.array([-nx, -1, 0, 1, nx], dtype=np.int32)
+    indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[present]
+    data = np.full((n, 5), -g_sheet)
+    data[:, 2] = diag
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    return data[present], indices, indptr
+
+
+def _branch_products(n: int, k: int, br_vr: np.ndarray, br_node: np.ndarray,
+                     br_g: np.ndarray) -> tuple[Callable, Callable]:
+    """L_fp @ u_pinned and L_p @ u of the drooped system, from its branches.
+
+    Each sum runs in the order of a sorted CSR product: per plane node over
+    its VRs in order; per VR over its contacts by node index, then its own
+    diagonal. A VR's contacts must be distinct.
+    """
+    order = np.lexsort((br_node, br_vr))
+    by_vr, by_node = br_vr[order], br_node[order]
+    if ((np.diff(by_vr) == 0) & (np.diff(by_node) == 0)).any():
+        raise ValueError("a VR's contact nodes must be distinct")
+    neg_g = -br_g
+    by_g = neg_g[order]
+    diag = np.bincount(br_vr, weights=br_g, minlength=k)
+
+    def couple(u_pinned: np.ndarray) -> np.ndarray:
+        return np.bincount(br_node, weights=neg_g * u_pinned[br_vr], minlength=n)
+
+    def outflow(u: np.ndarray) -> np.ndarray:
+        return np.bincount(by_vr, weights=by_g * u[by_node], minlength=k) + diag * u[n:]
+
+    return couple, outflow
+
+
 def _factor_plane(key: tuple) -> _PlaneOperator:
-    """Assemble the Laplacian, split it at the Dirichlet nodes, factor the rest.
+    """Assemble the plane's operator from its stencil and factor the free block.
 
     Every VR is a Dirichlet node: the plane node it snapped to when sources
     are pinned, or a virtual node n + k joined to each of its contacts by a
-    branch of conductance 1/(droop * contacts) with droop. The free block is
-    symmetric positive definite; it is factorised with a minimum-degree
-    ordering on A^T + A, which suits a lattice Laplacian.
+    branch of conductance 1/(droop * contacts) with droop. A node's diagonal
+    sums its edges as endpoint a, then as endpoint b, then its branches: the
+    order in which scipy sums the duplicates of the equivalent COO assembly
+    wherever that order is defined (a node under at most four footprints),
+    so the factor is the same bit for bit. With droop the whole stencil is
+    the free block and the branches couple it to the Dirichlet nodes; with
+    pinned sources the Dirichlet rows and columns are split off. The free
+    block is symmetric positive definite; it is factorised with a
+    minimum-degree ordering on A^T + A, which suits a lattice Laplacian.
     """
     grid, source_nodes, droop, contacts = key
     n = grid.n_nodes
     k = len(source_nodes)
+    g_sheet = 1.0 / grid.sheet_resistance_ohm_sq
     edge_a, edge_b = grid.edges()
     edge_a.flags.writeable = edge_b.flags.writeable = False
     if contacts is not None:
-        counts = np.array([len(c) for c in contacts])
+        counts, br_node = (np.frombuffer(c, dtype=np.int64) for c in contacts)
         br_vr = np.repeat(np.arange(k), counts)
-        br_node = np.fromiter((c for cs in contacts for c in cs), dtype=np.int64)
         br_g = (1.0 / droop) / counts[br_vr]
-        pinned = n + np.arange(k)
-        n_all = n + k
     else:
         br_vr = br_node = np.zeros(0, dtype=np.int64)
         br_g = np.zeros(0)
-        pinned = np.array(source_nodes, dtype=np.int64)
-        n_all = n
+    diag = np.bincount(np.concatenate([edge_a, edge_b, br_node]),
+                       weights=np.concatenate([np.full(2 * edge_a.size, g_sheet), br_g]),
+                       minlength=n)
+    stencil = _stencil(grid, diag, g_sheet)
 
-    a = np.concatenate([edge_a, n + br_vr])
-    b = np.concatenate([edge_b, br_node])
-    g = np.concatenate([np.full(edge_a.shape[0], 1.0 / grid.sheet_resistance_ohm_sq), br_g])
-    lap = sp.csr_matrix((np.concatenate([g, g, -g, -g]),
-                         (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
-                        shape=(n_all, n_all))
-    is_pinned = np.zeros(n_all, dtype=bool)
-    is_pinned[pinned] = True
-    free = np.flatnonzero(~is_pinned)
-    lap_free = lap[free]
-    lap_ff = lap_free[:, free].tocsc()
+    if contacts is not None:
+        lap_ff = sp.csc_matrix(stencil, shape=(n, n))
+        free, pinned = slice(0, n), slice(n, n + k)
+        couple, outflow = _branch_products(n, k, br_vr, br_node, br_g)
+    else:
+        lap = sp.csr_matrix(stencil, shape=(n, n))
+        pinned = np.array(source_nodes, dtype=np.int64)
+        is_pinned = np.zeros(n, dtype=bool)
+        is_pinned[pinned] = True
+        free = np.flatnonzero(~is_pinned)
+        lap_free = lap[free]
+        lap_ff = lap_free[:, free].tocsc()
+        couple, outflow = lap_free[:, pinned].__matmul__, lap[pinned].__matmul__
     return _PlaneOperator(
-        key=key, source_nodes=source_nodes, n_all=n_all, free=free, pinned=pinned,
-        lap_ff=lap_ff, lap_fp=lap_free[:, pinned], lap_p=lap[pinned],
+        key=key, source_nodes=source_nodes, n_all=n + k if contacts is not None else n,
+        free=free, pinned=pinned, lap_ff=lap_ff,
+        # Column sums: the free block is symmetric, so they are its row sums.
+        norm_inf=float(np.add.reduceat(np.abs(lap_ff.data), lap_ff.indptr[:-1]).max()),
         lu=spla.splu(lap_ff, permc_spec="MMD_AT_PLUS_A"),
+        couple=couple, outflow=outflow,
         edge_a=edge_a, edge_b=edge_b, br_vr=br_vr, br_node=br_node, br_g=br_g,
     )
 
@@ -427,34 +543,34 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     the source voltages change the right-hand side. The unknowns are the
     drops u = v - v_ref below the first source voltage: Laplacian rows sum
     to zero, so this is exact, and it keeps the rail voltage out of the
-    differences the currents are computed from. The relative residual must
-    come in at or below 1e-10. Each VR's current is the net current out of
-    its Dirichlet node.
+    differences the currents are computed from. The normwise backward error
+    ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2) must come in at or below
+    1e-10 (J. L. Rigal and J. Gaches, J. ACM 14, 1967); unlike ||r|| / ||b||
+    it does not grow with the conductance scale of the plane. Each VR's
+    current is the net current out of its Dirichlet node.
     """
     op = _plane_operator(problem)
     n = problem.grid.n_nodes
-    source_v = np.fromiter(problem.source_nodes.values(), dtype=float,
-                           count=len(problem.source_nodes))
+    source_v = np.array(list(problem.source_nodes.values()), dtype=float)
     v_ref = source_v[0]
     u_pinned = source_v - v_ref
 
-    sinks = problem.sink_currents
     injections = np.zeros(op.n_all)
-    injections[np.fromiter(sinks.keys(), dtype=np.int64, count=len(sinks))] = \
-        -np.fromiter(sinks.values(), dtype=float, count=len(sinks))
-    rhs = injections[op.free] - op.lap_fp @ u_pinned
+    injections[problem.sink_nodes] = -problem.sink_currents
+    rhs = injections[op.free] - op.couple(u_pinned)
     u_free = op.lu.solve(rhs)
-    rel_residual = float(np.linalg.norm(op.lap_ff @ u_free - rhs)
-                         / max(float(np.linalg.norm(rhs)), np.finfo(float).tiny))
-    if rel_residual > _RESIDUAL_TOL:
+    scale = op.norm_inf * float(np.linalg.norm(u_free)) + float(np.linalg.norm(rhs))
+    backward_error = float(np.linalg.norm(op.lap_ff @ u_free - rhs)
+                           / max(scale, np.finfo(float).tiny))
+    if backward_error > _RESIDUAL_TOL:
         raise SingularSystem(
-            f"nodal solve residual {rel_residual:.2e} exceeds {_RESIDUAL_TOL:.0e}"
+            f"nodal solve backward error {backward_error:.2e} exceeds {_RESIDUAL_TOL:.0e}"
         )
     u = np.empty(op.n_all)
     u[op.free] = u_free
     u[op.pinned] = u_pinned
 
-    vr = op.lap_p @ u
+    vr = op.outflow(u)
     # Plane-side terminal voltage: the source voltage less the power the
     # VR's branches dissipate per ampere it delivers (v_src when pinned).
     du_br = u[n + op.br_vr] - u[op.br_node]
@@ -476,5 +592,5 @@ def solve_dc(problem: GridProblem) -> GridSolution:
         edge_currents=du * g_sheet,
         horizontal_loss_w=2.0 * float(np.sum(du * du * g_sheet)),
         vr_plane_voltages=plane_voltages,
-        residual=rel_residual,
+        residual=backward_error,
     )

@@ -301,6 +301,42 @@ class TestSweepCommand:
             assert all(row[col] == "" for col in LOSS_COLUMNS)
 
 
+class TestSweepBatch:
+    """A sweep evaluates its points in one plane-major batch."""
+
+    def test_sink_only_sweep_factors_each_plane_once(self, tmp_path, monkeypatch, capsys):
+        # A total-power sweep changes only the sinks on both A3 planes: 41
+        # points factorise the POL and the intermediate plane once each, and
+        # every point is the cell evaluate_cell gives it alone.
+        from pdnx import cli, pdn_grid
+        from pdnx.architecture import evaluate_cell
+
+        factored, cells = [], []
+        splu, to_row = pdn_grid.spla.splu, cli.rpt.cell_to_csv_row
+        monkeypatch.setattr(pdn_grid, "_operator", None)
+        monkeypatch.setattr(pdn_grid.spla, "splu",
+                            lambda *a, **k: factored.append(a[0].shape) or splu(*a, **k))
+        monkeypatch.setattr(cli.rpt, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
+        cfg = write_config(tmp_path, {"architectures": "A3@12V", "topologies": "DSCH"})
+        assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path),
+                       "--param", "total_power", "--values", "400:1000:15") == 0
+        capsys.readouterr()
+        assert len(cells) == 41
+        assert len(factored) == 2
+        monkeypatch.setattr(pdn_grid.spla, "splu", splu)
+        datasets = pdnx.load_datasets()
+        assert cells == [evaluate_cell("A3@12V", "DSCH", datasets, total_power_w=400.0 + 15 * k)
+                         for k in range(41)]
+
+    def test_bad_value_is_an_error_row_among_good_ones(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--out", str(out), "--param", "demand_weight",
+                       "--values", "0.5,-3,1.5") == 0
+        capsys.readouterr()
+        rows = csv_rows(out / "sweep_demand_weight.csv")
+        assert [row["status"] for row in rows] == ["ok", "error", "ok"]
+
+
 class TestOneVerdict:
     """evaluate, compare and sweep give one cell the same status and reason."""
 

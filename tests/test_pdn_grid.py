@@ -8,13 +8,32 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pdnx import pdn_grid
-from pdnx.errors import DegenerateGrid
+from pdnx.errors import DegenerateGrid, SingularSystem
 from pdnx.pdn_grid import GridProblem, ResistiveGrid, build_problem, solve_dc
 from pdnx.placement import DieFloorplan, VrSite, place_periphery, place_under_die
+
+
+def _sinks(problem: GridProblem) -> dict:
+    """A problem's sinks as {node: amps}, in sink order."""
+    return dict(zip(problem.sink_nodes.tolist(), problem.sink_currents.tolist()))
+
+
+def _contacts(sources: dict, fanout: dict) -> dict:
+    """GridProblem's contact fields from {source node: contact nodes}."""
+    return {"contact_counts": [len(fanout[node]) for node in sources],
+            "contact_nodes": [c for node in sources for c in fanout[node]]}
+
+
+def _fanout(problem: GridProblem) -> dict:
+    """A problem's contacts as {source node: contact nodes}."""
+    per_vr = np.split(problem.contact_nodes, np.cumsum(problem.contact_counts)[:-1])
+    return {node: tuple(c.tolist()) for node, c in zip(problem.source_nodes, per_vr)}
 
 
 class TestHandCases:
@@ -60,7 +79,7 @@ class TestConservationAndBounds:
     def test_current_conservation(self):
         problem = self._a1_like_problem()
         sol = solve_dc(problem)
-        total_sink = sum(problem.sink_currents.values())
+        total_sink = sum(_sinks(problem).values())
         assert abs(sol.vr_currents.sum() - total_sink) <= 1e-8 * total_sink
 
     def test_kirchhoff_at_free_nodes(self):
@@ -70,7 +89,7 @@ class TestConservationAndBounds:
         net = np.zeros(n)
         np.add.at(net, sol.edge_a, -sol.edge_currents)
         np.add.at(net, sol.edge_b, sol.edge_currents)
-        for idx, cur in problem.sink_currents.items():
+        for idx, cur in _sinks(problem).items():
             net[idx] -= cur
         free = np.ones(n, dtype=bool)
         free[list(problem.source_nodes)] = False
@@ -209,7 +228,7 @@ class TestDroopDenseOracle:
         sinks = {i: 0.5 + 0.1 * i for i in range(1, n - 1) if i != nx - 1}
         droop = 2e-3
         sol = solve_dc(GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
-                                   source_fanout=fanout))
+                                   **_contacts(sources, fanout)))
         v, currents, terminal = _dense_droop_oracle(grid, sources, fanout, droop, sinks)
         assert sol.node_voltages == pytest.approx(v, abs=1e-12)
         assert sol.vr_currents == pytest.approx(currents, rel=1e-10)
@@ -233,7 +252,7 @@ class TestDropFormPrecision:
         sinks = {node: float(rng.uniform(0.1, 2.0)) for node in nodes[4:]}
         droop = float(rng.uniform(1e-4, 5e-3))
         sol = solve_dc(GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
-                                   source_fanout=fanout))
+                                   **_contacts(sources, fanout)))
 
         lap = _droop_laplacian(grid, sources, fanout, droop)
         injections = np.zeros(n)
@@ -260,7 +279,7 @@ def _random_problems(draw, one_rail=False):
     fanout = {node: tuple(sorted({node, *draw(st.lists(st.integers(0, n - 1), max_size=3))}))
               for node in sources}
     return GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
-                       source_fanout=fanout)
+                       **_contacts(sources, fanout))
 
 
 class TestUnifiedOperatorProperties:
@@ -268,7 +287,7 @@ class TestUnifiedOperatorProperties:
     @given(_random_problems())
     def test_conservation_and_kirchhoff(self, problem):
         sol = solve_dc(problem)
-        total = sum(problem.sink_currents.values())
+        total = sum(_sinks(problem).values())
         assert abs(sol.vr_currents.sum() - total) <= 1e-9 * total
         # Net current into every free plane node: lattice edges, VR branches
         # (droop only; their nodes are then free) and the sink draw.
@@ -276,13 +295,13 @@ class TestUnifiedOperatorProperties:
         net = np.zeros(n)
         np.add.at(net, sol.edge_a, -sol.edge_currents)
         np.add.at(net, sol.edge_b, sol.edge_currents)
-        for idx, cur in problem.sink_currents.items():
+        for idx, cur in _sinks(problem).items():
             net[idx] -= cur
         free = np.ones(n, dtype=bool)
         droop = problem.droop_resistance_ohm
         if droop > 0:
             for node, v_src in problem.source_nodes.items():
-                contacts = problem.source_fanout[node]
+                contacts = _fanout(problem)[node]
                 for c in contacts:
                     net[c] += (v_src - sol.node_voltages[c]) / (droop * len(contacts))
         else:
@@ -298,7 +317,7 @@ class TestUnifiedOperatorProperties:
         sol = solve_dc(problem)
         terminal_in = float(np.dot(sol.vr_plane_voltages, sol.vr_currents))
         sunk = sum(cur * sol.node_voltages[idx]
-                   for idx, cur in problem.sink_currents.items())
+                   for idx, cur in _sinks(problem).items())
         assert terminal_in == pytest.approx(sunk + sol.horizontal_loss_w / 2.0,
                                             rel=1e-10)
 
@@ -312,9 +331,9 @@ class TestUnifiedOperatorProperties:
         scaled = GridProblem(
             ResistiveGrid(grid.nx, grid.ny, grid.cell_pitch_mm,
                           grid.sheet_resistance_ohm_sq * factor),
-            problem.source_nodes, problem.sink_currents,
+            problem.source_nodes, problem.sink_currents, problem.sink_nodes,
             droop_resistance_ohm=problem.droop_resistance_ohm * factor,
-            source_fanout=problem.source_fanout)
+            contact_counts=problem.contact_counts, contact_nodes=problem.contact_nodes)
         base, other = solve_dc(problem), solve_dc(scaled)
         assert other.horizontal_loss_w == pytest.approx(
             factor * base.horizontal_loss_w, rel=1e-9, abs=1e-300)
@@ -344,7 +363,8 @@ def _fanout_problem(**changes) -> GridProblem:
                   droop_resistance_ohm=2e-3,
                   source_fanout={0: (0, 1, 6), 35: (34, 35)})
     fields.update(changes)
-    return GridProblem(**fields)
+    fanout = fields.pop("source_fanout")
+    return GridProblem(**fields, **_contacts(fields["source_nodes"], fanout))
 
 
 class TestFactorReuse:
@@ -393,7 +413,7 @@ class TestFactorReuse:
         evaluate(build_architecture("A3@12V", "DSCH", ds), ds)
         assert len(solves) == 3
         assert solves[1].grid == solves[2].grid
-        assert solves[1].sink_currents != solves[2].sink_currents
+        assert _sinks(solves[1]) != _sinks(solves[2])
         assert len(factorisations) == 2
 
     @settings(max_examples=40, deadline=None)
@@ -403,7 +423,8 @@ class TestFactorReuse:
         def problem(sinks):
             return GridProblem(ResistiveGrid(9, 3, 0.8, 5e-4), {0: 12.0, 26: 12.0},
                                sinks, droop_resistance_ohm=droop,
-                               source_fanout={0: (0, 1, 9), 26: (25, 26)})
+                               **_contacts({0: 12.0, 26: 12.0},
+                                           {0: (0, 1, 9), 26: (25, 26)}))
 
         solve_dc(problem({13: 1.0}))
         sinks = dict(zip(range(1, 26), currents))
@@ -474,7 +495,7 @@ class TestBuildProblem:
         sites = place_periphery(plan, 8, 5 / 0.69)
         for weight in (0.0, 2.0):
             problem = build_problem(plan, sites, 777.0, 5e-4, 32, demand_weight=weight)
-            assert sum(problem.sink_currents.values()) == pytest.approx(777.0, rel=1e-12)
+            assert sum(_sinks(problem).values()) == pytest.approx(777.0, rel=1e-12)
 
     @pytest.mark.parametrize("resolution,weight,count", [
         (32, 0.0, 48), (32, 2.0, 48), (2, 1.0, 4), (17, 3.5, 8), (63, 0.7, 24)])
@@ -499,7 +520,7 @@ class TestBuildProblem:
                 w *= 0.5
             weights[idx] = w
         total = sum(weights.values())
-        assert problem.sink_currents == {i: 1000.0 * w / total for i, w in weights.items()}
+        assert _sinks(problem) == {i: 1000.0 * w / total for i, w in weights.items()}
 
     @settings(max_examples=40, deadline=None)
     @given(resolution=st.integers(2, 40), weight=st.floats(-1.0, 50.0),
@@ -527,7 +548,7 @@ class TestBuildProblem:
         w[np.abs(np.abs(x) - half) <= eps] *= 0.5
         w[np.abs(np.abs(y) - half) <= eps] *= 0.5
         want = dict(zip(idx.tolist(), (1000.0 * w / sum(w.tolist())).tolist()))
-        assert problem.sink_currents == want
+        assert _sinks(problem) == want
         nodes, uniform, radial = pdn_grid.profile_parts(plan, grid, list(problem.source_nodes))
         assert nodes.tolist() == idx.tolist()
         assert ((uniform + weight * radial) == w).all()
@@ -538,8 +559,8 @@ class TestBuildProblem:
         inner = place_under_die(plan, 4, 7.0).sites
         explicit = [(s.x_mm, s.y_mm, 10.0) for s in inner]
         problem = build_problem(plan, sites, 80.0, 5e-4, 32, explicit_sinks=explicit)
-        assert len(problem.sink_currents) == 4
-        assert sum(problem.sink_currents.values()) == pytest.approx(80.0)
+        assert len(_sinks(problem)) == 4
+        assert sum(_sinks(problem).values()) == pytest.approx(80.0)
 
 
 class TestDroop:
@@ -560,7 +581,7 @@ class TestDroop:
         problem = build_problem(plan, sites, 1000.0, 5e-4, 32,
                                 droop_resistance_ohm=r_d)
         sol = solve_dc(problem)
-        assert all(len(f) == 1 for f in problem.source_fanout.values())
+        assert all(len(f) == 1 for f in _fanout(problem).values())
         expected = 1.0 - r_d * sol.vr_currents
         assert sol.vr_plane_voltages == pytest.approx(expected, rel=1e-12)
 
@@ -666,7 +687,9 @@ class TestDiscretisationOracle:
     def test_footprints_equal_per_site_reference(self, drawn):
         grid, (x, y, footprint) = drawn
         centres, _ = pdn_grid._snap_points(grid, x, y)
-        contacts = pdn_grid._footprint_contacts(grid, x, y, np.sqrt(footprint) / 2.0, centres)
+        counts, nodes = pdn_grid._footprint_contacts(grid, x, y, np.sqrt(footprint) / 2.0,
+                                                     centres)
+        contacts = [tuple(c.tolist()) for c in np.split(nodes, np.cumsum(counts)[:-1])]
         assert contacts == [
             _footprint_reference(grid, a, b, f, c)
             for a, b, f, c in zip(x.tolist(), y.tolist(), footprint.tolist(), centres.tolist())]
@@ -719,7 +742,7 @@ class TestDiscretisationOracle:
         assert refined == (not clean(lattice(resolution)))
         nodes = [_snap_reference(problem.grid, x, y)[0] for x, y, _ in sites]
         assert list(problem.source_nodes) == nodes
-        assert problem.source_fanout == {
+        assert _fanout(problem) == {
             idx: _footprint_reference(problem.grid, x, y, f, idx)
             for idx, (x, y, f) in zip(nodes, sites)}
 
@@ -740,7 +763,7 @@ class TestDiscretisationOracle:
         problem = build_problem(plan, [site], 10.0, 1e-3, 33,
                                 explicit_sinks=[(0.4 * pitch, 0.0, 1.0)])
         assert problem.grid.nx == 65
-        [sink] = problem.sink_currents
+        [sink] = _sinks(problem)
         assert sink not in problem.source_nodes
         assert problem.grid.node_xy(sink) == (pytest.approx(0.5 * pitch), pytest.approx(0.0))
         with pytest.raises(DegenerateGrid):
@@ -753,9 +776,9 @@ class TestDiscretisationOracle:
         problem = build_problem(plan, [site], 2.0, 1e-3, 11, explicit_sinks=sinks)
         grid = problem.grid
         first, second = (grid.node_index(6, 6), grid.node_index(8, 8))
-        assert list(problem.sink_currents) == [first, second]
+        assert list(_sinks(problem)) == [first, second]
         total = (0.0 + 0.1 + 0.2) + 0.7
-        assert problem.sink_currents[first] == (0.0 + 0.1 + 0.2) * (2.0 / total)
+        assert _sinks(problem)[first] == (0.0 + 0.1 + 0.2) * (2.0 / total)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_site_or_sink_rejected(self, bad):
@@ -778,3 +801,303 @@ class TestGridProblemValidation:
         grid = ResistiveGrid(4, 1, 1.0, 1e-3)
         with pytest.raises(ValueError, match=r"\[1, 3\]"):
             GridProblem(grid, {3: 1.0, 1: 1.0, 0: 1.0}, {3: 1.0, 2: 1.0, 1: 1.0})
+
+    def test_repeated_or_outside_sink_nodes_rejected(self):
+        grid = ResistiveGrid(4, 1, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="distinct"):
+            GridProblem(grid, {0: 1.0}, np.array([1.0, 1.0]), np.array([2, 2]))
+        for nodes in ([1, 4], [-1, 2]):
+            with pytest.raises(ValueError, match="4-node lattice"):
+                GridProblem(grid, {0: 1.0}, np.array([1.0, 1.0]), np.array(nodes))
+        with pytest.raises(ValueError, match="one sink current per sink node"):
+            GridProblem(grid, {0: 1.0}, np.array([1.0, 1.0]), np.array([1]))
+        with pytest.raises(TypeError, match="sink_nodes"):
+            GridProblem(grid, {0: 1.0}, np.array([1.0]))
+
+    def test_contacts_must_cover_every_vr(self):
+        grid = ResistiveGrid(4, 1, 1.0, 1e-3)
+        for counts, nodes in (([1], [0, 3]), ([2, 0], [0, 3]), ([1, 1], [0, 3])):
+            with pytest.raises(ValueError, match="contact_counts"):
+                GridProblem(grid, {0: 1.0}, {2: 1.0}, droop_resistance_ohm=1e-3,
+                            contact_counts=counts, contact_nodes=nodes)
+        problem = GridProblem(grid, {0: 1.0}, {2: 1.0}, droop_resistance_ohm=1e-3,
+                              contact_counts=[2], contact_nodes=[1, 1])
+        with pytest.raises(ValueError, match="distinct"):
+            solve_dc(problem)
+
+
+def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float,
+                   fanout: dict):
+    """The COO assembly and dict-sink solve the stencil assembly replaced,
+    kept as its reference: every entry four times in COO, duplicates summed
+    by scipy, the free block split off by fancy indexing.
+
+    Returns the free block and the VR currents, plane-side VR voltages, node
+    voltages and horizontal loss.
+    """
+    n = grid.n_nodes
+    source_nodes = tuple(sources)
+    k = len(source_nodes)
+    edge_a, edge_b = grid.edges()
+    if droop > 0.0:
+        contacts = [tuple(fanout.get(i, (i,))) for i in source_nodes]
+        counts = np.array([len(c) for c in contacts])
+        br_vr = np.repeat(np.arange(k), counts)
+        br_node = np.fromiter((c for cs in contacts for c in cs), dtype=np.int64)
+        br_g = (1.0 / droop) / counts[br_vr]
+        pinned = n + np.arange(k)
+        n_all = n + k
+    else:
+        br_vr = br_node = np.zeros(0, dtype=np.int64)
+        br_g = np.zeros(0)
+        pinned = np.array(source_nodes, dtype=np.int64)
+        n_all = n
+    a = np.concatenate([edge_a, n + br_vr])
+    b = np.concatenate([edge_b, br_node])
+    g = np.concatenate([np.full(edge_a.shape[0], 1.0 / grid.sheet_resistance_ohm_sq), br_g])
+    lap = sp.csr_matrix((np.concatenate([g, g, -g, -g]),
+                         (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                        shape=(n_all, n_all))
+    is_pinned = np.zeros(n_all, dtype=bool)
+    is_pinned[pinned] = True
+    free = np.flatnonzero(~is_pinned)
+    lap_free = lap[free]
+    lap_ff = lap_free[:, free].tocsc()
+    lu = spla.splu(lap_ff, permc_spec="MMD_AT_PLUS_A")
+
+    source_v = np.fromiter(sources.values(), dtype=float, count=k)
+    v_ref = source_v[0]
+    u_pinned = source_v - v_ref
+    injections = np.zeros(n_all)
+    injections[np.fromiter(sinks.keys(), dtype=np.int64, count=len(sinks))] = \
+        -np.fromiter(sinks.values(), dtype=float, count=len(sinks))
+    rhs = injections[free] - lap_free[:, pinned] @ u_pinned
+    u = np.empty(n_all)
+    u[free] = lu.solve(rhs)
+    u[pinned] = u_pinned
+    vr = lap[pinned] @ u
+    du_br = u[n + br_vr] - u[br_node]
+    branch_loss = np.bincount(br_vr, weights=br_g * du_br * du_br, minlength=k)
+    plane_voltages = source_v - np.divide(branch_loss, vr, out=np.zeros_like(vr),
+                                          where=vr != 0.0)
+    du = u[edge_a] - u[edge_b]
+    g_sheet = 1.0 / grid.sheet_resistance_ohm_sq
+    voltages = u + v_ref
+    voltages[pinned] = source_v
+    return (lap_ff, vr, plane_voltages, voltages[:n],
+            2.0 * float(np.sum(du * du * g_sheet)))
+
+
+def _same(got, want) -> bool:
+    """Equal by ==, element by element, with NaN equal to NaN."""
+    return np.array_equal(got, want, equal_nan=True)
+
+
+def _coo_rows_keep_their_order(grid: ResistiveGrid, droop: float, fanout: dict) -> bool:
+    """Whether scipy sums every diagonal of the COO assembly in input order.
+
+    A row of it holds two entries per lattice edge and per VR branch at the
+    node. scipy sorts a row's column indices with std::sort, which is an
+    insertion sort, stable, on up to 16 entries; beyond that equal columns
+    may be summed in any order.
+    """
+    edge_a, edge_b = grid.edges()
+    per_node = np.bincount(np.concatenate([edge_a, edge_b]), minlength=grid.n_nodes)
+    if droop > 0.0:
+        branches = [c for contacts in fanout.values() for c in contacts]
+        per_node += np.bincount(branches, minlength=grid.n_nodes)
+    return 2 * per_node.max() <= 16
+
+
+@st.composite
+def _stencil_problems(draw):
+    """Random lattices (nx != ny too) with sources in shuffled order, pinned
+    or drooped, and footprints that overlap: boxes or scattered nodes."""
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n = nx * ny
+    assume(n >= 2)
+    grid = ResistiveGrid(nx, ny, draw(st.floats(0.1, 2.0)), draw(st.floats(1e-5, 1e-2)))
+    nodes = draw(st.permutations(range(n)))
+    n_src = draw(st.integers(1, n - 1))
+    sources = {node: draw(st.floats(0.9, 12.0)) for node in nodes[:n_src]}
+    sinks = {node: draw(st.floats(0.0, 10.0)) for node in nodes[n_src:]}
+    assume(sum(sinks.values()) > 0)
+    droop = draw(st.sampled_from([0.0, 1e-4, 3e-3]) | st.floats(1e-5, 1e-2))
+
+    def box(node):
+        j, i = divmod(node, nx)
+        di, dj = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        return tuple(jj * nx + ii for jj in range(max(j - dj, 0), min(j + dj, ny - 1) + 1)
+                     for ii in range(max(i - di, 0), min(i + di, nx - 1) + 1))
+
+    scattered = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
+    fanout = {node: box(node) if draw(st.booleans()) else tuple(draw(scattered))
+              for node in sources}
+    return grid, sources, sinks, droop, fanout
+
+
+class TestStencilAssembly:
+    """The 5-point stencil assembly and the array sinks against the COO
+    assembly and the dict sinks they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stencil_problems())
+    def test_equals_the_coo_assembly(self, drawn):
+        grid, sources, sinks, droop, fanout = drawn
+        problem = GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
+                              **_contacts(sources, fanout))
+        pdn_grid._operator = None
+        sol = solve_dc(problem)
+        lap_ff = pdn_grid._operator.lap_ff
+        want_ff, vr, plane_v, node_v, loss = _coo_reference(grid, sources, sinks, droop, fanout)
+        assert lap_ff.indices.tolist() == want_ff.indices.tolist()
+        assert lap_ff.indptr.tolist() == want_ff.indptr.tolist()
+        if _coo_rows_keep_their_order(grid, droop, fanout):
+            assert _same(lap_ff.data, want_ff.data)
+            assert _same(sol.vr_currents, vr)
+            assert _same(sol.vr_plane_voltages, plane_v)
+            assert _same(sol.node_voltages, node_v)
+            assert _same(sol.horizontal_loss_w, loss)
+        else:
+            # A node under five or more footprints: the reference's sum of
+            # its branches runs in an order std::sort leaves unspecified.
+            assert lap_ff.data == pytest.approx(want_ff.data, rel=1e-15)
+            assert sol.vr_currents == pytest.approx(vr, rel=1e-9, abs=1e-9)
+            assert sol.node_voltages == pytest.approx(node_v, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-3.0, -1.0, 0.5, 2.0, 3.5]),
+                              st.sampled_from([-3.5, -1.0, 1.0, 2.5]),
+                              st.floats(0.0, 5.0)), min_size=1, max_size=8),
+           st.permutations(range(4)), st.sampled_from([0.0, 2e-3]),
+           st.sampled_from([9, 11, 17]))
+    def test_repeated_explicit_sinks_equal_the_dict_path(self, sinks, order, droop,
+                                                         resolution):
+        # Sinks drawn from a few points repeat; sites in shuffled order with
+        # footprints that overlap their neighbours'.
+        plan = DieFloorplan(100.0, 8.0)
+        corners = [(-4.0, -4.0), (4.0, -4.0), (-4.0, 4.0), (4.0, 4.0)]
+        sites = [VrSite(*corners[k], 9.0, 0, "under_die") for k in order]
+        assume(sum(a for _, _, a in sinks) > 0)
+        try:
+            problem = build_problem(plan, sites, 20.0, 1e-3, resolution,
+                                    explicit_sinks=sinks, droop_resistance_ohm=droop)
+        except DegenerateGrid:
+            assume(False)
+        grid = problem.grid
+        want: dict[int, float] = {}
+        for x, y, cur in sinks:
+            idx = _snap_reference(grid, x, y)[0]
+            want[idx] = want.get(idx, 0.0) + cur
+        total = sum(want.values())
+        want = {idx: cur * (20.0 / total) for idx, cur in want.items()}
+        assert _same(problem.sink_nodes, list(want))
+        assert _same(problem.sink_currents, list(want.values()))
+
+        pdn_grid._operator = None
+        sol = solve_dc(problem)
+        _, vr, plane_v, node_v, loss = _coo_reference(grid, problem.source_nodes, want, droop,
+                                                      _fanout(problem))
+        # A subnormal total scales the sinks to inf: both paths give NaN.
+        assert _same(sol.vr_currents, vr)
+        assert _same(sol.vr_plane_voltages, plane_v)
+        assert _same(sol.node_voltages, node_v)
+        assert _same(sol.horizontal_loss_w, loss)
+
+    def test_a3_pol_problem_stores_sinks_in_under_100_kb(self, monkeypatch):
+        # The POL plane of A3@12V+DSCH draws at 3,921 nodes; as {node: amps}
+        # those sinks took about 0.5 MB per problem.
+        from pdnx.architecture import build_architecture, evaluate
+        from pdnx.datasets import load_datasets
+
+        solves, solve = [], pdn_grid.solve_dc
+        monkeypatch.setattr(pdn_grid, "solve_dc",
+                            lambda problem: solves.append(problem) or solve(problem))
+        ds = load_datasets()
+        evaluate(build_architecture("A3@12V", "DSCH", ds), ds)
+        pol = solves[0]
+        assert pol.sink_nodes.size == 3921
+        stored = (pol.sink_nodes.nbytes + pol.sink_currents.nbytes
+                  + pol.contact_counts.nbytes + pol.contact_nodes.nbytes)
+        assert stored <= 100_000
+
+    def test_a_mapping_is_split_into_the_sink_arrays(self):
+        grid = ResistiveGrid(4, 2, 1.0, 1e-3)
+        from_mapping = GridProblem(grid, {0: 1.0}, {5: 2.0, 3: 1.0})
+        assert from_mapping.sink_nodes.tolist() == [5, 3]
+        assert from_mapping.sink_currents.tolist() == [2.0, 1.0]
+        from_arrays = GridProblem(grid, {0: 1.0}, np.array([2.0, 1.0]), np.array([5, 3]))
+        assert (solve_dc(from_mapping).node_voltages.tolist()
+                == solve_dc(from_arrays).node_voltages.tolist())
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """Empty operator slot; every factor's solves are logged as (A, b, x),
+    and x is scaled by 1 + perturb[0] before it is returned."""
+    log, perturb = [], [0.0]
+    splu = pdn_grid.spla.splu
+
+    class Recorded:
+        def __init__(self, matrix, lu):
+            self.matrix, self.lu = matrix, lu
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs) * (1.0 + perturb[0])
+            log.append((self.matrix, rhs, x))
+            return x
+
+    monkeypatch.setattr(pdn_grid.spla, "splu",
+                        lambda a, *args, **kw: Recorded(a, splu(a, *args, **kw)))
+    monkeypatch.setattr(pdn_grid, "_operator", None)
+    return log, perturb
+
+
+class TestBackwardError:
+    """solve_dc bounds ||r|| / (||A||_inf ||x|| + ||b||), which does not grow
+    with the plane's conductance scale, at 1e-10."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_random_problems())
+    def test_accepts_every_solve_the_relative_residual_accepted(self, recorded_solves,
+                                                               problem):
+        # The denominator is at least ||b||, so every solve that passed the
+        # bound on ||r|| / ||b|| passes. ||A||_inf of the symmetric free
+        # block is never below its 2-norm.
+        log, _ = recorded_solves
+        sol = solve_dc(problem)
+        matrix, rhs, x = log[-1]
+        dense = matrix.toarray()
+        norm_inf = np.abs(dense).sum(axis=1).max()
+        assert pdn_grid._operator.norm_inf == pytest.approx(norm_inf, rel=1e-14)
+        assert np.linalg.norm(dense, 2) <= norm_inf * (1.0 + 1e-12)
+        r = np.linalg.norm(matrix @ x - rhs)
+        want = r / (norm_inf * np.linalg.norm(x) + np.linalg.norm(rhs))
+        assert sol.residual == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert sol.residual <= r / np.linalg.norm(rhs)
+        assert sol.residual <= 1e-10
+
+    def test_stiff_a3_plane_is_solved(self, recorded_solves):
+        # A3@12V+DSCH at 1e-5 ohm/sq, droop scale 2 and resolution 33: the
+        # relative residual of one of its solves came in at 1.25e-10, over
+        # the 1e-10 bound, and made the cell an error.
+        from dataclasses import replace
+
+        from pdnx.architecture import evaluate_cell
+        from pdnx.datasets import load_datasets
+
+        log, _ = recorded_solves
+        ds = load_datasets()
+        cal = replace(ds.calibration, sheet_resistance_ohm_sq=1e-5,
+                      droop_share_resistance_scale=2.0, grid_resolution=33)
+        cell = evaluate_cell("A3@12V", "DSCH", replace(ds, calibration=cal))
+        assert cell.status == "ok", cell.reason
+        relative = [np.linalg.norm(a @ x - b) / np.linalg.norm(b) for a, b, x in log]
+        assert max(relative) > 1e-10
+
+    def test_perturbed_solution_raises(self, recorded_solves):
+        _, perturb = recorded_solves
+        perturb[0] = 1e-6
+        with pytest.raises(SingularSystem, match="backward error"):
+            solve_dc(_fanout_problem())
