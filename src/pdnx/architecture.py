@@ -17,9 +17,12 @@ stage downstream of it, solves its plane, and charges its converter loss
 and its domain's vertical losses. The POL plane carries the die current;
 every upstream plane carries the per-site draw of the bank it feeds, and
 since its own losses add to what its stage must deliver, its operating point
-is settled in closed form. The source power is defined as POL power plus the
-sum of all loss terms, so that identity holds by construction and checks
-nothing.
+is settled in closed form. Each plane is solved once: every source on an
+upstream plane sits at one rail voltage, so its solution is linear in the
+sinks, and the operating point is the base-demand solution scaled
+(pdn_grid.GridSolution.scaled). The source power is defined as POL power
+plus the sum of all loss terms, so that identity holds by construction and
+checks nothing.
 
 An evaluation is a generator: it yields each plane problem it needs solved
 and is sent the solution. One loop, _drive, solves what the generators
@@ -413,7 +416,9 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evalua
             # plus its losses. The plane, its vertical levels and its stage's
             # droop cost exactly c*P^2 at delivered power P (the model is
             # linear), so P = base + c*P^2. One solve at the base demand gives
-            # c; the smaller root is the operating point.
+            # c; the smaller root is the operating point. Every source sits at
+            # the rail, so the plane at the operating point is that same
+            # solution scaled by i_plane / i_base, with no second solve.
             sinks = [(s.x_mm, s.y_mm, p / v_out) for s, p in downstream]
             base_power = sum(p for _, p in downstream)
             i_base = base_power / v_out
@@ -430,7 +435,7 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evalua
                     f"passes on (4*c*P_base = {1.0 - discriminant:.3g} > 1)"
                 )
             i_plane = 2.0 * base_power / (1.0 + math.sqrt(discriminant)) / v_out
-            solution = yield problem(i_plane, sinks)
+            solution = base_solution.scaled(i_plane / i_base)
 
         loads = [float(x) for x in solution.vr_currents]
         plane_in = float(sum(v * i for v, i in

@@ -376,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TargetUnreachable, SingularSystem, Unsatisfiable) as exc:
+    except (TargetUnreachable, SingularSystem, Unsatisfiable, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PdnxError as exc:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -167,7 +167,32 @@ class GridSolution:
     edge_currents: np.ndarray           # positive from edge_a toward edge_b, A
     horizontal_loss_w: float            # both planes (power + ground return)
     vr_plane_voltages: np.ndarray       # plane-side terminal voltage per VR
+    source_voltages: np.ndarray         # per source node, source order, V
     residual: float = 0.0               # normwise backward error of the solve
+
+    def scaled(self, k: float) -> GridSolution:
+        """The solution of the same plane with every sink current times k.
+
+        Exact only when every source sits at one voltage v. The drops below
+        v are then linear in the sinks: currents scale by k, the plane loss
+        by k^2, and every voltage v - d becomes v - k*d, terminal voltages
+        included (a VR's drop there is its branch loss per ampere, which
+        scales by k as well). The backward error is scale-invariant and is
+        kept. Unequal source voltages drive a current of their own that does
+        not scale, so such a solution raises ValueError.
+        """
+        rail = self.source_voltages[0]
+        if not (self.source_voltages == rail).all():
+            raise ValueError("only a solution whose sources sit at one voltage scales "
+                             "with its sinks")
+        return replace(
+            self,
+            node_voltages=rail - k * (rail - self.node_voltages),
+            vr_currents=k * self.vr_currents,
+            edge_currents=k * self.edge_currents,
+            horizontal_loss_w=k * k * self.horizontal_loss_w,
+            vr_plane_voltages=rail - k * (rail - self.vr_plane_voltages),
+        )
 
 
 def _snap_points(grid: ResistiveGrid, x: np.ndarray,
@@ -546,8 +571,10 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     differences the currents are computed from. The normwise backward error
     ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2) must come in at or below
     1e-10 (J. L. Rigal and J. Gaches, J. ACM 14, 1967); unlike ||r|| / ||b||
-    it does not grow with the conductance scale of the plane. Each VR's
-    current is the net current out of its Dirichlet node.
+    it does not grow with the conductance scale of the plane; above it the
+    solve raises SingularSystem, and a backward error that is not finite
+    (sinks or conductances out of the float range) raises OverflowError.
+    Each VR's current is the net current out of its Dirichlet node.
     """
     op = _plane_operator(problem)
     n = problem.grid.n_nodes
@@ -562,6 +589,10 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     scale = op.norm_inf * float(np.linalg.norm(u_free)) + float(np.linalg.norm(rhs))
     backward_error = float(np.linalg.norm(op.lap_ff @ u_free - rhs)
                            / max(scale, np.finfo(float).tiny))
+    if not math.isfinite(backward_error):
+        # The sinks or the plane left the float range; verdict makes this
+        # an overflow error, as it does any non-finite figure.
+        raise OverflowError(f"nodal solve backward error {backward_error} is not finite")
     if backward_error > _RESIDUAL_TOL:
         raise SingularSystem(
             f"nodal solve backward error {backward_error:.2e} exceeds {_RESIDUAL_TOL:.0e}"
@@ -592,5 +623,6 @@ def solve_dc(problem: GridProblem) -> GridSolution:
         edge_currents=du * g_sheet,
         horizontal_loss_w=2.0 * float(np.sum(du * du * g_sheet)),
         vr_plane_voltages=plane_voltages,
+        source_voltages=source_v,
         residual=backward_error,
     )

@@ -437,6 +437,18 @@ class TestCalibrateCommand:
         assert "unreachable" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_plane_solve_exit_4(self, tmp_path, capsys):
+        # A droop scale of 1e-310 gives the A1 plane's VR branches an
+        # infinite conductance, so the spread fit's solve is not finite. The
+        # fit used to die on it with a raw TypeError.
+        cfg = write_config(tmp_path, {"datasets": {"calibration-default": {
+            "droop_share_resistance_scale": 1e-310}}})
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--config", cfg, "--out", str(out),
+                       "--target", "a1_spread=16:27") == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["a0_loss_pct=-5", "a0_loss_pct=0", "a0_loss_pct=nan",
                                         "a0_loss_pct=inf", "min_die_area=0",
                                         "min_die_area=-1200", "min_die_area=nan"])

@@ -3,8 +3,8 @@
 `golden/cli/<case>/` holds the files each command below writes. Rerunning
 the command must write the same set of files with the same bytes, so a
 change to how reports are serialised cannot move a key, a float repr or a
-line. A change that moves a reported number on purpose re-freezes a case by
-copying the directory `run_case` returns over `golden/cli/<case>/`.
+line. A change that moves a reported number on purpose re-freezes the cases
+it moves with `golden_drift.py --write`, which prints every moved number.
 """
 
 import json

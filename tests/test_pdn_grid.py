@@ -399,9 +399,10 @@ class TestFactorReuse:
         solve_dc(_fanout_problem(droop_resistance_ohm=0.0, source_fanout={0: (0,), 35: (35,)}))
         assert len(factorisations) == 1
 
-    def test_a3_intermediate_solves_share_one_factor(self, factorisations, monkeypatch):
-        # The final plane and the intermediate plane each factor once; the
-        # base and operating-point solves on the intermediate plane share.
+    def test_a3_solves_and_factors_each_plane_once(self, factorisations, monkeypatch):
+        # The final plane and the intermediate plane each factor once and
+        # are solved once: the intermediate plane's operating point is its
+        # base-demand solution scaled.
         from pdnx.architecture import build_architecture, evaluate
         from pdnx.datasets import load_datasets
 
@@ -411,9 +412,8 @@ class TestFactorReuse:
                             lambda problem: solves.append(problem) or solve(problem))
         ds = load_datasets()
         evaluate(build_architecture("A3@12V", "DSCH", ds), ds)
-        assert len(solves) == 3
-        assert solves[1].grid == solves[2].grid
-        assert _sinks(solves[1]) != _sinks(solves[2])
+        assert len(solves) == 2
+        assert solves[0].grid != solves[1].grid
         assert len(factorisations) == 2
 
     @settings(max_examples=40, deadline=None)
@@ -435,6 +435,66 @@ class TestFactorReuse:
         assert memoised.node_voltages == pytest.approx(fresh.node_voltages, rel=1e-12)
         assert memoised.horizontal_loss_w == pytest.approx(fresh.horizontal_loss_w,
                                                            rel=1e-12, abs=1e-300)
+
+
+class TestScaledSolution:
+    """GridSolution.scaled(k) is the solution at k times the sinks when every
+    source sits at one voltage."""
+
+    @staticmethod
+    def _agrees(scaled, fresh) -> None:
+        for got, want in ((scaled.vr_currents, fresh.vr_currents),
+                          (scaled.vr_plane_voltages, fresh.vr_plane_voltages),
+                          (scaled.node_voltages, fresh.node_voltages),
+                          (scaled.horizontal_loss_w, fresh.horizontal_loss_w)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(arch=st.sampled_from(["A3@12V", "A3@6V"]), topo=st.sampled_from(["DSCH", "DPMIH"]),
+           k=st.floats(0.25, 4.0), sheet=st.floats(1e-4, 2e-3),
+           droop_scale=st.floats(0.0, 3.0))
+    def test_equals_a_fresh_solve_of_an_a3_intermediate_plane(self, arch, topo, k, sheet,
+                                                              droop_scale):
+        from dataclasses import replace
+
+        from pdnx.architecture import _evaluate_steps, build_architecture
+        from pdnx.datasets import load_datasets
+        from pdnx.errors import PdnxError
+
+        ds = load_datasets()
+        cal = replace(ds.calibration, sheet_resistance_ohm_sq=sheet,
+                      droop_share_resistance_scale=droop_scale)
+        ds = replace(ds, calibration=cal)
+        # The evaluation yields the POL problem, then the intermediate
+        # plane's problem at its base demand. A subnormal droop scale
+        # overflows the branch conductance.
+        run = _evaluate_steps(build_architecture(arch, topo, ds), ds)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                problem = run.send(solve_dc(run.send(None)))
+        except (PdnxError, OverflowError):
+            assume(False)
+        base = solve_dc(problem)
+        fresh = solve_dc(replace(problem, sink_currents=k * problem.sink_currents))
+        scaled = base.scaled(k)
+        self._agrees(scaled, fresh)
+        assert scaled.residual == base.residual
+
+    @pytest.mark.parametrize("droop", [0.0, 2e-3], ids=["pinned", "droop"])
+    def test_equals_a_fresh_solve_of_a_hand_plane(self, droop):
+        problem = _fanout_problem(droop_resistance_ohm=droop)
+        fresh = solve_dc(_fanout_problem(droop_resistance_ohm=droop,
+                                         sink_currents=3.0 * problem.sink_currents,
+                                         sink_nodes=problem.sink_nodes))
+        scaled = solve_dc(problem).scaled(3.0)
+        self._agrees(scaled, fresh)
+        np.testing.assert_allclose(scaled.edge_currents, fresh.edge_currents, rtol=1e-12,
+                                   atol=1e-12 * np.abs(fresh.edge_currents).max())
+
+    def test_refuses_unequal_source_voltages(self):
+        solution = solve_dc(_fanout_problem(source_nodes={0: 1.02, 35: 0.97}))
+        with pytest.raises(ValueError, match="one voltage"):
+            solution.scaled(2.0)
 
 
 class TestNodeCap:
@@ -995,10 +1055,15 @@ class TestStencilAssembly:
         assert _same(problem.sink_currents, list(want.values()))
 
         pdn_grid._operator = None
+        if not np.isfinite(problem.sink_currents).all():
+            # A subnormal total scales the sinks to inf, and a solve that is
+            # not finite raises rather than return NaN voltages.
+            with pytest.raises(OverflowError, match="not finite"):
+                solve_dc(problem)
+            return
         sol = solve_dc(problem)
         _, vr, plane_v, node_v, loss = _coo_reference(grid, problem.source_nodes, want, droop,
                                                       _fanout(problem))
-        # A subnormal total scales the sinks to inf: both paths give NaN.
         assert _same(sol.vr_currents, vr)
         assert _same(sol.vr_plane_voltages, plane_v)
         assert _same(sol.node_voltages, node_v)
@@ -1095,6 +1160,13 @@ class TestBackwardError:
         assert cell.status == "ok", cell.reason
         relative = [np.linalg.norm(a @ x - b) / np.linalg.norm(b) for a, b, x in log]
         assert max(relative) > 1e-10
+
+    def test_infinite_sink_is_an_overflow(self):
+        # Its backward error is NaN, which the bound's comparison alone
+        # lets through as NaN node voltages.
+        problem = GridProblem(ResistiveGrid(3, 3, 1.0, 1e-3), {0: 1.0}, {4: math.inf})
+        with pytest.raises(OverflowError, match="not finite"):
+            solve_dc(problem)
 
     def test_perturbed_solution_raises(self, recorded_solves):
         _, perturb = recorded_solves
