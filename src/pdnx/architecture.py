@@ -606,9 +606,7 @@ def evaluate_plans(plans: list[tuple[str, str, Datasets, dict]]) -> list:
     either.
     """
     runs = [_cell_steps(arch, topo, ds, **plan) for arch, topo, ds, plan in plans]
-    # An overflow is judged by verdict; numpy need not warn of it as well.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _drive(runs)
+    return _drive(runs)
 
 
 def verdict(arch_name: str, topology_name: str, outcome) -> ComparisonCell:

@@ -18,12 +18,16 @@ stencil, its diagonal one bincount over the edges and the branches. With
 droop every plane node is free, so the stencil is the free block and the
 branches give the Dirichlet couplings; with pinned sources the Dirichlet
 nodes are split off the stencil. The free block is symmetric positive
-definite. Its factor depends only on the lattice, the Dirichlet nodes and
-the branches, so the last one is kept and reused while problems on the
-same plane differ only in sinks and source voltages. Each VR's current is
-the net current out of its Dirichlet node; edge currents and the plane's
-ohmic loss (doubled for the mirrored ground plane) follow from the solved
-voltages.
+definite. A square plane that the diagonal mirror (i, j) -> (j, i) maps
+onto itself, diagonal and free nodes bit for bit, splits into a symmetric
+and an antisymmetric sector of about half the nodes each, and each sector
+is factorised the first time a right-hand side has a component in it; any
+other plane is one sector, the whole free block. The factors depend only
+on the lattice, the Dirichlet nodes and the branches, so the last plane's
+are kept and reused while problems on the same plane differ only in sinks
+and source voltages. Each VR's current is the net current out of its
+Dirichlet node; edge currents and the plane's ohmic loss (doubled for the
+mirrored ground plane) follow from the solved voltages.
 """
 
 from __future__ import annotations
@@ -356,7 +360,8 @@ def _explicit_sinks(nodes: np.ndarray, amps: np.ndarray,
     summed = np.bincount(inverse, weights=amps, minlength=merged.size)[order]
     total = sum(summed.tolist())
     if total > 0:
-        summed = summed * (demand_a / total)
+        # Normalised first: demand_a / total is inf for a subnormal total.
+        summed = summed / total * demand_a
     return merged[order], summed
 
 
@@ -399,12 +404,43 @@ def profile_parts(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndar
     return idx, uniform, uniform * np.maximum(0.0, 1.0 - (x * x + y * y) / r0_sq)
 
 
+@dataclass
+class _Sector:
+    """One symmetry sector of a plane's free block.
+
+    basis is P (free nodes x sector unknowns), None for the whole free
+    block. The sector's block is P^T A P; it is factorised the first time a
+    right-hand side has a component P^T b in it, and kept in lu.
+    """
+
+    basis: sp.csr_matrix | None
+    lu: spla.SuperLU | None = None
+
+    def restrict(self, x: np.ndarray) -> np.ndarray:
+        return x if self.basis is None else self.basis.T @ x
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        return y if self.basis is None else self.basis @ y
+
+    def factor(self, lap_ff: sp.csc_matrix) -> spla.SuperLU:
+        if self.lu is None:
+            block = lap_ff if self.basis is None else (
+                self.basis.T @ (lap_ff @ self.basis)).tocsc()
+            self.lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A")
+        return self.lu
+
+
 @dataclass(frozen=True)
 class _PlaneOperator:
-    """A plane's nodal system with its free block factorised.
+    """A plane's nodal system with its free block split into sectors.
 
     It depends only on the lattice, the Dirichlet nodes and the VR branches
     (`key`); sinks and source voltages enter each solve as a right-hand side.
+    A plane that its diagonal mirror maps onto itself has two sectors, the
+    mirror-symmetric and the antisymmetric drops, each about half the free
+    nodes (no antisymmetric one if every free node is on the mirror axis);
+    any other plane has one, the whole free block. Each sector is
+    factorised on first use.
     """
 
     key: tuple
@@ -414,7 +450,7 @@ class _PlaneOperator:
     pinned: np.ndarray | slice
     lap_ff: sp.csc_matrix          # free rows, free columns
     norm_inf: float                # ||lap_ff||_inf, never below ||lap_ff||_2
-    lu: spla.SuperLU
+    sectors: tuple[_Sector, ...]
     couple: Callable[[np.ndarray], np.ndarray]    # u_pinned -> L_fp @ u_pinned
     outflow: Callable[[np.ndarray], np.ndarray]   # u -> L_p @ u, per Dirichlet node
     edge_a: np.ndarray
@@ -423,9 +459,24 @@ class _PlaneOperator:
     br_node: np.ndarray
     br_g: np.ndarray
 
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """u_free = sum over sectors of P_k (P_k^T A P_k)^-1 P_k^T rhs.
 
-# The most recently factorised operator. A problem with the same key reuses
-# it; any other problem replaces it, so at most one factor is alive.
+        The sectors span the free nodes and A maps each into itself, so the
+        sum solves A u_free = rhs for any rhs. A sector in which rhs has no
+        component is neither factorised nor solved.
+        """
+        u_free = np.zeros(rhs.size)
+        for sector in self.sectors:
+            part = sector.restrict(rhs)
+            if part.any():
+                u_free += sector.lift(sector.factor(self.lap_ff).solve(part))
+        return u_free
+
+
+# The most recently built operator. A problem with the same key reuses it and
+# its sector factors; any other problem replaces it, so at most one plane's
+# factors are alive.
 _operator: _PlaneOperator | None = None
 
 
@@ -503,8 +554,54 @@ def _branch_products(n: int, k: int, br_vr: np.ndarray, br_node: np.ndarray,
     return couple, outflow
 
 
+def _sectors(grid: ResistiveGrid, diag: np.ndarray,
+             free: np.ndarray | slice) -> tuple[_Sector, ...]:
+    """The free block's sectors under the diagonal mirror (i, j) -> (j, i).
+
+    Off the diagonal the lattice operator is a uniform -g_sheet on the
+    lattice edges, which a square lattice's mirror maps onto each other. So
+    when the mirror maps the diagonal diag onto itself, bit for bit, and
+    free nodes to free nodes, the free block commutes with it and splits
+    into the symmetric sector, one unknown per orbit (ones on the orbit's
+    nodes), and the antisymmetric one, one unknown per node pair (+1 on the
+    lower index, -1 on the higher). Either block is symmetric positive
+    definite. Otherwise the whole free block is the one sector.
+    (A. Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986.)
+    """
+    whole = (_Sector(None),)
+    if grid.nx != grid.ny:
+        return whole
+    square = diag.reshape(grid.ny, grid.nx)
+    if not (square == square.T).all():
+        return whole
+    nodes = np.arange(grid.n_nodes)[free]
+    position = np.full(grid.n_nodes, -1)
+    position[nodes] = np.arange(nodes.size)
+    # Each free node's mirror image, as a free-block index (-1: pinned).
+    mirror = position[nodes % grid.nx * grid.nx + nodes // grid.nx]
+    if (mirror < 0).any():
+        return whole
+    index = np.arange(nodes.size)
+    rep = index[index <= mirror]    # each orbit's lower node, ascending
+    partner = mirror[rep]
+    paired = partner != rep
+    lo, hi = rep[paired], partner[paired]
+    pairs = np.arange(lo.size)
+    symmetric = sp.csr_matrix(
+        (np.ones(rep.size + lo.size),
+         (np.concatenate([rep, hi]), np.concatenate([np.arange(rep.size),
+                                                     np.flatnonzero(paired)]))),
+        shape=(nodes.size, rep.size))
+    antisymmetric = sp.csr_matrix(
+        (np.concatenate([np.ones(lo.size), -np.ones(lo.size)]),
+         (np.concatenate([lo, hi]), np.concatenate([pairs, pairs]))),
+        shape=(nodes.size, lo.size))
+    return tuple(_Sector(basis) for basis in (symmetric, antisymmetric) if basis.shape[1])
+
+
 def _factor_plane(key: tuple) -> _PlaneOperator:
-    """Assemble the plane's operator from its stencil and factor the free block.
+    """Assemble the plane's operator from its stencil and split the free
+    block into its symmetry sectors, each factorised on first use.
 
     Every VR is a Dirichlet node: the plane node it snapped to when sources
     are pinned, or a virtual node n + k joined to each of its contacts by a
@@ -515,8 +612,9 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
     so the factor is the same bit for bit. With droop the whole stencil is
     the free block and the branches couple it to the Dirichlet nodes; with
     pinned sources the Dirichlet rows and columns are split off. The free
-    block is symmetric positive definite; it is factorised with a
-    minimum-degree ordering on A^T + A, which suits a lattice Laplacian.
+    block is symmetric positive definite, and so is each sector's block; a
+    sector is factorised with a minimum-degree ordering on A^T + A, which
+    suits a lattice Laplacian.
     """
     grid, source_nodes, droop, contacts = key
     n = grid.n_nodes
@@ -554,22 +652,27 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
         free=free, pinned=pinned, lap_ff=lap_ff,
         # Column sums: the free block is symmetric, so they are its row sums.
         norm_inf=float(np.add.reduceat(np.abs(lap_ff.data), lap_ff.indptr[:-1]).max()),
-        lu=spla.splu(lap_ff, permc_spec="MMD_AT_PLUS_A"),
+        sectors=_sectors(grid, diag, free),
         couple=couple, outflow=outflow,
         edge_a=edge_a, edge_b=edge_b, br_vr=br_vr, br_node=br_node, br_g=br_g,
     )
 
 
+# A solve out of the float range is judged by its backward error, not warned
+# of by numpy.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_dc(problem: GridProblem) -> GridSolution:
     """Solve the nodal system and derive currents and the plane loss.
 
-    The factorised operator of the plane is reused while the lattice, the
-    source nodes and the droop branches stay the same; only the sinks and
-    the source voltages change the right-hand side. The unknowns are the
-    drops u = v - v_ref below the first source voltage: Laplacian rows sum
-    to zero, so this is exact, and it keeps the rail voltage out of the
-    differences the currents are computed from. The normwise backward error
-    ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2) must come in at or below
+    The plane's operator and its sector factors are reused while the
+    lattice, the source nodes and the droop branches stay the same; only
+    the sinks and the source voltages change the right-hand side. The
+    unknowns are the drops u = v - v_ref below the first source voltage:
+    Laplacian rows sum to zero, so this is exact, and it keeps the rail
+    voltage out of the differences the currents are computed from. They are
+    solved sector by sector and summed; the normwise backward error of the
+    sum on the whole free block,
+    ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2), must come in at or below
     1e-10 (J. L. Rigal and J. Gaches, J. ACM 14, 1967); unlike ||r|| / ||b||
     it does not grow with the conductance scale of the plane; above it the
     solve raises SingularSystem, and a backward error that is not finite
@@ -585,7 +688,7 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     injections = np.zeros(op.n_all)
     injections[problem.sink_nodes] = -problem.sink_currents
     rhs = injections[op.free] - op.couple(u_pinned)
-    u_free = op.lu.solve(rhs)
+    u_free = op.solve(rhs)
     scale = op.norm_inf * float(np.linalg.norm(u_free)) + float(np.linalg.norm(rhs))
     backward_error = float(np.linalg.norm(op.lap_ff @ u_free - rhs)
                            / max(scale, np.finfo(float).tiny))

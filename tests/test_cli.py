@@ -306,14 +306,20 @@ class TestSweepBatch:
 
     def test_sink_only_sweep_factors_each_plane_once(self, tmp_path, monkeypatch, capsys):
         # A total-power sweep changes only the sinks on both A3 planes: 41
-        # points factorise the POL and the intermediate plane once each, and
-        # every point is the cell evaluate_cell gives it alone.
+        # points build the POL and the intermediate plane operator once each,
+        # and every point is the cell evaluate_cell gives it alone. Both
+        # planes split by their mirror symmetry: the POL plane's symmetric
+        # demand factorises its symmetric sector only, the intermediate
+        # plane's sinks both sectors.
         from pdnx import cli, pdn_grid
         from pdnx.architecture import evaluate_cell
 
-        factored, cells = [], []
-        splu, to_row = pdn_grid.spla.splu, cli.rpt.cell_to_csv_row
+        planes, factored, cells = [], [], []
+        factor, splu = pdn_grid._factor_plane, pdn_grid.spla.splu
+        to_row = cli.rpt.cell_to_csv_row
         monkeypatch.setattr(pdn_grid, "_operator", None)
+        monkeypatch.setattr(pdn_grid, "_factor_plane",
+                            lambda key: planes.append(key) or factor(key))
         monkeypatch.setattr(pdn_grid.spla, "splu",
                             lambda *a, **k: factored.append(a[0].shape) or splu(*a, **k))
         monkeypatch.setattr(cli.rpt, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
@@ -322,7 +328,9 @@ class TestSweepBatch:
                        "--param", "total_power", "--values", "400:1000:15") == 0
         capsys.readouterr()
         assert len(cells) == 41
-        assert len(factored) == 2
+        assert len(planes) == 2
+        assert factored == [(2016, 2016), (5565, 5565), (5460, 5460)]
+        monkeypatch.setattr(pdn_grid, "_factor_plane", factor)
         monkeypatch.setattr(pdn_grid.spla, "splu", splu)
         datasets = pdnx.load_datasets()
         assert cells == [evaluate_cell("A3@12V", "DSCH", datasets, total_power_w=400.0 + 15 * k)
@@ -437,7 +445,7 @@ class TestCalibrateCommand:
         assert "unreachable" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_non_finite_plane_solve_exit_4(self, tmp_path, capsys):
+    def test_non_finite_plane_solve_exit_4(self, tmp_path, capsys, recwarn):
         # A droop scale of 1e-310 gives the A1 plane's VR branches an
         # infinite conductance, so the spread fit's solve is not finite. The
         # fit used to die on it with a raw TypeError.
@@ -446,7 +454,11 @@ class TestCalibrateCommand:
         out = tmp_path / "out"
         assert run_cli("calibrate", "--config", cfg, "--out", str(out),
                        "--target", "a1_spread=16:27") == 4
-        assert "not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        # numpy does not warn of the overflow as well.
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     @pytest.mark.parametrize("target", ["a0_loss_pct=-5", "a0_loss_pct=0", "a0_loss_pct=nan",

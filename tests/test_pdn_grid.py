@@ -5,6 +5,7 @@ numpy's dense solver, independent of the sparse path under test.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,6 +219,46 @@ def _dense_droop_oracle(grid: ResistiveGrid, sources: dict, fanout: dict,
     return v_free, np.array(currents), np.array(terminal)
 
 
+def _dense_drops(grid: ResistiveGrid, sources: dict, fanout: dict, droop: float,
+                 sinks: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The whole nodal system, pinned or with VR branches, solved densely for
+    the drops below the first source voltage.
+
+    Returns the plane nodes' drops and the VR currents, source order.
+    """
+    n = grid.n_nodes
+    if droop > 0.0:
+        lap = _droop_laplacian(grid, sources, fanout, droop)
+        pinned = list(range(n, n + len(sources)))
+    else:
+        lap = _droop_laplacian(grid, {}, {}, droop)
+        pinned = list(sources)
+    free = [i for i in range(lap.shape[0]) if i not in pinned]
+    v_src = np.array(list(sources.values()))
+    u = np.zeros(lap.shape[0])
+    u[pinned] = v_src - v_src[0]
+    injections = np.zeros(lap.shape[0])
+    for idx, cur in sinks.items():
+        injections[idx] -= cur
+    u[free] = np.linalg.solve(lap[np.ix_(free, free)],
+                              injections[free] - lap[np.ix_(free, pinned)] @ u[pinned])
+    return u[:n], lap[pinned] @ u
+
+
+def _close_to_dense(sol, problem: GridProblem, drops: np.ndarray,
+                    currents: np.ndarray) -> None:
+    """Node voltages to 1e-12 of the largest voltage in the nodal system,
+    source voltages included, and VR currents to 1e-10 of the largest.
+
+    The solve is accurate in the drops below the rail; a plane that sags
+    far below its rail has node voltages much smaller than the drops."""
+    source_v = np.array(list(problem.source_nodes.values()))
+    voltages = drops + source_v[0]
+    scale = max(np.abs(voltages).max(), np.abs(source_v).max())
+    assert np.abs(sol.node_voltages - voltages).max() <= 1e-12 * scale
+    assert np.abs(sol.vr_currents - currents).max() <= 1e-10 * np.abs(currents).max()
+
+
 class TestDroopDenseOracle:
     @pytest.mark.parametrize("nx,ny", [(3, 3), (4, 3), (5, 5)])
     def test_multi_contact_fanout_matches_dense(self, nx, ny):
@@ -342,17 +383,20 @@ class TestUnifiedOperatorProperties:
 
 @pytest.fixture
 def factorisations(monkeypatch):
-    """Empty operator slot; returns the list of matrices splu factorises."""
-    calls = []
-    splu = pdn_grid.spla.splu
+    """Empty operator slot; records the key of every plane operator built
+    and the shape of every sector factor splu makes."""
+    made = SimpleNamespace(planes=[], sectors=[])
+    factor, splu = pdn_grid._factor_plane, pdn_grid.spla.splu
 
     def counted(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
+        made.sectors.append(matrix.shape)
         return splu(matrix, *args, **kwargs)
 
+    monkeypatch.setattr(pdn_grid, "_factor_plane",
+                        lambda key: made.planes.append(key) or factor(key))
     monkeypatch.setattr(pdn_grid.spla, "splu", counted)
     monkeypatch.setattr(pdn_grid, "_operator", None)
-    return calls
+    return made
 
 
 def _fanout_problem(**changes) -> GridProblem:
@@ -368,41 +412,52 @@ def _fanout_problem(**changes) -> GridProblem:
 
 
 class TestFactorReuse:
+    # _fanout_problem's plane has one sector: VR 35's contacts (34, 35) are
+    # not their own mirror image. Pinned at 0 and 35 it has two, and its
+    # sinks have a component in each.
+
     def test_sinks_and_source_voltages_reuse_the_factor(self, factorisations):
         solve_dc(_fanout_problem())
         solve_dc(_fanout_problem(sink_currents={i: 2.0 for i in range(7, 20)}))
         solve_dc(_fanout_problem(source_nodes={0: 1.02, 35: 0.97}))
-        assert len(factorisations) == 1
+        assert len(factorisations.planes) == 1
+        assert factorisations.sectors == [(36, 36)]
 
-    @pytest.mark.parametrize("changes", [
-        {"grid": ResistiveGrid(7, 6, 1.0, 1e-3)},
-        {"grid": ResistiveGrid(6, 6, 1.0, 2e-3)},
-        {"source_nodes": {0: 1.0, 30: 1.0},
-         "source_fanout": {0: (0, 1, 6), 30: (30, 31)}},
-        {"source_nodes": {35: 1.0, 0: 1.0}},
-        {"source_fanout": {0: (0, 1), 35: (34, 35)}},
-        {"droop_resistance_ohm": 3e-3},
-        {"droop_resistance_ohm": 0.0},
+    @pytest.mark.parametrize("changes,sectors", [
+        ({"grid": ResistiveGrid(7, 6, 1.0, 1e-3)}, [(42, 42)]),
+        ({"grid": ResistiveGrid(6, 6, 1.0, 2e-3)}, [(36, 36)]),
+        ({"source_nodes": {0: 1.0, 30: 1.0},
+          "source_fanout": {0: (0, 1, 6), 30: (30, 31)}}, [(36, 36)]),
+        ({"source_nodes": {35: 1.0, 0: 1.0}}, [(36, 36)]),
+        ({"source_fanout": {0: (0, 1), 35: (34, 35)}}, [(36, 36)]),
+        ({"droop_resistance_ohm": 3e-3}, [(36, 36)]),
+        ({"droop_resistance_ohm": 0.0}, [(19, 19), (15, 15)]),
     ], ids=["lattice", "sheet", "sources", "source_order", "fanout", "droop", "pinned"])
-    def test_a_new_plane_misses_the_slot(self, factorisations, changes):
+    def test_a_new_plane_misses_the_slot(self, factorisations, changes, sectors):
         base = _fanout_problem()
         first = solve_dc(base)
         solve_dc(_fanout_problem(**changes))
-        assert len(factorisations) == 2
+        assert len(factorisations.planes) == 2
+        assert factorisations.sectors == [(36, 36), *sectors]
         # The slot holds only the last plane: the first one factors again.
         again = solve_dc(base)
-        assert len(factorisations) == 3
+        assert len(factorisations.planes) == 3
+        assert factorisations.sectors == [(36, 36), *sectors, (36, 36)]
         assert again.vr_currents == pytest.approx(first.vr_currents, rel=1e-15)
 
     def test_fanout_is_no_key_without_droop(self, factorisations):
         solve_dc(_fanout_problem(droop_resistance_ohm=0.0))
         solve_dc(_fanout_problem(droop_resistance_ohm=0.0, source_fanout={0: (0,), 35: (35,)}))
-        assert len(factorisations) == 1
+        assert len(factorisations.planes) == 1
+        assert factorisations.sectors == [(19, 19), (15, 15)]
 
     def test_a3_solves_and_factors_each_plane_once(self, factorisations, monkeypatch):
         # The final plane and the intermediate plane each factor once and
         # are solved once: the intermediate plane's operating point is its
-        # base-demand solution scaled.
+        # base-demand solution scaled. Both planes split; the POL plane's
+        # demand is mirror-symmetric, so only its symmetric sector is
+        # factorised, while the intermediate plane's sinks, the POL VRs'
+        # input currents, differ from their mirror images by rounding.
         from pdnx.architecture import build_architecture, evaluate
         from pdnx.datasets import load_datasets
 
@@ -414,7 +469,10 @@ class TestFactorReuse:
         evaluate(build_architecture("A3@12V", "DSCH", ds), ds)
         assert len(solves) == 2
         assert solves[0].grid != solves[1].grid
-        assert len(factorisations) == 2
+        assert len(factorisations.planes) == 2
+        # 63x63 POL plane: (3969 + 63) / 2 orbits; 105x105 intermediate
+        # plane: 5565 orbits and 5460 pairs.
+        assert factorisations.sectors == [(2016, 2016), (5565, 5565), (5460, 5460)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.0, 10.0), min_size=25, max_size=25).filter(
@@ -470,8 +528,7 @@ class TestScaledSolution:
         # overflows the branch conductance.
         run = _evaluate_steps(build_architecture(arch, topo, ds), ds)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                problem = run.send(solve_dc(run.send(None)))
+            problem = run.send(solve_dc(run.send(None)))
         except (PdnxError, OverflowError):
             assume(False)
         base = solve_dc(problem)
@@ -996,6 +1053,19 @@ def _stencil_problems(draw):
     return grid, sources, sinks, droop, fanout
 
 
+def _close_to_reference(sol, sources: dict, vr, plane_v, node_v, loss) -> None:
+    """The deep-row tolerances: VR currents and the plane loss to 1e-9, node
+    voltages to 1e-12. A VR's plane-side voltage is its source voltage less
+    a drop, branch loss over VR current, which carries the current's
+    relative error: it is held to 1e-12 of itself plus 1e-9 of that drop."""
+    assert sol.vr_currents == pytest.approx(vr, rel=1e-9, abs=1e-9)
+    drop = np.array(list(sources.values())) - plane_v
+    assert (np.abs(sol.vr_plane_voltages - plane_v)
+            <= 1e-12 * np.abs(plane_v) + 1e-9 * np.abs(drop)).all()
+    assert sol.node_voltages == pytest.approx(node_v, rel=1e-12)
+    assert sol.horizontal_loss_w == pytest.approx(loss, rel=1e-9)
+
+
 class TestStencilAssembly:
     """The 5-point stencil assembly and the array sinks against the COO
     assembly and the dict sinks they replaced."""
@@ -1012,18 +1082,22 @@ class TestStencilAssembly:
         want_ff, vr, plane_v, node_v, loss = _coo_reference(grid, sources, sinks, droop, fanout)
         assert lap_ff.indices.tolist() == want_ff.indices.tolist()
         assert lap_ff.indptr.tolist() == want_ff.indptr.tolist()
-        if _coo_rows_keep_their_order(grid, droop, fanout):
-            assert _same(lap_ff.data, want_ff.data)
-            assert _same(sol.vr_currents, vr)
-            assert _same(sol.vr_plane_voltages, plane_v)
-            assert _same(sol.node_voltages, node_v)
-            assert _same(sol.horizontal_loss_w, loss)
-        else:
+        if not _coo_rows_keep_their_order(grid, droop, fanout):
             # A node under five or more footprints: the reference's sum of
             # its branches runs in an order std::sort leaves unspecified.
             assert lap_ff.data == pytest.approx(want_ff.data, rel=1e-15)
-            assert sol.vr_currents == pytest.approx(vr, rel=1e-9, abs=1e-9)
-            assert sol.node_voltages == pytest.approx(node_v, rel=1e-12)
+            _close_to_reference(sol, sources, vr, plane_v, node_v, loss)
+            return
+        assert _same(lap_ff.data, want_ff.data)
+        if len(pdn_grid._operator.sectors) > 1:
+            # A mirror-symmetric plane is solved on its sector factors, not
+            # on the reference's whole-block factor.
+            _close_to_reference(sol, sources, vr, plane_v, node_v, loss)
+            return
+        assert _same(sol.vr_currents, vr)
+        assert _same(sol.vr_plane_voltages, plane_v)
+        assert _same(sol.node_voltages, node_v)
+        assert _same(sol.horizontal_loss_w, loss)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([-3.0, -1.0, 0.5, 2.0, 3.5]),
@@ -1050,24 +1124,24 @@ class TestStencilAssembly:
             idx = _snap_reference(grid, x, y)[0]
             want[idx] = want.get(idx, 0.0) + cur
         total = sum(want.values())
-        want = {idx: cur * (20.0 / total) for idx, cur in want.items()}
+        want = {idx: cur / total * 20.0 for idx, cur in want.items()}
         assert _same(problem.sink_nodes, list(want))
         assert _same(problem.sink_currents, list(want.values()))
+        # Normalised before scaling, a subnormal total leaves them finite.
+        assert np.isfinite(problem.sink_currents).all()
 
         pdn_grid._operator = None
-        if not np.isfinite(problem.sink_currents).all():
-            # A subnormal total scales the sinks to inf, and a solve that is
-            # not finite raises rather than return NaN voltages.
-            with pytest.raises(OverflowError, match="not finite"):
-                solve_dc(problem)
-            return
         sol = solve_dc(problem)
-        _, vr, plane_v, node_v, loss = _coo_reference(grid, problem.source_nodes, want, droop,
-                                                      _fanout(problem))
-        assert _same(sol.vr_currents, vr)
-        assert _same(sol.vr_plane_voltages, plane_v)
-        assert _same(sol.node_voltages, node_v)
-        assert _same(sol.horizontal_loss_w, loss)
+        lap_ff = pdn_grid._operator.lap_ff
+        fanout = _fanout(problem)
+        want_ff, vr, plane_v, node_v, loss = _coo_reference(grid, problem.source_nodes, want,
+                                                            droop, fanout)
+        assert lap_ff.indices.tolist() == want_ff.indices.tolist()
+        assert lap_ff.indptr.tolist() == want_ff.indptr.tolist()
+        assert _same(lap_ff.data, want_ff.data)
+        _close_to_reference(sol, problem.source_nodes, vr, plane_v, node_v, loss)
+        drops, currents = _dense_drops(grid, problem.source_nodes, fanout, droop, want)
+        _close_to_dense(sol, problem, drops, currents)
 
     def test_a3_pol_problem_stores_sinks_in_under_100_kb(self, monkeypatch):
         # The POL plane of A3@12V+DSCH draws at 3,921 nodes; as {node: amps}
@@ -1096,24 +1170,182 @@ class TestStencilAssembly:
                 == solve_dc(from_arrays).node_voltages.tolist())
 
 
+def _mirror(node: int, nx: int) -> int:
+    """Node (i, j)'s image (j, i) under the diagonal mirror."""
+    j, i = divmod(node, nx)
+    return i * nx + j
+
+
+@st.composite
+def _mirror_problems(draw):
+    """Square lattices whose VR set and footprints the diagonal mirror maps
+    onto themselves, pinned or drooped, VRs in shuffled order; source
+    voltages and sinks mirror-symmetric or drawn node by node.
+
+    Returns grid, sources, sinks, droop, fanout and whether the voltages and
+    sinks were drawn symmetric on one rail.
+    """
+    nx = draw(st.integers(2, 8))
+    n = nx * nx
+    grid = ResistiveGrid(nx, nx, draw(st.floats(0.1, 2.0)), draw(st.floats(1e-4, 1e-2)))
+    picked = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    nodes = draw(st.permutations(sorted({m for p in picked for m in (p, _mirror(p, nx))})))
+    assume(len(nodes) < n)
+    symmetric, one_rail = draw(st.booleans()), draw(st.booleans())
+
+    def drawn(strategy, keys):
+        """One value per orbit when symmetric, else one per node."""
+        values = {}
+        for key in keys:
+            orbit = min(key, _mirror(key, nx)) if symmetric else key
+            if orbit not in values:
+                values[orbit] = draw(strategy)
+        return {key: values[min(key, _mirror(key, nx)) if symmetric else key] for key in keys}
+
+    sources = dict.fromkeys(nodes, 1.0) if one_rail else drawn(st.floats(0.9, 1.1), nodes)
+    sinks = drawn(st.just(0.0) | st.floats(0.1, 10.0), [i for i in range(n) if i not in sources])
+    assume(sum(sinks.values()) > 0)
+    droop = draw(st.sampled_from([0.0, 1e-4, 3e-3]) | st.floats(1e-5, 1e-2))
+    fanout = {}
+    for node in nodes:
+        low = min(node, _mirror(node, nx))
+        if low not in fanout:
+            j, i = divmod(low, nx)
+            di = draw(st.integers(0, 2))
+            dj = di if i == j else draw(st.integers(0, 2))
+            fanout[low] = tuple(jj * nx + ii
+                                for jj in range(max(j - dj, 0), min(j + dj, nx - 1) + 1)
+                                for ii in range(max(i - di, 0), min(i + di, nx - 1) + 1))
+        fanout[node] = tuple(sorted(c if node == low else _mirror(c, nx) for c in fanout[low]))
+    return grid, sources, sinks, droop, fanout, symmetric and one_rail
+
+
+class TestMirrorSectors:
+    """A plane the diagonal mirror maps onto itself is solved on its
+    symmetric and antisymmetric sectors."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_mirror_problems())
+    def test_agrees_with_the_dense_nodal_solve(self, factorisations, drawn):
+        grid, sources, sinks, droop, fanout, symmetric_rhs = drawn
+        problem = GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
+                              **_contacts(sources, fanout))
+        pdn_grid._operator = None
+        factorisations.sectors.clear()
+        sol = solve_dc(problem)
+        drops, currents = _dense_drops(grid, sources, fanout, droop, sinks)
+        _close_to_dense(sol, problem, drops, currents)
+        # Pinned, or with no node under two footprints, a node's diagonal
+        # is its edges plus at most one branch, so mirror images have equal
+        # diagonals and the plane splits; the antisymmetric sector needs a
+        # free node off the mirror axis.
+        under = np.bincount([c for contacts in fanout.values() for c in contacts],
+                            minlength=grid.n_nodes)
+        if droop == 0.0 or under.max() <= 1:
+            free = range(grid.n_nodes) if droop > 0.0 else set(range(grid.n_nodes)) - set(sources)
+            off_axis = any(_mirror(f, grid.nx) != f for f in free)
+            assert len(pdn_grid._operator.sectors) == 1 + off_axis
+            if symmetric_rhs:
+                assert len(factorisations.sectors) == 1
+
+    @staticmethod
+    def _mirrored_fanout_problem(sinks) -> GridProblem:
+        # VR 35's contacts (34, 29) are each other's mirror images.
+        sources = {0: 1.0, 35: 1.0}
+        fanout = {0: (0, 1, 6), 35: (29, 34, 35)}
+        return GridProblem(ResistiveGrid(6, 6, 1.0, 1e-3), sources, sinks,
+                           droop_resistance_ohm=2e-3, **_contacts(sources, fanout))
+
+    def test_symmetric_sinks_factor_one_sector(self, factorisations):
+        sinks = {i: 1.0 + 0.1 * min(i, _mirror(i, 6)) for i in range(1, 35)}
+        problem = self._mirrored_fanout_problem(sinks)
+        sol = solve_dc(problem)
+        # 36 nodes: 21 orbits, 15 pairs.
+        assert factorisations.sectors == [(21, 21)]
+        drops, currents = _dense_drops(problem.grid, problem.source_nodes, _fanout(problem),
+                                       2e-3, sinks)
+        _close_to_dense(sol, problem, drops, currents)
+        # The drops are the symmetric sector's lifted back: mirror images
+        # of each other bit for bit.
+        voltages = sol.node_voltages.reshape(6, 6)
+        assert (voltages == voltages.T).all()
+
+    def test_asymmetric_sinks_factor_both_sectors(self, factorisations):
+        sinks = {i: 1.0 + 0.1 * i for i in range(1, 35)}
+        problem = self._mirrored_fanout_problem(sinks)
+        sol = solve_dc(problem)
+        assert factorisations.sectors == [(21, 21), (15, 15)]
+        drops, currents = _dense_drops(problem.grid, problem.source_nodes, _fanout(problem),
+                                       2e-3, sinks)
+        _close_to_dense(sol, problem, drops, currents)
+        # A second solve finds both factors built.
+        solve_dc(self._mirrored_fanout_problem({i: 2.0 for i in range(1, 35)}))
+        assert len(factorisations.sectors) == 2
+
+    def test_non_square_lattice_is_one_sector(self, factorisations):
+        problem = GridProblem(ResistiveGrid(6, 5, 1.0, 1e-3), {0: 1.0, 29: 1.0},
+                              {i: 1.0 for i in range(1, 29)})
+        solve_dc(problem)
+        assert len(pdn_grid._operator.sectors) == 1
+        assert factorisations.sectors == [(28, 28)]
+
+    @pytest.mark.parametrize("order,sectors", [((3, 5, 12), [(16, 16)]),
+                                               ((5, 3, 12), [(10, 10), (6, 6)])])
+    def test_a_diagonal_one_ulp_off_is_one_sector(self, factorisations, order, sectors):
+        # On a 4x4 lattice, VR 5 on the mirror axis contacts (2, 0) and its
+        # image (0, 2) among six nodes; VRs 3 and 12 each contact one of
+        # them. A node's diagonal adds its branches in VR order: with VR 3
+        # first, (2, 0) sums 3 g + g_3 + g_5 and (0, 2) sums 3 g + g_5 +
+        # g_12, one ulp apart. With VR 5 first both sum 3 g + g_5 + g_3,
+        # and the plane splits.
+        g, g_one, g_six = 1.0 / 1e-3, 1.0 / 1e-3, (1.0 / 1e-3) / 6
+        sum_a, sum_b = (g + g + g + g_one) + g_six, (g + g + g + g_six) + g_one
+        assert abs(sum_a - sum_b) == math.ulp(sum_a)
+        fanout = {3: (2,), 5: (0, 2, 5, 8, 10, 15), 12: (8,)}
+        sources = dict.fromkeys(order, 1.0)
+        sinks = {i: 1.0 + 0.1 * i for i in range(16) if i not in sources}
+        problem = GridProblem(ResistiveGrid(4, 4, 1.0, 1e-3), sources, sinks,
+                              droop_resistance_ohm=1e-3, **_contacts(sources, fanout))
+        sol = solve_dc(problem)
+        diagonal = pdn_grid._operator.lap_ff.diagonal()
+        assert abs(diagonal[2] - diagonal[8]) == (math.ulp(sum_a) if order[0] == 3 else 0.0)
+        assert factorisations.sectors == sectors
+        drops, currents = _dense_drops(problem.grid, sources, fanout, 1e-3, sinks)
+        _close_to_dense(sol, problem, drops, currents)
+
+    @pytest.mark.parametrize("arch,topo,sectors", [
+        ("A1", "DSCH", [1]), ("A2", "DSCH", [2]), ("A3@12V", "DSCH", [2, 2]),
+        ("A3@6V", "DSCH", [2, 2])])
+    def test_shipped_planes(self, monkeypatch, arch, topo, sectors):
+        # The under-die DSCH grid and the A3 intermediate planes are their
+        # own mirror images; A1's periphery ring is not.
+        from pdnx.architecture import build_architecture, evaluate
+        from pdnx.datasets import load_datasets
+
+        built, factor = [], pdn_grid._factor_plane
+        monkeypatch.setattr(pdn_grid, "_factor_plane",
+                            lambda key: built.append(factor(key)) or built[-1])
+        monkeypatch.setattr(pdn_grid, "_operator", None)
+        ds = load_datasets()
+        evaluate(build_architecture(arch, topo, ds), ds)
+        assert [len(op.sectors) for op in built] == sectors
+
+
 @pytest.fixture
 def recorded_solves(monkeypatch):
-    """Empty operator slot; every factor's solves are logged as (A, b, x),
-    and x is scaled by 1 + perturb[0] before it is returned."""
+    """Empty operator slot; every plane solve is logged as (A, b, x), A the
+    whole free block, and x is scaled by 1 + perturb[0] before it is
+    returned."""
     log, perturb = [], [0.0]
-    splu = pdn_grid.spla.splu
+    solve = pdn_grid._PlaneOperator.solve
 
-    class Recorded:
-        def __init__(self, matrix, lu):
-            self.matrix, self.lu = matrix, lu
+    def recorded(op, rhs):
+        x = solve(op, rhs) * (1.0 + perturb[0])
+        log.append((op.lap_ff, rhs, x))
+        return x
 
-        def solve(self, rhs):
-            x = self.lu.solve(rhs) * (1.0 + perturb[0])
-            log.append((self.matrix, rhs, x))
-            return x
-
-    monkeypatch.setattr(pdn_grid.spla, "splu",
-                        lambda a, *args, **kw: Recorded(a, splu(a, *args, **kw)))
+    monkeypatch.setattr(pdn_grid._PlaneOperator, "solve", recorded)
     monkeypatch.setattr(pdn_grid, "_operator", None)
     return log, perturb
 
@@ -1133,6 +1365,7 @@ class TestBackwardError:
         log, _ = recorded_solves
         sol = solve_dc(problem)
         matrix, rhs, x = log[-1]
+        assert matrix is pdn_grid._operator.lap_ff
         dense = matrix.toarray()
         norm_inf = np.abs(dense).sum(axis=1).max()
         assert pdn_grid._operator.norm_inf == pytest.approx(norm_inf, rel=1e-14)
