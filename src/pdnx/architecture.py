@@ -51,6 +51,7 @@ from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
 
 ARCHITECTURE_NAMES = ("A0", "A1", "A2", "A3@12V", "A3@6V")
+MIN_DIE_AREA_FLOOR_MM2 = 1.0   # stands in for what else bounds a die, such as VR footprints
 
 
 @dataclass(frozen=True)
@@ -668,57 +669,23 @@ class MinDieAreaResult:
     binding_level: str
 
 
-def min_die_area_for_current(
-    demand_a: float,
-    policy: UtilizationPolicy,
-    datasets: Datasets,
-    level_names: tuple[str, ...] | None = None,
-    min_area_floor_mm2: float = 1.0,
-    max_area_mm2: float = 10000.0,
-) -> MinDieAreaResult:
+def min_die_area_for_current(demand_a: float, policy: UtilizationPolicy,
+                             datasets: Datasets) -> MinDieAreaResult:
     """Smallest die area whose scaled platforms pass every usage cap.
 
     Platform areas scale with the die by the fixed platform/die ratios; the
-    full demand current crosses every level (board-level conversion). Bisects
-    to 1 mm2 resolution. The floor stands in for whatever non-interconnect
-    constraint (VR footprints) bounds a vanishing demand.
+    full demand current crosses every level (board-level conversion). The
+    area is the largest of the floor and each level's exact minimum; the
+    binding level is the first with that area, "none" if the floor is.
     """
     if demand_a < 0:
         raise ValueError("demand_a must be >= 0")
-    names = level_names if level_names is not None else datasets.stack_levels()
-    levels = [datasets.levels[n] for n in names]
-
-    def feasible(area: float) -> tuple[bool, str]:
-        for level in levels:
-            platform = level.area_ratio_to_die * area
-            req = ic.required_connections(level, demand_a, policy,
-                                          platform_area_mm2=platform)
-            if req.violates_cap:
-                return False, level.name
-        return True, ""
-
-    if demand_a == 0:
-        return MinDieAreaResult(min_area_floor_mm2, 0.0, "none")
-
-    ok, _ = feasible(max_area_mm2)
-    if not ok:
-        raise Unsatisfiable(
-            f"{demand_a:g} A cannot be delivered within the usage caps at any "
-            f"die area up to {max_area_mm2:g} mm2"
-        )
-    lo, hi = min_area_floor_mm2, max_area_mm2
-    ok_lo, binding = feasible(lo)
-    if ok_lo:
-        return MinDieAreaResult(lo, demand_a / lo, "none")
-    while hi - lo > 1.0:
-        mid = 0.5 * (lo + hi)
-        ok, level_name = feasible(mid)
-        if ok:
-            hi = mid
-        else:
-            lo = mid
-            binding = level_name
-    return MinDieAreaResult(hi, demand_a / hi, binding)
+    area, binding = MIN_DIE_AREA_FLOOR_MM2, "none"
+    for name in datasets.stack_levels():
+        level_area = ic.min_die_area(datasets.levels[name], demand_a, policy)
+        if level_area > area:
+            area, binding = level_area, name
+    return MinDieAreaResult(area, demand_a / area, binding)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Calibration search: fit the free model parameters to reported observables.
 
-Every target is matched by a closed form or a deterministic bracketed or
-fixed-grid search over its natural knob:
+Every target is matched by a closed form or a deterministic fixed-grid
+search over its natural knob:
 
   a0_loss_pct    -> board lateral resistance (closed form; loss is linear)
-  min_die_area   -> the binding level's ampacity (bisection on a step function)
+  min_die_area   -> the c4 ampacity (closed form; the nearer of two per-net counts)
   utilizations   -> per-level ampacities (direct back-solve)
   a1_spread      -> radial demand weight (a fixed-grid scan of a two-solve closed form)
   a2_spread      -> radial demand weight (a fixed-grid scan of a two-solve closed form)
@@ -66,30 +66,24 @@ def calibrate_a0_loss(datasets: Datasets, target_pct: float) -> tuple[Calibratio
 
 
 def calibrate_min_die_area(datasets: Datasets, target_mm2: float) -> tuple[Calibration, float]:
+    """c4 ampacity at which 1 kA needs a die of target_mm2.
+
+    With n connections per net c4 needs ceil(2 * n / cap) * pitch^2 / (1e6 *
+    ratio) of die, so n is the floor or the ceiling of the n this inverts to,
+    whichever min_die_area_for_current (which sees every level) puts nearer.
+    """
     cal = datasets.calibration
+    c4 = datasets.levels["c4"]
+    n = target_mm2 * 1e6 * c4.area_ratio_to_die * cal.policy().cap("c4") / (2 * c4.pitch_um ** 2)
 
-    def area_for(ampacity: float) -> float:
-        trial = replace(cal, ampacity_a={**cal.ampacity_a, "c4": ampacity})
-        ds = _with_calibration(datasets, trial)
-        return arch.min_die_area_for_current(
-            1000.0, trial.policy(), ds
-        ).area_mm2
+    def fit(per_net: int) -> tuple[Calibration, float]:
+        # Slightly under 1 kA / per_net so the ceil lands exactly on per_net.
+        trial = replace(cal, ampacity_a={**cal.ampacity_a, "c4": 1000.0 / (per_net - 0.25)})
+        area = arch.min_die_area_for_current(1000.0, trial.policy(),
+                                             _with_calibration(datasets, trial)).area_mm2
+        return trial, abs(area - target_mm2) / target_mm2
 
-    lo, hi = 0.01, 0.2   # area decreases as ampacity grows
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if area_for(mid) > target_mm2:
-            lo = mid
-        else:
-            hi = mid
-    candidates = [lo, hi, 0.5 * (lo + hi)]
-    best_amp, best_res = None, math.inf
-    for amp in candidates:
-        res = abs(area_for(amp) - target_mm2) / target_mm2
-        if res < best_res:
-            best_amp, best_res = amp, res
-    best = replace(cal, ampacity_a={**cal.ampacity_a, "c4": best_amp})
-    return best, best_res
+    return min(fit(max(1, math.floor(n))), fit(max(1, math.ceil(n))), key=lambda f: f[1])
 
 
 def calibrate_utilizations(datasets: Datasets,

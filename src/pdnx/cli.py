@@ -313,17 +313,13 @@ def cmd_feasibility(args) -> int:
     )
     entries = arch.utilization_report(spec, datasets)
     demand = cfg.total_power_w / cfg.pol_voltage_v
-    try:
-        min_area = arch.min_die_area_for_current(
-            demand, datasets.calibration.policy(), datasets)
-        area_doc = {
-            "demand_a": demand,
-            "min_die_area_mm2": min_area.area_mm2,
-            "power_density_a_mm2": min_area.density_a_mm2,
-            "binding_level": min_area.binding_level,
-        }
-    except Unsatisfiable as exc:
-        area_doc = {"demand_a": demand, "error": str(exc)}
+    min_area = arch.min_die_area_for_current(demand, datasets.calibration.policy(), datasets)
+    area_doc = {
+        "demand_a": demand,
+        "min_die_area_mm2": min_area.area_mm2,
+        "power_density_a_mm2": min_area.density_a_mm2,
+        "binding_level": min_area.binding_level,
+    }
 
     doc = {
         "architecture": arch_name,
@@ -338,15 +334,11 @@ def cmd_feasibility(args) -> int:
             f"{e.current_a:.1f} A: {e.total_used} of {e.available} "
             f"({e.utilization_fraction:.2%} vs cap {e.cap:.0%})"
         )
-    if "min_die_area_mm2" in area_doc:
-        txt_lines.append(
-            f"board-level delivery of {demand:g} A needs at least "
-            f"{area_doc['min_die_area_mm2']:.0f} mm2 of die "
-            f"({area_doc['power_density_a_mm2']:.2f} A/mm2, "
-            f"binding level {area_doc['binding_level']})"
-        )
-    else:
-        txt_lines.append(str(area_doc.get("error", "")))
+    txt_lines.append(
+        f"board-level delivery of {demand:g} A needs at least "
+        f"{min_area.area_mm2:.0f} mm2 of die "
+        f"({min_area.density_a_mm2:.2f} A/mm2, binding level {min_area.binding_level})"
+    )
     txt = "\n".join(txt_lines) + "\n"
     _emit(cfg, "feasibility", doc, rpt.utilization_to_csv(entries), txt)
     print(txt, end="")

@@ -209,21 +209,27 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
 
     levels: dict[str, InterconnectLevel] = {}
     for row in raw["table1"]["levels"]:
-        material = row["material"]
-        if material not in calibration.resistivity_ohm_m:
-            raise ConfigError(f"table1 level '{row['name']}': no resistivity for '{material}'")
-        lv = InterconnectLevel(
-            name=row["name"],
-            platform_area_mm2=float(row["platform_area_mm2"]),
-            material=material,
-            resistivity_ohm_m=float(row.get("resistivity_ohm_m")
-                                    or calibration.resistivity_ohm_m[material]),
-            cross_area_um2=float(row["cross_area_um2"]),
-            height_um=float(row["height_um"]),
-            pitch_um=float(row["pitch_um"]),
-            diameter_um=None if row.get("diameter_um") is None else float(row["diameter_um"]),
-            area_ratio_to_die=float(row["area_ratio_to_die"]),
-        )
+        name = row.get("name", "?")
+        try:
+            material = row["material"]
+            if material not in calibration.resistivity_ohm_m:
+                raise ConfigError(f"table1 level '{name}': no resistivity for '{material}'")
+            lv = InterconnectLevel(
+                name=row["name"],
+                platform_area_mm2=float(row["platform_area_mm2"]),
+                material=material,
+                resistivity_ohm_m=float(row.get("resistivity_ohm_m")
+                                        or calibration.resistivity_ohm_m[material]),
+                cross_area_um2=float(row["cross_area_um2"]),
+                height_um=float(row["height_um"]),
+                pitch_um=float(row["pitch_um"]),
+                diameter_um=None if row.get("diameter_um") is None else float(row["diameter_um"]),
+                area_ratio_to_die=float(row["area_ratio_to_die"]),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"table1 level '{name}': missing field {exc}") from None
+        except TypeError as exc:
+            raise ConfigError(f"table1 level '{name}': {exc}") from None
         levels[lv.name] = lv
 
     topologies: dict[str, ConverterTopology] = {}
@@ -254,7 +260,7 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             below_die=int(row["vr_sites_below_die"]),
         )
 
-    return Datasets(
+    datasets = Datasets(
         levels=levels,
         topologies=topologies,
         vr_site_counts=counts,
@@ -263,6 +269,10 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         provenance={name: raw[name].get("provenance", "") for name in BUILTIN_NAMES},
         overridden_fields=touched,
     )
+    for name in datasets.stack_levels():
+        if name not in levels:
+            raise ConfigError(f"table1: stack level '{name}' is missing")
+    return datasets
 
 
 def calibration_to_document(calibration: Calibration, provenance: str,

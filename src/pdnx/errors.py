@@ -32,8 +32,7 @@ class SingularSystem(PdnxError):
 class Unsatisfiable(PdnxError):
     """The requested operating point does not exist.
 
-    Raised when no die area within the search bound satisfies the usage
-    caps, when a two-stage plan's intermediate plane has no operating
+    Raised when a two-stage plan's intermediate plane has no operating
     point (its losses grow faster than the power the stage passes on), and
     when a stage's plane passes on no power or one of its VRs draws
     negative power.

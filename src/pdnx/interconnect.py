@@ -30,6 +30,13 @@ class InterconnectLevel:
     area_ratio_to_die: float = 1.0     # platform area / die area, used when sweeping die size
 
     def __post_init__(self):
+        for name in ("platform_area_mm2", "resistivity_ohm_m", "cross_area_um2", "height_um",
+                     "pitch_um", "diameter_um", "area_ratio_to_die"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.name}: {name} must be finite, got {value!r}")
+        if self.area_ratio_to_die <= 0:
+            raise ValueError(f"{self.name}: area_ratio_to_die must be > 0")
         if self.platform_area_mm2 <= 0:
             raise ValueError(f"{self.name}: platform_area_mm2 must be > 0")
         if self.cross_area_um2 <= 0:
@@ -149,3 +156,32 @@ def required_connections(
     return ConnectionRequirement(per_net, total, available, utilization,
                                  utilization > cap)
 
+
+def min_die_area(level: InterconnectLevel, current_a: float, policy: UtilizationPolicy) -> float:
+    """Smallest die area in mm2 at which the level passes its usage cap.
+
+    The platform is area_ratio_to_die times the die. Passing takes
+    ceil(2 * ceil(I / ampacity) / cap) sites of pitch^2 / (1e6 * ratio) mm2 of
+    die each; both are settled against the float arithmetic of
+    required_connections, so the area passes and the next smaller float fails.
+    """
+    if current_a < 0:
+        raise ValueError("current_a must be >= 0")
+    if current_a == 0.0:
+        return 0.0
+    total = 2 * math.ceil(current_a / policy.ampacity(level.name))
+    cap = policy.cap(level.name)
+    num, den = cap.as_integer_ratio()
+    needed = -(-total * den // num)   # ceil(total / cap) in exact arithmetic
+    if needed > 1 and total / (needed - 1) <= cap:
+        needed -= 1                   # the quotient rounds down onto the cap
+
+    def passes(area: float) -> bool:
+        return connection_count(level, level.area_ratio_to_die * area) >= needed
+
+    area = needed * level.pitch_um ** 2 / (1e6 * level.area_ratio_to_die)
+    while not passes(area):
+        area = math.nextafter(area, math.inf)
+    while passes(below := math.nextafter(area, 0.0)):
+        area = below
+    return area

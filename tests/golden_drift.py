@@ -4,11 +4,11 @@
 
 Reruns each case of test_cli_golden (all of them by default) into a
 temporary directory and compares every file it writes with
-`golden/cli/<case>/`. JSON files are compared value by value and CSV files
-cell by cell; every number that moved is printed with its path, old and
-new value and relative change. Any other difference (a file, a key, a
-string, a row, or a byte of a text report) is printed as a difference of
-its own.
+`golden/cli/<case>/`. JSON files are compared value by value, CSV files
+cell by cell and text reports line by line, number by number; every number
+that moved is printed with its path, old and new value and relative change.
+Any other difference (a file, a key, a string, a row, a line or a word of a
+text report) is printed as a difference of its own.
 
 The exit status is 1 when a difference is not numeric or a number moved by
 more than --bound relative, else 0. With --write, each case whose bytes
@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import sys
 import tempfile
@@ -80,6 +81,18 @@ def _csv_rows(data: bytes) -> list[dict]:
         for row in rows]
 
 
+# A number standing on its own in a text report: "1117" in "1117 mm2", but
+# not the digits of "mm2", "A1" or "A3@12V".
+_TEXT_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _text_lines(data: bytes) -> list[dict]:
+    """Each line as {"words": the line with its numbers blanked, "#k": number k}."""
+    return [{"words": _TEXT_NUMBER.sub("#", line),
+             **{f"#{k}": m.group() for k, m in enumerate(_TEXT_NUMBER.finditer(line))}}
+            for line in data.decode().split("\n")]
+
+
 def compare_file(label: str, old: bytes, new: bytes, moved: list, other: list) -> None:
     """Append the moved numbers and other differences of one file."""
     if old == new:
@@ -89,6 +102,8 @@ def compare_file(label: str, old: bytes, new: bytes, moved: list, other: list) -
         _compare_values(label, json.loads(old), json.loads(new), moved, other)
     elif label.endswith(".csv"):
         _compare_values(label, _csv_rows(old), _csv_rows(new), moved, other)
+    elif label.endswith(".txt"):
+        _compare_values(label, _text_lines(old), _text_lines(new), moved, other)
     else:
         other.append(f"{label}: bytes differ")
         return

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 import pdnx
 from pdnx import converter as conv
 from pdnx import pdn_grid
-from pdnx.architecture import (ARCHITECTURE_NAMES, build_architecture, compare, evaluate,
-                               evaluate_cell, pol_current_curve, utilization_report)
+from pdnx.architecture import (ARCHITECTURE_NAMES, MIN_DIE_AREA_FLOOR_MM2, build_architecture,
+                               compare, evaluate, evaluate_cell, pol_current_curve,
+                               utilization_report)
+from pdnx.calibrate import calibrate_min_die_area
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets
 from pdnx.errors import SingularSystem, Unsatisfiable
+from pdnx.interconnect import UtilizationPolicy, required_connections
 
 
 @pytest.fixture(scope="module")
@@ -592,6 +595,11 @@ class TestCompareDeterminism:
         assert first == second
 
 
+def _violates(level, current_a, policy, die_area_mm2) -> bool:
+    platform = level.area_ratio_to_die * die_area_mm2
+    return required_connections(level, current_a, policy, platform).violates_cap
+
+
 class TestMinDieArea:
     def test_reference_demand_needs_twelve_hundred_class_die(self, datasets):
         result = pdnx.min_die_area_for_current(
@@ -601,18 +609,51 @@ class TestMinDieArea:
         assert result.binding_level == "c4"
 
     def test_zero_demand_hits_floor(self, datasets):
-        result = pdnx.min_die_area_for_current(
-            0.0, datasets.calibration.policy(), datasets, min_area_floor_mm2=25.0)
-        assert result.area_mm2 == 25.0
+        result = pdnx.min_die_area_for_current(0.0, datasets.calibration.policy(), datasets)
+        assert result.area_mm2 == MIN_DIE_AREA_FLOOR_MM2
+        assert result.binding_level == "none"
 
-    def test_impossible_caps_unsatisfiable(self, datasets):
-        from pdnx.interconnect import UtilizationPolicy
+    def test_tiny_caps_give_a_finite_area_that_meets_them(self, datasets):
         tiny = UtilizationPolicy(
             {name: 0.001 for name in datasets.stack_levels()},
             dict(datasets.calibration.ampacity_a),
         )
-        with pytest.raises(Unsatisfiable):
-            pdnx.min_die_area_for_current(1000.0, tiny, datasets)
+        result = pdnx.min_die_area_for_current(1000.0, tiny, datasets)
+        assert 10000.0 < result.area_mm2 < math.inf
+        for name in datasets.stack_levels():
+            assert not _violates(datasets.levels[name], 1000.0, tiny, result.area_mm2)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(geometry=st.lists(st.tuples(st.floats(1.0, 1000.0), st.floats(0.05, 20.0),
+                                       st.floats(0.01, 1.0), st.floats(1e-4, 10.0)),
+                             min_size=4, max_size=4),
+           demand=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+           target=st.floats(1.0, 1e4))
+    def test_area_is_the_smallest_that_passes(self, datasets, geometry, demand, target):
+        # Checked against required_connections, not against the closed form.
+        names = datasets.stack_levels()
+        levels = {name: replace(datasets.levels[name], pitch_um=pitch,
+                                cross_area_um2=0.5 * pitch ** 2, area_ratio_to_die=ratio)
+                  for name, (pitch, ratio, _, _) in zip(names, geometry)}
+        cal = replace(datasets.calibration,
+                      max_usage_fraction={n: cap for n, (_, _, cap, _) in zip(names, geometry)},
+                      ampacity_a={n: amp for n, (_, _, _, amp) in zip(names, geometry)})
+        ds = replace(datasets, levels=levels, calibration=cal)
+        policy = cal.policy()
+        result = pdnx.min_die_area_for_current(demand, policy, ds)
+        for name in names:
+            assert not _violates(levels[name], demand, policy, result.area_mm2), name
+        if result.binding_level == "none":
+            assert result.area_mm2 == MIN_DIE_AREA_FLOOR_MM2
+        else:
+            assert _violates(levels[result.binding_level], demand, policy,
+                             result.area_mm2 * (1 - 1e-9))
+
+        fitted, residual = calibrate_min_die_area(ds, target)
+        refit = replace(ds, calibration=fitted)
+        area = pdnx.min_die_area_for_current(1000.0, fitted.policy(), refit).area_mm2
+        assert residual == abs(area - target) / target
 
     def test_monotone_in_demand(self, datasets):
         policy = datasets.calibration.policy()

@@ -54,7 +54,7 @@ def test_a0_target_below_zero_resistance_unreachable(datasets):
 
 def test_min_die_area_target(datasets):
     calibration, residual = calibrate_min_die_area(datasets, 1200.0)
-    assert residual < 0.05
+    assert residual <= 1.84e-4
     ds = replace(datasets, calibration=calibration)
     result = pdnx.min_die_area_for_current(1000.0, calibration.policy(), ds)
     assert result.area_mm2 == pytest.approx(1200.0, rel=0.05)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import pdnx
 from pdnx.architecture import ARCHITECTURE_NAMES
 from pdnx.cli import SWEEP_PARAMETERS, SWEEP_RUN_PARAMETERS, _parse_values, main
+from pdnx.datasets import load_raw_dataset
 from pdnx.errors import ConfigError
 
 
@@ -502,6 +503,26 @@ class TestFeasibilityCommand:
         cfg = write_config(tmp_path, {"architectures": "A0"})
         assert run_cli("feasibility", "--config", cfg,
                        "--out", str(tmp_path / "o"), "--strict") == 3
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c4: {**c4, "area_ratio_to_die": -2.4}, "c4: area_ratio_to_die must be > 0"),
+        (lambda c4: {**c4, "area_ratio_to_die": 0}, "c4: area_ratio_to_die must be > 0"),
+        (lambda c4: {**c4, "area_ratio_to_die": math.nan},
+         "c4: area_ratio_to_die must be finite, got nan"),
+        (lambda c4: {**c4, "pitch_um": math.inf}, "c4: pitch_um must be finite, got inf"),
+        (lambda c4: {**c4, "pitch_um": None}, "table1 level 'c4': float() argument"),
+        (lambda c4: {k: v for k, v in c4.items() if k != "area_ratio_to_die"},
+         "table1 level 'c4': missing field 'area_ratio_to_die'"),
+        (lambda c4: None, "table1: stack level 'c4' is missing"),
+    ])
+    def test_bad_table1_level_exit_2(self, tmp_path, capsys, edit, message):
+        levels = [row if row["name"] != "c4" else edit(row)
+                  for row in load_raw_dataset("table1")["levels"]]
+        cfg = write_config(tmp_path, {"datasets": {"table1": {
+            "levels": [row for row in levels if row is not None]}}})
+        assert run_cli("feasibility", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEntryPoint:

@@ -5,6 +5,7 @@ SI units here, never from the module under test.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -177,6 +178,19 @@ class TestValidation:
     def test_bad_pitch_rejected(self):
         with pytest.raises(ValueError):
             InterconnectLevel("bad", 500.0, "copper", 1.68e-8, 100.0, 10.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["platform_area_mm2", "resistivity_ohm_m",
+                                       "cross_area_um2", "height_um", "pitch_um",
+                                       "diameter_um", "area_ratio_to_die"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, datasets, field, value):
+        with pytest.raises(ValueError, match=f"c4: {field} must be finite"):
+            replace(datasets.levels["c4"], **{field: value})
+
+    @pytest.mark.parametrize("ratio", [0.0, -2.4])
+    def test_non_positive_area_ratio_rejected(self, datasets, ratio):
+        with pytest.raises(ValueError, match="c4: area_ratio_to_die must be > 0"):
+            replace(datasets.levels["c4"], area_ratio_to_die=ratio)
 
     def test_footprint_denser_than_pitch_warns_only(self):
         with pytest.warns(UserWarning):
