@@ -169,6 +169,21 @@ def load_datasets(overrides: dict | None = None) -> Datasets:
     return _assemble(raw, tuple(touched))
 
 
+def _number(row: dict, name: str, kind: type = float, default=None):
+    """row[name] as kind (float or int); a missing field without a default is
+    a KeyError, and a null, non-numeric or, for int, fractional value a
+    TypeError that names the field."""
+    value = row[name] if default is None else row.get(name, default)
+    try:
+        number = kind(value)
+        if kind is int and number != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise TypeError(f"{name}: {value!r} is not {what}") from None
+    return number
+
+
 def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
     cal_doc = raw["calibration-default"]
     try:
@@ -216,15 +231,15 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
                 raise ConfigError(f"table1 level '{name}': no resistivity for '{material}'")
             lv = InterconnectLevel(
                 name=row["name"],
-                platform_area_mm2=float(row["platform_area_mm2"]),
+                platform_area_mm2=_number(row, "platform_area_mm2"),
                 material=material,
                 resistivity_ohm_m=float(row.get("resistivity_ohm_m")
                                         or calibration.resistivity_ohm_m[material]),
-                cross_area_um2=float(row["cross_area_um2"]),
-                height_um=float(row["height_um"]),
-                pitch_um=float(row["pitch_um"]),
+                cross_area_um2=_number(row, "cross_area_um2"),
+                height_um=_number(row, "height_um"),
+                pitch_um=_number(row, "pitch_um"),
                 diameter_um=None if row.get("diameter_um") is None else float(row["diameter_um"]),
-                area_ratio_to_die=float(row["area_ratio_to_die"]),
+                area_ratio_to_die=_number(row, "area_ratio_to_die"),
             )
         except KeyError as exc:
             raise ConfigError(f"table1 level '{name}': missing field {exc}") from None
@@ -235,30 +250,37 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
     topologies: dict[str, ConverterTopology] = {}
     counts: dict[str, VrSiteCounts] = {}
     for row in raw["table2"]["topologies"]:
-        eta = float(row["eta_peak"])
-        if (row["name"] == "DPMIH"
-                and calibration.dpmih_efficiency_variant == "text"
-                and row.get("alt_eta_peak_text") is not None):
-            eta = float(row["alt_eta_peak_text"])
-        topo = ConverterTopology(
-            name=row["name"],
-            v_in_v=float(row["v_in_v"]),
-            v_out_v=float(row["v_out_v"]),
-            i_max_a=float(row["i_max_a"]),
-            eta_peak=eta,
-            i_at_peak_a=float(row["i_at_peak_a"]),
-            n_switches=int(row["n_switches"]),
-            switch_density_per_mm2=float(row["switch_density_per_mm2"]),
-            n_inductors=int(row.get("n_inductors", 0)),
-            total_inductance_uh=float(row.get("total_inductance_uh", 0.0)),
-            n_capacitors=int(row.get("n_capacitors", 0)),
-            total_capacitance_uf=float(row.get("total_capacitance_uf", 0.0)),
-        )
+        name = row.get("name", "?")
+        try:
+            eta = _number(row, "eta_peak")
+            if (name == "DPMIH"
+                    and calibration.dpmih_efficiency_variant == "text"
+                    and row.get("alt_eta_peak_text") is not None):
+                eta = _number(row, "alt_eta_peak_text")
+            topo = ConverterTopology(
+                name=row["name"],
+                v_in_v=_number(row, "v_in_v"),
+                v_out_v=_number(row, "v_out_v"),
+                i_max_a=_number(row, "i_max_a"),
+                eta_peak=eta,
+                i_at_peak_a=_number(row, "i_at_peak_a"),
+                n_switches=_number(row, "n_switches", int),
+                switch_density_per_mm2=_number(row, "switch_density_per_mm2"),
+                n_inductors=_number(row, "n_inductors", int, 0),
+                total_inductance_uh=_number(row, "total_inductance_uh", float, 0.0),
+                n_capacitors=_number(row, "n_capacitors", int, 0),
+                total_capacitance_uf=_number(row, "total_capacitance_uf", float, 0.0),
+            )
+            site_counts = VrSiteCounts(
+                periphery=_number(row, "vr_sites_periphery", int),
+                below_die=_number(row, "vr_sites_below_die", int),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"table2 topology '{name}': missing field {exc}") from None
+        except TypeError as exc:
+            raise ConfigError(f"table2 topology '{name}': {exc}") from None
         topologies[topo.name] = topo
-        counts[topo.name] = VrSiteCounts(
-            periphery=int(row["vr_sites_periphery"]),
-            below_die=int(row["vr_sites_below_die"]),
-        )
+        counts[topo.name] = site_counts
 
     datasets = Datasets(
         levels=levels,

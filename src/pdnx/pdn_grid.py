@@ -22,12 +22,15 @@ definite. A square plane that the diagonal mirror (i, j) -> (j, i) maps
 onto itself, diagonal and free nodes bit for bit, splits into a symmetric
 and an antisymmetric sector of about half the nodes each, and each sector
 is factorised the first time a right-hand side has a component in it; any
-other plane is one sector, the whole free block. The factors depend only
-on the lattice, the Dirichlet nodes and the branches, so the last plane's
-are kept and reused while problems on the same plane differ only in sinks
-and source voltages. Each VR's current is the net current out of its
-Dirichlet node; edge currents and the plane's ohmic loss (doubled for the
-mirrored ground plane) follow from the solved voltages.
+other plane is one sector, the whole free block. Each sector is one SuperLU
+factor with a minimum-degree ordering and one column per panel: a lattice
+block has narrow supernodes, which SuperLU's default 20-column panel does
+not repay. The factors depend only on the lattice, the Dirichlet nodes and
+the branches, so the last plane's are kept and reused while problems on the
+same plane differ only in sinks and source voltages. Each VR's current is
+the net current out of its Dirichlet node; edge currents and the plane's
+ohmic loss (doubled for the mirrored ground plane) follow from the solved
+voltages.
 """
 
 from __future__ import annotations
@@ -426,7 +429,7 @@ class _Sector:
         if self.lu is None:
             block = lap_ff if self.basis is None else (
                 self.basis.T @ (lap_ff @ self.basis)).tocsc()
-            self.lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A")
+            self.lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A", panel_size=1)
         return self.lu
 
 
@@ -614,7 +617,8 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
     pinned sources the Dirichlet rows and columns are split off. The free
     block is symmetric positive definite, and so is each sector's block; a
     sector is factorised with a minimum-degree ordering on A^T + A, which
-    suits a lattice Laplacian.
+    suits a lattice Laplacian, one column per panel: the narrow supernodes
+    of a lattice block leave nothing for a wider panel to batch.
     """
     grid, source_nodes, droop, contacts = key
     n = grid.n_nodes

@@ -8,7 +8,8 @@ temporary directory and compares every file it writes with
 cell by cell and text reports line by line, number by number; every number
 that moved is printed with its path, old and new value and relative change.
 Any other difference (a file, a key, a string, a row, a line or a word of a
-text report) is printed as a difference of its own.
+text report) is printed as a difference of its own. Then each changed case
+gets one line with its count of moved numbers and its worst relative change.
 
 The exit status is 1 when a difference is not numeric or a number moved by
 more than --bound relative, else 0. With --write, each case whose bytes
@@ -134,6 +135,17 @@ def drift(names: list[str], workdir: Path) -> tuple[list, list, dict[str, Path]]
     return moved, other, changed
 
 
+def case_summary(moved: list, changed) -> list[str]:
+    """One line per changed case: how many of its numbers moved and the
+    worst relative change among them."""
+    lines = []
+    for name in sorted(changed):
+        rels = [rel for path, *_, rel in moved if path.split("/", 1)[0] == name]
+        lines.append(f"case   {name}: {len(rels)} number(s) moved, worst "
+                     f"{max(rels, default=0.0):.2e} relative")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("cases", nargs="*", metavar="CASE", help=f"of {sorted(CASES)}")
@@ -153,6 +165,8 @@ def main(argv=None) -> int:
             print(f"moved  {path}: {old!r} -> {new!r} (relative {rel:.2e})")
         for line in other:
             print(f"other  {line}")
+        for line in case_summary(moved, changed):
+            print(line)
         worst = max((rel for *_, rel in moved), default=0.0)
         failed = bool(other) or worst > args.bound
         print(f"{len(moved)} number(s) moved, worst {worst:.2e} relative (bound "

@@ -510,7 +510,8 @@ class TestFeasibilityCommand:
         (lambda c4: {**c4, "area_ratio_to_die": math.nan},
          "c4: area_ratio_to_die must be finite, got nan"),
         (lambda c4: {**c4, "pitch_um": math.inf}, "c4: pitch_um must be finite, got inf"),
-        (lambda c4: {**c4, "pitch_um": None}, "table1 level 'c4': float() argument"),
+        (lambda c4: {**c4, "pitch_um": None},
+         "table1 level 'c4': pitch_um: None is not a number"),
         (lambda c4: {k: v for k, v in c4.items() if k != "area_ratio_to_die"},
          "table1 level 'c4': missing field 'area_ratio_to_die'"),
         (lambda c4: None, "table1: stack level 'c4' is missing"),
@@ -521,6 +522,25 @@ class TestFeasibilityCommand:
         cfg = write_config(tmp_path, {"datasets": {"table1": {
             "levels": [row for row in levels if row is not None]}}})
         assert run_cli("feasibility", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda dsch: {k: v for k, v in dsch.items() if k != "eta_peak"},
+         "table2 topology 'DSCH': missing field 'eta_peak'"),
+        (lambda dsch: {**dsch, "vr_sites_periphery": None},
+         "table2 topology 'DSCH': vr_sites_periphery: None is not an integer"),
+        (lambda dsch: {**dsch, "vr_sites_periphery": 2.5},
+         "table2 topology 'DSCH': vr_sites_periphery: 2.5 is not an integer"),
+        (lambda dsch: {**dsch, "i_max_a": "thirty"},
+         "table2 topology 'DSCH': i_max_a: 'thirty' is not a number"),
+    ])
+    @pytest.mark.parametrize("command", ["feasibility", "evaluate"])
+    def test_bad_table2_topology_exit_2(self, tmp_path, capsys, edit, message, command):
+        topologies = [row if row["name"] != "DSCH" else edit(row)
+                      for row in load_raw_dataset("table2")["topologies"]]
+        cfg = write_config(tmp_path, {"datasets": {"table2": {"topologies": topologies}}})
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

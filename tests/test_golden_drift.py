@@ -1,6 +1,6 @@
 """golden_drift's text-report comparison: moved numbers versus other changes."""
 
-from golden_drift import compare_file
+from golden_drift import case_summary, compare_file
 
 
 def test_text_report_numbers_move_and_words_differ():
@@ -19,3 +19,13 @@ def test_text_report_line_count_is_another_difference():
     moved, other = [], []
     compare_file("case/report.txt", b"1 W\n", b"1 W\n2 W\n", moved, other)
     assert moved == [] and other == ["case/report.txt: 2 items -> 3"]
+
+
+def test_case_summary_counts_and_worst_drift_per_changed_case():
+    moved = [("a/breakdown.json.loss", 1.0, 1.0 + 1e-14, 1e-14),
+             ("b/report.txt[3].#0", "2.5", "2.6", 0.04),
+             ("a/breakdown.csv[1].loss", "3", "3.000000000003", 1e-12)]
+    assert case_summary(moved, {"b": None, "a": None, "c": None}) == [
+        "case   a: 2 number(s) moved, worst 1.00e-12 relative",
+        "case   b: 1 number(s) moved, worst 4.00e-02 relative",
+        "case   c: 0 number(s) moved, worst 0.00e+00 relative"]

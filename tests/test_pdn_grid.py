@@ -10,7 +10,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -384,12 +383,13 @@ class TestUnifiedOperatorProperties:
 @pytest.fixture
 def factorisations(monkeypatch):
     """Empty operator slot; records the key of every plane operator built
-    and the shape of every sector factor splu makes."""
-    made = SimpleNamespace(planes=[], sectors=[])
+    and the shape and keyword arguments of every sector factor splu makes."""
+    made = SimpleNamespace(planes=[], sectors=[], options=[])
     factor, splu = pdn_grid._factor_plane, pdn_grid.spla.splu
 
     def counted(matrix, *args, **kwargs):
         made.sectors.append(matrix.shape)
+        made.options.append(kwargs)
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(pdn_grid, "_factor_plane",
@@ -473,6 +473,16 @@ class TestFactorReuse:
         # 63x63 POL plane: (3969 + 63) / 2 orbits; 105x105 intermediate
         # plane: 5565 orbits and 5460 pairs.
         assert factorisations.sectors == [(2016, 2016), (5565, 5565), (5460, 5460)]
+
+    def test_compare10_factors_each_sector_one_column_per_panel(self, factorisations):
+        # SuperLU's default 20-column panel costs more than it saves on the
+        # narrow supernodes of a lattice block under minimum degree.
+        from pdnx.architecture import compare
+        from pdnx.datasets import load_datasets
+
+        compare(["A0", "A1", "A2", "A3@12V", "A3@6V"], ["DSCH", "DPMIH"], load_datasets())
+        assert factorisations.options == [
+            {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1}] * 10
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.0, 10.0), min_size=25, max_size=25).filter(
@@ -947,7 +957,9 @@ def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float
                    fanout: dict):
     """The COO assembly and dict-sink solve the stencil assembly replaced,
     kept as its reference: every entry four times in COO, duplicates summed
-    by scipy, the free block split off by fancy indexing.
+    by scipy, the free block split off by fancy indexing. The free block is
+    factorised as the plane solver factorises a sector, so the two
+    assemblies are compared, not two sets of factor settings.
 
     Returns the free block and the VR currents, plane-side VR voltages, node
     voltages and horizontal loss.
@@ -980,7 +992,7 @@ def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float
     free = np.flatnonzero(~is_pinned)
     lap_free = lap[free]
     lap_ff = lap_free[:, free].tocsc()
-    lu = spla.splu(lap_ff, permc_spec="MMD_AT_PLUS_A")
+    lu = pdn_grid._Sector(None).factor(lap_ff)
 
     source_v = np.fromiter(sources.values(), dtype=float, count=k)
     v_ref = source_v[0]
