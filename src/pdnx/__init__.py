@@ -10,7 +10,7 @@ from .architecture import (ARCHITECTURE_NAMES, ArchitectureSpec, ComparisonTable
                            LossBreakdown, build_architecture, compare, evaluate,
                            min_die_area_for_current, utilization_report)
 from .converter import (CalibratedLossModel, ConverterTopology, StageSpec, calibrate,
-                        efficiency_at, required_vr_count, stage_loss, vr_footprint_area_mm2)
+                        efficiency_at, stage_loss, vr_footprint_area_mm2)
 from .datasets import Calibration, Datasets, load_datasets
 from .interconnect import (InterconnectLevel, UtilizationPolicy, connection_count,
                            effective_level_resistance, level_loss,
@@ -30,6 +30,6 @@ __all__ = [
     "effective_level_resistance", "efficiency_at", "evaluate", "level_loss",
     "load_datasets", "min_die_area_for_current", "per_connection_resistance",
     "place_periphery", "place_under_die", "required_connections",
-    "required_vr_count", "solve_dc", "stage_loss",
+    "solve_dc", "stage_loss",
     "utilization_report", "vr_footprint_area_mm2",
 ]

@@ -12,17 +12,17 @@ PCB-to-POL loss breakdown. Five delivery plans are built in:
   A3@6V   same with a 6 V intermediate rail.
 
 A staged plan is evaluated in one pass over its stages, from the POL back to
-the source. Each stage sizes and places its VR bank for the demand of the
-stage downstream of it, solves its plane, and charges its converter loss
-and its domain's vertical losses. The POL plane carries the die current;
-every upstream plane carries the per-site draw of the bank it feeds, and
-since its own losses add to what its stage must deliver, its operating point
-is settled in closed form. Each plane is solved once: every source on an
-upstream plane sits at one rail voltage, so its solution is linear in the
-sinks, and the operating point is the base-demand solution scaled
-(pdn_grid.GridSolution.scaled). The source power is defined as POL power
-plus the sum of all loss terms, so that identity holds by construction and
-checks nothing.
+the source. Each stage places its VR bank, one VR per table2 site, solves
+its plane for the demand of the stage downstream of it, and charges its
+converter loss and its domain's vertical losses. The POL plane carries the
+die current; every upstream plane carries the per-site draw of the bank it
+feeds, and since its own losses add to what its stage must deliver, its
+operating point is settled in closed form. Each plane is solved once: every
+source on an upstream plane sits at one rail voltage, so its solution is
+linear in the sinks, and the operating point is the base-demand solution
+scaled (pdn_grid.GridSolution.scaled). The source power is defined as POL
+power plus the sum of all loss terms, so that identity holds by construction
+and checks nothing.
 
 An evaluation is a generator: it yields each plane problem it needs solved
 and is sent the solution. One loop, _drive, solves what the generators
@@ -52,6 +52,8 @@ from .placement import DieFloorplan
 
 ARCHITECTURE_NAMES = ("A0", "A1", "A2", "A3@12V", "A3@6V")
 MIN_DIE_AREA_FLOOR_MM2 = 1.0   # stands in for what else bounds a die, such as VR footprints
+INPUT_VOLTAGE_V = 48.0         # the board rail
+REFERENCE_EFFICIENCY = 0.90    # the reference chain's one flat board-level converter
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,12 @@ class ArchitectureSpec:
     die: DieFloorplan
     total_power_w: float
     pol_voltage_v: float
-    input_voltage_v: float = 48.0
-    reference_efficiency: float | None = None   # flat chain efficiency when stages is empty
 
     def __post_init__(self):
         if not (0 < self.total_power_w < math.inf and 0 < self.pol_voltage_v < math.inf):
             raise ValueError("total_power_w and pol_voltage_v must be > 0 and finite")
-        if self.stages:
-            if self.stages[-1].topology.v_out_v != self.pol_voltage_v:
-                raise ValueError("final stage must end at the POL voltage")
-        elif self.reference_efficiency is None:
-            raise ValueError("reference chain needs reference_efficiency")
+        if self.stages and self.stages[-1].topology.v_out_v != self.pol_voltage_v:
+            raise ValueError("final stage must end at the POL voltage")
 
 
 @dataclass
@@ -128,7 +125,6 @@ def build_architecture(
     die_area_mm2: float | None = None,
     total_power_w: float = 1000.0,
     pol_voltage_v: float = 1.0,
-    input_voltage_v: float = 48.0,
 ) -> ArchitectureSpec:
     """Assemble one of the built-in delivery plans for a given POL topology."""
     cal = datasets.calibration
@@ -145,19 +141,18 @@ def build_architecture(
         topo = datasets.topologies[topology_name]
         counts = datasets.vr_site_counts[topology_name]
         if arch_name == "A1":
-            stages = (StageSpec(topo, "interposer_periphery",
-                                vr_count_override=counts.periphery),)
+            stages = (StageSpec(topo, "interposer_periphery", counts.periphery),)
         elif arch_name == "A2":
-            stages = (StageSpec(topo, "in_interposer", vr_count_override=counts.below_die),)
+            stages = (StageSpec(topo, "in_interposer", counts.below_die),)
         else:
             intermediate = {"A3@12V": 12.0, "A3@6V": 6.0}[arch_name]
-            first_topo = datasets.topologies["DPMIH"].for_conversion(input_voltage_v,
+            first_topo = datasets.topologies["DPMIH"].for_conversion(INPUT_VOLTAGE_V,
                                                                      intermediate)
             stages = (
                 StageSpec(first_topo, "interposer_periphery",
-                          vr_count_override=datasets.vr_site_counts["DPMIH"].periphery),
+                          datasets.vr_site_counts["DPMIH"].periphery),
                 StageSpec(topo.for_conversion(intermediate, pol_voltage_v), "power_die",
-                          vr_count_override=counts.below_die),
+                          counts.below_die),
             )
 
     # The reference chain carries the die current through every level. With
@@ -165,16 +160,13 @@ def build_architecture(
     # the TSVs the first stage's output rail (the intermediate rail, or the
     # POL rail when there is one stage) and the die attach the POL rail.
     if stages:
-        voltages = (input_voltage_v, input_voltage_v, stages[0].topology.v_out_v,
+        voltages = (INPUT_VOLTAGE_V, INPUT_VOLTAGE_V, stages[0].topology.v_out_v,
                     pol_voltage_v)
     else:
         voltages = (pol_voltage_v,) * 4
     stack = tuple(StackAssignment(n, v) for n, v in zip(datasets.stack_levels(), voltages))
-    return ArchitectureSpec(
-        name=arch_name, stages=stages, stack=stack, die=die,
-        total_power_w=total_power_w, pol_voltage_v=pol_voltage_v,
-        input_voltage_v=input_voltage_v, reference_efficiency=None if stages else 0.90,
-    )
+    return ArchitectureSpec(name=arch_name, stages=stages, stack=stack, die=die,
+                            total_power_w=total_power_w, pol_voltage_v=pol_voltage_v)
 
 
 @dataclass(frozen=True)
@@ -190,13 +182,11 @@ class _StageBank:
     problem: Callable[..., grid.GridProblem]
 
 
-def _stage_bank(stage: StageSpec, die: DieFloorplan, demand_w: float,
-                datasets: Datasets) -> _StageBank:
-    """Size and place a stage's VR bank for demand_w and model its plane."""
+def _stage_bank(stage: StageSpec, die: DieFloorplan, datasets: Datasets) -> _StageBank:
+    """Place a stage's VR bank and model its plane."""
     cal = datasets.calibration
     topo = stage.topology
-    n_vr = conv.required_vr_count(topo, demand_w / topo.v_out_v, cal.derating,
-                                  stage.vr_count_override)
+    n_vr = stage.vr_count
     footprint = conv.vr_footprint_area_mm2(topo)
     if stage.placement == "interposer_periphery":
         sites = plc.place_periphery(die, n_vr, footprint)
@@ -339,10 +329,10 @@ def _domain_vertical_losses(spec, datasets, usage, domain_voltage_v: float,
 def _evaluate_reference(spec, datasets, usage, feasibility, assumptions) -> LossBreakdown:
     cal = datasets.calibration
     i_die = spec.total_power_w / spec.pol_voltage_v
-    eta = spec.reference_efficiency
+    eta = REFERENCE_EFFICIENCY
     assumptions.append(
         f"reference chain modeled as one flat {eta:.0%}-efficient "
-        f"{spec.input_voltage_v:g}V-to-{spec.pol_voltage_v:g}V converter at the board"
+        f"{INPUT_VOLTAGE_V:g}V-to-{spec.pol_voltage_v:g}V converter at the board"
     )
 
     vertical = _domain_vertical_losses(spec, datasets, usage, spec.pol_voltage_v, i_die)
@@ -389,18 +379,15 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evalua
         key = f"stage{n}_{topo.name}"
         v_out = topo.v_out_v
         rail = f"{v_out:g}V"
-        if stage.vr_count_override is not None:
-            assumptions.append(
-                f"{key}: VR count pinned to the datasheet site count "
-                f"({stage.vr_count_override})"
-            )
-        if topo.v_in_v != 48.0 or v_out != 1.0:
+        assumptions.append(f"{key}: VR count pinned to the datasheet site count "
+                           f"({stage.vr_count})")
+        if topo.v_in_v != INPUT_VOLTAGE_V or v_out != 1.0:
             assumptions.append(
                 f"{key}: reuses the 48V-to-1V peak-point calibration scaled to "
                 f"v_out={v_out:g} V"
             )
 
-        bank = _stage_bank(stage, spec.die, demand_w, datasets)
+        bank = _stage_bank(stage, spec.die, datasets)
         feasibility.extend(bank.checks)
         sites, model, droop = bank.sites, bank.model, bank.droop_ohm
 
@@ -487,10 +474,9 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evalua
             )
 
     # Source-side domain: remaining vertical levels plus the board rail.
-    i_in = demand_w / spec.input_voltage_v
-    domain_currents[f"{spec.input_voltage_v:g}V"] = i_in
-    vertical.update(_domain_vertical_losses(spec, datasets, usage,
-                                            spec.input_voltage_v, i_in))
+    i_in = demand_w / INPUT_VOLTAGE_V
+    domain_currents[f"{INPUT_VOLTAGE_V:g}V"] = i_in
+    vertical.update(_domain_vertical_losses(spec, datasets, usage, INPUT_VOLTAGE_V, i_in))
     pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
 
     vert_total = sum(vertical.values())
@@ -532,16 +518,16 @@ def pol_current_curve(spec: ArchitectureSpec,
     the sums of each (pdn_grid.profile_parts). Every source sits at the rail
     voltage, so the VR currents are linear in the sinks:
     I(w) = (I_h + w * I_p) / (1 + w * S/T), where I_h and I_p solve the sinks
-    D * h/T and D * h*p/T on one factor. The POL stage is sized for the die
-    demand and its plane carries nothing else, so the curve is exact for any
-    plan evaluate accepts: it gives the same currents at each weight, up to
-    rounding. The curve makes none of evaluate's checks on what the plane
-    passes on, so it also returns currents for a plan evaluate refuses.
+    D * h/T and D * h*p/T on one factor. The POL plane carries the die
+    demand and nothing else, so the curve is exact for any plan evaluate
+    accepts: it gives the same currents at each weight, up to rounding. The
+    curve makes none of evaluate's checks on what the plane passes on, so it
+    also returns currents for a plan evaluate refuses.
     """
     if not spec.stages:
         raise ValueError(f"{spec.name} has no VR bank")
     stage = spec.stages[-1]
-    bank = _stage_bank(stage, spec.die, spec.total_power_w, datasets)
+    bank = _stage_bank(stage, spec.die, datasets)
     demand_a = spec.total_power_w / stage.topology.v_out_v
     problem = bank.problem(demand_a, demand_weight=0.0)
     nodes, uniform, radial = grid.profile_parts(spec.die, problem.grid,

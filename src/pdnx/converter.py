@@ -10,7 +10,6 @@ terms are equal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import LoadExceedsRating
@@ -76,15 +75,15 @@ class StageSpec:
 
     topology: ConverterTopology
     placement: str                     # interposer_periphery | in_interposer | power_die
-    vr_count_override: int | None = None
+    vr_count: int                      # parallel VRs: the datasheet site count
 
     PLACEMENTS = ("interposer_periphery", "in_interposer", "power_die")
 
     def __post_init__(self):
         if self.placement not in self.PLACEMENTS:
             raise ValueError(f"unknown placement '{self.placement}'")
-        if self.vr_count_override is not None and self.vr_count_override < 1:
-            raise ValueError("vr_count_override must be >= 1 when present")
+        if self.vr_count < 1:
+            raise ValueError("vr_count must be >= 1")
 
 
 def calibrate(topology: ConverterTopology) -> CalibratedLossModel:
@@ -123,22 +122,6 @@ def vr_footprint_area_mm2(topology: ConverterTopology) -> float:
     just switch count over switch density.
     """
     return topology.n_switches / topology.switch_density_per_mm2
-
-
-def required_vr_count(
-    topology: ConverterTopology,
-    total_current_a: float,
-    derating: float = 1.0,
-    vr_count_override: int | None = None,
-) -> int:
-    """Number of parallel VRs needed for a total current, or the explicit override."""
-    if total_current_a <= 0:
-        raise ValueError("total_current_a must be > 0")
-    if not 0.0 < derating <= 1.0:
-        raise ValueError("derating must lie in (0, 1]")
-    if vr_count_override is not None:
-        return vr_count_override
-    return math.ceil(total_current_a / (derating * topology.i_max_a))
 
 
 def stage_loss(

@@ -29,7 +29,6 @@ _LOWER_BOUNDS = {
     "sheet_resistance_ohm_sq": (0.0, False),
     "die_grid_multiplier": (0.0, False),
     "power_die_multiplier": (0.0, False),
-    "derating": (0.0, False),
     "interposer_margin_mm": (0.0, False),
     "pcb_lateral_resistance_ohm": (0.0, True),
     "droop_share_resistance_scale": (0.0, True),
@@ -42,8 +41,9 @@ class Calibration:
     """Fitted model parameters shipped alongside the raw datasheets.
 
     Construction rejects, with ValueError, a number that is not finite or
-    lies outside its field's range, so loading, overrides, sweeps and
-    calibration fits share one check.
+    lies outside its field's range, an unknown die attach or DPMIH variant
+    and an idle_shutdown that is not a bool, so loading, overrides, sweeps
+    and calibration fits share one check.
     """
 
     resistivity_ohm_m: dict[str, float]
@@ -56,7 +56,6 @@ class Calibration:
     pcb_lateral_resistance_ohm: float
     demand_weight: float
     grid_resolution: int
-    derating: float
     dpmih_efficiency_variant: str     # "nominal" | "text"
     die_attach_level: str             # "adv_pad" | "u_bump"
     interposer_margin_mm: float
@@ -64,6 +63,8 @@ class Calibration:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.idle_shutdown, bool):
+            raise ValueError(f"idle_shutdown must be true or false, got {self.idle_shutdown!r}")
         for name, (low, inclusive) in _LOWER_BOUNDS.items():
             value = getattr(self, name)
             if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
@@ -77,6 +78,11 @@ class Calibration:
                 if not (math.isfinite(value) and value >= 0):
                     raise ValueError(f"{name}[{key}] must be >= 0 and finite, got {value!r}")
         self.policy()   # usage caps in (0, 1] and ampacities > 0
+        for name, allowed in (("die_attach_level", ("adv_pad", "u_bump")),
+                              ("dpmih_efficiency_variant", ("nominal", "text"))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} '{value}' is not one of {', '.join(allowed)}")
 
     def policy(self) -> UtilizationPolicy:
         return UtilizationPolicy(dict(self.max_usage_fraction), dict(self.ampacity_a))
@@ -155,7 +161,10 @@ def load_datasets(overrides: dict | None = None) -> Datasets:
     """Assemble the working dataset bundle, applying optional overrides.
 
     The override document groups fields by dataset name, e.g.
-    {"calibration-default": {"sheet_resistance_ohm_sq": 1e-3}}.
+    {"calibration-default": {"sheet_resistance_ohm_sq": 1e-3}}. A field the
+    dataset does not have is a ConfigError, except the residuals that a
+    calibration document carries; maps inside a field, such as ampacity_a,
+    take new keys.
     """
     raw = {name: load_raw_dataset(name) for name in BUILTIN_NAMES}
     touched: list[str] = []
@@ -165,6 +174,12 @@ def load_datasets(overrides: dict | None = None) -> Datasets:
                 raise ConfigError(
                     f"unknown dataset '{name}' (built-ins: {', '.join(BUILTIN_NAMES)})"
                 )
+            if not isinstance(chunk, dict):
+                raise ConfigError(f"{name}: an override must be an object of fields")
+            unknown = [key for key in chunk if key not in raw[name]
+                       and (name, key) != ("calibration-default", "residuals")]
+            if unknown:
+                raise ConfigError(f"{name}: unknown field(s) {', '.join(unknown)}")
             raw[name] = _merge(raw[name], chunk, name, touched)
     return _assemble(raw, tuple(touched))
 
@@ -190,9 +205,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         resolution = cal_doc["grid_resolution"]
         if isinstance(resolution, float) and not resolution.is_integer():
             raise ValueError(f"grid_resolution must be an integer, got {resolution!r}")
-        if not isinstance(cal_doc["idle_shutdown"], bool):
-            raise ValueError("idle_shutdown must be true or false, "
-                             f"got {cal_doc['idle_shutdown']!r}")
         calibration = Calibration(
             resistivity_ohm_m=dict(cal_doc["resistivity_ohm_m"]),
             ampacity_a=dict(cal_doc["ampacity_a"]),
@@ -204,7 +216,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             pcb_lateral_resistance_ohm=float(cal_doc["pcb_lateral_resistance_ohm"]),
             demand_weight=float(cal_doc["demand_weight"]),
             grid_resolution=int(resolution),
-            derating=float(cal_doc["derating"]),
             dpmih_efficiency_variant=str(cal_doc["dpmih_efficiency_variant"]),
             die_attach_level=str(cal_doc["die_attach_level"]),
             interposer_margin_mm=float(cal_doc["interposer_margin_mm"]),
@@ -215,12 +226,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         raise ConfigError(f"calibration-default: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"calibration-default: {exc}") from None
-    for name, allowed in (("die_attach_level", ("adv_pad", "u_bump")),
-                          ("dpmih_efficiency_variant", ("nominal", "text"))):
-        value = getattr(calibration, name)
-        if value not in allowed:
-            raise ConfigError(f"calibration-default: {name} '{value}' is not one of "
-                              f"{', '.join(allowed)}")
 
     levels: dict[str, InterconnectLevel] = {}
     for row in raw["table1"]["levels"]:

@@ -28,9 +28,8 @@ block has narrow supernodes, which SuperLU's default 20-column panel does
 not repay. The factors depend only on the lattice, the Dirichlet nodes and
 the branches, so the last plane's are kept and reused while problems on the
 same plane differ only in sinks and source voltages. Each VR's current is
-the net current out of its Dirichlet node; edge currents and the plane's
-ohmic loss (doubled for the mirrored ground plane) follow from the solved
-voltages.
+the net current out of its Dirichlet node; the plane's ohmic loss (doubled
+for the mirrored ground plane) follows from the solved voltages.
 """
 
 from __future__ import annotations
@@ -168,10 +167,6 @@ class GridSolution:
 
     node_voltages: np.ndarray           # per node, V
     vr_currents: np.ndarray             # per source node, source order, A
-    source_nodes: tuple[int, ...]
-    edge_a: np.ndarray
-    edge_b: np.ndarray
-    edge_currents: np.ndarray           # positive from edge_a toward edge_b, A
     horizontal_loss_w: float            # both planes (power + ground return)
     vr_plane_voltages: np.ndarray       # plane-side terminal voltage per VR
     source_voltages: np.ndarray         # per source node, source order, V
@@ -196,7 +191,6 @@ class GridSolution:
             self,
             node_voltages=rail - k * (rail - self.node_voltages),
             vr_currents=k * self.vr_currents,
-            edge_currents=k * self.edge_currents,
             horizontal_loss_w=k * k * self.horizontal_loss_w,
             vr_plane_voltages=rail - k * (rail - self.vr_plane_voltages),
         )
@@ -447,7 +441,6 @@ class _PlaneOperator:
     """
 
     key: tuple
-    source_nodes: tuple[int, ...]
     n_all: int                     # plane nodes plus virtual VR nodes
     free: np.ndarray | slice
     pinned: np.ndarray | slice
@@ -625,7 +618,6 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
     k = len(source_nodes)
     g_sheet = 1.0 / grid.sheet_resistance_ohm_sq
     edge_a, edge_b = grid.edges()
-    edge_a.flags.writeable = edge_b.flags.writeable = False
     if contacts is not None:
         counts, br_node = (np.frombuffer(c, dtype=np.int64) for c in contacts)
         br_vr = np.repeat(np.arange(k), counts)
@@ -652,7 +644,7 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
         lap_ff = lap_free[:, free].tocsc()
         couple, outflow = lap_free[:, pinned].__matmul__, lap[pinned].__matmul__
     return _PlaneOperator(
-        key=key, source_nodes=source_nodes, n_all=n + k if contacts is not None else n,
+        key=key, n_all=n + k if contacts is not None else n,
         free=free, pinned=pinned, lap_ff=lap_ff,
         # Column sums: the free block is symmetric, so they are its row sums.
         norm_inf=float(np.add.reduceat(np.abs(lap_ff.data), lap_ff.indptr[:-1]).max()),
@@ -724,10 +716,6 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     return GridSolution(
         node_voltages=voltages[:n],
         vr_currents=vr,
-        source_nodes=op.source_nodes,
-        edge_a=op.edge_a,
-        edge_b=op.edge_b,
-        edge_currents=du * g_sheet,
         horizontal_loss_w=2.0 * float(np.sum(du * du * g_sheet)),
         vr_plane_voltages=plane_voltages,
         source_voltages=source_v,

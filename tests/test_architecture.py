@@ -18,7 +18,7 @@ from pdnx.architecture import (ARCHITECTURE_NAMES, MIN_DIE_AREA_FLOOR_MM2, build
                                utilization_report)
 from pdnx.calibrate import calibrate_min_die_area
 from pdnx.converter import ConverterTopology
-from pdnx.datasets import load_datasets
+from pdnx.datasets import load_datasets, load_raw_dataset
 from pdnx.errors import SingularSystem, Unsatisfiable
 from pdnx.interconnect import UtilizationPolicy, required_connections
 
@@ -311,6 +311,32 @@ class TestMonotonicity:
         assert improved.total_loss_w <= base.total_loss_w
 
 
+class TestVrSiteCounts:
+    """Each stage of a built-in plan runs one VR per table2 site."""
+
+    # The table2 row and column each stage's count comes from, source side
+    # first; None is the plan's own topology.
+    SITES = {"A1": ((None, "vr_sites_periphery"),),
+             "A2": ((None, "vr_sites_below_die"),),
+             "A3@12V": (("DPMIH", "vr_sites_periphery"), (None, "vr_sites_below_die")),
+             "A3@6V": (("DPMIH", "vr_sites_periphery"), (None, "vr_sites_below_die"))}
+
+    @pytest.mark.parametrize("arch", list(SITES))
+    @pytest.mark.parametrize("topo", ["DSCH", "DPMIH", "3LHD"])
+    def test_each_stage_places_its_table2_sites(self, datasets, arch, topo):
+        rows = {row["name"]: row for row in load_raw_dataset("table2")["topologies"]}
+        want = [rows[name or topo][column] for name, column in self.SITES[arch]]
+        spec = build_architecture(arch, topo, datasets)
+        assert [stage.vr_count for stage in spec.stages] == want
+        b = evaluate(spec, datasets)
+        keys = [f"stage{n}_{stage.topology.name}" for n, stage in enumerate(spec.stages, 1)]
+        assert [len(b.per_vr_currents_a[key]) for key in keys] == want
+        # The stages are evaluated from the POL back to the source.
+        pinned = [line for line in b.assumptions if "VR count pinned" in line]
+        assert pinned == [f"{key}: VR count pinned to the datasheet site count ({count})"
+                          for key, count in zip(keys, want)][::-1]
+
+
 class TestRatingHandling:
     def test_3lhd_nonstrict_flags(self, datasets):
         spec = build_architecture("A1", "3LHD", datasets)
@@ -501,7 +527,7 @@ class TestPolCurrentCurve:
         cal = replace(datasets.calibration, grid_resolution=2, demand_weight=3.0)
         ds = replace(datasets, calibration=cal)
         spec = build_architecture("A2", "DSCH", ds)
-        spec = replace(spec, stages=(replace(spec.stages[0], vr_count_override=count),))
+        spec = replace(spec, stages=(replace(spec.stages[0], vr_count=count),))
         solved, solve = [], pdn_grid.solve_dc
         monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(p) or solve(p))
         curve = pol_current_curve(spec, ds)

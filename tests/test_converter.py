@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pdnx.converter import (StageSpec, calibrate, efficiency_at, required_vr_count,
-                            stage_loss, vr_footprint_area_mm2)
+from pdnx.converter import StageSpec, calibrate, efficiency_at, stage_loss, vr_footprint_area_mm2
 from pdnx.datasets import load_datasets
 from pdnx.errors import LoadExceedsRating
 
@@ -104,21 +103,6 @@ class TestFootprint:
             9.02, rel=1e-2)
 
 
-class TestVrCount:
-    def test_dsch_minimum(self, datasets):
-        assert required_vr_count(datasets.topologies["DSCH"], 1000.0) == 34
-
-    def test_override_wins(self, datasets):
-        assert required_vr_count(datasets.topologies["DSCH"], 1000.0,
-                                 vr_count_override=48) == 48
-
-    def test_dpmih_exact_rating(self, datasets):
-        assert required_vr_count(datasets.topologies["DPMIH"], 100.0) == 1
-
-    def test_derating(self, datasets):
-        assert required_vr_count(datasets.topologies["DSCH"], 1000.0, derating=0.7) == 48
-
-
 class TestStageLoss:
     def test_idle_shutdown_zero(self, datasets):
         topo = datasets.topologies["DSCH"]
@@ -183,6 +167,6 @@ class TestStageRetargeting:
 
     def test_stage_spec_validation(self, datasets):
         with pytest.raises(ValueError):
-            StageSpec(datasets.topologies["DSCH"], "on_the_moon")
+            StageSpec(datasets.topologies["DSCH"], "on_the_moon", 1)
         with pytest.raises(ValueError):
-            StageSpec(datasets.topologies["DSCH"], "power_die", vr_count_override=0)
+            StageSpec(datasets.topologies["DSCH"], "power_die", vr_count=0)

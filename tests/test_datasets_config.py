@@ -10,7 +10,7 @@ import pytest
 
 from pdnx.cli import main
 from pdnx.config import load_config, parse_config_text
-from pdnx.datasets import BUILTIN_NAMES, load_datasets, load_raw_dataset
+from pdnx.datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
 from pdnx.errors import ConfigError
 
 
@@ -66,6 +66,35 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="table9"):
             load_datasets({"table9": {}})
 
+    @pytest.mark.parametrize("name,field", [
+        ("calibration-default", "sheet_resistance"), ("calibration-default", "derating"),
+        ("table1", "level"), ("table2", "residuals")])
+    def test_unknown_field_rejected(self, name, field):
+        with pytest.raises(ConfigError, match=f"{name}: unknown field.* {field}$"):
+            load_datasets({name: {field: 1e-3}})
+
+    @pytest.mark.parametrize("chunk", [5, "x", [1]])
+    def test_override_that_is_not_an_object_rejected(self, chunk):
+        with pytest.raises(ConfigError, match="table1: an override must be an object"):
+            load_datasets({"table1": chunk})
+
+    def test_nested_map_takes_a_new_key(self):
+        ds = load_datasets({"calibration-default": {"ampacity_a": {"new_level": 2.0}}})
+        assert ds.calibration.ampacity_a["new_level"] == 2.0
+
+    def test_calibration_document_loads_back(self):
+        cal = load_datasets().calibration
+        cal = replace(cal, demand_weight=1.25, ampacity_a={**cal.ampacity_a, "c4": 0.04})
+        doc = json.loads(json.dumps(
+            calibration_to_document(cal, "fitted", {"a0_loss_pct": 1e-3})))
+        assert load_datasets({"calibration-default": doc}).calibration == cal
+
+    def test_unknown_field_in_run_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"datasets": {"calibration-default": {"derating": 0.5}}}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "calibration-default: unknown field(s) derating" in capsys.readouterr().err
+
     def test_dpmih_text_variant(self):
         ds = load_datasets({"calibration-default": {"dpmih_efficiency_variant": "text"}})
         assert ds.topologies["DPMIH"].eta_peak == 0.909
@@ -98,9 +127,11 @@ class TestOverrides:
 BAD_CALIBRATION_VALUES = [
     ("sheet_resistance_ohm_sq", 0.0), ("sheet_resistance_ohm_sq", math.nan),
     ("die_grid_multiplier", -1.0), ("power_die_multiplier", math.inf),
-    ("derating", 0.0), ("interposer_margin_mm", 0.0),
+    ("interposer_margin_mm", 0.0),
     ("pcb_lateral_resistance_ohm", -1e-6), ("droop_share_resistance_scale", -math.inf),
     ("demand_weight", -1.5), ("demand_weight", math.nan), ("grid_resolution", 1),
+    ("die_attach_level", "foo"), ("dpmih_efficiency_variant", "bar"),
+    ("idle_shutdown", "yes"),
 ]
 
 
@@ -125,7 +156,8 @@ class TestCalibrationValidation:
     @pytest.mark.parametrize("override", [
         {"resistivity_ohm_m": {"copper": -1e-8}}, {"ampacity_a": {"c4": math.nan}},
         {"ampacity_a": {"c4": 0.0}}, {"max_usage_fraction": {"bga": 1.5}},
-        {"derating": None}, {"grid_resolution": math.inf}, {"demand_weight": "heavy"}])
+        {"sheet_resistance_ohm_sq": None}, {"grid_resolution": math.inf},
+        {"demand_weight": "heavy"}])
     def test_nested_and_malformed_values_rejected_at_load(self, override):
         with pytest.raises(ConfigError, match="calibration-default"):
             load_datasets({"calibration-default": override})
