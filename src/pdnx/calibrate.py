@@ -1,13 +1,8 @@
 """Calibration search: fit the free model parameters to reported observables.
 
-Every target is matched by a closed form or a deterministic fixed-grid
-search over its natural knob:
-
-  a0_loss_pct    -> board lateral resistance (closed form; loss is linear)
-  min_die_area   -> the c4 ampacity (closed form; the nearer of two per-net counts)
-  utilizations   -> per-level ampacities (direct back-solve)
-  a1_spread      -> radial demand weight (a fixed-grid scan of a two-solve closed form)
-  a2_spread      -> radial demand weight (a fixed-grid scan of a two-solve closed form)
+`TARGETS` lists every target with its value syntax and its fit, in the
+order `run_calibration` applies them. Each fit is a closed form or a
+deterministic fixed-grid search over its natural knob.
 
 The per-VR current spread is invariant to the sheet resistance (equal-voltage
 sources), so spread targets calibrate the demand profile instead; the sheet
@@ -25,19 +20,10 @@ from dataclasses import replace
 from . import architecture as arch
 from . import interconnect as ic
 from .datasets import Calibration, Datasets
-from .errors import TargetUnreachable
+from .errors import ConfigError, TargetUnreachable
 
 _SPREAD_WEIGHT_GRID = [round(0.1 * k, 1) for k in range(0, 41)]   # 0.0 .. 4.0
 _UNREACHABLE_RESIDUAL = 0.30
-
-
-def _with_calibration(datasets: Datasets, calibration: Calibration) -> Datasets:
-    return replace(datasets, calibration=calibration)
-
-
-def _a0_loss_pct(datasets: Datasets) -> float:
-    spec = arch.build_architecture("A0", None, datasets)
-    return arch.evaluate(spec, datasets).total_loss_pct
 
 
 def calibrate_a0_loss(datasets: Datasets, target_pct: float) -> tuple[Calibration, float]:
@@ -48,10 +34,11 @@ def calibrate_a0_loss(datasets: Datasets, target_pct: float) -> tuple[Calibratio
     resistance and is unreachable.
     """
     cal = datasets.calibration
+    spec = arch.build_architecture("A0", None, datasets)
 
     def loss_pct(resistance_ohm: float) -> float:
         trial = replace(cal, pcb_lateral_resistance_ohm=resistance_ohm)
-        return _a0_loss_pct(_with_calibration(datasets, trial))
+        return arch.evaluate(spec, replace(datasets, calibration=trial)).total_loss_pct
 
     at_zero = loss_pct(0.0)
     resistance = (target_pct - at_zero) / (loss_pct(1.0) - at_zero)
@@ -80,7 +67,7 @@ def calibrate_min_die_area(datasets: Datasets, target_mm2: float) -> tuple[Calib
         # Slightly under 1 kA / per_net so the ceil lands exactly on per_net.
         trial = replace(cal, ampacity_a={**cal.ampacity_a, "c4": 1000.0 / (per_net - 0.25)})
         area = arch.min_die_area_for_current(1000.0, trial.policy(),
-                                             _with_calibration(datasets, trial)).area_mm2
+                                             replace(datasets, calibration=trial)).area_mm2
         return trial, abs(area - target_mm2) / target_mm2
 
     return min(fit(max(1, math.floor(n))), fit(max(1, math.ceil(n))), key=lambda f: f[1])
@@ -96,7 +83,8 @@ def calibrate_utilizations(datasets: Datasets,
     worst = 0.0
     for level_name, target in targets.items():
         if level_name not in domain_by_level:
-            raise TargetUnreachable(f"level '{level_name}' is not on the vertical path")
+            raise ConfigError(f"target utilizations: level '{level_name}' "
+                              "is not on the vertical path")
         level = datasets.levels[level_name]
         current = spec.total_power_w / domain_by_level[level_name]
         count = ic.connection_count(level)
@@ -128,35 +116,76 @@ def calibrate_spread(datasets: Datasets, arch_name: str, topology: str,
     return replace(datasets.calibration, demand_weight=best_w), best_res
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _parse_positive(name: str, text: str) -> float:
+    value = _number(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"target {name} must be a finite value > 0, got '{text}'")
+    return value
+
+
+def _parse_window(name: str, text: str) -> tuple[float, float]:
+    bounds = [_number(part) for part in text.split(":")]
+    lo, hi = bounds if len(bounds) == 2 else (math.nan, math.nan)
+    if not 0 < lo < hi < math.inf:
+        raise ConfigError(f"target {name} must be LO:HI with finite 0 < LO < HI, got '{text}'")
+    return lo, hi
+
+
+def _parse_utilizations(name: str, text: str) -> dict[str, float]:
+    fractions: dict[str, float] = {}
+    for chunk in text.split(","):
+        level, sep, fraction_text = (part.strip() for part in chunk.partition(":"))
+        if not sep:
+            raise ConfigError(f"target {name} must be LEVEL:FRACTION[,...], got '{text}'")
+        if level in fractions:
+            raise ConfigError(f"target {name}: level '{level}' is given twice")
+        fraction = _number(fraction_text)
+        if not 0 < fraction <= 1:
+            raise ConfigError(f"target {name}: the fraction of '{level}' must be "
+                              f"in (0, 1], got '{fraction_text}'")
+        fractions[level] = fraction
+    return fractions
+
+
+# Every target as (parse its command-line value, fit it), in the order
+# run_calibration applies them: where two fits set one knob (utilizations and
+# min_die_area both set the c4 ampacity) the later one wins.
+TARGETS = {
+    "utilizations": (_parse_utilizations, calibrate_utilizations),
+    "min_die_area": (_parse_positive, calibrate_min_die_area),
+    "a0_loss_pct": (_parse_positive, calibrate_a0_loss),
+    "a1_spread": (_parse_window, lambda ds, window: calibrate_spread(ds, "A1", "DSCH", *window)),
+    "a2_spread": (_parse_window, lambda ds, window: calibrate_spread(ds, "A2", "DSCH", *window)),
+}
+
+
+def parse_targets(pairs: list[str]) -> dict:
+    """run_calibration's targets from NAME=VALUE; a bad one is a ConfigError naming it."""
+    targets: dict = {}
+    for pair in pairs:
+        name, sep, text = (part.strip() for part in pair.partition("="))
+        if not sep:
+            raise ConfigError(f"bad target '{pair}' (want NAME=VALUE)")
+        if name not in TARGETS:
+            raise ConfigError(f"unknown calibration target '{name}' (known: {', '.join(TARGETS)})")
+        if name in targets:
+            raise ConfigError(f"target {name} is given twice")
+        targets[name] = TARGETS[name][0](name, text)
+    return targets
+
+
 def run_calibration(datasets: Datasets, targets: dict) -> tuple[Calibration, dict[str, float]]:
-    """Apply every requested target in a fixed order; later knobs win on overlap.
-
-    With no targets the current calibration is returned unchanged (identity).
-    """
+    """Fit each requested target in TARGETS order; with none, return the calibration as is."""
     residuals: dict[str, float] = {}
-    cal = datasets.calibration
-    ds = datasets
-
-    if "utilizations" in targets:
-        cal, res = calibrate_utilizations(ds, targets["utilizations"])
-        ds = _with_calibration(ds, cal)
-        residuals["utilizations"] = res
-    if "min_die_area" in targets:
-        cal, res = calibrate_min_die_area(ds, float(targets["min_die_area"]))
-        ds = _with_calibration(ds, cal)
-        residuals["min_die_area"] = res
-    if "a0_loss_pct" in targets:
-        cal, res = calibrate_a0_loss(ds, float(targets["a0_loss_pct"]))
-        ds = _with_calibration(ds, cal)
-        residuals["a0_loss_pct"] = res
-    if "a1_spread" in targets:
-        lo, hi = targets["a1_spread"]
-        cal, res = calibrate_spread(ds, "A1", "DSCH", float(lo), float(hi))
-        ds = _with_calibration(ds, cal)
-        residuals["a1_spread"] = res
-    if "a2_spread" in targets:
-        lo, hi = targets["a2_spread"]
-        cal, res = calibrate_spread(ds, "A2", "DSCH", float(lo), float(hi))
-        ds = _with_calibration(ds, cal)
-        residuals["a2_spread"] = res
-    return cal, residuals
+    for name, (_, fit) in TARGETS.items():
+        if name in targets:
+            calibration, residuals[name] = fit(datasets, targets[name])
+            datasets = replace(datasets, calibration=calibration)
+    return datasets.calibration, residuals

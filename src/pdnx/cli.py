@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 
 from . import architecture as arch
 from . import reporting as rpt
-from .calibrate import run_calibration
+from .calibrate import parse_targets, run_calibration
 from .config import RunConfig, check_formats, load_config
 from .datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
 from .errors import ConfigError, PdnxError, SingularSystem, TargetUnreachable, Unsatisfiable
@@ -247,47 +247,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_targets(pairs: list[str]) -> dict:
-    targets: dict = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"bad target '{pair}' (want NAME=VALUE)")
-        name, _, value = pair.partition("=")
-        name = name.strip()
-        value = value.strip()
-        if name in ("a0_loss_pct", "min_die_area"):
-            target = float(value)
-            if not (math.isfinite(target) and target > 0):
-                raise ConfigError(f"target {name} must be a finite value > 0, got '{value}'")
-            targets[name] = target
-        elif name in ("a1_spread", "a2_spread"):
-            lo, _, hi = value.partition(":")
-            window = (float(lo), float(hi))
-            if not 0 < window[0] < window[1] < math.inf:
-                raise ConfigError(f"target {name} must be LO:HI with finite "
-                                  f"0 < LO < HI, got '{value}'")
-            targets[name] = window
-        elif name == "utilizations":
-            entries = {}
-            for chunk in value.split(","):
-                level, _, text = chunk.partition(":")
-                frac = float(text)
-                if not 0 < frac <= 1:
-                    raise ConfigError(f"target utilizations: the fraction of "
-                                      f"'{level.strip()}' must be in (0, 1], got '{text}'")
-                entries[level.strip()] = frac
-            targets[name] = entries
-        else:
-            raise ConfigError(
-                f"unknown calibration target '{name}' (known: a0_loss_pct, "
-                "a1_spread, a2_spread, utilizations, min_die_area)"
-            )
-    return targets
-
-
 def cmd_calibrate(args) -> int:
     cfg, datasets = _load(args)
-    targets = _parse_targets(args.target)
+    targets = parse_targets(args.target)
     calibration, residuals = run_calibration(datasets, targets)
     doc = calibration_to_document(
         calibration,

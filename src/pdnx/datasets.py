@@ -199,6 +199,24 @@ def _number(row: dict, name: str, kind: type = float, default=None):
     return number
 
 
+def _read_rows(raw: dict, table: str, key: str, kind: str, build) -> list:
+    """build(row) for each row of raw[table][key]; a key that is not a list of
+    objects, or a row with a missing field or a bad value, is a ConfigError."""
+    rows = raw[table].get(key)
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise ConfigError(f"{table}: {key} must be a list of objects")
+    built = []
+    for row in rows:
+        try:
+            built.append(build(row))
+        except KeyError as exc:
+            raise ConfigError(f"{table} {kind} '{row.get('name', '?')}': "
+                              f"missing field {exc}") from None
+        except TypeError as exc:
+            raise ConfigError(f"{table} {kind} '{row.get('name', '?')}': {exc}") from None
+    return built
+
+
 def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
     cal_doc = raw["calibration-default"]
     try:
@@ -227,65 +245,51 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"calibration-default: {exc}") from None
 
-    levels: dict[str, InterconnectLevel] = {}
-    for row in raw["table1"]["levels"]:
-        name = row.get("name", "?")
-        try:
-            material = row["material"]
-            if material not in calibration.resistivity_ohm_m:
-                raise ConfigError(f"table1 level '{name}': no resistivity for '{material}'")
-            lv = InterconnectLevel(
-                name=row["name"],
-                platform_area_mm2=_number(row, "platform_area_mm2"),
-                material=material,
-                resistivity_ohm_m=float(row.get("resistivity_ohm_m")
-                                        or calibration.resistivity_ohm_m[material]),
-                cross_area_um2=_number(row, "cross_area_um2"),
-                height_um=_number(row, "height_um"),
-                pitch_um=_number(row, "pitch_um"),
-                diameter_um=None if row.get("diameter_um") is None else float(row["diameter_um"]),
-                area_ratio_to_die=_number(row, "area_ratio_to_die"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"table1 level '{name}': missing field {exc}") from None
-        except TypeError as exc:
-            raise ConfigError(f"table1 level '{name}': {exc}") from None
-        levels[lv.name] = lv
+    def level(row: dict) -> InterconnectLevel:
+        material = row["material"]
+        if material not in calibration.resistivity_ohm_m:
+            raise ConfigError(f"table1 level '{row.get('name', '?')}': "
+                              f"no resistivity for '{material}'")
+        return InterconnectLevel(
+            name=row["name"],
+            platform_area_mm2=_number(row, "platform_area_mm2"),
+            material=material,
+            resistivity_ohm_m=float(row.get("resistivity_ohm_m")
+                                    or calibration.resistivity_ohm_m[material]),
+            cross_area_um2=_number(row, "cross_area_um2"),
+            height_um=_number(row, "height_um"),
+            pitch_um=_number(row, "pitch_um"),
+            diameter_um=None if row.get("diameter_um") is None else float(row["diameter_um"]),
+            area_ratio_to_die=_number(row, "area_ratio_to_die"),
+        )
 
-    topologies: dict[str, ConverterTopology] = {}
-    counts: dict[str, VrSiteCounts] = {}
-    for row in raw["table2"]["topologies"]:
-        name = row.get("name", "?")
-        try:
-            eta = _number(row, "eta_peak")
-            if (name == "DPMIH"
-                    and calibration.dpmih_efficiency_variant == "text"
-                    and row.get("alt_eta_peak_text") is not None):
-                eta = _number(row, "alt_eta_peak_text")
-            topo = ConverterTopology(
-                name=row["name"],
-                v_in_v=_number(row, "v_in_v"),
-                v_out_v=_number(row, "v_out_v"),
-                i_max_a=_number(row, "i_max_a"),
-                eta_peak=eta,
-                i_at_peak_a=_number(row, "i_at_peak_a"),
-                n_switches=_number(row, "n_switches", int),
-                switch_density_per_mm2=_number(row, "switch_density_per_mm2"),
-                n_inductors=_number(row, "n_inductors", int, 0),
-                total_inductance_uh=_number(row, "total_inductance_uh", float, 0.0),
-                n_capacitors=_number(row, "n_capacitors", int, 0),
-                total_capacitance_uf=_number(row, "total_capacitance_uf", float, 0.0),
-            )
-            site_counts = VrSiteCounts(
-                periphery=_number(row, "vr_sites_periphery", int),
-                below_die=_number(row, "vr_sites_below_die", int),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"table2 topology '{name}': missing field {exc}") from None
-        except TypeError as exc:
-            raise ConfigError(f"table2 topology '{name}': {exc}") from None
-        topologies[topo.name] = topo
-        counts[topo.name] = site_counts
+    def topology(row: dict) -> tuple[ConverterTopology, VrSiteCounts]:
+        eta = _number(row, "eta_peak")
+        if (row.get("name") == "DPMIH"
+                and calibration.dpmih_efficiency_variant == "text"
+                and row.get("alt_eta_peak_text") is not None):
+            eta = _number(row, "alt_eta_peak_text")
+        topo = ConverterTopology(
+            name=row["name"],
+            v_in_v=_number(row, "v_in_v"),
+            v_out_v=_number(row, "v_out_v"),
+            i_max_a=_number(row, "i_max_a"),
+            eta_peak=eta,
+            i_at_peak_a=_number(row, "i_at_peak_a"),
+            n_switches=_number(row, "n_switches", int),
+            switch_density_per_mm2=_number(row, "switch_density_per_mm2"),
+            n_inductors=_number(row, "n_inductors", int, 0),
+            total_inductance_uh=_number(row, "total_inductance_uh", float, 0.0),
+            n_capacitors=_number(row, "n_capacitors", int, 0),
+            total_capacitance_uf=_number(row, "total_capacitance_uf", float, 0.0),
+        )
+        return topo, VrSiteCounts(periphery=_number(row, "vr_sites_periphery", int),
+                                  below_die=_number(row, "vr_sites_below_die", int))
+
+    levels = {lv.name: lv for lv in _read_rows(raw, "table1", "levels", "level", level)}
+    rows = _read_rows(raw, "table2", "topologies", "topology", topology)
+    topologies = {topo.name: topo for topo, _ in rows}
+    counts = {topo.name: site_counts for topo, site_counts in rows}
 
     datasets = Datasets(
         levels=levels,

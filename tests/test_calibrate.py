@@ -8,7 +8,7 @@ import pytest
 import pdnx
 from pdnx import architecture, pdn_grid
 from pdnx.architecture import build_architecture, evaluate, utilization_report
-from pdnx.calibrate import (_SPREAD_WEIGHT_GRID, calibrate_a0_loss,
+from pdnx.calibrate import (_SPREAD_WEIGHT_GRID, TARGETS, calibrate_a0_loss,
                             calibrate_min_die_area, calibrate_spread,
                             calibrate_utilizations, run_calibration)
 from pdnx.datasets import load_datasets
@@ -69,6 +69,24 @@ def test_utilization_targets_back_solve(datasets):
         build_architecture("A1", "DSCH", ds), ds)}
     for level, target in targets.items():
         assert entries[level].utilization_fraction == pytest.approx(target, rel=0.05)
+
+
+def test_targets_apply_in_table_order(datasets):
+    # utilizations and min_die_area both set the c4 ampacity. TARGETS lists
+    # utilizations first, so min_die_area's c4 ampacity stands, whatever the
+    # order of the request, while utilizations' other ampacities survive.
+    assert list(TARGETS).index("utilizations") < list(TARGETS).index("min_die_area")
+    fractions = {"bga": 0.01, "c4": 0.02}
+    combined, residuals = run_calibration(
+        datasets, {"min_die_area": 1200.0, "utilizations": fractions})
+    first, first_residual = calibrate_utilizations(datasets, fractions)
+    second, second_residual = calibrate_min_die_area(
+        replace(datasets, calibration=first), 1200.0)
+    assert combined == second
+    assert residuals == {"utilizations": first_residual, "min_die_area": second_residual}
+    alone, _ = calibrate_min_die_area(datasets, 1200.0)
+    assert combined.ampacity_a["c4"] == alone.ampacity_a["c4"] != first.ampacity_a["c4"]
+    assert combined.ampacity_a["bga"] == first.ampacity_a["bga"]
 
 
 def test_published_a2_range_unreachable(datasets):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import pdnx
 from pdnx.architecture import ARCHITECTURE_NAMES
+from pdnx.calibrate import TARGETS
 from pdnx.cli import SWEEP_PARAMETERS, SWEEP_RUN_PARAMETERS, _parse_values, main
 from pdnx.datasets import load_raw_dataset
 from pdnx.errors import ConfigError
@@ -472,16 +473,25 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("target", [
         "a1_spread=nan:nan", "a1_spread=-5:-1", "a1_spread=27:16", "a1_spread=16:inf",
         "a2_spread=0:93", "utilizations=c4:0", "utilizations=bga:0.01,c4:-1",
-        "utilizations=c4:nan", "utilizations=c4:1.5"])
+        "utilizations=c4:nan", "utilizations=c4:1.5", "utilizations=foo:0.5",
+        "a1_spread=16:27 a1_spread=40:41", "utilizations=c4:0.02,c4:0.03",
+        "a0_loss_pct=abc", "a1_spread=16", "a1_spread=16:27:30", "utilizations=c4"])
     def test_bad_spread_or_utilization_target_exit_2(self, tmp_path, capsys, target):
+        # A space separates the targets of a case that gives more than one.
         out = tmp_path / "out"
-        assert run_cli("calibrate", "--out", str(out), "--target", target) == 2
-        assert "config error" in capsys.readouterr().err
+        flags = [arg for pair in target.split() for arg in ("--target", pair)]
+        assert run_cli("calibrate", "--out", str(out), *flags) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"target {target.partition('=')[0]}" in err
+        assert "could not convert" not in err
         assert not out.exists()
 
-    def test_unknown_target_exit_2(self, tmp_path):
+    def test_unknown_target_exit_2(self, tmp_path, capsys):
         assert run_cli("calibrate", "--out", str(tmp_path),
                        "--target", "coolness=11") == 2
+        known = capsys.readouterr().err.partition("(known: ")[2].rstrip().removesuffix(")")
+        assert known.split(", ") == list(TARGETS)
 
     def test_bad_calibration_override_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -515,12 +525,18 @@ class TestFeasibilityCommand:
         (lambda c4: {k: v for k, v in c4.items() if k != "area_ratio_to_die"},
          "table1 level 'c4': missing field 'area_ratio_to_die'"),
         (lambda c4: None, "table1: stack level 'c4' is missing"),
+        (5, "table1: levels must be a list of objects"),
+        ([5], "table1: levels must be a list of objects"),
     ])
     def test_bad_table1_level_exit_2(self, tmp_path, capsys, edit, message):
-        levels = [row if row["name"] != "c4" else edit(row)
-                  for row in load_raw_dataset("table1")["levels"]]
-        cfg = write_config(tmp_path, {"datasets": {"table1": {
-            "levels": [row for row in levels if row is not None]}}})
+        # A callable edit replaces the c4 row (None drops it); anything else
+        # replaces the whole list.
+        levels = edit
+        if callable(edit):
+            edited = (row if row["name"] != "c4" else edit(row)
+                      for row in load_raw_dataset("table1")["levels"])
+            levels = [row for row in edited if row is not None]
+        cfg = write_config(tmp_path, {"datasets": {"table1": {"levels": levels}}})
         assert run_cli("feasibility", "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -534,11 +550,17 @@ class TestFeasibilityCommand:
          "table2 topology 'DSCH': vr_sites_periphery: 2.5 is not an integer"),
         (lambda dsch: {**dsch, "i_max_a": "thirty"},
          "table2 topology 'DSCH': i_max_a: 'thirty' is not a number"),
+        (5, "table2: topologies must be a list of objects"),
+        ([5], "table2: topologies must be a list of objects"),
     ])
     @pytest.mark.parametrize("command", ["feasibility", "evaluate"])
     def test_bad_table2_topology_exit_2(self, tmp_path, capsys, edit, message, command):
-        topologies = [row if row["name"] != "DSCH" else edit(row)
-                      for row in load_raw_dataset("table2")["topologies"]]
+        # A callable edit replaces the DSCH row; anything else replaces the
+        # whole list.
+        topologies = edit
+        if callable(edit):
+            topologies = [row if row["name"] != "DSCH" else edit(row)
+                          for row in load_raw_dataset("table2")["topologies"]]
         cfg = write_config(tmp_path, {"datasets": {"table2": {"topologies": topologies}}})
         assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
