@@ -242,8 +242,15 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
     return outcome
 
 
-def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
-    """evaluate as a generator: yields each plane problem, is sent its solution."""
+def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets,
+                    verdict_only: bool = False) -> _Evaluation:
+    """evaluate as a generator: yields each plane problem, is sent its solution.
+
+    With verdict_only the evaluation ends at the first stage, POL side
+    first, whose converter_rating check fails, once that stage's own checks
+    have run: the cell's verdict is then fixed, and the breakdown returned
+    covers only the stages evaluated.
+    """
     usage = {e.level: e for e in utilization_report(spec, datasets)}
     feasibility = [
         FeasibilityCheck(
@@ -257,7 +264,8 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
 
     if not spec.stages:
         return _evaluate_reference(spec, datasets, usage, feasibility, assumptions)
-    return (yield from _evaluate_staged(spec, datasets, usage, feasibility, assumptions))
+    return (yield from _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
+                                        verdict_only))
 
 
 def _drive(evaluations: list[_Evaluation]) -> list:
@@ -363,7 +371,8 @@ def _evaluate_reference(spec, datasets, usage, feasibility, assumptions) -> Loss
     )
 
 
-def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evaluation:
+def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
+                     verdict_only: bool) -> _Evaluation:
     cal = datasets.calibration
     vertical: dict[str, float] = {}
     horizontal: dict[str, float] = {}
@@ -472,12 +481,19 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evalua
                 f"into it ({plane_in:.4g} W after a {droop:.3g} ohm output droop), so it "
                 f"passes {delivered[rail]:.4g} W on"
             )
-
-    # Source-side domain: remaining vertical levels plus the board rail.
-    i_in = demand_w / INPUT_VOLTAGE_V
-    domain_currents[f"{INPUT_VOLTAGE_V:g}V"] = i_in
-    vertical.update(_domain_vertical_losses(spec, datasets, usage, INPUT_VOLTAGE_V, i_in))
-    pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
+        if over and verdict_only:
+            # The cell is not_reported at this bank whatever lies upstream of
+            # it, so neither the stages nor the board rail upstream are
+            # evaluated. The breakdown ends here, for verdict's checks only.
+            pcb_loss = 0.0
+            break
+    else:
+        # Source-side domain: remaining vertical levels plus the board rail.
+        i_in = demand_w / INPUT_VOLTAGE_V
+        domain_currents[f"{INPUT_VOLTAGE_V:g}V"] = i_in
+        vertical.update(_domain_vertical_losses(spec, datasets, usage, INPUT_VOLTAGE_V,
+                                                i_in))
+        pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
 
     vert_total = sum(vertical.values())
     conv_total = sum(converter_losses.values())
@@ -570,9 +586,11 @@ def evaluate_cell(
     A model error makes an error cell, and so does an evaluation that
     overflows the float range or yields a non-finite figure. A converter
     bank run beyond its current rating makes a not_reported cell: its losses
-    are extrapolated and never presented as a loss figure. Any other result
-    is ok. The reference chain ignores the topology (same converter either
-    way).
+    are extrapolated and never presented as a loss figure. The cell is
+    judged at its first over-rated bank, POL side first: the stages upstream
+    of it are not evaluated, so a model error there does not make the cell
+    an error. Any other result is ok. The reference chain ignores the
+    topology (same converter either way).
     """
     return compare([arch_name], [topology_name], datasets, die_area_mm2=die_area_mm2,
                    total_power_w=total_power_w, pol_voltage_v=pol_voltage_v).cells[0]
@@ -581,7 +599,7 @@ def evaluate_cell(
 def _cell_steps(arch_name: str, topology_name: str, datasets: Datasets,
                 **plan) -> _Evaluation:
     spec = build_architecture(arch_name, topology_name, datasets, **plan)
-    return (yield from _evaluate_steps(spec, datasets))
+    return (yield from _evaluate_steps(spec, datasets, verdict_only=True))
 
 
 def evaluate_plans(plans: list[tuple[str, str, Datasets, dict]]) -> list:
@@ -589,8 +607,8 @@ def evaluate_plans(plans: list[tuple[str, str, Datasets, dict]]) -> list:
 
     plan holds build_architecture's keyword arguments. Plans that share a
     plane solve it back to back on one factor (see _drive). Returns, per
-    plan, its breakdown or the exception it raised; verdict makes a cell of
-    either.
+    plan, its breakdown, which ends at the first over-rated bank, or the
+    exception it raised; verdict makes a cell of either.
     """
     runs = [_cell_steps(arch, topo, ds, **plan) for arch, topo, ds, plan in plans]
     return _drive(runs)

@@ -166,6 +166,11 @@ TARGETS = {
 }
 
 
+def _check_known(name: str) -> None:
+    if name not in TARGETS:
+        raise ConfigError(f"unknown calibration target '{name}' (known: {', '.join(TARGETS)})")
+
+
 def parse_targets(pairs: list[str]) -> dict:
     """run_calibration's targets from NAME=VALUE; a bad one is a ConfigError naming it."""
     targets: dict = {}
@@ -173,8 +178,7 @@ def parse_targets(pairs: list[str]) -> dict:
         name, sep, text = (part.strip() for part in pair.partition("="))
         if not sep:
             raise ConfigError(f"bad target '{pair}' (want NAME=VALUE)")
-        if name not in TARGETS:
-            raise ConfigError(f"unknown calibration target '{name}' (known: {', '.join(TARGETS)})")
+        _check_known(name)
         if name in targets:
             raise ConfigError(f"target {name} is given twice")
         targets[name] = TARGETS[name][0](name, text)
@@ -182,7 +186,12 @@ def parse_targets(pairs: list[str]) -> dict:
 
 
 def run_calibration(datasets: Datasets, targets: dict) -> tuple[Calibration, dict[str, float]]:
-    """Fit each requested target in TARGETS order; with none, return the calibration as is."""
+    """Fit each requested target in TARGETS order; with none, return the calibration as is.
+
+    A target not in TARGETS is a ConfigError, as in parse_targets.
+    """
+    for name in targets:
+        _check_known(name)
     residuals: dict[str, float] = {}
     for name, (_, fit) in TARGETS.items():
         if name in targets:

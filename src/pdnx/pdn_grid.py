@@ -21,13 +21,14 @@ nodes are split off the stencil. The free block is symmetric positive
 definite. A square plane that the diagonal mirror (i, j) -> (j, i) maps
 onto itself, diagonal and free nodes bit for bit, splits into a symmetric
 and an antisymmetric sector of about half the nodes each, and each sector
-is factorised the first time a right-hand side has a component in it; any
-other plane is one sector, the whole free block. Each sector is one SuperLU
-factor with a minimum-degree ordering and one column per panel: a lattice
-block has narrow supernodes, which SuperLU's default 20-column panel does
-not repay. The factors depend only on the lattice, the Dirichlet nodes and
-the branches, so the last plane's are kept and reused while problems on the
-same plane differ only in sinks and source voltages. Each VR's current is
+is factorised the first time a right-hand side has more than a
+rounding-level component in it; any other plane is one sector, the whole
+free block. Each sector is one SuperLU factor with a minimum-degree
+ordering and one column per panel: a lattice block has narrow supernodes,
+which SuperLU's default 20-column panel does not repay. The factors depend
+only on the lattice, the Dirichlet nodes and the branches, so the last
+plane's are kept and reused while problems on the same plane differ only in
+sinks and source voltages. Each VR's current is
 the net current out of its Dirichlet node; the plane's ohmic loss (doubled
 for the mirrored ground plane) follows from the solved voltages.
 """
@@ -47,6 +48,10 @@ from .errors import DegenerateGrid, SingularSystem
 from .placement import DieFloorplan, VrSite
 
 _RESIDUAL_TOL = 1e-10
+# A sector whose share of the right-hand side is at most this fraction of it
+# is neither factorised nor solved: dropping that share raises the backward
+# error by at most this much, far below _RESIDUAL_TOL.
+_SECTOR_SHARE_TOL = 1e-3 * _RESIDUAL_TOL
 # Largest lattice build_problem will discretise; checked before allocation.
 _MAX_NODES = 1_000_000
 
@@ -407,7 +412,8 @@ class _Sector:
 
     basis is P (free nodes x sector unknowns), None for the whole free
     block. The sector's block is P^T A P; it is factorised the first time a
-    right-hand side has a component P^T b in it, and kept in lu.
+    right-hand side has more than a rounding-level component P^T b in it
+    (see _PlaneOperator.solve), and kept in lu.
     """
 
     basis: sp.csr_matrix | None
@@ -459,13 +465,17 @@ class _PlaneOperator:
         """u_free = sum over sectors of P_k (P_k^T A P_k)^-1 P_k^T rhs.
 
         The sectors span the free nodes and A maps each into itself, so the
-        sum solves A u_free = rhs for any rhs. A sector in which rhs has no
-        component is neither factorised nor solved.
+        sum solves A u_free = rhs for any rhs. A sector with
+        ||P_k^T rhs|| <= _SECTOR_SHARE_TOL * ||rhs|| is neither factorised nor
+        solved: rhs's component in it, at most that large, is left as
+        residual (a mirror-symmetric demand has rounding-level antisymmetric
+        parts).
         """
         u_free = np.zeros(rhs.size)
+        cutoff = _SECTOR_SHARE_TOL * float(np.linalg.norm(rhs))
         for sector in self.sectors:
             part = sector.restrict(rhs)
-            if part.any():
+            if np.linalg.norm(part) > cutoff:
                 u_free += sector.lift(sector.factor(self.lap_ff).solve(part))
         return u_free
 

@@ -231,6 +231,40 @@ class TestIntermediateOperatingPoint:
         assert "operating point" in cell.reason
         assert not _passes_on_no_power(Unsatisfiable(cell.reason))
 
+    @pytest.mark.parametrize("arch,v_mid", [("A3@12V", 12), ("A3@6V", 6)])
+    def test_over_rated_plan_keeps_its_full_breakdown(self, datasets, arch, v_mid):
+        # A cell stops at its over-rated POL bank; evaluate goes on to the
+        # stage upstream of it and the board rail.
+        b = evaluate(build_architecture(arch, "DPMIH", datasets), datasets)
+        stages = [f"stage2_DPMIH-{v_mid}to1", f"stage1_DPMIH-48to{v_mid}"]
+        assert list(b.converter_losses_w) == list(b.per_vr_currents_a) == stages
+        assert list(b.horizontal_losses_w) == ["1V", f"{v_mid}V"]
+        assert list(b.domain_currents_a) == ["1V", f"{v_mid}V", "48V"]
+        assert [f.status for f in b.feasibility if f.check == "converter_rating"] == \
+            ["fail", "pass"]
+        totals = [b.total_loss_w, b.source_power_w, b.pol_power_w, b.pcb_lateral_loss_w]
+        assert all(math.isfinite(x) and x > 0 for x in totals)
+        assert b.source_power_w == pytest.approx(b.pol_power_w + b.total_loss_w, rel=1e-12)
+
+    def test_cell_is_judged_at_its_first_over_rated_bank(self, datasets):
+        # At 0.06 ohm/sq the 6 V plane has no operating point, but the cell
+        # never reaches it: its POL bank is over-rated first.
+        cal = replace(datasets.calibration, sheet_resistance_ohm_sq=0.06)
+        lossy = replace(datasets, calibration=cal)
+        with pytest.raises(Unsatisfiable, match="no intermediate-plane operating point"):
+            evaluate(build_architecture("A3@6V", "DPMIH", lossy), lossy)
+        cell = evaluate_cell("A3@6V", "DPMIH", lossy)
+        assert cell.status == "not_reported"
+        assert cell.breakdown is None
+        assert cell.reason.startswith("converter rating violated: stage2_DPMIH-6to1: ")
+        # Nor is a figure upstream that leaves the float range: at 1e100 W
+        # the board rail's I^2 R overflows, the bank's own figures do not.
+        with pytest.raises(OverflowError):
+            evaluate(build_architecture("A1", "DSCH", datasets, total_power_w=1e100), datasets)
+        cell = evaluate_cell("A1", "DSCH", datasets, total_power_w=1e100)
+        assert cell.status == "not_reported"
+        assert cell.reason.startswith("converter rating violated: stage1_DSCH: ")
+
 
 class TestReferenceArchitecture:
     def test_a0_lands_above_forty_percent(self, datasets):
@@ -582,13 +616,13 @@ class TestPlaneMajorCompare:
         (BENCH_ARCHS, ["DSCH", "DPMIH"]),
         (["A3@6V", "A2", "A0", "A3@12V", "A1"], ["DPMIH", "DSCH"]),
         (["A3@12V", "A1", "A3@6V", "A0", "A2"], ["DSCH", "DPMIH"])])
-    def test_benchmark_cells_make_eight_factors_and_twelve_solves(self, datasets, archs,
-                                                                  topos):
-        # Of 12 planes, A3@12V and A3@6V share each POL plane and the two
-        # topologies share each A3 intermediate plane. Each of the 12 is
-        # solved once.
+    def test_benchmark_cells_make_eight_factors_and_ten_solves(self, datasets, archs,
+                                                               topos):
+        # Every DPMIH bank is over-rated, so an A3 DPMIH cell ends at its POL
+        # plane. Of the 10 planes solved, A3@12V and A3@6V share each POL
+        # plane. Each of the 10 is solved once.
         _, keys, factored = self._compare_counted(archs, topos, datasets)
-        assert (factored, len(keys)) == (8, 12)
+        assert (factored, len(keys)) == (8, 10)
 
     def test_one_solve_error_fails_only_its_cell(self, datasets, monkeypatch):
         args = (self.BENCH_ARCHS, ["DSCH", "DPMIH"], datasets)

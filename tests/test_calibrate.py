@@ -10,9 +10,9 @@ from pdnx import architecture, pdn_grid
 from pdnx.architecture import build_architecture, evaluate, utilization_report
 from pdnx.calibrate import (_SPREAD_WEIGHT_GRID, TARGETS, calibrate_a0_loss,
                             calibrate_min_die_area, calibrate_spread,
-                            calibrate_utilizations, run_calibration)
+                            calibrate_utilizations, parse_targets, run_calibration)
 from pdnx.datasets import load_datasets
-from pdnx.errors import TargetUnreachable
+from pdnx.errors import ConfigError, TargetUnreachable
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,17 @@ def test_identity_when_no_targets(datasets):
     calibration, residuals = run_calibration(datasets, {})
     assert calibration == datasets.calibration
     assert residuals == {}
+
+
+def test_unknown_target_is_a_config_error(datasets):
+    # A misspelt target is refused, not silently left unfitted.
+    with pytest.raises(ConfigError) as raised:
+        run_calibration(datasets, {"a1_sprad": (16.0, 27.0)})
+    assert str(raised.value) == (f"unknown calibration target 'a1_sprad' "
+                                 f"(known: {', '.join(TARGETS)})")
+    with pytest.raises(ConfigError) as parsed:
+        parse_targets(["a1_sprad=16:27"])
+    assert str(parsed.value) == str(raised.value)
 
 
 def test_a0_target_monotone_bisection(datasets):
