@@ -247,9 +247,11 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets,
     """evaluate as a generator: yields each plane problem, is sent its solution.
 
     With verdict_only the evaluation ends at the first stage, POL side
-    first, whose converter_rating check fails, once that stage's own checks
-    have run: the cell's verdict is then fixed, and the breakdown returned
-    covers only the stages evaluated.
+    first, whose converter_rating check fails: the cell's verdict is then
+    fixed, and the breakdown returned covers only the stages evaluated. A
+    bank whose mean per-VR load is over its rating fails before its plane is
+    built, so none of its own checks run; any other bank fails on its plane's
+    worst VR, once its own checks have run.
     """
     usage = {e.level: e for e in utilization_report(spec, datasets)}
     feasibility = [
@@ -382,6 +384,7 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
     delivered: dict[str, float] = {}   # per rail: what the plane passes on downstream
     demand_w = spec.total_power_w      # what the stage being visited must supply
     downstream: list | None = None     # (site, power drawn) per VR of the bank fed
+    pcb_loss = 0.0                     # unless the evaluation reaches the board rail
 
     for n, stage in reversed(list(enumerate(spec.stages, 1))):
         topo = stage.topology
@@ -396,6 +399,23 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
                 f"v_out={v_out:g} V"
             )
 
+        # What the bank carries: the die current at the POL; upstream, the
+        # draw of the bank it feeds, to which its own plane's losses add.
+        base_power = demand_w if downstream is None else sum(p for _, p in downstream)
+        i_base = base_power / v_out
+        mean = i_base / stage.vr_count
+        if verdict_only and mean > topo.i_max_a:
+            # Some VR carries at least the mean (Kirchhoff's current law), so
+            # the bank is over-rated however its plane shares the current: the
+            # verdict is fixed before the plane is built.
+            least = "" if downstream is None else "at least "
+            feasibility.append(FeasibilityCheck(
+                "converter_rating", "fail",
+                f"{key}: mean per-VR load {least}{mean:.4g} A ({least}{i_base:.4g} A over "
+                f"{stage.vr_count} VRs) exceeds the {topo.i_max_a:g} A rating of {topo.name}",
+            ))
+            break
+
         bank = _stage_bank(stage, spec.die, datasets)
         feasibility.extend(bank.checks)
         sites, model, droop = bank.sites, bank.model, bank.droop_ohm
@@ -406,7 +426,7 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
 
         if downstream is None:
             # The POL plane carries the die current with the radial profile.
-            i_plane = demand_w / v_out
+            i_plane = i_base
             solution = yield problem(i_plane)
         else:
             # An upstream plane feeds each downstream VR its terminal output
@@ -417,8 +437,6 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
             # the rail, so the plane at the operating point is that same
             # solution scaled by i_plane / i_base, with no second solve.
             sinks = [(s.x_mm, s.y_mm, p / v_out) for s, p in downstream]
-            base_power = sum(p for _, p in downstream)
-            i_base = base_power / v_out
             base_solution = yield problem(i_base, sinks)
             vert_base = sum(
                 _domain_vertical_losses(spec, datasets, usage, v_out, i_base).values())
@@ -485,7 +503,6 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
             # The cell is not_reported at this bank whatever lies upstream of
             # it, so neither the stages nor the board rail upstream are
             # evaluated. The breakdown ends here, for verdict's checks only.
-            pcb_loss = 0.0
             break
     else:
         # Source-side domain: remaining vertical levels plus the board rail.
@@ -499,7 +516,9 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
     conv_total = sum(converter_losses.values())
     horiz_total = sum(horizontal.values())
     total_loss = conv_total + horiz_total + vert_total + pcb_loss
-    pol_power = delivered[f"{spec.pol_voltage_v:g}V"]
+    # Unset only when verdict_only ended at a POL bank decided on its mean,
+    # before its plane was built; verdict drops this breakdown.
+    pol_power = delivered.get(f"{spec.pol_voltage_v:g}V", 0.0)
     # Everything upstream of the final VR terminals, including the losses of
     # the levels that sit between its output plane and the POL, is supplied
     # by the source.
@@ -589,8 +608,11 @@ def evaluate_cell(
     are extrapolated and never presented as a loss figure. The cell is
     judged at its first over-rated bank, POL side first: the stages upstream
     of it are not evaluated, so a model error there does not make the cell
-    an error. Any other result is ok. The reference chain ignores the
-    topology (same converter either way).
+    an error. A bank too small for its current even with perfect sharing is
+    judged on its mean per-VR load, before its plane is built, so neither
+    its own checks nor its own figures can make the cell an error. Any other
+    result is ok. The reference chain ignores the topology (same converter
+    either way).
     """
     return compare([arch_name], [topology_name], datasets, die_area_mm2=die_area_mm2,
                    total_power_w=total_power_w, pol_voltage_v=pol_voltage_v).cells[0]

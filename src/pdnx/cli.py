@@ -42,6 +42,9 @@ SWEEP_PARAMETERS = {
 }
 # Plus run-level knobs handled specially.
 SWEEP_RUN_PARAMETERS = ("die_area", "total_power")
+# Most samples a start:stop:step range may ask for; checked before the list
+# is built.
+_MAX_SWEEP_SAMPLES = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,7 +193,11 @@ def _parse_values(text: str) -> list[float]:
             raise ConfigError("range step must be > 0")
         # Each sample is start + k*step, so rounding does not accumulate; the
         # relative slack keeps an endpoint that the division puts just short.
-        count = math.floor((stop - start) / step * (1.0 + 1e-9)) + 1
+        span = (stop - start) / step * (1.0 + 1e-9)
+        if not span < _MAX_SWEEP_SAMPLES:
+            raise ConfigError(f"range '{text}' asks for {span + 1:.6g} samples, above the "
+                              f"{_MAX_SWEEP_SAMPLES} sample limit")
+        count = math.floor(span) + 1
         # Twelve significant digits of the range's magnitude trim float noise
         # (0.30000000000000004) without zeroing a small-valued range.
         digits = 11 - math.floor(math.log10(max(abs(start), abs(stop))))

@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dnrm2
 
 from .errors import DegenerateGrid, SingularSystem
 from .placement import DieFloorplan, VrSite
@@ -469,13 +470,14 @@ class _PlaneOperator:
         ||P_k^T rhs|| <= _SECTOR_SHARE_TOL * ||rhs|| is neither factorised nor
         solved: rhs's component in it, at most that large, is left as
         residual (a mirror-symmetric demand has rounding-level antisymmetric
-        parts).
+        parts). The norms are BLAS nrm2's, which scales its sum of squares so
+        that a tiny rhs does not underflow to a zero norm.
         """
         u_free = np.zeros(rhs.size)
-        cutoff = _SECTOR_SHARE_TOL * float(np.linalg.norm(rhs))
+        cutoff = _SECTOR_SHARE_TOL * dnrm2(rhs)
         for sector in self.sectors:
             part = sector.restrict(rhs)
-            if np.linalg.norm(part) > cutoff:
+            if dnrm2(part) > cutoff:
                 u_free += sector.lift(sector.factor(self.lap_ff).solve(part))
         return u_free
 

@@ -19,7 +19,7 @@ from pdnx.architecture import (ARCHITECTURE_NAMES, MIN_DIE_AREA_FLOOR_MM2, build
 from pdnx.calibrate import calibrate_min_die_area
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets, load_raw_dataset
-from pdnx.errors import SingularSystem, Unsatisfiable
+from pdnx.errors import PdnxError, SingularSystem, Unsatisfiable
 from pdnx.interconnect import UtilizationPolicy, required_connections
 
 
@@ -417,9 +417,27 @@ class TestOverflowVerdict:
 
     @pytest.mark.parametrize("arch", ["A0", "A1", "A2", "A3@12V", "A3@6V"])
     def test_squared_load_overflow_is_an_error_cell(self, datasets, arch):
-        cell = evaluate_cell(arch, "DSCH", datasets, total_power_w=1e300)
+        # Rated for 1e300 A, a DSCH bank's mean per-VR load at 1e300 W is
+        # within its rating, so its plane is built and its squared loads
+        # overflow.
+        topologies = dict(datasets.topologies)
+        topologies["DSCH"] = replace(topologies["DSCH"], i_max_a=1e300)
+        cell = evaluate_cell(arch, "DSCH", replace(datasets, topologies=topologies),
+                             total_power_w=1e300)
         assert cell.status == "error" and "overflow" in cell.reason
         assert cell.breakdown is None
+
+    @pytest.mark.parametrize("arch,key", [("A1", "stage1_DSCH"), ("A2", "stage1_DSCH"),
+                                          ("A3@12V", "stage2_DSCH-12to1"),
+                                          ("A3@6V", "stage2_DSCH-6to1")])
+    def test_bank_over_rated_on_its_mean_wins_over_its_overflow(self, datasets, arch, key):
+        # At its 30 A rating the same bank is decided on its mean, before its
+        # plane is built, so none of its figures is computed.
+        cell = evaluate_cell(arch, "DSCH", datasets, total_power_w=1e300)
+        assert cell.status == "not_reported" and cell.breakdown is None
+        assert cell.reason == (f"converter rating violated: {key}: mean per-VR load "
+                               f"2.083e+298 A (1e+300 A over 48 VRs) exceeds the 30 A rating "
+                               f"of {key.split('_')[1]}")
 
     def test_infinite_plane_loss_is_an_error_cell(self, datasets):
         cal = replace(datasets.calibration, sheet_resistance_ohm_sq=1e300)
@@ -445,7 +463,10 @@ class TestDroopOverflowVerdict:
 
     @pytest.mark.parametrize("arch,topo", STAGED)
     def test_every_staged_cell_is_an_error_at_scale_20(self, datasets, arch, topo):
-        cell = evaluate_cell(arch, topo, self._with_droop(datasets, 20.0))
+        # At 500 W no DPMIH bank's mean per-VR load is over its 100 A
+        # rating, so its plane is built and its droop checked.
+        power = {"DSCH": 1000.0, "DPMIH": 500.0}[topo]
+        cell = evaluate_cell(arch, topo, self._with_droop(datasets, 20.0), total_power_w=power)
         assert cell.status == "error" and cell.breakdown is None
         assert "output droop" in cell.reason and "stage" in cell.reason
 
@@ -485,12 +506,97 @@ class TestDroopOverflowVerdict:
             assert not _passes_on_no_power(Unsatisfiable(cell.reason))
 
     def test_scale_5_keeps_the_other_verdicts(self, datasets):
+        # At 1 kW every DPMIH bank's mean per-VR load is over its rating, so
+        # its droop is never checked: A2 and A3 DPMIH, once errors on it,
+        # are not_reported like A1.
         ds = self._with_droop(datasets, 5.0)
-        got = {(a, t): evaluate_cell(a, t, ds).status for a, t in self.STAGED}
-        errors = {("A2", "DPMIH"), ("A3@12V", "DPMIH"), ("A3@6V", "DPMIH")}
-        assert {k for k, v in got.items() if v == "error"} == errors
-        assert got[("A1", "DSCH")] == got[("A2", "DSCH")] == "ok"
-        assert got[("A1", "DPMIH")] == "not_reported"
+        got = {(a, t): evaluate_cell(a, t, ds) for a, t in self.STAGED}
+        assert {k for k, c in got.items() if c.status == "error"} == set()
+        assert got[("A1", "DSCH")].status == got[("A2", "DSCH")].status == "ok"
+        for (arch, topo), cell in got.items():
+            if topo == "DPMIH":
+                assert cell.status == "not_reported" and "mean per-VR load" in cell.reason
+        at_20 = evaluate_cell("A2", "DPMIH", self._with_droop(datasets, 20.0))
+        assert (at_20.status, at_20.reason) == ("not_reported", got[("A2", "DPMIH")].reason)
+
+
+class TestMeanRatingRule:
+    """compare, sweep and the CLI's evaluate decide a bank whose mean per-VR
+    load is over its rating before its plane is built; the plane's worst VR
+    decides every other bank."""
+
+    MEAN = re.compile(r"converter rating violated: (\S+): mean per-VR load (?:at least )?"
+                      r"(\S+) A \((?:at least )?(\S+) A over (\d+) VRs\)")
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arch=st.sampled_from(["A1", "A2", "A3@12V", "A3@6V"]),
+           topo=st.sampled_from(["DSCH", "DPMIH", "3LHD"]),
+           power=st.floats(math.log(100.0), math.log(5000.0)).map(math.exp))
+    def test_a_decided_bank_is_over_rated_in_evaluate(self, datasets, arch, topo, power):
+        spec = build_architecture(arch, topo, datasets, total_power_w=power)
+        pol = spec.stages[-1]
+        pol_key = f"stage{len(spec.stages)}_{pol.topology.name}"
+        pol_mean = power / pol.topology.v_out_v / pol.vr_count
+        [cell] = compare([arch], [topo], datasets, total_power_w=power).cells
+        stated = self.MEAN.fullmatch(cell.reason.split(" exceeds ")[0])
+        if pol_mean > pol.topology.i_max_a:
+            assert cell.status == "not_reported"
+            assert stated is not None and stated.group(1) == pol_key
+        if stated is None:
+            return
+        assert cell.status == "not_reported"
+        key, mean = stated.group(1), float(stated.group(2))
+        try:
+            b = evaluate(spec, datasets)
+        except (PdnxError, OverflowError):
+            return
+        [check] = [f for f in b.feasibility
+                   if f.check == "converter_rating" and f.detail.startswith(key + ":")]
+        assert check.status == "fail"
+        # The reason states the mean to 4 significant digits.
+        assert max(b.per_vr_currents_a[key]) >= mean * (1.0 - 5e-4)
+        if key == pol_key:
+            assert max(b.per_vr_currents_a[key]) >= pol_mean * (1.0 - 1e-12)
+
+    def test_an_upstream_bank_is_decided_on_its_least_current(self, datasets):
+        # Two 48-to-6 DPMIH VRs feed the DSCH bank at 1.2 kW: its draw alone
+        # puts them over their rating, before the 6 V plane adds its losses.
+        counts = dict(datasets.vr_site_counts)
+        counts["DPMIH"] = replace(counts["DPMIH"], periphery=2)
+        ds = replace(datasets, vr_site_counts=counts)
+        cell = evaluate_cell("A3@6V", "DSCH", ds, total_power_w=1200.0)
+        assert cell.status == "not_reported"
+        stated = self.MEAN.match(cell.reason)
+        assert stated is not None and stated.group(1) == "stage1_DPMIH-48to6"
+        assert "mean per-VR load at least " in cell.reason
+        assert float(stated.group(3)) == pytest.approx(2 * float(stated.group(2)), rel=1e-3)
+        b = evaluate(build_architecture("A3@6V", "DSCH", ds, total_power_w=1200.0), ds)
+        assert [f.status for f in b.feasibility if f.check == "converter_rating"] == \
+            ["pass", "fail"]
+        loads = b.per_vr_currents_a["stage1_DPMIH-48to6"]
+        assert min(loads) > float(stated.group(2)) > 100.0
+
+    def test_the_plane_decides_a_bank_its_mean_does_not(self, datasets):
+        # At 1.2 kW A2's 48 DSCH VRs carry 25 A each on average, within
+        # their 30 A rating, but the plane loads its worst VR beyond it.
+        cell = evaluate_cell("A2", "DSCH", datasets, total_power_w=1200.0)
+        assert (cell.status, cell.reason) == (
+            "not_reported",
+            "converter rating violated: stage1_DSCH: per-VR load up to 32.3 A exceeds the "
+            "30 A rating of DSCH")
+
+    @pytest.mark.parametrize("arch", ["A1", "A2", "A3@12V", "A3@6V"])
+    @pytest.mark.parametrize("topo", ["DPMIH", "3LHD"])
+    def test_a_decided_cell_builds_and_solves_no_plane(self, datasets, monkeypatch, arch, topo):
+        built, solved = [], []
+        build, solve = pdn_grid.build_problem, pdn_grid.solve_dc
+        monkeypatch.setattr(pdn_grid, "build_problem",
+                            lambda *a, **k: built.append(1) or build(*a, **k))
+        monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(1) or solve(p))
+        cell = evaluate_cell(arch, topo, datasets)
+        assert cell.status == "not_reported" and "mean per-VR load" in cell.reason
+        assert (built, solved) == ([], [])
 
 
 def _passes_on_no_power(exc: Unsatisfiable) -> bool:
@@ -616,13 +722,12 @@ class TestPlaneMajorCompare:
         (BENCH_ARCHS, ["DSCH", "DPMIH"]),
         (["A3@6V", "A2", "A0", "A3@12V", "A1"], ["DPMIH", "DSCH"]),
         (["A3@12V", "A1", "A3@6V", "A0", "A2"], ["DSCH", "DPMIH"])])
-    def test_benchmark_cells_make_eight_factors_and_ten_solves(self, datasets, archs,
-                                                               topos):
-        # Every DPMIH bank is over-rated, so an A3 DPMIH cell ends at its POL
-        # plane. Of the 10 planes solved, A3@12V and A3@6V share each POL
-        # plane. Each of the 10 is solved once.
+    def test_benchmark_cells_make_five_factors_and_six_solves(self, datasets, archs, topos):
+        # Every DPMIH bank's mean per-VR load is over its rating, so no DPMIH
+        # plane is built. The DSCH cells solve 5 planes 6 times: A3@12V and
+        # A3@6V each solve the POL plane they share.
         _, keys, factored = self._compare_counted(archs, topos, datasets)
-        assert (factored, len(keys)) == (8, 10)
+        assert (factored, len(set(keys)), len(keys)) == (5, 5, 6)
 
     def test_one_solve_error_fails_only_its_cell(self, datasets, monkeypatch):
         args = (self.BENCH_ARCHS, ["DSCH", "DPMIH"], datasets)

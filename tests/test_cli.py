@@ -178,7 +178,9 @@ class TestCompareCommand:
         out = tmp_path / "out"
         assert run_cli("compare", "--config", cfg, "--out", str(out)) == 0
         rows = csv_rows(out / "comparison.csv")
-        assert [r["status"] for r in rows] == ["ok"] * 2 + ["error"] * 8
+        # Every DPMIH bank's mean per-VR load is over its rating at 1 kW, so
+        # its droop is never checked.
+        assert [r["status"] for r in rows] == ["ok"] * 2 + ["error", "not_reported"] * 4
 
 
 class TestSweepCommand:
@@ -338,6 +340,33 @@ class TestSweepBatch:
         assert cells == [evaluate_cell("A3@12V", "DSCH", datasets, total_power_w=400.0 + 15 * k)
                          for k in range(41)]
 
+    def test_sweep_across_the_rating_builds_no_plane_above_it(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # A1's 8 DPMIH VRs of 100 A carry 800 A at 1 V. Up to 800 W each
+        # point builds its plane (at 800 W its worst VR decides); above it
+        # the mean per-VR load decides, and no plane is built.
+        from pdnx import cli, pdn_grid
+        from pdnx.architecture import evaluate_cell
+
+        built, solved, cells = [], [], []
+        build, solve, to_row = pdn_grid.build_problem, pdn_grid.solve_dc, cli.rpt.cell_to_csv_row
+        monkeypatch.setattr(pdn_grid, "build_problem",
+                            lambda *a, **k: built.append(a[2]) or build(*a, **k))
+        monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(1) or solve(p))
+        monkeypatch.setattr(cli.rpt, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
+        cfg = write_config(tmp_path, {"architectures": "A1", "topologies": "DPMIH"})
+        assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path),
+                       "--param", "total_power", "--values", "400:1000:100") == 0
+        capsys.readouterr()
+        assert built == [400.0, 500.0, 600.0, 700.0, 800.0]
+        assert len(solved) == 5
+        assert [c.status for c in cells] == ["ok"] * 4 + ["not_reported"] * 3
+        assert "per-VR load up to " in cells[4].reason
+        assert all("mean per-VR load " in c.reason for c in cells[5:])
+        datasets = pdnx.load_datasets()
+        assert cells == [evaluate_cell("A1", "DPMIH", datasets, total_power_w=400.0 + 100 * k)
+                         for k in range(7)]
+
     def test_bad_value_is_an_error_row_among_good_ones(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("sweep", "--out", str(out), "--param", "demand_weight",
@@ -380,8 +409,9 @@ class TestOneVerdict:
         assert compared["status"] == compared_row["status"] == swept["status"] == status
         assert compared["reason"] == compared_row["reason"] == swept["reason"]
         if (arch, topo) == ("A3@6V", "DPMIH"):
-            assert compared["reason"].startswith(
-                "converter rating violated: stage2_DPMIH-6to1: per-VR load up to ")
+            assert compared["reason"] == (
+                "converter rating violated: stage2_DPMIH-6to1: mean per-VR load 142.9 A "
+                "(1000 A over 7 VRs) exceeds the 100 A rating of DPMIH-6to1")
         if status == "ok":
             assert compared["reason"] == ""
             total = compared["breakdown"]["total_loss_w"]
@@ -418,6 +448,30 @@ class TestSweepRanges:
     def test_equal_bounds_give_one_sample(self):
         assert _parse_values("2.5:2.5") == [2.5]
         assert _parse_values("2.5:2.5:0.1") == [2.5]
+
+    def test_range_limit_is_checked_before_the_list_is_built(self, monkeypatch):
+        # 100,001 samples are one too many; a step of 1e-308 over 1e308
+        # overflows the sample count itself.
+        for text in ("0:100000:1", "0:1e308:1e-308"):
+            with pytest.raises(ConfigError, match="100000 sample limit"):
+                _parse_values(text)
+        assert len(_parse_values("0:99999:1")) == 100_000
+        from pdnx import cli
+        monkeypatch.setattr(cli, "_MAX_SWEEP_SAMPLES", 10)
+        monkeypatch.setattr(cli, "round", lambda *a: pytest.fail("the list was built"),
+                            raising=False)
+        with pytest.raises(ConfigError, match=r"0:1:1e-12.* 1e\+12 samples.* 10 sample limit"):
+            _parse_values("0:1:1e-12")
+        with pytest.raises(ConfigError):
+            _parse_values("0:1:0.1")    # 11 samples
+
+    def test_oversized_range_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        from pdnx import cli
+        monkeypatch.setattr(cli, "_MAX_SWEEP_SAMPLES", 10)
+        assert run_cli("sweep", "--out", str(tmp_path), "--param", "total_power",
+                       "--values", "400:1000:50") == 2
+        assert "13 samples, above the 10 sample limit" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_total_power.csv").exists()
 
     @pytest.mark.parametrize("text", ["3:1", "3:1:0.5", "0:1:0", "0:1:-1", "0:inf:1"])
     def test_bad_range_is_config_error(self, text):

@@ -490,7 +490,7 @@ class TestFactorReuse:
 
         compare(["A0", "A1", "A2", "A3@12V", "A3@6V"], ["DSCH", "DPMIH"], load_datasets())
         assert factorisations.options == [
-            {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1}] * 8
+            {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1}] * 5
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.0, 10.0), min_size=25, max_size=25).filter(
@@ -1324,6 +1324,14 @@ class TestMirrorSectors:
         solve_dc(problem)
         assert len(pdn_grid._operator.sectors) == 1
         assert factorisations.sectors == [(28, 28)]
+
+    @pytest.mark.parametrize("sink", [2.4920711131914822e-281, 1e-300])
+    def test_a_demand_whose_squares_underflow_is_solved(self, factorisations, sink):
+        # The squares in the 2-norm of a demand this small underflow to 0, so
+        # the share test used to skip the one sector and report no current.
+        problem = GridProblem(ResistiveGrid(1, 2, 1.0, 0.0078125), {0: 1.0}, {1: sink})
+        assert solve_dc(problem).vr_currents.tolist() == [sink]
+        assert factorisations.sectors == [(1, 1)]
 
     @pytest.mark.parametrize("order,sectors", [((3, 5, 12), [(16, 16)]),
                                                ((5, 3, 12), [(10, 10), (6, 6)])])
