@@ -54,6 +54,11 @@ ARCHITECTURE_NAMES = ("A0", "A1", "A2", "A3@12V", "A3@6V")
 MIN_DIE_AREA_FLOOR_MM2 = 1.0   # stands in for what else bounds a die, such as VR footprints
 INPUT_VOLTAGE_V = 48.0         # the board rail
 REFERENCE_EFFICIENCY = 0.90    # the reference chain's one flat board-level converter
+# A VR load is over its rating only beyond this relative margin. A plane
+# solve is accepted at a backward error up to pdn_grid's _RESIDUAL_TOL, so a
+# solved load is known to no better than that; a bank sharing its rated
+# current evenly (A1+DPMIH at 800 W) must not be judged on the last bits.
+_RATING_RTOL = 10 * grid._RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,7 @@ def _stage_bank(stage: StageSpec, die: DieFloorplan, datasets: Datasets) -> _Sta
     # Parallel VRs share current through their own effective series
     # resistance (output droop); ideal pinned rails cannot reproduce any
     # realistic per-VR spread.
-    droop = cal.droop_share_resistance_scale * model.r_conduction_ohm
+    droop = cal.droop_ohm(model)
     sites = list(sites)
     problem = functools.partial(
         grid.build_problem, die, sites,
@@ -373,6 +378,10 @@ def _evaluate_reference(spec, datasets, usage, feasibility, assumptions) -> Loss
     )
 
 
+def _over_rating(load_a: float, topo: conv.ConverterTopology) -> bool:
+    return load_a > topo.i_max_a * (1.0 + _RATING_RTOL)
+
+
 def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
                      verdict_only: bool) -> _Evaluation:
     cal = datasets.calibration
@@ -404,7 +413,7 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
         base_power = demand_w if downstream is None else sum(p for _, p in downstream)
         i_base = base_power / v_out
         mean = i_base / stage.vr_count
-        if verdict_only and mean > topo.i_max_a:
+        if verdict_only and _over_rating(mean, topo):
             # Some VR carries at least the mean (Kirchhoff's current law), so
             # the bank is over-rated however its plane shares the current: the
             # verdict is fixed before the plane is built.
@@ -457,7 +466,7 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
                              zip(solution.vr_plane_voltages, solution.vr_currents)))
         stage_loss_w = conv.stage_loss(model, topo, loads, idle_shutdown=cal.idle_shutdown)
         worst = max(loads)
-        over = worst > topo.i_max_a
+        over = _over_rating(worst, topo)
         feasibility.append(FeasibilityCheck(
             "converter_rating", "fail" if over else "pass",
             f"{key}: per-VR load up to {worst:.1f} A "

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .converter import ConverterTopology
+from .converter import CalibratedLossModel, ConverterTopology, calibrate
 from .errors import ConfigError
 from .interconnect import InterconnectLevel, UtilizationPolicy
 
@@ -86,6 +86,11 @@ class Calibration:
 
     def policy(self) -> UtilizationPolicy:
         return UtilizationPolicy(dict(self.max_usage_fraction), dict(self.ampacity_a))
+
+    def droop_ohm(self, model: CalibratedLossModel) -> float:
+        """Output droop of a VR with this loss model: its VR branches together
+        carry droop_share_resistance_scale times its conduction resistance."""
+        return self.droop_share_resistance_scale * model.r_conduction_ohm
 
 
 @dataclass(frozen=True)
@@ -290,6 +295,15 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
     rows = _read_rows(raw, "table2", "topologies", "topology", topology)
     topologies = {topo.name: topo for topo, _ in rows}
     counts = {topo.name: site_counts for topo, site_counts in rows}
+    scale = calibration.droop_share_resistance_scale
+    for topo in topologies.values():
+        model = calibrate(topo)
+        droop = calibration.droop_ohm(model)
+        if scale > 0 and model.r_conduction_ohm > 0 and not (
+                droop > 0 and math.isfinite(1.0 / droop)):
+            raise ConfigError(
+                f"calibration-default: droop_share_resistance_scale {scale!r} gives "
+                f"{topo.name}'s VRs a {droop:.3g} ohm droop, whose conductance is not finite")
 
     datasets = Datasets(
         levels=levels,

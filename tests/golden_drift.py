@@ -25,12 +25,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
+# The BLAS kernel the goldens are frozen with (see conftest.py); set before
+# numpy and scipy load OpenBLAS.
+os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from test_cli_golden import CASES, GOLDEN, run_case  # noqa: E402

@@ -649,9 +649,9 @@ class TestPolCurrentCurve:
 
     def test_two_solves_on_one_factor(self, datasets, monkeypatch):
         factored, solved, built = [], [], []
-        splu, solve, build = pdn_grid.spla.splu, pdn_grid.solve_dc, pdn_grid.build_problem
-        monkeypatch.setattr(pdn_grid.spla, "splu",
-                            lambda *a, **k: factored.append(1) or splu(*a, **k))
+        factor, solve, build = pdn_grid._factor_block, pdn_grid.solve_dc, pdn_grid.build_problem
+        monkeypatch.setattr(pdn_grid, "_factor_block",
+                            lambda *a: factored.append(1) or factor(*a))
         monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(p) or solve(p))
         monkeypatch.setattr(pdn_grid, "build_problem",
                             lambda *a, **k: built.append(1) or build(*a, **k))

@@ -120,9 +120,9 @@ def test_spread_fit_factors_the_plane_once(datasets, monkeypatch):
     # The whole scan rests on two solves of the one A1 plane, the uniform
     # and the radial demand, which share one factorisation.
     factored, solves, evaluated = [], [], []
-    splu, solve = pdn_grid.spla.splu, pdn_grid.solve_dc
-    monkeypatch.setattr(pdn_grid.spla, "splu",
-                        lambda *a, **k: factored.append(a[0].shape) or splu(*a, **k))
+    factor, solve = pdn_grid._factor_block, pdn_grid.solve_dc
+    monkeypatch.setattr(pdn_grid, "_factor_block",
+                        lambda *a: factored.append(a[0].shape) or factor(*a))
     monkeypatch.setattr(pdn_grid, "solve_dc",
                         lambda problem: solves.append(problem) or solve(problem))
     monkeypatch.setattr(architecture, "evaluate",

@@ -319,13 +319,13 @@ class TestSweepBatch:
         from pdnx.architecture import evaluate_cell
 
         planes, factored, cells = [], [], []
-        factor, splu = pdn_grid._factor_plane, pdn_grid.spla.splu
+        factor, factor_block = pdn_grid._factor_plane, pdn_grid._factor_block
         to_row = cli.rpt.cell_to_csv_row
         monkeypatch.setattr(pdn_grid, "_operator", None)
         monkeypatch.setattr(pdn_grid, "_factor_plane",
                             lambda key: planes.append(key) or factor(key))
-        monkeypatch.setattr(pdn_grid.spla, "splu",
-                            lambda *a, **k: factored.append(a[0].shape) or splu(*a, **k))
+        monkeypatch.setattr(pdn_grid, "_factor_block",
+                            lambda *a: factored.append(a[0].shape) or factor_block(*a))
         monkeypatch.setattr(cli.rpt, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
         cfg = write_config(tmp_path, {"architectures": "A3@12V", "topologies": "DSCH"})
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path),
@@ -335,7 +335,7 @@ class TestSweepBatch:
         assert len(planes) == 2
         assert factored == [(2016, 2016), (5565, 5565)]
         monkeypatch.setattr(pdn_grid, "_factor_plane", factor)
-        monkeypatch.setattr(pdn_grid.spla, "splu", splu)
+        monkeypatch.setattr(pdn_grid, "_factor_block", factor_block)
         datasets = pdnx.load_datasets()
         assert cells == [evaluate_cell("A3@12V", "DSCH", datasets, total_power_w=400.0 + 15 * k)
                          for k in range(41)]
@@ -343,8 +343,9 @@ class TestSweepBatch:
     def test_sweep_across_the_rating_builds_no_plane_above_it(self, tmp_path, monkeypatch,
                                                               capsys):
         # A1's 8 DPMIH VRs of 100 A carry 800 A at 1 V. Up to 800 W each
-        # point builds its plane (at 800 W its worst VR decides); above it
-        # the mean per-VR load decides, and no plane is built.
+        # point builds its plane, and at 800 W its worst VR is at the
+        # rating up to rounding, so within it; above it the mean per-VR load
+        # decides, and no plane is built.
         from pdnx import cli, pdn_grid
         from pdnx.architecture import evaluate_cell
 
@@ -360,8 +361,10 @@ class TestSweepBatch:
         capsys.readouterr()
         assert built == [400.0, 500.0, 600.0, 700.0, 800.0]
         assert len(solved) == 5
-        assert [c.status for c in cells] == ["ok"] * 4 + ["not_reported"] * 3
-        assert "per-VR load up to " in cells[4].reason
+        assert [c.status for c in cells] == ["ok"] * 5 + ["not_reported"] * 2
+        # At 800 W the even share is the rating itself, up to rounding.
+        assert any(f.detail.endswith("per-VR load up to 100.0 A within 100 A")
+                   for f in cells[4].breakdown.feasibility)
         assert all("mean per-VR load " in c.reason for c in cells[5:])
         datasets = pdnx.load_datasets()
         assert cells == [evaluate_cell("A1", "DPMIH", datasets, total_power_w=400.0 + 100 * k)
@@ -508,11 +511,11 @@ class TestCalibrateCommand:
         assert not out.exists()
 
     def test_non_finite_plane_solve_exit_4(self, tmp_path, capsys, recwarn):
-        # A droop scale of 1e-310 gives the A1 plane's VR branches an
-        # infinite conductance, so the spread fit's solve is not finite. The
-        # fit used to die on it with a raw TypeError.
+        # A sheet resistance of 1e-310 gives the A1 plane an infinite edge
+        # conductance, so the spread fit's solve is not finite. SuperLU used
+        # to raise a raw RuntimeError on it.
         cfg = write_config(tmp_path, {"datasets": {"calibration-default": {
-            "droop_share_resistance_scale": 1e-310}}})
+            "sheet_resistance_ohm_sq": 1e-310}}})
         out = tmp_path / "out"
         assert run_cli("calibrate", "--config", cfg, "--out", str(out),
                        "--target", "a1_spread=16:27") == 4
@@ -554,10 +557,15 @@ class TestCalibrateCommand:
         assert known.split(", ") == list(TARGETS)
 
     def test_bad_calibration_override_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "datasets": {"calibration-default": {"pcb_lateral_resistance_ohm": -1}}})
-        assert run_cli("calibrate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
-        assert "pcb_lateral_resistance_ohm must be >= 0" in capsys.readouterr().err
+        # A droop scale of 1e-310 is positive and finite, but the VR
+        # branches' conductance 1/(scale * r_conduction) is not.
+        for field, value, message in [
+                ("pcb_lateral_resistance_ohm", -1, "pcb_lateral_resistance_ohm must be >= 0"),
+                ("droop_share_resistance_scale", 1e-310,
+                 "droop_share_resistance_scale 1e-310 gives DPMIH's VRs a ")]:
+            cfg = write_config(tmp_path, {"datasets": {"calibration-default": {field: value}}})
+            assert run_cli("calibrate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestFeasibilityCommand:

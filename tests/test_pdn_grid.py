@@ -6,6 +6,7 @@ numpy's dense solver, independent of the sparse path under test.
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,19 +391,26 @@ class TestUnifiedOperatorProperties:
 
 @pytest.fixture
 def factorisations(monkeypatch):
-    """Empty operator slot; records the key of every plane operator built
-    and the shape and keyword arguments of every sector factor splu makes."""
-    made = SimpleNamespace(planes=[], sectors=[], options=[])
-    factor, splu = pdn_grid._factor_plane, pdn_grid.spla.splu
+    """Empty operator slot; records the key of every plane operator built,
+    the shape and the factor of every sector block factored, and the keyword
+    arguments of every splu call."""
+    made = SimpleNamespace(planes=[], sectors=[], factors=[], splu_options=[])
+    factor, factor_block, splu = (pdn_grid._factor_plane, pdn_grid._factor_block,
+                                  pdn_grid.spla.splu)
 
-    def counted(matrix, *args, **kwargs):
-        made.sectors.append(matrix.shape)
-        made.options.append(kwargs)
+    def counted(block, i, j):
+        made.sectors.append(block.shape)
+        made.factors.append(factor_block(block, i, j))
+        return made.factors[-1]
+
+    def splu_counted(matrix, *args, **kwargs):
+        made.splu_options.append(kwargs)
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(pdn_grid, "_factor_plane",
                         lambda key: made.planes.append(key) or factor(key))
-    monkeypatch.setattr(pdn_grid.spla, "splu", counted)
+    monkeypatch.setattr(pdn_grid, "_factor_block", counted)
+    monkeypatch.setattr(pdn_grid.spla, "splu", splu_counted)
     monkeypatch.setattr(pdn_grid, "_operator", None)
     return made
 
@@ -482,15 +490,30 @@ class TestFactorReuse:
         # plane: 5565 orbits.
         assert factorisations.sectors == [(2016, 2016), (5565, 5565)]
 
-    def test_compare10_factors_each_sector_one_column_per_panel(self, factorisations):
-        # SuperLU's default 20-column panel costs more than it saves on the
-        # narrow supernodes of a lattice block under minimum degree.
+    def test_compare10_factors_every_sector_in_band(self, factorisations):
+        # compare10's five sector blocks have wavefront bandwidths 32 to 53,
+        # all within the band cut.
         from pdnx.architecture import compare
         from pdnx.datasets import load_datasets
 
         compare(["A0", "A1", "A2", "A3@12V", "A3@6V"], ["DSCH", "DPMIH"], load_datasets())
-        assert factorisations.options == [
-            {"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1}] * 5
+        assert len(factorisations.factors) == 5
+        assert all(isinstance(f, pdn_grid._BandCholesky) for f in factorisations.factors)
+        assert factorisations.splu_options == []
+
+    def test_a_block_above_the_cut_is_factored_one_column_per_panel(self, factorisations):
+        # A rectangular plane is one sector, and its wavefront bandwidth is
+        # about its shorter side. SuperLU's default 20-column panel costs
+        # more than it saves on the narrow supernodes of a lattice block
+        # under minimum degree.
+        side = pdn_grid._BAND_MAX_WIDTH + 2
+        grid = ResistiveGrid(side, side + 1, 1.0, 1e-3)
+        solution = solve_dc(GridProblem(grid, {0: 1.0}, {grid.n_nodes - 1: 2.0}))
+        (lu,) = factorisations.factors
+        assert isinstance(lu, pdn_grid.spla.SuperLU)
+        assert factorisations.splu_options == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1}]
+        # One source across an 82x83 lattice: cond(A) is about 1e5.
+        assert solution.vr_currents == pytest.approx([2.0], rel=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.0, 10.0), min_size=25, max_size=25).filter(
@@ -511,6 +534,68 @@ class TestFactorReuse:
         assert memoised.node_voltages == pytest.approx(fresh.node_voltages, rel=1e-12)
         assert memoised.horizontal_loss_w == pytest.approx(fresh.horizontal_loss_w,
                                                            rel=1e-12, abs=1e-300)
+
+
+class TestBandFactor:
+    """A sector block up to the band cut is factored by band Cholesky in
+    wavefront order, a wider one by SuperLU; both solve the same system."""
+
+    @staticmethod
+    def _solve(problem: GridProblem, cut: float):
+        with mock.patch.object(pdn_grid, "_BAND_MAX_WIDTH", cut), \
+                mock.patch.object(pdn_grid, "_operator", None):
+            return solve_dc(problem)
+
+    # Two backward-stable solves of one system differ by up to cond(A) times
+    # the rounding unit. A VR bank of 4 to 16 VRs, like the tool's, keeps
+    # every node near a source and cond(A) low enough for 1e-12; a lone VR
+    # far across a 100x100 lattice does not. Lattices up to 96 nodes across
+    # give wavefront bandwidths on both sides of the cut.
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 96), st.integers(2, 96), st.integers(4, 16),
+           st.one_of(st.just(0.0), st.floats(1e-5, 1e-3)), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_band_and_superlu_agree(self, nx, ny, n_sources, droop, mirrored, rnd):
+        if mirrored:
+            ny = nx    # sources and sinks closed under the mirror: two sectors
+        grid = ResistiveGrid(nx, ny, 1.0, 1e-3)
+        nodes = rnd.sample(range(grid.n_nodes), min(grid.n_nodes, n_sources + 30))
+        amps = {node: rnd.uniform(0.1, 5.0) for node in nodes}
+        if mirrored:
+            image = {node: node % nx * nx + node // nx for node in nodes}
+            nodes = list(dict.fromkeys(n for node in nodes for n in (node, image[node])))
+            amps.update({image[node]: amps[node] for node in list(amps)})
+        assume(len(nodes) > n_sources)
+        sources, sinks = nodes[:n_sources], nodes[n_sources:]
+        if mirrored:
+            assume(all(image.get(node, node % nx * nx + node // nx) in sources
+                       for node in sources))
+        problem = GridProblem(grid, dict.fromkeys(sources, 1.0),
+                              {node: amps[node] for node in sinks},
+                              droop_resistance_ohm=droop)
+        band, lu = self._solve(problem, math.inf), self._solve(problem, -1)
+        drop_band, drop_lu = 1.0 - band.node_voltages, 1.0 - lu.node_voltages
+        assert np.abs(drop_band - drop_lu).max() <= 1e-12 * np.abs(drop_lu).max()
+        total = float(problem.sink_currents.sum())
+        assert np.abs(band.vr_currents - lu.vr_currents).max() <= 1e-12 * total
+        assert band.horizontal_loss_w == pytest.approx(lu.horizontal_loss_w, rel=1e-12)
+        assert max(band.residual, lu.residual) <= 1e-10
+
+    def test_wavefront_bandwidth_decides_the_factor(self, factorisations):
+        # Row-major order would put the 40x90 plane's band at 40 and the
+        # 90x40 plane's at 90; by wavefront they are 41 and 40. An 81x85
+        # plane's is 82, above the cut.
+        for nx, ny in [(40, 90), (90, 40), (81, 85)]:
+            grid = ResistiveGrid(nx, ny, 1.0, 1e-3)
+            solve_dc(GridProblem(grid, {0: 1.0}, {grid.n_nodes - 1: 1.0}))
+        band_40x90, band_90x40, lu = factorisations.factors
+        assert [band_40x90.band.shape[0], band_90x40.band.shape[0]] == [42, 41]
+        assert isinstance(lu, pdn_grid.spla.SuperLU)
+
+    def test_a_block_that_is_not_positive_definite_is_singular(self):
+        block = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(SingularSystem, match="not positive definite"):
+            pdn_grid._factor_block(block, np.array([0, 1]), np.array([0, 0]))
 
 
 class TestScaledSolution:
@@ -568,6 +653,36 @@ class TestScaledSolution:
         solution = solve_dc(_fanout_problem(source_nodes={0: 1.02, 35: 0.97}))
         with pytest.raises(ValueError, match="one voltage"):
             solution.scaled(2.0)
+
+
+class TestSheetLoss:
+    """A drooped plane's sheet loss is taken from its drops refined about
+    the plane's level."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_a_dense_solve_about_the_plane_level(self, seed):
+        # 1e-4 ohm/sq behind 0.1 ohm droop branches: the plane sits far
+        # further below its VRs than the drops across it, and the loss
+        # taken from the drops below the VRs was 1e-12 to 1e-11 off. The
+        # reference solves for the drops below the plane's level c, with
+        # the dense matrix and each VR's one branch of 1/0.1 S.
+        rng = np.random.default_rng(seed)
+        grid = ResistiveGrid(30, 30, 1.0, 1e-4)
+        nodes = rng.choice(grid.n_nodes, 40, replace=False)
+        problem = GridProblem(grid, dict.fromkeys(nodes[:6].tolist(), 1.0),
+                              dict(zip(nodes[6:].tolist(), rng.uniform(0.5, 5.0, 34))),
+                              droop_resistance_ohm=0.1)
+        pdn_grid._operator = None
+        loss = solve_dc(problem).horizontal_loss_w
+        b = np.zeros(grid.n_nodes)
+        b[problem.sink_nodes] = -problem.sink_currents
+        d = np.zeros(grid.n_nodes)
+        d[nodes[:6]] = 1.0 / 0.1
+        c = b.sum() / d.sum()
+        w = np.linalg.solve(pdn_grid._operator.lap_ff.toarray(), b - c * d)
+        edge_a, edge_b = grid.edges()
+        du = w[edge_a] - w[edge_b]
+        assert loss == pytest.approx(2.0 / 1e-4 * np.sum(du * du), rel=1e-13)
 
 
 class TestNodeCap:
@@ -998,7 +1113,7 @@ def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float
     free = np.flatnonzero(~is_pinned)
     lap_free = lap[free]
     lap_ff = lap_free[:, free].tocsc()
-    lu = pdn_grid._Sector(None).factor(lap_ff)
+    lu = pdn_grid._Sector(None, free % grid.nx, free // grid.nx).factor(lap_ff)
 
     source_v = np.fromiter(sources.values(), dtype=float, count=k)
     v_ref = source_v[0]
@@ -1015,7 +1130,16 @@ def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float
     branch_loss = np.bincount(br_vr, weights=br_g * du_br * du_br, minlength=k)
     plane_voltages = source_v - np.divide(branch_loss, vr, out=np.zeros_like(vr),
                                           where=vr != 0.0)
-    du = u[edge_a] - u[edge_b]
+    if droop > 0.0:
+        # The drops across the sheet are refined about the plane's level,
+        # as solve_dc refines them.
+        to_vrs = -(lap_free[:, pinned] @ np.ones(k))
+        level = float(np.sum(rhs)) / float(np.sum(to_vrs))
+        w = u[free] - level
+        w += lu.solve(rhs - level * to_vrs - lap_ff @ w)
+        du = w[edge_a] - w[edge_b]
+    else:
+        du = u[edge_a] - u[edge_b]
     g_sheet = 1.0 / grid.sheet_resistance_ohm_sq
     voltages = u + v_ref
     voltages[pinned] = source_v
@@ -1330,7 +1454,9 @@ class TestMirrorSectors:
         # The squares in the 2-norm of a demand this small underflow to 0, so
         # the share test used to skip the one sector and report no current.
         problem = GridProblem(ResistiveGrid(1, 2, 1.0, 0.0078125), {0: 1.0}, {1: sink})
-        assert solve_dc(problem).vr_currents.tolist() == [sink]
+        # Band Cholesky divides by sqrt(a) twice, so the current may be an
+        # ulp or two off the sink.
+        assert solve_dc(problem).vr_currents == pytest.approx([sink], rel=1e-15)
         assert factorisations.sectors == [(1, 1)]
 
     @pytest.mark.parametrize("order,sectors", [((3, 5, 12), [(16, 16)]),
