@@ -13,21 +13,25 @@ one flat node array. Every VR is one Dirichlet node held at its source
 voltage. With pinned outputs that node is the plane node the VR snapped to;
 with output droop it is a virtual node behind one branch per footprint
 contact, the branches together carrying the droop resistance.
-The plane operator is assembled straight from the lattice's 5-point
-stencil, its diagonal one bincount over the edges and the branches. With
-droop every plane node is free, so the stencil is the free block and the
-branches give the Dirichlet couplings; with pinned sources the Dirichlet
-nodes are split off the stencil. The free block is symmetric positive
-definite. A square plane that the diagonal mirror (i, j) -> (j, i) maps
-onto itself, diagonal and free nodes bit for bit, splits into a symmetric
-and an antisymmetric sector of about half the nodes each, and each sector
-is factorised the first time a right-hand side has more than a
-rounding-level component in it; any other plane is one sector, the whole
-free block. A sector block taken in wavefront order over its lattice nodes
-is banded about as wide as the lattice: up to a bandwidth of
-_BAND_MAX_WIDTH it is one LAPACK band Cholesky factor, a wider one is one
-SuperLU factor with a minimum-degree ordering. The factors depend only on
-the lattice, the Dirichlet nodes and the branches, so the last plane's are
+The plane operator is never formed as a sparse matrix: it is the lattice's
+5-point stencil, a diagonal (one bincount over the edges and the branches)
+and -1/R_sheet on every edge, and its products are taken from the stencil
+arrays. With droop every plane node is free, so the stencil is the free
+block and the branches give the Dirichlet couplings; with pinned sources
+the free block is the stencil at the free nodes. The free block is
+symmetric positive definite. A square plane that the diagonal mirror
+(i, j) -> (j, i) maps onto itself, diagonal and free nodes bit for bit,
+splits into a symmetric and an antisymmetric sector of about half the
+nodes each, kept as index arrays (each orbit's lower node and its mirror
+image), and each sector is factorised the first time a right-hand side has
+more than a rounding-level component in it; any other plane is one sector,
+the whole free block. A sector block taken in wavefront order over its
+lattice nodes is banded about as wide as the lattice: up to a bandwidth of
+_BAND_MAX_WIDTH its band is assembled straight from the stencil and is one
+LAPACK band Cholesky factor; a wider block is built in CSC from the same
+entries and is one SuperLU factor with a minimum-degree ordering, the one
+place the solver uses scipy.sparse. The factors depend only on the
+lattice, the Dirichlet nodes and the branches, so the last plane's are
 kept and reused while problems on the same plane differ only in sinks and
 source voltages. Each VR's current is the net current out of its Dirichlet
 node; the plane's ohmic loss (doubled for the mirrored ground plane)
@@ -430,66 +434,123 @@ class _BandCholesky:
         return x
 
 
-def _factor_block(block: sp.csc_matrix, i: np.ndarray,
-                  j: np.ndarray) -> _BandCholesky | spla.SuperLU:
-    """A factor of a symmetric positive definite sector block, with .solve(b).
-
-    (i, j) is the lattice node of each unknown. Taken by wavefront, i + j
-    then i, a lattice block's nonzeros lie within a band of about the
-    lattice's width (A. George and J. W. H. Liu, Computer Solution of Large
-    Sparse Positive Definite Systems, 1981). Up to _BAND_MAX_WIDTH its upper
-    triangle is scattered into a band and factored by LAPACK's dpbtrf, and a
-    pivot that is not positive raises SingularSystem. A wider block is one
-    SuperLU factor with a minimum-degree ordering on A^T + A, one column per
-    panel: the narrow supernodes of a lattice block leave nothing for
-    SuperLU's default 20-column panel to batch.
-    """
-    order = np.lexsort((i, i + j))
-    position = np.empty(order.size, dtype=block.indices.dtype)
-    position[order] = np.arange(order.size)
-    col = np.repeat(position, np.diff(block.indptr))
-    offset = col - position[block.indices]     # >= 0 on the upper triangle
-    width = int(offset.max())
-    if width > _BAND_MAX_WIDTH:
-        return spla.splu(block, permc_spec="MMD_AT_PLUS_A", panel_size=1)
-    upper = offset >= 0
-    band = np.zeros((width + 1, order.size), order="F")
-    band[width - offset[upper], col[upper]] = block.data[upper]
-    band, info = dpbtrf(band, overwrite_ab=1)
-    if info:
-        raise SingularSystem(f"sector block is not positive definite (pivot {info})")
-    return _BandCholesky(band, order)
-
-
 @dataclass
 class _Sector:
-    """One symmetry sector of a plane's free block.
+    """One symmetry sector of a plane's free block, as free-node index arrays.
 
-    basis is P (free nodes x sector unknowns), None for the whole free
-    block; (i, j) is the lattice node of each unknown (a mirror sector's
-    unknown: its orbit's lower node). The sector's block is P^T A P; it is
-    factorised the first time a right-hand side has more than a
-    rounding-level component P^T b in it (see _PlaneOperator.solve), and
-    kept in lu.
+    Unknown k of a mirror sector is the orbit of free node lo[k] and its
+    mirror image hi[k], lo[k] the lower: the symmetric sector (parity +1)
+    has one unknown per orbit, hi[k] == lo[k] on the mirror axis, and the
+    antisymmetric one (parity -1) one per off-axis pair. Its basis column
+    P_k is 1 at lo[k] and parity at hi[k], so restrict (P^T x) and lift
+    (P y) are gathers and scatters that sum at most two entries. hi is None
+    for the whole free block: one unknown per free node, P = I. The block
+    P^T A P is assembled from the stencil and factorised by _factor_block
+    the first time a right-hand side has more than a rounding-level
+    component P^T b in it (see _PlaneOperator.solve), and kept in lu.
     """
 
-    basis: sp.csr_matrix | None
-    i: np.ndarray
-    j: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray | None = None
+    parity: float = 1.0
     lu: _BandCholesky | spla.SuperLU | None = None
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
-        return x if self.basis is None else self.basis.T @ x
+        """P^T x: at most two entries of x summed per unknown."""
+        if self.hi is None:
+            return x
+        y = x[self.lo]
+        return np.add(y, self.parity * x[self.hi], out=y, where=self.lo != self.hi)
 
-    def lift(self, y: np.ndarray) -> np.ndarray:
-        return y if self.basis is None else self.basis @ y
+    def lift(self, y: np.ndarray, out: np.ndarray) -> None:
+        """out += P y."""
+        if self.hi is None:
+            out += y
+            return
+        out[self.lo] += y
+        paired = self.lo != self.hi
+        out[self.hi[paired]] += self.parity * y[paired]
 
-    def factor(self, lap_ff: sp.csc_matrix) -> _BandCholesky | spla.SuperLU:
+    def factor(self, op: _PlaneOperator) -> _BandCholesky | spla.SuperLU:
         if self.lu is None:
-            block = lap_ff if self.basis is None else (
-                self.basis.T @ (lap_ff @ self.basis)).tocsc()
-            self.lu = _factor_block(block, self.i, self.j)
+            self.lu = _factor_block(op.grid, op.diag, op.free, self)
         return self.lu
+
+
+def _factor_block(grid: ResistiveGrid, diag: np.ndarray, free: np.ndarray | slice,
+                  sector: _Sector) -> _BandCholesky | spla.SuperLU:
+    """A factor of a sector's block P^T A P, with .solve(b), assembled
+    straight from the plane's 5-point stencil: diag per lattice node and
+    -g_sheet on every lattice edge; free lists the free nodes.
+
+    The unknowns are taken by wavefront, i + j then i over the lattice node
+    (i, j) of lo[k]. The mirror keeps i + j, so the entries above the
+    diagonal in column k are lo[k]'s neighbours at i - 1 and j - 1, and
+    every nonzero lies within a band of about the lattice's width (A.
+    George and J. W. H. Liu, Computer Solution of Large Sparse Positive
+    Definite Systems, 1981).
+
+    By the mirror, the row of hi[k] is the row of lo[k] mirrored, so row k
+    is lo[k]'s stencil row, folded onto the orbits, times the number of
+    nodes in lo[k]'s orbit (A. Bossavit, Comput. Methods Appl. Mech. Eng.
+    56, 1986): diag or 2 diag on the diagonal. Above it, the whole block has
+    -g_sheet per neighbour. In a mirror sector lo[k] = (i, j) has j <= i:
+    off the mirror axis both neighbours are lower nodes of their orbits, so
+    each entry is -2 g_sheet with no sign from the basis; on the axis they
+    are each other's images and fold onto one entry, -g_sheet twice. An
+    entry sums at most two equal terms, so it is P^T A P bit for bit.
+
+    Up to _BAND_MAX_WIDTH the entries are summed into LAPACK's (w + 1) x m
+    band, with no sparse matrix, and factored by dpbtrf; a pivot that is
+    not positive raises SingularSystem. A wider block is built in CSC from
+    the same entries and is one SuperLU factor with a minimum-degree
+    ordering on A^T + A, one column per panel: the narrow supernodes of a
+    lattice block leave nothing for SuperLU's default 20-column panel to
+    batch. compare10's 5,565-unknown sector (w = 53) is assembled and
+    factored in 2.5 ms, where the sparse projection and scatter took 3.5 ms
+    (one CPU, warm caches).
+    """
+    nx = grid.nx
+    nodes = np.arange(grid.n_nodes)[free]
+    lo = nodes[sector.lo]
+    hi = lo if sector.hi is None else nodes[sector.hi]
+    m = lo.size
+    unknowns = np.arange(m)
+    unknown = np.full(grid.n_nodes, -1)     # per lattice node, -1: none
+    unknown[hi] = unknowns
+    unknown[lo] = unknowns
+    weight = np.where(lo == hi, 1.0, 2.0)   # nodes per orbit
+    i, j = lo % nx, lo // nx
+    order = np.argsort((i + j) * nx + i, kind="stable")    # by i + j, then i
+    position = np.empty(m, dtype=np.int64)
+    position[order] = unknowns
+
+    off = -1.0 / grid.sheet_resistance_ohm_sq
+    row, col, value = [], [], []
+    for has, step in ((j > 0, -nx), (i > 0, -1)):
+        q = lo[has] + step
+        v = unknown[q]
+        kept = v >= 0
+        row.append(v[kept])
+        col.append(unknowns[has][kept])
+        value.append(off * weight[has][kept])
+    row, col, value = (np.concatenate(parts) for parts in (row, col, value))
+    on_diagonal = weight * diag[lo]
+    offset = position[col] - position[row]
+    width = int(offset.max(initial=0))
+    if width > _BAND_MAX_WIDTH:
+        block = sp.csc_matrix((np.concatenate([on_diagonal, value, value]),
+                               (np.concatenate([unknowns, row, col]),
+                                np.concatenate([unknowns, col, row]))), shape=(m, m))
+        return spla.splu(block, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+    band = np.bincount(np.concatenate([position * (width + 1) + width,
+                                       position[col] * (width + 1) + width - offset]),
+                       weights=np.concatenate([on_diagonal, value]),
+                       minlength=(width + 1) * m)
+    band, info = dpbtrf(band.reshape(width + 1, m, order="F"), overwrite_ab=1)
+    if info:
+        raise SingularSystem(f"sector block is not positive definite (pivot {info})")
+    return _BandCholesky(band, order)
 
 
 @dataclass(frozen=True)
@@ -502,15 +563,17 @@ class _PlaneOperator:
     mirror-symmetric and the antisymmetric drops, each about half the free
     nodes (no antisymmetric one if every free node is on the mirror axis);
     any other plane has one, the whole free block. Each sector is
-    factorised on first use.
+    factorised on first use. The free block A is never formed: its products
+    and each sector's block come from the stencil, diag and g_sheet.
     """
 
     key: tuple
     n_all: int                     # plane nodes plus virtual VR nodes
     free: np.ndarray | slice
     pinned: np.ndarray | slice
-    lap_ff: sp.csc_matrix          # free rows, free columns
-    norm_inf: float                # ||lap_ff||_inf, never below ||lap_ff||_2
+    diag: np.ndarray               # the stencil's diagonal, per plane node
+    g_sheet: float
+    norm_inf: float                # ||A||_inf, never below ||A||_2
     sectors: tuple[_Sector, ...]
     couple: Callable[[np.ndarray], np.ndarray]    # u_pinned -> L_fp @ u_pinned
     outflow: Callable[[np.ndarray], np.ndarray]   # u -> L_p @ u, per Dirichlet node
@@ -519,6 +582,16 @@ class _PlaneOperator:
     br_vr: np.ndarray              # per VR branch: its VR, plane node, conductance
     br_node: np.ndarray
     br_g: np.ndarray
+
+    @property
+    def grid(self) -> ResistiveGrid:
+        return self.key[0]
+
+    def product(self, u_free: np.ndarray) -> np.ndarray:
+        """A u_free, the free block's product, from the stencil."""
+        x = np.zeros(self.diag.size)
+        x[self.free] = u_free
+        return _stencil_product(self.grid, self.diag, -self.g_sheet, x)[self.free]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """u_free = sum over sectors of P_k (P_k^T A P_k)^-1 P_k^T rhs.
@@ -536,7 +609,7 @@ class _PlaneOperator:
         for sector in self.sectors:
             part = sector.restrict(rhs)
             if dnrm2(part) > cutoff:
-                u_free += sector.lift(sector.factor(self.lap_ff).solve(part))
+                sector.lift(sector.factor(self).solve(part), u_free)
         return u_free
 
     def correct(self, residual: np.ndarray) -> np.ndarray:
@@ -548,7 +621,7 @@ class _PlaneOperator:
         correction = np.zeros(residual.size)
         for sector in self.sectors:
             if sector.lu is not None:
-                correction += sector.lift(sector.lu.solve(sector.restrict(residual)))
+                sector.lift(sector.lu.solve(sector.restrict(residual)), correction)
         return correction
 
 
@@ -584,27 +657,28 @@ def _plane_operator(problem: GridProblem) -> _PlaneOperator:
     return _operator
 
 
-def _stencil(grid: ResistiveGrid, diag: np.ndarray,
-             g_sheet: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(data, indices, indptr) of the lattice operator with diagonal diag.
+def _stencil_product(grid: ResistiveGrid, diag: np.ndarray, off: float,
+                     x: np.ndarray) -> np.ndarray:
+    """diag * x plus off times x at each lattice neighbour, per plane node.
 
-    Row r holds the columns r-nx, r-1, r, r+1, r+nx that the lattice has,
-    -g_sheet off the diagonal. The operator is symmetric, so these are its
-    CSR and its CSC arrays alike.
+    Each node sums its terms from zero in the column order r - nx, r - 1, r,
+    r + 1, r + nx, as a sparse product of the 5-point stencil does, so the
+    result is that product's bit for bit. A row's end nodes add +0.0 for
+    the neighbour they lack, which changes no sum: a sum started from +0.0
+    is never -0.0.
     """
-    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
-    i, j = np.arange(nx), np.arange(ny)[:, None]
-    present = np.empty((ny, nx, 5), dtype=bool)
-    for slot, has in enumerate((j > 0, i > 0, True, i < nx - 1, j < ny - 1)):
-        present[..., slot] = has
-    present = present.reshape(n, 5)
-    offsets = np.array([-nx, -1, 0, 1, nx], dtype=np.int32)
-    indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[present]
-    data = np.full((n, 5), -g_sheet)
-    data[:, 2] = diag
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    return data[present], indices, indptr
+    nx = grid.nx
+    y = np.zeros(x.size)
+    y[nx:] += off * x[:-nx]
+    left = off * x[:-1]
+    left[nx - 1::nx] = 0.0
+    y[1:] += left
+    y += diag * x
+    right = off * x[1:]
+    right[nx - 1::nx] = 0.0
+    y[:-1] += right
+    y[:-nx] += off * x[nx:]
+    return y
 
 
 def _branch_products(n: int, k: int, br_vr: np.ndarray, br_node: np.ndarray,
@@ -648,7 +722,7 @@ def _sectors(grid: ResistiveGrid, diag: np.ndarray,
     """
     nx = grid.nx
     nodes = np.arange(grid.n_nodes)[free]
-    whole = (_Sector(None, nodes % nx, nodes // nx),)
+    whole = (_Sector(np.arange(nodes.size)),)
     if nx != grid.ny:
         return whole
     square = diag.reshape(nx, nx)
@@ -661,28 +735,17 @@ def _sectors(grid: ResistiveGrid, diag: np.ndarray,
     if (mirror < 0).any():
         return whole
     index = np.arange(nodes.size)
-    rep = index[index <= mirror]    # each orbit's lower node, ascending
-    partner = mirror[rep]
-    paired = partner != rep
-    lo, hi = rep[paired], partner[paired]
-    pairs = np.arange(lo.size)
-    symmetric = sp.csr_matrix(
-        (np.ones(rep.size + lo.size),
-         (np.concatenate([rep, hi]), np.concatenate([np.arange(rep.size),
-                                                     np.flatnonzero(paired)]))),
-        shape=(nodes.size, rep.size))
-    antisymmetric = sp.csr_matrix(
-        (np.concatenate([np.ones(lo.size), -np.ones(lo.size)]),
-         (np.concatenate([lo, hi]), np.concatenate([pairs, pairs]))),
-        shape=(nodes.size, lo.size))
-    return tuple(_Sector(basis, nodes[unknowns] % nx, nodes[unknowns] // nx)
-                 for basis, unknowns in ((symmetric, rep), (antisymmetric, lo))
-                 if unknowns.size)
+    lo = index[index <= mirror]     # each orbit's lower node, ascending
+    hi = mirror[lo]
+    paired = lo != hi
+    return tuple(sector for sector in (_Sector(lo, hi), _Sector(lo[paired], hi[paired], -1.0))
+                 if sector.lo.size)
 
 
 def _factor_plane(key: tuple) -> _PlaneOperator:
-    """Assemble the plane's operator from its stencil and split the free
-    block into its symmetry sectors, each factorised on first use.
+    """The plane's operator: its stencil's diagonal, the products that couple
+    the free nodes to the Dirichlet nodes, and the free block's symmetry
+    sectors, each factorised on first use.
 
     Every VR is a Dirichlet node: the plane node it snapped to when sources
     are pinned, or a virtual node n + k joined to each of its contacts by a
@@ -692,9 +755,10 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
     wherever that order is defined (a node under at most four footprints),
     so the factor is the same bit for bit. With droop the whole stencil is
     the free block and the branches couple it to the Dirichlet nodes; with
-    pinned sources the Dirichlet rows and columns are split off. The free
-    block is symmetric positive definite, and so is each sector's block;
-    _factor_block factors it.
+    pinned sources the free block is the stencil's rows and columns at the
+    free nodes, and its rows and columns at the Dirichlet nodes couple them.
+    The free block is symmetric positive definite, and so is each sector's
+    block; _factor_block factors it.
     """
     grid, source_nodes, droop, contacts = key
     n = grid.n_nodes
@@ -711,26 +775,30 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
     diag = np.bincount(np.concatenate([edge_a, edge_b, br_node]),
                        weights=np.concatenate([np.full(2 * edge_a.size, g_sheet), br_g]),
                        minlength=n)
-    stencil = _stencil(grid, diag, g_sheet)
-
     if contacts is not None:
-        lap_ff = sp.csc_matrix(stencil, shape=(n, n))
         free, pinned = slice(0, n), slice(n, n + k)
         couple, outflow = _branch_products(n, k, br_vr, br_node, br_g)
     else:
-        lap = sp.csr_matrix(stencil, shape=(n, n))
         pinned = np.array(source_nodes, dtype=np.int64)
         is_pinned = np.zeros(n, dtype=bool)
         is_pinned[pinned] = True
         free = np.flatnonzero(~is_pinned)
-        lap_free = lap[free]
-        lap_ff = lap_free[:, free].tocsc()
-        couple, outflow = lap_free[:, pinned].__matmul__, lap[pinned].__matmul__
+        lattice = functools.partial(_stencil_product, grid, diag, -g_sheet)
+
+        def couple(u_pinned: np.ndarray) -> np.ndarray:
+            x = np.zeros(n)
+            x[pinned] = u_pinned
+            return lattice(x)[free]
+
+        def outflow(u: np.ndarray) -> np.ndarray:
+            return lattice(u)[pinned]
+    on_free = np.zeros(n)
+    on_free[free] = 1.0
     return _PlaneOperator(
         key=key, n_all=n + k if contacts is not None else n,
-        free=free, pinned=pinned, lap_ff=lap_ff,
-        # Column sums: the free block is symmetric, so they are its row sums.
-        norm_inf=float(np.add.reduceat(np.abs(lap_ff.data), lap_ff.indptr[:-1]).max()),
+        free=free, pinned=pinned, diag=diag, g_sheet=g_sheet,
+        # |A| 1, summed as the rows of A are.
+        norm_inf=float(_stencil_product(grid, diag, g_sheet, on_free)[free].max()),
         sectors=_sectors(grid, diag, free),
         couple=couple, outflow=outflow,
         edge_a=edge_a, edge_b=edge_b, br_vr=br_vr, br_node=br_node, br_g=br_g,
@@ -772,7 +840,7 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     rhs = injections[op.free] - op.couple(u_pinned)
     u_free = op.solve(rhs)
     scale = op.norm_inf * float(np.linalg.norm(u_free)) + float(np.linalg.norm(rhs))
-    backward_error = float(np.linalg.norm(op.lap_ff @ u_free - rhs)
+    backward_error = float(np.linalg.norm(op.product(u_free) - rhs)
                            / max(scale, np.finfo(float).tiny))
     if not math.isfinite(backward_error):
         # The sinks or the plane left the float range; verdict makes this
@@ -806,7 +874,7 @@ def solve_dc(problem: GridProblem) -> GridSolution:
         to_vrs = -op.couple(np.ones(source_v.size))
         level = float(np.sum(rhs)) / float(np.sum(to_vrs))
         w = u_free - level
-        w += op.correct(rhs - level * to_vrs - op.lap_ff @ w)
+        w += op.correct(rhs - level * to_vrs - op.product(w))
         du = w[op.edge_a] - w[op.edge_b]
     else:
         du = u[op.edge_a] - u[op.edge_b]

@@ -122,7 +122,7 @@ def test_spread_fit_factors_the_plane_once(datasets, monkeypatch):
     factored, solves, evaluated = [], [], []
     factor, solve = pdn_grid._factor_block, pdn_grid.solve_dc
     monkeypatch.setattr(pdn_grid, "_factor_block",
-                        lambda *a: factored.append(a[0].shape) or factor(*a))
+                        lambda *a: factored.append(a[-1].lo.size) or factor(*a))
     monkeypatch.setattr(pdn_grid, "solve_dc",
                         lambda problem: solves.append(problem) or solve(problem))
     monkeypatch.setattr(architecture, "evaluate",

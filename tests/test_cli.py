@@ -250,6 +250,7 @@ class TestSweepCommand:
         for param, value, message in [
             ("total_power", "0", "must be > 0"), ("sheet_resistance", "-1", "must be > 0"),
             ("sheet_resistance", "nan", "must be > 0"), ("die_area", "inf", "must be > 0"),
+            ("sheet_resistance", "1e-310", "sheet conductance is not finite"),
             ("pcb_lateral_resistance", "-1", "must be >= 0")]])
     def test_invalid_value_is_error_row(self, tmp_path, param, value, message):
         out = tmp_path / "out"
@@ -325,7 +326,7 @@ class TestSweepBatch:
         monkeypatch.setattr(pdn_grid, "_factor_plane",
                             lambda key: planes.append(key) or factor(key))
         monkeypatch.setattr(pdn_grid, "_factor_block",
-                            lambda *a: factored.append(a[0].shape) or factor_block(*a))
+                            lambda *a: factored.append(a[-1].lo.size) or factor_block(*a))
         monkeypatch.setattr(cli.rpt, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
         cfg = write_config(tmp_path, {"architectures": "A3@12V", "topologies": "DSCH"})
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path),
@@ -333,7 +334,7 @@ class TestSweepBatch:
         capsys.readouterr()
         assert len(cells) == 41
         assert len(planes) == 2
-        assert factored == [(2016, 2016), (5565, 5565)]
+        assert factored == [2016, 5565]
         monkeypatch.setattr(pdn_grid, "_factor_plane", factor)
         monkeypatch.setattr(pdn_grid, "_factor_block", factor_block)
         datasets = pdnx.load_datasets()
@@ -511,11 +512,12 @@ class TestCalibrateCommand:
         assert not out.exists()
 
     def test_non_finite_plane_solve_exit_4(self, tmp_path, capsys, recwarn):
-        # A sheet resistance of 1e-310 gives the A1 plane an infinite edge
-        # conductance, so the spread fit's solve is not finite. SuperLU used
-        # to raise a raw RuntimeError on it.
+        # A sheet resistance of 1e-308 gives the A1 plane an edge
+        # conductance of 1e308, finite, but a node's diagonal sums two to
+        # four of them and is not, so the spread fit's solve is not finite.
+        # SuperLU used to raise a raw RuntimeError on such a plane.
         cfg = write_config(tmp_path, {"datasets": {"calibration-default": {
-            "sheet_resistance_ohm_sq": 1e-310}}})
+            "sheet_resistance_ohm_sq": 1e-308}}})
         out = tmp_path / "out"
         assert run_cli("calibrate", "--config", cfg, "--out", str(out),
                        "--target", "a1_spread=16:27") == 4
@@ -555,6 +557,20 @@ class TestCalibrateCommand:
                        "--target", "coolness=11") == 2
         known = capsys.readouterr().err.partition("(known: ")[2].rstrip().removesuffix(")")
         assert known.split(", ") == list(TARGETS)
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+    def test_sheet_resistance_whose_conductance_overflows_exit_2(self, tmp_path, capsys,
+                                                                 command):
+        # 1 / 1e-310 is not finite: the override is refused at load, naming
+        # the field, before any plane is built.
+        cfg = write_config(tmp_path, {"datasets": {"calibration-default": {
+            "sheet_resistance_ohm_sq": 1e-310}}})
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert ("config error: calibration-default: sheet_resistance_ohm_sq 1e-310 gives a "
+                "plane whose sheet conductance is not finite") in err
+        assert not out.exists()
 
     def test_bad_calibration_override_exit_2(self, tmp_path, capsys):
         # A droop scale of 1e-310 is positive and finite, but the VR

@@ -126,6 +126,7 @@ class TestOverrides:
 # One out-of-range value per check of Calibration.__post_init__.
 BAD_CALIBRATION_VALUES = [
     ("sheet_resistance_ohm_sq", 0.0), ("sheet_resistance_ohm_sq", math.nan),
+    ("sheet_resistance_ohm_sq", 1e-310),
     ("die_grid_multiplier", -1.0), ("power_die_multiplier", math.inf),
     ("interposer_margin_mm", 0.0),
     ("pcb_lateral_resistance_ohm", -1e-6), ("droop_share_resistance_scale", -math.inf),
@@ -152,6 +153,19 @@ class TestCalibrationValidation:
     def test_bounds_are_admitted(self, name, value):
         ds = load_datasets({"calibration-default": {name: value}})
         assert getattr(ds.calibration, name) == value
+
+    @pytest.mark.parametrize("multiplier", ["die_grid_multiplier", "power_die_multiplier"])
+    def test_a_plane_sheet_whose_conductance_overflows_is_rejected(self, multiplier):
+        # 6e-4 ohm/sq times 1e-306 is a plane sheet of 6e-310 ohm/sq, whose
+        # reciprocal is not finite; 1e-300 leaves it at 6e-304 ohm/sq.
+        message = (f"sheet_resistance_ohm_sq 0.0006 times {multiplier} 1e-306 gives a plane "
+                   "whose sheet conductance is not finite")
+        with pytest.raises(ConfigError, match=message):
+            load_datasets({"calibration-default": {"sheet_resistance_ohm_sq": 6e-4,
+                                                   multiplier: 1e-306}})
+        ds = load_datasets({"calibration-default": {"sheet_resistance_ohm_sq": 6e-4,
+                                                    multiplier: 1e-300}})
+        assert getattr(ds.calibration, multiplier) == 1e-300
 
     @pytest.mark.parametrize("override", [
         {"resistivity_ohm_m": {"copper": -1e-8}}, {"ampacity_a": {"c4": math.nan}},

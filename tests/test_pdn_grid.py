@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -398,9 +399,9 @@ def factorisations(monkeypatch):
     factor, factor_block, splu = (pdn_grid._factor_plane, pdn_grid._factor_block,
                                   pdn_grid.spla.splu)
 
-    def counted(block, i, j):
-        made.sectors.append(block.shape)
-        made.factors.append(factor_block(block, i, j))
+    def counted(grid, diag, free, sector):
+        made.sectors.append((sector.lo.size, sector.lo.size))
+        made.factors.append(factor_block(grid, diag, free, sector))
         return made.factors[-1]
 
     def splu_counted(matrix, *args, **kwargs):
@@ -490,15 +491,23 @@ class TestFactorReuse:
         # plane: 5565 orbits.
         assert factorisations.sectors == [(2016, 2016), (5565, 5565)]
 
-    def test_compare10_factors_every_sector_in_band(self, factorisations):
+    def test_compare10_factors_every_sector_in_band(self, factorisations, monkeypatch):
         # compare10's five sector blocks have wavefront bandwidths 32 to 53,
-        # all within the band cut.
+        # all within the band cut, and each band is assembled from its
+        # plane's stencil: the run builds no sparse matrix at all.
         from pdnx.architecture import compare
         from pdnx.datasets import load_datasets
 
-        compare(["A0", "A1", "A2", "A3@12V", "A3@6V"], ["DSCH", "DPMIH"], load_datasets())
-        assert len(factorisations.factors) == 5
+        ds = load_datasets()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare10 built a sparse matrix")
+
+        for name in ("csr_matrix", "csc_matrix", "coo_matrix"):
+            monkeypatch.setattr(pdn_grid.sp, name, refuse)
+        compare(["A0", "A1", "A2", "A3@12V", "A3@6V"], ["DSCH", "DPMIH"], ds)
         assert all(isinstance(f, pdn_grid._BandCholesky) for f in factorisations.factors)
+        assert [f.band.shape[0] - 1 for f in factorisations.factors] == [48, 32, 32, 53, 53]
         assert factorisations.splu_options == []
 
     def test_a_block_above_the_cut_is_factored_one_column_per_panel(self, factorisations):
@@ -593,9 +602,10 @@ class TestBandFactor:
         assert isinstance(lu, pdn_grid.spla.SuperLU)
 
     def test_a_block_that_is_not_positive_definite_is_singular(self):
-        block = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # Two nodes whose diagonal, 1, is below their edge's conductance, 2.
+        grid = ResistiveGrid(2, 1, 1.0, 0.5)
         with pytest.raises(SingularSystem, match="not positive definite"):
-            pdn_grid._factor_block(block, np.array([0, 1]), np.array([0, 0]))
+            pdn_grid._factor_block(grid, np.ones(2), slice(0, 2), pdn_grid._Sector(np.arange(2)))
 
 
 class TestScaledSolution:
@@ -679,7 +689,7 @@ class TestSheetLoss:
         d = np.zeros(grid.n_nodes)
         d[nodes[:6]] = 1.0 / 0.1
         c = b.sum() / d.sum()
-        w = np.linalg.solve(pdn_grid._operator.lap_ff.toarray(), b - c * d)
+        w = np.linalg.solve(_dense_free_block(problem), b - c * d)
         edge_a, edge_b = grid.edges()
         du = w[edge_a] - w[edge_b]
         assert loss == pytest.approx(2.0 / 1e-4 * np.sum(du * du), rel=1e-13)
@@ -1074,13 +1084,49 @@ class TestGridProblemValidation:
             solve_dc(problem)
 
 
+def _wavefront_band(block: sp.csc_matrix, i: np.ndarray,
+                    j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric block's upper triangle scattered from CSC into LAPACK's
+    band storage, its unknowns taken by wavefront (i + j, then i, of each
+    one's lattice node), and that order: the reference for the bands
+    _factor_block assembles from the stencil."""
+    order = np.lexsort((i, i + j))
+    position = np.empty(order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    col = np.repeat(position, np.diff(block.indptr))
+    offset = col - position[block.indices]
+    width = int(offset.max())
+    upper = offset >= 0
+    band = np.zeros((width + 1, order.size), order="F")
+    band[width - offset[upper], col[upper]] = block.data[upper]
+    return band, order
+
+
+def _dense_free_block(problem: GridProblem) -> np.ndarray:
+    """The free block of a problem's nodal system, from the dense loop
+    assembly: the plane nodes with droop, else the nodes no VR pins."""
+    n = problem.grid.n_nodes
+    if problem.droop_resistance_ohm > 0.0:
+        return _droop_laplacian(problem.grid, problem.source_nodes, _fanout(problem),
+                                problem.droop_resistance_ohm)[:n, :n]
+    free = [node for node in range(n) if node not in problem.source_nodes]
+    return _droop_laplacian(problem.grid, {}, {}, 0.0)[np.ix_(free, free)]
+
+
+def _operator_block(op) -> np.ndarray:
+    """A plane operator's free block, column by column from its products."""
+    size = np.arange(op.diag.size)[op.free].size
+    return np.column_stack([op.product(unit) for unit in np.eye(size)])
+
+
 def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float,
                    fanout: dict):
     """The COO assembly and dict-sink solve the stencil assembly replaced,
     kept as its reference: every entry four times in COO, duplicates summed
     by scipy, the free block split off by fancy indexing. The free block is
-    factorised as the plane solver factorises a sector, so the two
-    assemblies are compared, not two sets of factor settings.
+    factorised by band Cholesky in wavefront order, as the plane solver
+    factorises a narrow sector, so the two assemblies are compared, not two
+    sets of factor settings.
 
     Returns the free block and the VR currents, plane-side VR voltages, node
     voltages and horizontal loss.
@@ -1113,7 +1159,10 @@ def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float
     free = np.flatnonzero(~is_pinned)
     lap_free = lap[free]
     lap_ff = lap_free[:, free].tocsc()
-    lu = pdn_grid._Sector(None, free % grid.nx, free // grid.nx).factor(lap_ff)
+    band, order = _wavefront_band(lap_ff, free % grid.nx, free // grid.nx)
+    band, info = dpbtrf(band, overwrite_ab=1)
+    assert info == 0
+    lu = pdn_grid._BandCholesky(band, order)
 
     source_v = np.fromiter(sources.values(), dtype=float, count=k)
     v_ref = source_v[0]
@@ -1220,18 +1269,20 @@ class TestStencilAssembly:
                               **_contacts(sources, fanout))
         pdn_grid._operator = None
         sol = solve_dc(problem)
-        lap_ff = pdn_grid._operator.lap_ff
-        want_ff, vr, plane_v, node_v, loss = _coo_reference(grid, sources, sinks, droop, fanout)
-        assert lap_ff.indices.tolist() == want_ff.indices.tolist()
-        assert lap_ff.indptr.tolist() == want_ff.indptr.tolist()
+        op = pdn_grid._operator
+        want_csc, vr, plane_v, node_v, loss = _coo_reference(grid, sources, sinks, droop, fanout)
+        got_ff, want_ff = _operator_block(op), want_csc.toarray()
         if not _coo_rows_keep_their_order(grid, droop, fanout):
             # A node under five or more footprints: the reference's sum of
             # its branches runs in an order std::sort leaves unspecified.
-            assert lap_ff.data == pytest.approx(want_ff.data, rel=1e-15)
+            assert got_ff == pytest.approx(want_ff, rel=1e-15)
             _close_to_reference(sol, sources, vr, plane_v, node_v, loss)
             return
-        assert _same(lap_ff.data, want_ff.data)
-        if len(pdn_grid._operator.sectors) > 1:
+        assert _same(got_ff, want_ff)
+        # The stencil product sums each row as the sparse product does.
+        x = np.random.default_rng(grid.n_nodes).standard_normal(want_ff.shape[0])
+        assert _same(op.product(x), want_csc @ x)
+        if len(op.sectors) > 1:
             # A mirror-symmetric plane is solved on its sector factors, not
             # on the reference's whole-block factor.
             _close_to_reference(sol, sources, vr, plane_v, node_v, loss)
@@ -1274,13 +1325,10 @@ class TestStencilAssembly:
 
         pdn_grid._operator = None
         sol = solve_dc(problem)
-        lap_ff = pdn_grid._operator.lap_ff
         fanout = _fanout(problem)
         want_ff, vr, plane_v, node_v, loss = _coo_reference(grid, problem.source_nodes, want,
                                                             droop, fanout)
-        assert lap_ff.indices.tolist() == want_ff.indices.tolist()
-        assert lap_ff.indptr.tolist() == want_ff.indptr.tolist()
-        assert _same(lap_ff.data, want_ff.data)
+        assert _same(_operator_block(pdn_grid._operator), want_ff.toarray())
         _close_to_reference(sol, problem.source_nodes, vr, plane_v, node_v, loss)
         drops, currents = _dense_drops(grid, problem.source_nodes, fanout, droop, want)
         _close_to_dense(sol, problem, drops, currents)
@@ -1477,7 +1525,7 @@ class TestMirrorSectors:
         problem = GridProblem(ResistiveGrid(4, 4, 1.0, 1e-3), sources, sinks,
                               droop_resistance_ohm=1e-3, **_contacts(sources, fanout))
         sol = solve_dc(problem)
-        diagonal = pdn_grid._operator.lap_ff.diagonal()
+        diagonal = pdn_grid._operator.diag
         assert abs(diagonal[2] - diagonal[8]) == (math.ulp(sum_a) if order[0] == 3 else 0.0)
         assert factorisations.sectors == sectors
         drops, currents = _dense_drops(problem.grid, sources, fanout, 1e-3, sinks)
@@ -1501,17 +1549,81 @@ class TestMirrorSectors:
         assert [len(op.sectors) for op in built] == sectors
 
 
+def _reference_sector_block(grid: ResistiveGrid, free: np.ndarray, lap_ff: sp.csc_matrix,
+                            parity: float | None) -> tuple[sp.csc_matrix, np.ndarray]:
+    """P^T A P of a sector by sparse products, and the lower lattice node of
+    each of its unknowns. parity None is the whole free block (P = I);
+    otherwise P has one column per orbit of the free nodes under the
+    diagonal mirror (parity +1) or per off-axis pair (parity -1), by lower
+    node, with 1 on that node and parity on its image."""
+    if parity is None:
+        return lap_ff, free
+    index = {node: k for k, node in enumerate(free.tolist())}
+    orbits = [(node, _mirror(node, grid.nx)) for node in free.tolist()
+              if node <= _mirror(node, grid.nx) and (parity > 0 or node != _mirror(node, grid.nx))]
+    entries = []
+    for column, (lo, hi) in enumerate(orbits):
+        entries.append((index[lo], column, 1.0))
+        if hi != lo:
+            entries.append((index[hi], column, parity))
+    rows, cols, vals = zip(*entries)
+    basis = sp.csr_matrix((vals, (rows, cols)), shape=(free.size, len(orbits)))
+    return (basis.T @ (lap_ff @ basis)).tocsc(), np.array([lo for lo, _ in orbits])
+
+
+class TestBandAssembly:
+    """Each sector block, assembled from the stencil, against P^T A P of the
+    COO assembly, built here by sparse products: the band dpbtrf receives
+    and its wavefront order, and the CSC block SuperLU receives."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(_stencil_problems(), _mirror_problems().map(lambda drawn: drawn[:5])))
+    def test_equals_the_sparse_projection(self, monkeypatch, drawn):
+        grid, sources, sinks, droop, fanout = drawn
+        problem = GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
+                              **_contacts(sources, fanout))
+        op = pdn_grid._factor_plane(pdn_grid.plane_key(problem))
+        lap_ff = _coo_reference(grid, sources, sinks, droop, fanout)[0]
+        free = np.arange(grid.n_nodes)[op.free]
+        bands, blocks = [], []
+        monkeypatch.setattr(pdn_grid, "dpbtrf",
+                            lambda band, **kw: bands.append(band.copy()) or dpbtrf(band, **kw))
+        monkeypatch.setattr(pdn_grid.spla, "splu", lambda block, **kw: blocks.append(block))
+        for sector in op.sectors:
+            want, lo = _reference_sector_block(grid, free, lap_ff,
+                                               None if sector.hi is None else sector.parity)
+            assert (free[sector.lo] == lo).all()
+            want_band, want_order = _wavefront_band(want, lo % grid.nx, lo // grid.nx)
+            monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", math.inf)
+            lu = pdn_grid._factor_block(op.grid, op.diag, op.free, sector)
+            monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", -1)
+            pdn_grid._factor_block(op.grid, op.diag, op.free, sector)
+            got_band, got_block = bands[-1], blocks[-1]
+            assert (lu.order == want_order).all()
+            assert got_band.shape == want_band.shape
+            assert got_block.has_canonical_format and got_block.nnz == want.nnz
+            if _coo_rows_keep_their_order(grid, droop, fanout):
+                assert _same(got_band, want_band)
+                assert _same(got_block.toarray(), want.toarray())
+            else:
+                # A node under five or more footprints: the reference sums
+                # its branches in an order std::sort leaves unspecified.
+                assert got_band == pytest.approx(want_band, rel=1e-15)
+                assert got_block.toarray() == pytest.approx(want.toarray(), rel=1e-15)
+
+
 @pytest.fixture
 def recorded_solves(monkeypatch):
-    """Empty operator slot; every plane solve is logged as (A, b, x), A the
-    whole free block, and x is scaled by 1 + perturb[0] before it is
-    returned."""
+    """Empty operator slot; every plane solve is logged as (op, b, x), op the
+    plane operator that solved A x = b on its whole free block A, and x is
+    scaled by 1 + perturb[0] before it is returned."""
     log, perturb = [], [0.0]
     solve = pdn_grid._PlaneOperator.solve
 
     def recorded(op, rhs):
         x = solve(op, rhs) * (1.0 + perturb[0])
-        log.append((op.lap_ff, rhs, x))
+        log.append((op, rhs, x))
         return x
 
     monkeypatch.setattr(pdn_grid._PlaneOperator, "solve", recorded)
@@ -1533,13 +1645,16 @@ class TestBackwardError:
         # block is never below its 2-norm.
         log, _ = recorded_solves
         sol = solve_dc(problem)
-        matrix, rhs, x = log[-1]
-        assert matrix is pdn_grid._operator.lap_ff
-        dense = matrix.toarray()
+        op, rhs, x = log[-1]
+        assert op is pdn_grid._operator
+        dense = _operator_block(op)
+        # The loop assembly takes a branch's conductance as 1 / (droop * m),
+        # not (1 / droop) / m: an ulp apart at most.
+        assert dense == pytest.approx(_dense_free_block(problem), rel=1e-15)
         norm_inf = np.abs(dense).sum(axis=1).max()
         assert pdn_grid._operator.norm_inf == pytest.approx(norm_inf, rel=1e-14)
         assert np.linalg.norm(dense, 2) <= norm_inf * (1.0 + 1e-12)
-        r = np.linalg.norm(matrix @ x - rhs)
+        r = np.linalg.norm(op.product(x) - rhs)
         want = r / (norm_inf * np.linalg.norm(x) + np.linalg.norm(rhs))
         assert sol.residual == pytest.approx(want, rel=1e-12, abs=0.0)
         assert sol.residual <= r / np.linalg.norm(rhs)
@@ -1560,7 +1675,7 @@ class TestBackwardError:
                       droop_share_resistance_scale=2.0, grid_resolution=33)
         cell = evaluate_cell("A3@12V", "DSCH", replace(ds, calibration=cal))
         assert cell.status == "ok", cell.reason
-        relative = [np.linalg.norm(a @ x - b) / np.linalg.norm(b) for a, b, x in log]
+        relative = [np.linalg.norm(op.product(x) - b) / np.linalg.norm(b) for op, b, x in log]
         assert max(relative) > 1e-10
 
     def test_infinite_sink_is_an_overflow(self):
