@@ -47,6 +47,7 @@ from . import placement as plc
 from .converter import StageSpec
 from .datasets import Datasets
 from .errors import PdnxError, Unsatisfiable, ZeroConnections
+from .floats import ordered_sum
 from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
 
@@ -355,7 +356,7 @@ def _evaluate_reference(spec, datasets, usage, feasibility, assumptions) -> Loss
 
     conv_input = spec.total_power_w / eta
     conv_loss = conv_input - spec.total_power_w
-    vert_total = sum(vertical.values())
+    vert_total = ordered_sum(vertical.values())
     total_loss = conv_loss + pcb_loss + vert_total
     pol_power = spec.total_power_w - pcb_loss - vert_total
 
@@ -410,7 +411,7 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
 
         # What the bank carries: the die current at the POL; upstream, the
         # draw of the bank it feeds, to which its own plane's losses add.
-        base_power = demand_w if downstream is None else sum(p for _, p in downstream)
+        base_power = demand_w if downstream is None else ordered_sum(p for _, p in downstream)
         i_base = base_power / v_out
         mean = i_base / stage.vr_count
         if verdict_only and _over_rating(mean, topo):
@@ -447,9 +448,9 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
             # solution scaled by i_plane / i_base, with no second solve.
             sinks = [(s.x_mm, s.y_mm, p / v_out) for s, p in downstream]
             base_solution = yield problem(i_base, sinks)
-            vert_base = sum(
+            vert_base = ordered_sum(
                 _domain_vertical_losses(spec, datasets, usage, v_out, i_base).values())
-            droop_drop = droop * float(sum(x * x for x in base_solution.vr_currents))
+            droop_drop = droop * float(ordered_sum(x * x for x in base_solution.vr_currents))
             c = (base_solution.horizontal_loss_w + vert_base + droop_drop) / base_power ** 2
             discriminant = 1.0 - 4.0 * c * base_power
             if discriminant < 0:
@@ -462,8 +463,8 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
             solution = base_solution.scaled(i_plane / i_base)
 
         loads = [float(x) for x in solution.vr_currents]
-        plane_in = float(sum(v * i for v, i in
-                             zip(solution.vr_plane_voltages, solution.vr_currents)))
+        plane_in = float(ordered_sum(v * i for v, i in
+                                     zip(solution.vr_plane_voltages, solution.vr_currents)))
         stage_loss_w = conv.stage_loss(model, topo, loads, idle_shutdown=cal.idle_shutdown)
         worst = max(loads)
         over = _over_rating(worst, topo)
@@ -481,7 +482,7 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
         converter_losses[key] = stage_loss_w
         domain_currents[rail] = i_plane
         delivered[rail] = (plane_in - solution.horizontal_loss_w
-                           - sum(domain_vertical.values()))
+                           - ordered_sum(domain_vertical.values()))
 
         downstream = [
             (site, float(v_term) * load + model.loss_w(load) if load > 0
@@ -521,9 +522,9 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
                                                 i_in))
         pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
 
-    vert_total = sum(vertical.values())
-    conv_total = sum(converter_losses.values())
-    horiz_total = sum(horizontal.values())
+    vert_total = ordered_sum(vertical.values())
+    conv_total = ordered_sum(converter_losses.values())
+    horiz_total = ordered_sum(horizontal.values())
     total_loss = conv_total + horiz_total + vert_total + pcb_loss
     # Unset only when verdict_only ended at a POL bank decided on its mean,
     # before its plane was built; verdict drops this breakdown.
@@ -576,8 +577,8 @@ def pol_current_curve(spec: ArchitectureSpec,
     problem = bank.problem(demand_a, demand_weight=0.0)
     nodes, uniform, radial = grid.profile_parts(spec.die, problem.grid,
                                                 list(problem.source_nodes))
-    total = sum(uniform.tolist())
-    share = sum(radial.tolist()) / total
+    total = ordered_sum(uniform)
+    share = ordered_sum(radial) / total
     i_uniform = grid.solve_dc(problem).vr_currents
     i_radial = np.zeros_like(i_uniform)
     if share > 0:

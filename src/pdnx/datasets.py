@@ -42,9 +42,9 @@ class Calibration:
 
     Construction rejects, with ValueError, a number that is not finite or
     lies outside its field's range, a sheet resistance that leaves a plane
-    an edge conductance out of the float range, an unknown die attach or
-    DPMIH variant and an idle_shutdown that is not a bool, so loading,
-    overrides, sweeps and calibration fits share one check.
+    node's four edge conductances out of the float range, an unknown die
+    attach or DPMIH variant and an idle_shutdown that is not a bool, so
+    loading, overrides, sweeps and calibration fits share one check.
     """
 
     resistivity_ohm_m: dict[str, float]
@@ -72,14 +72,15 @@ class Calibration:
                 raise ValueError(f"{name} must be {'>=' if inclusive else '>'} {low:g} "
                                  f"and finite, got {value!r}")
         # A plane's sheet is sheet_resistance_ohm_sq times 1 or a plane
-        # multiplier, and its edge conductance, 1/R, must be finite.
+        # multiplier. A node's diagonal sums up to four edge conductances,
+        # so 4/R must be finite.
         sheet = self.sheet_resistance_ohm_sq
         for name in (None, "die_grid_multiplier", "power_die_multiplier"):
             plane = sheet * (1.0 if name is None else getattr(self, name))
-            if not (plane > 0 and math.isfinite(1.0 / plane)):
+            if not (plane > 0 and math.isfinite(4.0 / plane)):
                 times = "" if name is None else f" times {name} {getattr(self, name)!r}"
                 raise ValueError(f"sheet_resistance_ohm_sq {sheet!r}{times} gives a plane "
-                                 "whose sheet conductance is not finite")
+                                 "whose node conductance, 4/R, is not finite")
         resolution = self.grid_resolution
         if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 2:
             raise ValueError(f"grid_resolution must be an integer >= 2, got {resolution!r}")

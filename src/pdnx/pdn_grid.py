@@ -28,9 +28,12 @@ more than a rounding-level component in it; any other plane is one sector,
 the whole free block. A sector block taken in wavefront order over its
 lattice nodes is banded about as wide as the lattice: up to a bandwidth of
 _BAND_MAX_WIDTH its band is assembled straight from the stencil and is one
-LAPACK band Cholesky factor; a wider block is built in CSC from the same
-entries and is one SuperLU factor with a minimum-degree ordering, the one
-place the solver uses scipy.sparse. The factors depend only on the
+LAPACK band Cholesky factor. A wider block is reduced exactly to its even
+wavefronts, half its unknowns at the same bandwidth, since the stencil
+joins each wavefront only to its two neighbours; that Schur complement is
+one band Cholesky factor up to _REDUCED_MAX_WIDTH, and above it is built in
+CSC and is one SuperLU factor with a minimum-degree ordering, the one place
+the solver uses scipy.sparse. The factors depend only on the
 lattice, the Dirichlet nodes and the branches, so the last plane's are
 kept and reused while problems on the same plane differ only in sinks and
 source voltages. Each VR's current is the net current out of its Dirichlet
@@ -52,6 +55,7 @@ from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DegenerateGrid, SingularSystem
+from .floats import ordered_sum
 from .placement import DieFloorplan, VrSite
 
 _RESIDUAL_TOL = 1e-10
@@ -61,12 +65,20 @@ _RESIDUAL_TOL = 1e-10
 _SECTOR_SHARE_TOL = 1e-3 * _RESIDUAL_TOL
 # Largest lattice build_problem will discretise; checked before allocation.
 _MAX_NODES = 1_000_000
-# Widest wavefront bandwidth at which a sector block is factored by band
-# Cholesky; a wider block goes to SuperLU. Measured on lattice blocks (one
-# CPU, BLAS on one thread), the band saves 17 % or more of the factor time up
-# to w = 72; at w = 96 it saves under 10 % for 1.8 times SuperLU's memory,
-# and at w = 142 it is slower as well.
+# Widest wavefront bandwidth at which a sector block is factored whole by
+# band Cholesky; a wider block is reduced to its even wavefronts. Measured
+# on lattice blocks (one CPU, BLAS on one thread), the whole band saves 17 %
+# or more of SuperLU's factor time up to w = 72. Up to the cut the reduction
+# gains nothing consistent (2.1 against 2.3 ms at w = 48, 9.6 against
+# 10.5 ms at w = 64), and compare10's factors stay as they were; above it,
+# it halves the factor time (w = 142: SuperLU 62 ms, reduced 30 ms).
 _BAND_MAX_WIDTH = 80
+# Widest bandwidth at which a reduced block's Schur complement S is factored
+# by band Cholesky; a wider one goes to SuperLU, which needs less memory.
+# Measured on whole lattice blocks' S (same host), the band saves 18-23 % of
+# SuperLU's time up to w = 240, at 1.3 times its peak memory at w = 200
+# (39 against 30 MB) and 1.75 times at w = 301 (123 against 70 MB).
+_REDUCED_MAX_WIDTH = 200
 
 
 @dataclass(frozen=True)
@@ -367,13 +379,13 @@ def _explicit_sinks(nodes: np.ndarray, amps: np.ndarray,
     """Snapped sinks merged per node, in order of first occurrence, and scaled
     to demand_a.
 
-    Currents on one node accumulate in the order given; the total is a
-    Python float sum over the merged currents in first-occurrence order.
+    Currents on one node accumulate in the order given; the total adds the
+    merged currents left to right in first-occurrence order.
     """
     merged, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
     order = np.argsort(first)
     summed = np.bincount(inverse, weights=amps, minlength=merged.size)[order]
-    total = sum(summed.tolist())
+    total = ordered_sum(summed)
     if total > 0:
         # Normalised first: demand_a / total is inf for a subnormal total.
         summed = summed / total * demand_a
@@ -384,9 +396,9 @@ def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.nda
                    demand_a: float, demand_weight: float) -> tuple[np.ndarray, np.ndarray]:
     idx, uniform, radial = profile_parts(plan, grid, source_nodes)
     w = uniform + demand_weight * radial
-    # Summed in node order, as a Python float sum, so the total does not
-    # depend on numpy's pairwise blocking.
-    total_w = sum(w.tolist())
+    # Summed left to right in node order, so the total depends neither on
+    # numpy's pairwise blocking nor on the Python version.
+    total_w = ordered_sum(w)
     if total_w <= 0:
         return idx[:0], w[:0]
     return idx, demand_a * w / total_w
@@ -453,7 +465,7 @@ class _Sector:
     lo: np.ndarray
     hi: np.ndarray | None = None
     parity: float = 1.0
-    lu: _BandCholesky | spla.SuperLU | None = None
+    lu: _BandCholesky | _OddEven | None = None
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
         """P^T x: at most two entries of x summed per unknown."""
@@ -471,17 +483,18 @@ class _Sector:
         paired = self.lo != self.hi
         out[self.hi[paired]] += self.parity * y[paired]
 
-    def factor(self, op: _PlaneOperator) -> _BandCholesky | spla.SuperLU:
+    def factor(self, op: _PlaneOperator) -> _BandCholesky | _OddEven:
         if self.lu is None:
-            self.lu = _factor_block(op.grid, op.diag, op.free, self)
+            self.lu = _factor_block(op.grid, op.diag, op.shunt, op.free, self)
         return self.lu
 
 
-def _factor_block(grid: ResistiveGrid, diag: np.ndarray, free: np.ndarray | slice,
-                  sector: _Sector) -> _BandCholesky | spla.SuperLU:
+def _factor_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray,
+                  free: np.ndarray | slice, sector: _Sector) -> _BandCholesky | _OddEven:
     """A factor of a sector's block P^T A P, with .solve(b), assembled
     straight from the plane's 5-point stencil: diag per lattice node and
-    -g_sheet on every lattice edge; free lists the free nodes.
+    -g_sheet on every lattice edge; shunt is each lattice node's VR branch
+    conductance and free lists the free nodes.
 
     The unknowns are taken by wavefront, i + j then i over the lattice node
     (i, j) of lo[k]. The mirror keeps i + j, so the entries above the
@@ -502,13 +515,10 @@ def _factor_block(grid: ResistiveGrid, diag: np.ndarray, free: np.ndarray | slic
 
     Up to _BAND_MAX_WIDTH the entries are summed into LAPACK's (w + 1) x m
     band, with no sparse matrix, and factored by dpbtrf; a pivot that is
-    not positive raises SingularSystem. A wider block is built in CSC from
-    the same entries and is one SuperLU factor with a minimum-degree
-    ordering on A^T + A, one column per panel: the narrow supernodes of a
-    lattice block leave nothing for SuperLU's default 20-column panel to
-    batch. compare10's 5,565-unknown sector (w = 53) is assembled and
-    factored in 2.5 ms, where the sparse projection and scatter took 3.5 ms
-    (one CPU, warm caches).
+    not positive raises SingularSystem. compare10's 5,565-unknown sector
+    (w = 53) is assembled and factored in 2.5 ms, where the sparse
+    projection and scatter took 3.5 ms (one CPU, warm caches). A wider
+    block is reduced to its even wavefronts by _reduce_block.
     """
     nx = grid.nx
     nodes = np.arange(grid.n_nodes)[free]
@@ -535,22 +545,147 @@ def _factor_block(grid: ResistiveGrid, diag: np.ndarray, free: np.ndarray | slic
         col.append(unknowns[has][kept])
         value.append(off * weight[has][kept])
     row, col, value = (np.concatenate(parts) for parts in (row, col, value))
-    on_diagonal = weight * diag[lo]
     offset = position[col] - position[row]
     width = int(offset.max(initial=0))
     if width > _BAND_MAX_WIDTH:
-        block = sp.csc_matrix((np.concatenate([on_diagonal, value, value]),
-                               (np.concatenate([unknowns, row, col]),
-                                np.concatenate([unknowns, col, row]))), shape=(m, m))
-        return spla.splu(block, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+        # Freed first: the reduced block's band is its peak of memory.
+        del nodes, hi, unknowns, i, j, position, row, col, value, offset
+        return _reduce_block(grid, diag, shunt, lo, unknown, weight, order)
     band = np.bincount(np.concatenate([position * (width + 1) + width,
                                        position[col] * (width + 1) + width - offset]),
-                       weights=np.concatenate([on_diagonal, value]),
+                       weights=np.concatenate([weight * diag[lo], value]),
                        minlength=(width + 1) * m)
+    return _BandCholesky(_band_factor(band, width, m), order)
+
+
+def _band_factor(band: np.ndarray, width: int, m: int) -> np.ndarray:
+    """dpbtrf of an upper band summed flat, w + 1 rows by m columns in
+    Fortran order; a pivot that is not positive raises SingularSystem."""
     band, info = dpbtrf(band.reshape(width + 1, m, order="F"), overwrite_ab=1)
     if info:
         raise SingularSystem(f"sector block is not positive definite (pivot {info})")
-    return _BandCholesky(band, order)
+    return band
+
+
+def _reduce_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray, lo: np.ndarray,
+                  unknown: np.ndarray, weight: np.ndarray, order: np.ndarray) -> _OddEven:
+    """A wide sector block B reduced exactly to its even wavefronts.
+
+    The stencil joins wavefront i + j = d only to d - 1 and d + 1, and the
+    mirror keeps i + j, so B is bipartite by the parity of d: its odd block
+    D_O is diagonal. Eliminating it leaves S = B_EE - B_EO D_O^-1 B_OE on
+    the even unknowns, half of B's at B's bandwidth (B. L. Buzbee, G. H.
+    Golub and C. W. Nielson, SIAM J. Numer. Anal. 7, 1970). Each odd
+    unknown o couples the even unknowns in its row, at most four, with
+    entries b = -w_o g_sheet each; it adds -b^2 / D_o to S between every
+    pair of them, six pairs at most, so S is summed from O(m) products in
+    one bincount with no sort.
+
+    B's rows are diagonally dominant: a row's excess x, its diagonal less
+    its off-diagonal magnitudes, is its VR branch conductance and g_sheet
+    per lattice neighbour outside the block (a pinned node, or the mirror
+    axis in the antisymmetric sector), times the orbit's nodes. S's
+    diagonal is formed from x as the Grassmann-Taksar-Heyman elimination
+    forms it (W. K. Grassmann, M. I. Taksar and D. P. Heyman, Oper. Res.
+    33, 1985), from non-negative terms only: x_e plus, per odd neighbour o,
+    |b| (x_o + |b| (n_o - 1)) / D_o, n_o the even unknowns in o's row. So
+    a row whose excess is tiny next to its diagonal keeps it to rounding,
+    where B_ee - sum b^2 / D_o would cancel it away.
+
+    S is factored by band Cholesky in B's wavefront order up to
+    _REDUCED_MAX_WIDTH and by SuperLU above it.
+    """
+    nx, ny = grid.nx, grid.ny
+    g = 1.0 / grid.sheet_resistance_ohm_sq
+    m = lo.size
+    i, j = lo % nx, lo // nx
+    # Per unknown, the unknown at each lattice neighbour, -1 for none, and
+    # how many neighbours lie outside the block.
+    slots = np.full((m, 4), -1, dtype=np.int32)
+    outside = np.zeros(m, dtype=np.int64)
+    for s, (has, step) in enumerate(((j > 0, -nx), (i > 0, -1), (i < nx - 1, 1),
+                                     (j < ny - 1, nx))):
+        slots[has, s] = unknown[lo[has] + step]
+        outside += has
+    outside -= (slots >= 0).sum(axis=1)
+    excess = weight * (shunt[lo] + g * outside)
+    odd = ((i + j) & 1).astype(bool)
+    even_k, odd_k = np.flatnonzero(~odd), np.flatnonzero(odd)
+    m_e, m_o = even_k.size, odd_k.size
+    # Each unknown's index among its colour; index m (read as -1) is the
+    # sentinel an empty slot points to: one past the other colour's last.
+    colour = np.empty(m + 1, dtype=np.int32)
+    colour[even_k] = np.arange(m_e, dtype=np.int32)
+    colour[odd_k] = np.arange(m_o, dtype=np.int32)
+    colour[m] = m_o
+    even_slots = colour[slots[even_k]]
+    colour[m] = m_e
+    odd_slots = colour[slots[odd_k]]
+    even_order = colour[order[~odd[order]]]     # S's unknowns by wavefront
+    del slots, colour
+    link = g * weight               # |b|, each row's off-diagonal magnitude
+    odd_diag = weight[odd_k] * diag[lo[odd_k]]
+    ratio = link[odd_k] / odd_diag
+    filled = odd_slots < m_e
+    through = ratio * (excess[odd_k] + link[odd_k] * (filled.sum(axis=1) - 1))
+    diag_s = excess[even_k] + np.bincount(odd_slots[filled], weights=np.broadcast_to(
+        through[:, None], filled.shape)[filled], minlength=m_e)
+    pair_a, pair_b = np.triu_indices(4, 1)
+    a, b = odd_slots[:, pair_a], odd_slots[:, pair_b]
+    paired = (a < m_e) & (b < m_e)
+    a, b = a[paired], b[paired]
+    pair_value = np.broadcast_to((-link[odd_k] * ratio)[:, None], paired.shape)[paired]
+    del excess, ratio, filled, through, paired
+    position = np.empty(m_e, dtype=np.int32)
+    position[even_order] = np.arange(m_e, dtype=np.int32)
+    top, gap = np.maximum(position[a], position[b]), np.abs(position[a] - position[b])
+    width = int(gap.max(initial=0))
+    if width > _REDUCED_MAX_WIDTH:
+        block = sp.csc_matrix((np.concatenate([diag_s, pair_value, pair_value]),
+                               (np.concatenate([np.arange(m_e), a, b]),
+                                np.concatenate([np.arange(m_e), b, a]))), shape=(m_e, m_e))
+        del a, b, top, gap, pair_value
+        schur = spla.splu(block, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+    else:
+        del a, b
+        band = np.bincount(np.concatenate([position * (width + 1) + width,
+                                           top * (width + 1) + width - gap]),
+                           weights=np.concatenate([diag_s, pair_value]),
+                           minlength=(width + 1) * m_e)
+        del top, gap, pair_value
+        schur = _BandCholesky(_band_factor(band, width, m_e), even_order)
+    return _OddEven(even_k, odd_k, odd_diag, even_slots, odd_slots, link[even_k],
+                    link[odd_k], schur)
+
+
+@dataclass(frozen=True)
+class _OddEven:
+    """A block's solve through its even-wavefront Schur complement S:
+    y_E = S^-1 (b_E - B_EO D_O^-1 b_O), then y_O = D_O^-1 (b_O - B_OE y_E).
+
+    Row by row, B_EO and B_OE are one entry, -link, at each stencil slot:
+    even_slots and odd_slots list the other colour's unknown per slot, one
+    past its last for none. An axis row names one odd orbit twice, and its
+    two slots sum."""
+
+    even: np.ndarray           # the block's unknowns on even, and on odd, wavefronts
+    odd: np.ndarray
+    odd_diag: np.ndarray       # D_O
+    even_slots: np.ndarray
+    odd_slots: np.ndarray
+    even_link: np.ndarray
+    odd_link: np.ndarray
+    schur: _BandCholesky | spla.SuperLU
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b_odd = b[self.odd]
+        t = np.append(b_odd / self.odd_diag, 0.0)
+        y = self.schur.solve(b[self.even] + self.even_link * t[self.even_slots].sum(axis=1))
+        x = np.empty(b.size)
+        x[self.even] = y
+        x[self.odd] = (b_odd + self.odd_link * np.append(y, 0.0)[self.odd_slots].sum(axis=1)
+                       ) / self.odd_diag
+        return x
 
 
 @dataclass(frozen=True)
@@ -572,6 +707,7 @@ class _PlaneOperator:
     free: np.ndarray | slice
     pinned: np.ndarray | slice
     diag: np.ndarray               # the stencil's diagonal, per plane node
+    shunt: np.ndarray              # its VR branches' conductance, per plane node
     g_sheet: float
     norm_inf: float                # ||A||_inf, never below ||A||_2
     sectors: tuple[_Sector, ...]
@@ -797,6 +933,7 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
     return _PlaneOperator(
         key=key, n_all=n + k if contacts is not None else n,
         free=free, pinned=pinned, diag=diag, g_sheet=g_sheet,
+        shunt=np.bincount(br_node, weights=br_g, minlength=n),
         # |A| 1, summed as the rows of A are.
         norm_inf=float(_stencil_product(grid, diag, g_sheet, on_free)[free].max()),
         sectors=_sectors(grid, diag, free),

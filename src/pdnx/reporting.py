@@ -15,6 +15,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 from .architecture import ComparisonCell, ComparisonTable, LossBreakdown, UtilizationEntry
+from .floats import ordered_sum
 
 # One row per comparison cell; the sweep CSV prefixes the swept value.
 CELL_CSV_HEADER = ("architecture,topology,status,total_loss_w,total_loss_pct,"
@@ -86,7 +87,7 @@ def breakdown_to_text(b: LossBreakdown, stamp: bool = False) -> str:
             lines.append(
                 f"{stage}: {len(currents)} VRs, per-VR current "
                 f"{min(currents):.2f} to {max(currents):.2f} A "
-                f"(mean {sum(currents) / len(currents):.2f} A)"
+                f"(mean {ordered_sum(currents) / len(currents):.2f} A)"
             )
     lines.append("")
     lines.append("feasibility:")
@@ -112,9 +113,9 @@ def cell_to_csv_row(c: ComparisonCell) -> str:
         currents = [x for vals in b.per_vr_currents_a.values() for x in vals]
         figures = [
             repr(b.total_loss_w), repr(b.total_loss_pct),
-            repr(sum(b.horizontal_losses_w.values())),
-            repr(sum(b.converter_losses_w.values())),
-            repr(sum(b.vertical_losses_w.values())),
+            repr(ordered_sum(b.horizontal_losses_w.values())),
+            repr(ordered_sum(b.converter_losses_w.values())),
+            repr(ordered_sum(b.vertical_losses_w.values())),
             repr(b.pcb_lateral_loss_w), b.worst_status(),
             repr(min(currents)) if currents else "",
             repr(max(currents)) if currents else "",

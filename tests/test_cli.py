@@ -250,7 +250,7 @@ class TestSweepCommand:
         for param, value, message in [
             ("total_power", "0", "must be > 0"), ("sheet_resistance", "-1", "must be > 0"),
             ("sheet_resistance", "nan", "must be > 0"), ("die_area", "inf", "must be > 0"),
-            ("sheet_resistance", "1e-310", "sheet conductance is not finite"),
+            ("sheet_resistance", "1e-310", "node conductance, 4/R, is not finite"),
             ("pcb_lateral_resistance", "-1", "must be >= 0")]])
     def test_invalid_value_is_error_row(self, tmp_path, param, value, message):
         out = tmp_path / "out"
@@ -512,12 +512,12 @@ class TestCalibrateCommand:
         assert not out.exists()
 
     def test_non_finite_plane_solve_exit_4(self, tmp_path, capsys, recwarn):
-        # A sheet resistance of 1e-308 gives the A1 plane an edge
-        # conductance of 1e308, finite, but a node's diagonal sums two to
-        # four of them and is not, so the spread fit's solve is not finite.
-        # SuperLU used to raise a raw RuntimeError on such a plane.
+        # A sheet resistance of 3e-308 gives the A1 plane an edge
+        # conductance of 3.3e307 and a node's diagonal, four of them, of
+        # 1.3e308, both finite, so it loads. But the row norm ||A||_inf sums
+        # eight and is not finite, so the spread fit's solve is refused.
         cfg = write_config(tmp_path, {"datasets": {"calibration-default": {
-            "sheet_resistance_ohm_sq": 1e-308}}})
+            "sheet_resistance_ohm_sq": 3e-308}}})
         out = tmp_path / "out"
         assert run_cli("calibrate", "--config", cfg, "--out", str(out),
                        "--target", "a1_spread=16:27") == 4
@@ -569,7 +569,20 @@ class TestCalibrateCommand:
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert ("config error: calibration-default: sheet_resistance_ohm_sq 1e-310 gives a "
-                "plane whose sheet conductance is not finite") in err
+                "plane whose node conductance, 4/R, is not finite") in err
+        assert not out.exists()
+
+    def test_sheet_resistance_whose_diagonal_overflows_exit_2(self, tmp_path, capsys):
+        # 1 / 1e-308 is finite, but a node's diagonal, up to four edge
+        # conductances, is not: the spread fit's plane used to be built and
+        # its solve to end in exit 4.
+        cfg = write_config(tmp_path, {"datasets": {"calibration-default": {
+            "sheet_resistance_ohm_sq": 1e-308}}})
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--config", cfg, "--out", str(out),
+                       "--target", "a1_spread=16:27") == 2
+        assert ("config error: calibration-default: sheet_resistance_ohm_sq 1e-308 gives a "
+                "plane whose node conductance, 4/R, is not finite") in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_calibration_override_exit_2(self, tmp_path, capsys):

@@ -159,13 +159,28 @@ class TestCalibrationValidation:
         # 6e-4 ohm/sq times 1e-306 is a plane sheet of 6e-310 ohm/sq, whose
         # reciprocal is not finite; 1e-300 leaves it at 6e-304 ohm/sq.
         message = (f"sheet_resistance_ohm_sq 0.0006 times {multiplier} 1e-306 gives a plane "
-                   "whose sheet conductance is not finite")
+                   "whose node conductance, 4/R, is not finite")
         with pytest.raises(ConfigError, match=message):
             load_datasets({"calibration-default": {"sheet_resistance_ohm_sq": 6e-4,
                                                    multiplier: 1e-306}})
         ds = load_datasets({"calibration-default": {"sheet_resistance_ohm_sq": 6e-4,
                                                     multiplier: 1e-300}})
         assert getattr(ds.calibration, multiplier) == 1e-300
+
+    @pytest.mark.parametrize("multiplier,value", [
+        (None, 1e-308), ("die_grid_multiplier", 1e-305), ("power_die_multiplier", 1e-305)])
+    def test_a_plane_whose_node_diagonal_overflows_is_rejected(self, multiplier, value):
+        # A node's diagonal sums up to four edge conductances: a plane
+        # sheet of 1e-308 ohm/sq (6e-4 times 1e-305 is 6e-309) has a
+        # finite 1/R but not 4/R. 4e-308 has both.
+        override = ({"sheet_resistance_ohm_sq": value} if multiplier is None
+                    else {"sheet_resistance_ohm_sq": 6e-4, multiplier: value})
+        with pytest.raises(ConfigError, match="whose node conductance, 4/R, is not finite"):
+            load_datasets({"calibration-default": override})
+        assert math.isfinite(1.0 / (override["sheet_resistance_ohm_sq"]
+                                    * override.get(multiplier, 1.0)))
+        ds = load_datasets({"calibration-default": {"sheet_resistance_ohm_sq": 4e-308}})
+        assert ds.calibration.sheet_resistance_ohm_sq == 4e-308
 
     @pytest.mark.parametrize("override", [
         {"resistivity_ohm_m": {"copper": -1e-8}}, {"ampacity_a": {"c4": math.nan}},

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdnx import pdn_grid
@@ -399,9 +399,10 @@ def factorisations(monkeypatch):
     factor, factor_block, splu = (pdn_grid._factor_plane, pdn_grid._factor_block,
                                   pdn_grid.spla.splu)
 
-    def counted(grid, diag, free, sector):
+    def counted(*args):
+        sector = args[-1]
         made.sectors.append((sector.lo.size, sector.lo.size))
-        made.factors.append(factor_block(grid, diag, free, sector))
+        made.factors.append(factor_block(*args))
         return made.factors[-1]
 
     def splu_counted(matrix, *args, **kwargs):
@@ -511,18 +512,40 @@ class TestFactorReuse:
         assert factorisations.splu_options == []
 
     def test_a_block_above_the_cut_is_factored_one_column_per_panel(self, factorisations):
-        # A rectangular plane is one sector, and its wavefront bandwidth is
-        # about its shorter side. SuperLU's default 20-column panel costs
-        # more than it saves on the narrow supernodes of a lattice block
-        # under minimum degree.
-        side = pdn_grid._BAND_MAX_WIDTH + 2
+        # A rectangular plane is one sector, and the wavefront bandwidth of
+        # its even-wavefront Schur complement is its shorter side plus one,
+        # here one above the reduced cut. SuperLU's default 20-column panel
+        # costs more than it saves on the narrow supernodes of a lattice
+        # block under minimum degree.
+        side = pdn_grid._REDUCED_MAX_WIDTH
         grid = ResistiveGrid(side, side + 1, 1.0, 1e-3)
         solution = solve_dc(GridProblem(grid, {0: 1.0}, {grid.n_nodes - 1: 2.0}))
         (lu,) = factorisations.factors
-        assert isinstance(lu, pdn_grid.spla.SuperLU)
+        assert isinstance(lu, pdn_grid._OddEven)
+        assert isinstance(lu.schur, pdn_grid.spla.SuperLU)
         assert factorisations.splu_options == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1}]
-        # One source across an 82x83 lattice: cond(A) is about 1e5.
+        # One source across a 200x201 lattice: cond(A), which grows with the
+        # lattice's area, is several times the 82x83 lattice's 1e5.
         assert solution.vr_currents == pytest.approx([2.0], rel=1e-10)
+
+    @pytest.mark.parametrize("arch,resolution,width", [
+        ("A1", 64, 96), ("A1", 96, 142), ("A2", 96, 97)])
+    def test_mesh_ladder_planes_make_no_splu_call(self, factorisations, arch, resolution,
+                                                  width):
+        # mesh_ladder's only blocks above the band cut (A2's lattice at an
+        # even resolution is refined to 191 nodes across). Reduced to their
+        # even wavefronts they are within the reduced cut, so band Cholesky
+        # factors them and SuperLU is never called.
+        from pdnx.architecture import build_architecture, evaluate
+        from pdnx.datasets import load_datasets
+
+        ds = load_datasets({"calibration-default": {"grid_resolution": resolution}})
+        evaluate(build_architecture(arch, "DSCH", ds, total_power_w=1000.0,
+                                    pol_voltage_v=1.0), ds)
+        (lu,) = factorisations.factors
+        assert isinstance(lu, pdn_grid._OddEven)
+        assert lu.schur.band.shape[0] - 1 == width
+        assert factorisations.splu_options == []
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.0, 10.0), min_size=25, max_size=25).filter(
@@ -547,11 +570,14 @@ class TestFactorReuse:
 
 class TestBandFactor:
     """A sector block up to the band cut is factored by band Cholesky in
-    wavefront order, a wider one by SuperLU; both solve the same system."""
+    wavefront order; a wider one is reduced to its even wavefronts, whose
+    Schur complement is factored by band Cholesky up to the reduced cut and
+    by SuperLU above it. All three solve the same system."""
 
     @staticmethod
-    def _solve(problem: GridProblem, cut: float):
+    def _solve(problem: GridProblem, cut: float, reduced_cut: float = math.inf):
         with mock.patch.object(pdn_grid, "_BAND_MAX_WIDTH", cut), \
+                mock.patch.object(pdn_grid, "_REDUCED_MAX_WIDTH", reduced_cut), \
                 mock.patch.object(pdn_grid, "_operator", None):
             return solve_dc(problem)
 
@@ -582,30 +608,59 @@ class TestBandFactor:
         problem = GridProblem(grid, dict.fromkeys(sources, 1.0),
                               {node: amps[node] for node in sinks},
                               droop_resistance_ohm=droop)
-        band, lu = self._solve(problem, math.inf), self._solve(problem, -1)
-        drop_band, drop_lu = 1.0 - band.node_voltages, 1.0 - lu.node_voltages
-        assert np.abs(drop_band - drop_lu).max() <= 1e-12 * np.abs(drop_lu).max()
+        band = self._solve(problem, math.inf)
+        drop_band = 1.0 - band.node_voltages
         total = float(problem.sink_currents.sum())
-        assert np.abs(band.vr_currents - lu.vr_currents).max() <= 1e-12 * total
-        assert band.horizontal_loss_w == pytest.approx(lu.horizontal_loss_w, rel=1e-12)
-        assert max(band.residual, lu.residual) <= 1e-10
+        for reduced_cut in (math.inf, -1):
+            lu = self._solve(problem, -1, reduced_cut)
+            drop_lu = 1.0 - lu.node_voltages
+            assert np.abs(drop_band - drop_lu).max() <= 1e-12 * np.abs(drop_lu).max()
+            assert np.abs(band.vr_currents - lu.vr_currents).max() <= 1e-12 * total
+            assert band.horizontal_loss_w == pytest.approx(lu.horizontal_loss_w, rel=1e-12)
+            assert max(band.residual, lu.residual) <= 1e-10
 
     def test_wavefront_bandwidth_decides_the_factor(self, factorisations):
         # Row-major order would put the 40x90 plane's band at 40 and the
         # 90x40 plane's at 90; by wavefront they are 41 and 40. An 81x85
-        # plane's is 82, above the cut.
-        for nx, ny in [(40, 90), (90, 40), (81, 85)]:
+        # plane's is 82, above the band cut: it is reduced to its even
+        # wavefronts, whose Schur complement has bandwidth 83. A plane one
+        # node narrower than the reduced cut has a Schur complement right
+        # at it, so its factor is banded too; one a node wider goes to
+        # SuperLU.
+        side = pdn_grid._REDUCED_MAX_WIDTH
+        for nx, ny in [(40, 90), (90, 40), (81, 85), (side - 1, side), (side, side + 1)]:
             grid = ResistiveGrid(nx, ny, 1.0, 1e-3)
             solve_dc(GridProblem(grid, {0: 1.0}, {grid.n_nodes - 1: 1.0}))
-        band_40x90, band_90x40, lu = factorisations.factors
+        band_40x90, band_90x40, reduced, at_cut, above = factorisations.factors
         assert [band_40x90.band.shape[0], band_90x40.band.shape[0]] == [42, 41]
-        assert isinstance(lu, pdn_grid.spla.SuperLU)
+        assert isinstance(reduced, pdn_grid._OddEven)
+        assert [reduced.schur.band.shape[0], at_cut.schur.band.shape[0]] == [84, side + 1]
+        assert isinstance(above.schur, pdn_grid.spla.SuperLU)
+
+    @pytest.mark.parametrize("pinned_parity", [0, 1], ids=["odd_block", "even_block"])
+    def test_a_one_colour_block_is_solved(self, factorisations, pinned_parity):
+        # A 5x5 plane pinned on one colour of the checkerboard leaves both
+        # sectors' unknowns all on the other: with every block reduced, S
+        # is the whole block or empty.
+        grid = ResistiveGrid(5, 5, 1.0, 1e-3)
+        sources = {k: 1.0 for k in range(25) if (k % 5 + k // 5) % 2 == pinned_parity}
+        sinks = {k: 1.0 + 0.1 * k for k in range(25) if k not in sources}
+        problem = GridProblem(grid, sources, sinks)
+        sol = self._solve(problem, -1)
+        assert len(factorisations.factors) == 2
+        for lu in factorisations.factors:
+            assert (lu.even.size == 0) == (pinned_parity == 0)
+            assert (lu.odd.size == 0) == (pinned_parity == 1)
+        fanout = {node: (node,) for node in sources}
+        drops, currents = _dense_drops(grid, sources, fanout, 0.0, sinks)
+        _close_to_dense(sol, problem, drops, currents)
 
     def test_a_block_that_is_not_positive_definite_is_singular(self):
         # Two nodes whose diagonal, 1, is below their edge's conductance, 2.
         grid = ResistiveGrid(2, 1, 1.0, 0.5)
         with pytest.raises(SingularSystem, match="not positive definite"):
-            pdn_grid._factor_block(grid, np.ones(2), slice(0, 2), pdn_grid._Sector(np.arange(2)))
+            pdn_grid._factor_block(grid, np.ones(2), np.zeros(2), slice(0, 2),
+                                    pdn_grid._Sector(np.arange(2)))
 
 
 class TestScaledSolution:
@@ -1095,7 +1150,7 @@ def _wavefront_band(block: sp.csc_matrix, i: np.ndarray,
     position[order] = np.arange(order.size)
     col = np.repeat(position, np.diff(block.indptr))
     offset = col - position[block.indices]
-    width = int(offset.max())
+    width = int(offset.max(initial=0))
     upper = offset >= 0
     band = np.zeros((width + 1, order.size), order="F")
     band[width - offset[upper], col[upper]] = block.data[upper]
@@ -1571,14 +1626,42 @@ def _reference_sector_block(grid: ResistiveGrid, free: np.ndarray, lap_ff: sp.cs
     return (basis.T @ (lap_ff @ basis)).tocsc(), np.array([lo for lo, _ in orbits])
 
 
+def _reduced_reference(block: sp.csc_matrix, lo: np.ndarray,
+                       nx: int) -> tuple[sp.csc_matrix, np.ndarray]:
+    """S = B_EE - B_EO D_O^-1 B_OE of a sector block B by sparse products,
+    E and O its unknowns on even and odd wavefronts (i + j of the lattice
+    node lo), and the lattice nodes lo of E. B_OO must be diagonal."""
+    odd = (lo % nx + lo // nx) % 2 == 1
+    even_k, odd_k = np.flatnonzero(~odd), np.flatnonzero(odd)
+    b_oo = block[odd_k][:, odd_k]
+    d_o = b_oo.diagonal()
+    assert (b_oo - sp.diags(d_o)).count_nonzero() == 0
+    b_eo = block[even_k][:, odd_k]
+    schur = block[even_k][:, even_k] - b_eo @ sp.diags(1.0 / d_o) @ b_eo.T
+    return schur.tocsc(), lo[even_k]
+
+
+# Two 3x3 planes pinned on one colour of the checkerboard: every unknown of
+# both sectors is on the other colour.
+_ONE_COLOUR_PLANES = [
+    (ResistiveGrid(3, 3, 1.0, 1e-3), dict.fromkeys(pinned, 1.0),
+     {k: 1.0 for k in range(9) if k not in pinned}, 0.0, {k: (k,) for k in pinned})
+    for pinned in ((1, 3, 5, 7), (0, 2, 4, 6, 8))]
+
+
 class TestBandAssembly:
     """Each sector block, assembled from the stencil, against P^T A P of the
     COO assembly, built here by sparse products: the band dpbtrf receives
-    and its wavefront order, and the CSC block SuperLU receives."""
+    and its wavefront order. A block above the band cut is reduced to its
+    even wavefronts: its Schur complement, in the band dpbtrf receives and
+    the CSC block SuperLU receives, against S formed here from P^T A P by
+    sparse products."""
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.one_of(_stencil_problems(), _mirror_problems().map(lambda drawn: drawn[:5])))
+    @example(_ONE_COLOUR_PLANES[0])
+    @example(_ONE_COLOUR_PLANES[1])
     def test_equals_the_sparse_projection(self, monkeypatch, drawn):
         grid, sources, sinks, droop, fanout = drawn
         problem = GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
@@ -1590,27 +1673,43 @@ class TestBandAssembly:
         monkeypatch.setattr(pdn_grid, "dpbtrf",
                             lambda band, **kw: bands.append(band.copy()) or dpbtrf(band, **kw))
         monkeypatch.setattr(pdn_grid.spla, "splu", lambda block, **kw: blocks.append(block))
+        args = (op.grid, op.diag, op.shunt, op.free)
         for sector in op.sectors:
             want, lo = _reference_sector_block(grid, free, lap_ff,
                                                None if sector.hi is None else sector.parity)
             assert (free[sector.lo] == lo).all()
             want_band, want_order = _wavefront_band(want, lo % grid.nx, lo // grid.nx)
             monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", math.inf)
-            lu = pdn_grid._factor_block(op.grid, op.diag, op.free, sector)
-            monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", -1)
-            pdn_grid._factor_block(op.grid, op.diag, op.free, sector)
-            got_band, got_block = bands[-1], blocks[-1]
+            lu = pdn_grid._factor_block(*args, sector)
+            got_band = bands[-1]
             assert (lu.order == want_order).all()
             assert got_band.shape == want_band.shape
-            assert got_block.has_canonical_format and got_block.nnz == want.nnz
             if _coo_rows_keep_their_order(grid, droop, fanout):
                 assert _same(got_band, want_band)
-                assert _same(got_block.toarray(), want.toarray())
             else:
                 # A node under five or more footprints: the reference sums
                 # its branches in an order std::sort leaves unspecified.
                 assert got_band == pytest.approx(want_band, rel=1e-15)
-                assert got_block.toarray() == pytest.approx(want.toarray(), rel=1e-15)
+
+            want_s, lo_even = _reduced_reference(want, lo, grid.nx)
+            want_band, want_order = _wavefront_band(want_s, lo_even % grid.nx,
+                                                    lo_even // grid.nx)
+            monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", -1)
+            monkeypatch.setattr(pdn_grid, "_REDUCED_MAX_WIDTH", math.inf)
+            reduced = pdn_grid._factor_block(*args, sector)
+            got_band = bands[-1]
+            monkeypatch.setattr(pdn_grid, "_REDUCED_MAX_WIDTH", -1)
+            pdn_grid._factor_block(*args, sector)
+            got_block = blocks[-1]
+            assert (lo[reduced.even] == lo_even).all()
+            assert (reduced.schur.order == want_order).all()
+            assert got_band.shape == want_band.shape
+            assert got_block.has_canonical_format and got_block.nnz == want_s.nnz
+            # S's diagonal is summed from non-negative terms, the reference's
+            # by subtracting: they agree to rounding at B's diagonal.
+            scale = 1e-14 * np.abs(want.diagonal()).max(initial=0.0)
+            assert got_band == pytest.approx(want_band, rel=1e-14, abs=scale)
+            assert got_block.toarray() == pytest.approx(want_s.toarray(), rel=1e-14, abs=scale)
 
 
 @pytest.fixture
@@ -1690,3 +1789,38 @@ class TestBackwardError:
         perturb[0] = 1e-6
         with pytest.raises(SingularSystem, match="backward error"):
             solve_dc(_fanout_problem())
+
+
+@pytest.fixture
+def every_block_reduced(monkeypatch):
+    """A band cut of -1: every sector block is reduced to its even
+    wavefronts, however narrow."""
+    monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", -1)
+
+
+@pytest.mark.usefixtures("every_block_reduced")
+class TestEveryBlockReduced:
+    """The dense oracles and the backward-error bound, unchanged, with every
+    sector block reduced to its even wavefronts."""
+
+    test_matches_dense_elimination = TestDenseOracle.test_matches_dense_elimination
+
+    # A hypothesis test runs its own draws; the body is the original's.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_mirror_problems())
+    def test_agrees_with_the_dense_nodal_solve(self, factorisations, drawn):
+        TestMirrorSectors.test_agrees_with_the_dense_nodal_solve.hypothesis.inner_test(
+            self, factorisations, drawn)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_random_problems())
+    def test_accepts_every_solve_the_relative_residual_accepted(self, recorded_solves,
+                                                               problem):
+        TestBackwardError.test_accepts_every_solve_the_relative_residual_accepted \
+            .hypothesis.inner_test(self, recorded_solves, problem)
+
+    test_stiff_a3_plane_is_solved = TestBackwardError.test_stiff_a3_plane_is_solved
+    test_infinite_sink_is_an_overflow = TestBackwardError.test_infinite_sink_is_an_overflow
+    test_perturbed_solution_raises = TestBackwardError.test_perturbed_solution_raises
