@@ -27,18 +27,19 @@ image), and each sector is factorised the first time a right-hand side has
 more than a rounding-level component in it; any other plane is one sector,
 the whole free block. A sector block taken in wavefront order over its
 lattice nodes is banded about as wide as the lattice: up to a bandwidth of
-_BAND_MAX_WIDTH its band is assembled straight from the stencil and is one
-LAPACK band Cholesky factor. A wider block is reduced exactly to its even
-wavefronts, half its unknowns at the same bandwidth, since the stencil
-joins each wavefront only to its two neighbours; that Schur complement is
-one band Cholesky factor up to _REDUCED_MAX_WIDTH, and above it is built in
-CSC and is one SuperLU factor with a minimum-degree ordering, the one place
-the solver uses scipy.sparse. The factors depend only on the
-lattice, the Dirichlet nodes and the branches, so the last plane's are
-kept and reused while problems on the same plane differ only in sinks and
-source voltages. Each VR's current is the net current out of its Dirichlet
-node; the plane's ohmic loss (doubled for the mirrored ground plane)
-follows from the solved voltages.
+_BAND_MAX_WIDTH its band is assembled straight from the stencil, in
+LAPACK's upper band storage, and is one LAPACK band Cholesky factor. A
+wider block is reduced exactly to its even wavefronts, half its unknowns at
+the same bandwidth, since the stencil joins each wavefront only to its two
+neighbours; that Schur complement is one band Cholesky factor in LAPACK's
+lower band storage up to _REDUCED_MAX_WIDTH, and above it is built in CSC
+and is one SuperLU factor with a minimum-degree ordering, the one place the
+solver uses scipy.sparse, which is imported there. The factors depend only
+on the lattice, the Dirichlet nodes and the branches, so the last plane's
+are kept and reused while problems on the same plane differ only in sinks
+and source voltages. Each VR's current is the net current out of its
+Dirichlet node; the plane's ohmic loss (doubled for the mirrored ground
+plane) follows from the solved voltages.
 """
 
 from __future__ import annotations
@@ -47,16 +48,18 @@ import functools
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DegenerateGrid, SingularSystem
 from .floats import ordered_sum
 from .placement import DieFloorplan, VrSite
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
 
 _RESIDUAL_TOL = 1e-10
 # A sector whose share of the right-hand side is at most this fraction of it
@@ -66,18 +69,21 @@ _SECTOR_SHARE_TOL = 1e-3 * _RESIDUAL_TOL
 # Largest lattice build_problem will discretise; checked before allocation.
 _MAX_NODES = 1_000_000
 # Widest wavefront bandwidth at which a sector block is factored whole by
-# band Cholesky; a wider block is reduced to its even wavefronts. Measured
-# on lattice blocks (one CPU, BLAS on one thread), the whole band saves 17 %
-# or more of SuperLU's factor time up to w = 72. Up to the cut the reduction
-# gains nothing consistent (2.1 against 2.3 ms at w = 48, 9.6 against
-# 10.5 ms at w = 64), and compare10's factors stay as they were; above it,
-# it halves the factor time (w = 142: SuperLU 62 ms, reduced 30 ms).
-_BAND_MAX_WIDTH = 80
+# band Cholesky, in the upper band; a wider block is reduced to its even
+# wavefronts and S is factored in the lower band, whose dpbtrf is faster
+# than the upper one only above w = 64. Per block, median of 9 (one CPU,
+# BLAS on one thread, OpenBLAS's SkylakeX kernel), whole against reduced:
+# 1.8 against 2.1 ms at w = 48, 7.8 against 6.8 ms at w = 64 (4.7 against
+# 4.5 ms on a quieter run), 7.2 against 4.5 ms at w = 72 and 34 against
+# 19 ms at w = 96. compare10's and calib_a1_spread's blocks (w <= 53) stay
+# whole, bit for bit.
+_BAND_MAX_WIDTH = 64
 # Widest bandwidth at which a reduced block's Schur complement S is factored
 # by band Cholesky; a wider one goes to SuperLU, which needs less memory.
-# Measured on whole lattice blocks' S (same host), the band saves 18-23 % of
-# SuperLU's time up to w = 240, at 1.3 times its peak memory at w = 200
-# (39 against 30 MB) and 1.75 times at w = 301 (123 against 70 MB).
+# Measured on the S of n x (n + 1) lattices pinned along one side (same
+# host, median of 7), the lower band saves 25-44 % of SuperLU's time up to
+# w = 300 (w = 199: 67 against 105 ms), at 1.3 times its peak memory at
+# w = 200 (39 against 30 MB) and 1.75 times at w = 301 (123 against 70 MB).
 _REDUCED_MAX_WIDTH = 200
 
 
@@ -433,14 +439,22 @@ def profile_parts(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndar
 
 @dataclass(frozen=True)
 class _BandCholesky:
-    """U^T U of a block whose unknowns are taken in `order`, U kept in
-    LAPACK's upper band storage (w + 1 rows, one column per unknown)."""
+    """The Cholesky factor of a block whose unknowns are taken in `order`,
+    kept in LAPACK's band storage (w + 1 rows, one column per unknown): L L^T
+    in its lower storage if `lower`, U^T U in its upper one if not.
+
+    Which triangle is a matter of speed, and the two give one solution to
+    rounding. A whole block keeps the upper band, as its solve is the
+    faster; a reduced block's S is kept in the lower band, as its factor
+    is (see _reduce_block).
+    """
 
     band: np.ndarray
     order: np.ndarray
+    lower: bool
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y, _ = dpbtrs(self.band, b[self.order], overwrite_b=1)
+        y, _ = dpbtrs(self.band, b[self.order], lower=self.lower, overwrite_b=1)
         x = np.empty_like(y)
         x[self.order] = y
         return x
@@ -514,11 +528,11 @@ def _factor_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray,
     entry sums at most two equal terms, so it is P^T A P bit for bit.
 
     Up to _BAND_MAX_WIDTH the entries are summed into LAPACK's (w + 1) x m
-    band, with no sparse matrix, and factored by dpbtrf; a pivot that is
-    not positive raises SingularSystem. compare10's 5,565-unknown sector
-    (w = 53) is assembled and factored in 2.5 ms, where the sparse
-    projection and scatter took 3.5 ms (one CPU, warm caches). A wider
-    block is reduced to its even wavefronts by _reduce_block.
+    upper band, with no sparse matrix, and factored by dpbtrf (see
+    _band_factor). compare10's 5,565-unknown sector (w = 53) is assembled
+    and factored in 2.5 ms, where the sparse projection and scatter took
+    3.5 ms (one CPU, warm caches). A wider block is reduced to its even
+    wavefronts by _reduce_block.
     """
     nx = grid.nx
     nodes = np.arange(grid.n_nodes)[free]
@@ -555,16 +569,44 @@ def _factor_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray,
                                        position[col] * (width + 1) + width - offset]),
                        weights=np.concatenate([weight * diag[lo], value]),
                        minlength=(width + 1) * m)
-    return _BandCholesky(_band_factor(band, width, m), order)
+    return _BandCholesky(_band_factor(band, width, m, False, -off, shunt), order, False)
 
 
-def _band_factor(band: np.ndarray, width: int, m: int) -> np.ndarray:
-    """dpbtrf of an upper band summed flat, w + 1 rows by m columns in
-    Fortran order; a pivot that is not positive raises SingularSystem."""
-    band, info = dpbtrf(band.reshape(width + 1, m, order="F"), overwrite_ab=1)
+def _band_factor(band: np.ndarray, width: int, m: int, lower: bool, g_sheet: float,
+                 shunt: np.ndarray) -> np.ndarray:
+    """dpbtrf of a band summed flat, w + 1 rows by m columns in Fortran
+    order: LAPACK's lower band storage if lower, entry (r, c), r >= c, at
+    [r - c, c], and its upper one if not, entry (r, c), r <= c, at
+    [w + r - c, c].
+
+    A pivot that is not positive raises OverflowError if the band holds a
+    value that is not finite, and SingularSystem otherwise. The blocks are
+    positive definite in exact arithmetic, so that is rounding: a sheet
+    conductance g_sheet more than about 1/eps times the smallest VR branch
+    conductance in shunt leaves no trace of the branches in the diagonal,
+    and the block is singular to working precision. The message names the
+    ratio, and the pivot only by its step in the factor: in a reduced block
+    it is no lattice node.
+    """
+    band, info = dpbtrf(band.reshape(width + 1, m, order="F"), lower=lower, overwrite_ab=1)
     if info:
-        raise SingularSystem(f"sector block is not positive definite (pivot {info})")
+        if not np.isfinite(band).all():
+            raise OverflowError("sector block overflowed in its band Cholesky factor")
+        raise SingularSystem("sector block is numerically singular (not positive definite "
+                             f"at step {info} of {m} of its band Cholesky)"
+                             + _stiffness(g_sheet, shunt))
     return band
+
+
+def _stiffness(g_sheet: float, shunt: np.ndarray) -> str:
+    """The ratio of the sheet conductance to the smallest VR branch
+    conductance at a node, as a clause of an error message; none without
+    branches."""
+    branches = shunt[shunt > 0.0]
+    if not branches.size:
+        return ""
+    return (f"; the sheet conductance is {g_sheet / branches.min():.2g} times the smallest "
+            "VR branch conductance")
 
 
 def _reduce_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray, lo: np.ndarray,
@@ -593,7 +635,12 @@ def _reduce_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray, lo: 
     where B_ee - sum b^2 / D_o would cancel it away.
 
     S is factored by band Cholesky in B's wavefront order up to
-    _REDUCED_MAX_WIDTH and by SuperLU above it.
+    _REDUCED_MAX_WIDTH, kept in LAPACK's lower band storage (E. Anderson et
+    al., LAPACK Users' Guide, 3rd ed., 1999, section 5.3.3): OpenBLAS's
+    dpbtrf factors the lower triangle about a third faster than the upper
+    one above w = 64 (10.8 against 15.9 ms at m = 10,082, w = 142) and at
+    the same speed up to it, while S's solve costs about the same in
+    either. Above the cut S is built in CSC and factored by SuperLU.
     """
     nx, ny = grid.nx, grid.ny
     g = 1.0 / grid.sheet_resistance_ohm_sq
@@ -638,22 +685,24 @@ def _reduce_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray, lo: 
     del excess, ratio, filled, through, paired
     position = np.empty(m_e, dtype=np.int32)
     position[even_order] = np.arange(m_e, dtype=np.int32)
-    top, gap = np.maximum(position[a], position[b]), np.abs(position[a] - position[b])
+    first, gap = np.minimum(position[a], position[b]), np.abs(position[a] - position[b])
     width = int(gap.max(initial=0))
     if width > _REDUCED_MAX_WIDTH:
-        block = sp.csc_matrix((np.concatenate([diag_s, pair_value, pair_value]),
-                               (np.concatenate([np.arange(m_e), a, b]),
-                                np.concatenate([np.arange(m_e), b, a]))), shape=(m_e, m_e))
-        del a, b, top, gap, pair_value
-        schur = spla.splu(block, permc_spec="MMD_AT_PLUS_A", panel_size=1)
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        block = csc_matrix((np.concatenate([diag_s, pair_value, pair_value]),
+                            (np.concatenate([np.arange(m_e), a, b]),
+                             np.concatenate([np.arange(m_e), b, a]))), shape=(m_e, m_e))
+        del a, b, first, gap, pair_value
+        schur = splu(block, permc_spec="MMD_AT_PLUS_A", panel_size=1)
     else:
         del a, b
-        band = np.bincount(np.concatenate([position * (width + 1) + width,
-                                           top * (width + 1) + width - gap]),
+        band = np.bincount(np.concatenate([position * (width + 1), first * (width + 1) + gap]),
                            weights=np.concatenate([diag_s, pair_value]),
                            minlength=(width + 1) * m_e)
-        del top, gap, pair_value
-        schur = _BandCholesky(_band_factor(band, width, m_e), even_order)
+        del first, gap, pair_value
+        schur = _BandCholesky(_band_factor(band, width, m_e, True, g, shunt), even_order, True)
     return _OddEven(even_k, odd_k, odd_diag, even_slots, odd_slots, link[even_k],
                     link[odd_k], schur)
 
@@ -675,7 +724,7 @@ class _OddEven:
     odd_slots: np.ndarray
     even_link: np.ndarray
     odd_link: np.ndarray
-    schur: _BandCholesky | spla.SuperLU
+    schur: _BandCholesky | SuperLU
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b_odd = b[self.odd]
@@ -986,6 +1035,7 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     if backward_error > _RESIDUAL_TOL:
         raise SingularSystem(
             f"nodal solve backward error {backward_error:.2e} exceeds {_RESIDUAL_TOL:.0e}"
+            + _stiffness(op.g_sheet, op.shunt)
         )
     u = np.empty(op.n_all)
     u[op.free] = u_free

@@ -528,6 +528,25 @@ class TestCalibrateCommand:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("sheet,ratio", [(1e-20, "4.5e+18"), (5e-308, "8.9e+305")])
+    def test_numerically_singular_plane_exit_4(self, tmp_path, capsys, sheet, ratio):
+        # The A1 plane's block is positive definite, and its conductances
+        # are finite, but its sheet conductance is so far above its weakest
+        # VR branch conductance (22.4 S) that the rounded block has lost the
+        # branches. Its band Cholesky breaks down at its last step; the
+        # message says why, naming the ratio and no lattice node.
+        cfg = write_config(tmp_path, {"datasets": {"calibration-default": {
+            "sheet_resistance_ohm_sq": sheet}}})
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--config", cfg, "--out", str(out),
+                       "--target", "a1_spread=16:27") == 4
+        err = capsys.readouterr().err
+        assert ("numerical failure: sector block is numerically singular (not positive "
+                "definite at step 1176 of 1176 of its band Cholesky); the sheet conductance "
+                f"is {ratio} times the smallest VR branch conductance") in err
+        assert "pivot" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", ["a0_loss_pct=-5", "a0_loss_pct=0", "a0_loss_pct=nan",
                                         "a0_loss_pct=inf", "min_die_area=0",
                                         "min_die_area=-1200", "min_die_area=nan"])
@@ -677,6 +696,24 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "table1" in result.stdout
+
+    def test_a_default_compare_does_not_import_scipy_sparse(self, tmp_path):
+        # scipy.sparse serves only the SuperLU factor of a reduced block
+        # wider than pdn_grid._REDUCED_MAX_WIDTH, which no default run
+        # reaches, so it is imported there and not with pdnx.
+        src = str(Path(pdnx.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys\n"
+                "import pdnx\n"
+                "from pdnx.cli import main\n"
+                "pdnx.load_datasets()\n"
+                f"assert main(['compare', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "comparison.json").exists()
 
 
 class TestStampBehavior:

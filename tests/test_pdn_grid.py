@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -396,8 +397,7 @@ def factorisations(monkeypatch):
     the shape and the factor of every sector block factored, and the keyword
     arguments of every splu call."""
     made = SimpleNamespace(planes=[], sectors=[], factors=[], splu_options=[])
-    factor, factor_block, splu = (pdn_grid._factor_plane, pdn_grid._factor_block,
-                                  pdn_grid.spla.splu)
+    factor, factor_block, splu = pdn_grid._factor_plane, pdn_grid._factor_block, spla.splu
 
     def counted(*args):
         sector = args[-1]
@@ -412,7 +412,7 @@ def factorisations(monkeypatch):
     monkeypatch.setattr(pdn_grid, "_factor_plane",
                         lambda key: made.planes.append(key) or factor(key))
     monkeypatch.setattr(pdn_grid, "_factor_block", counted)
-    monkeypatch.setattr(pdn_grid.spla, "splu", splu_counted)
+    monkeypatch.setattr(spla, "splu", splu_counted)
     monkeypatch.setattr(pdn_grid, "_operator", None)
     return made
 
@@ -505,10 +505,11 @@ class TestFactorReuse:
             raise AssertionError("compare10 built a sparse matrix")
 
         for name in ("csr_matrix", "csc_matrix", "coo_matrix"):
-            monkeypatch.setattr(pdn_grid.sp, name, refuse)
+            monkeypatch.setattr(sp, name, refuse)
         compare(["A0", "A1", "A2", "A3@12V", "A3@6V"], ["DSCH", "DPMIH"], ds)
         assert all(isinstance(f, pdn_grid._BandCholesky) for f in factorisations.factors)
         assert [f.band.shape[0] - 1 for f in factorisations.factors] == [48, 32, 32, 53, 53]
+        assert not any(f.lower for f in factorisations.factors)
         assert factorisations.splu_options == []
 
     def test_a_block_above_the_cut_is_factored_one_column_per_panel(self, factorisations):
@@ -522,20 +523,20 @@ class TestFactorReuse:
         solution = solve_dc(GridProblem(grid, {0: 1.0}, {grid.n_nodes - 1: 2.0}))
         (lu,) = factorisations.factors
         assert isinstance(lu, pdn_grid._OddEven)
-        assert isinstance(lu.schur, pdn_grid.spla.SuperLU)
+        assert isinstance(lu.schur, spla.SuperLU)
         assert factorisations.splu_options == [{"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1}]
         # One source across a 200x201 lattice: cond(A), which grows with the
         # lattice's area, is several times the 82x83 lattice's 1e5.
         assert solution.vr_currents == pytest.approx([2.0], rel=1e-10)
 
     @pytest.mark.parametrize("arch,resolution,width", [
-        ("A1", 64, 96), ("A1", 96, 142), ("A2", 96, 97)])
+        ("A1", 48, 72), ("A1", 64, 96), ("A1", 96, 142), ("A2", 96, 97)])
     def test_mesh_ladder_planes_make_no_splu_call(self, factorisations, arch, resolution,
                                                   width):
         # mesh_ladder's only blocks above the band cut (A2's lattice at an
         # even resolution is refined to 191 nodes across). Reduced to their
         # even wavefronts they are within the reduced cut, so band Cholesky
-        # factors them and SuperLU is never called.
+        # factors them, in LAPACK's lower band, and SuperLU is never called.
         from pdnx.architecture import build_architecture, evaluate
         from pdnx.datasets import load_datasets
 
@@ -545,6 +546,7 @@ class TestFactorReuse:
         (lu,) = factorisations.factors
         assert isinstance(lu, pdn_grid._OddEven)
         assert lu.schur.band.shape[0] - 1 == width
+        assert lu.schur.lower
         assert factorisations.splu_options == []
 
     @settings(max_examples=40, deadline=None)
@@ -621,21 +623,55 @@ class TestBandFactor:
 
     def test_wavefront_bandwidth_decides_the_factor(self, factorisations):
         # Row-major order would put the 40x90 plane's band at 40 and the
-        # 90x40 plane's at 90; by wavefront they are 41 and 40. An 81x85
-        # plane's is 82, above the band cut: it is reduced to its even
-        # wavefronts, whose Schur complement has bandwidth 83. A plane one
-        # node narrower than the reduced cut has a Schur complement right
-        # at it, so its factor is banded too; one a node wider goes to
-        # SuperLU.
-        side = pdn_grid._REDUCED_MAX_WIDTH
-        for nx, ny in [(40, 90), (90, 40), (81, 85), (side - 1, side), (side, side + 1)]:
+        # 90x40 plane's at 90; by wavefront they are 41 and 40. A plane of
+        # (cut - 1) x 90 nodes has bandwidth 64, right at the band cut: it
+        # is factored whole. One of cut x 90 has 65, one above: it is
+        # reduced to its even wavefronts, whose Schur complement has
+        # bandwidth 66. A plane one node narrower than the reduced cut has a
+        # Schur complement right at it, so its factor is banded too; one a
+        # node wider goes to SuperLU. Whole blocks keep LAPACK's upper band,
+        # reduced ones the lower.
+        cut, side = pdn_grid._BAND_MAX_WIDTH, pdn_grid._REDUCED_MAX_WIDTH
+        assert cut == 64
+        for nx, ny in [(40, 90), (90, 40), (cut - 1, 90), (cut, 90), (side - 1, side),
+                       (side, side + 1)]:
             grid = ResistiveGrid(nx, ny, 1.0, 1e-3)
             solve_dc(GridProblem(grid, {0: 1.0}, {grid.n_nodes - 1: 1.0}))
-        band_40x90, band_90x40, reduced, at_cut, above = factorisations.factors
-        assert [band_40x90.band.shape[0], band_90x40.band.shape[0]] == [42, 41]
+        *whole, reduced, at_cut, above = factorisations.factors
+        assert [lu.band.shape[0] for lu in whole] == [42, 41, cut + 1]
+        assert not any(lu.lower for lu in whole)
         assert isinstance(reduced, pdn_grid._OddEven)
-        assert [reduced.schur.band.shape[0], at_cut.schur.band.shape[0]] == [84, side + 1]
-        assert isinstance(above.schur, pdn_grid.spla.SuperLU)
+        assert [reduced.schur.band.shape[0], at_cut.schur.band.shape[0]] == [cut + 3, side + 1]
+        assert reduced.schur.lower and at_cut.schur.lower
+        assert isinstance(above.schur, spla.SuperLU)
+
+    @pytest.mark.parametrize("arch,reduced", [("A1", [48, 64, 96]), ("A2", [96])])
+    def test_whole_blocks_keep_the_upper_band_and_reduced_ones_the_lower(
+            self, factorisations, arch, reduced):
+        # At each of mesh_ladder's twelve resolutions the plane has one
+        # sector factor. A block up to the band cut is factored whole in
+        # LAPACK's upper band; a wider one is reduced to its even
+        # wavefronts, and its Schur complement is factored in the lower
+        # band. None reaches SuperLU.
+        from pdnx.architecture import build_architecture, evaluate
+        from pdnx.datasets import load_datasets
+
+        got = []
+        for resolution in (14, 16, 18, 22, 24, 26, 30, 32, 34, 48, 64, 96):
+            ds = load_datasets({"calibration-default": {"grid_resolution": resolution}})
+            before = len(factorisations.factors)
+            evaluate(build_architecture(arch, "DSCH", ds, total_power_w=1000.0,
+                                        pol_voltage_v=1.0), ds)
+            (lu,) = factorisations.factors[before:]
+            if isinstance(lu, pdn_grid._BandCholesky):
+                assert not lu.lower
+                assert lu.band.shape[0] - 1 <= pdn_grid._BAND_MAX_WIDTH
+            else:
+                assert isinstance(lu.schur, pdn_grid._BandCholesky)
+                assert lu.schur.lower
+                got.append(resolution)
+        assert got == reduced
+        assert factorisations.splu_options == []
 
     @pytest.mark.parametrize("pinned_parity", [0, 1], ids=["odd_block", "even_block"])
     def test_a_one_colour_block_is_solved(self, factorisations, pinned_parity):
@@ -661,6 +697,32 @@ class TestBandFactor:
         with pytest.raises(SingularSystem, match="not positive definite"):
             pdn_grid._factor_block(grid, np.ones(2), np.zeros(2), slice(0, 2),
                                     pdn_grid._Sector(np.arange(2)))
+
+    def test_a_band_that_is_not_finite_is_an_overflow(self):
+        grid = ResistiveGrid(2, 1, 1.0, 0.5)
+        with pytest.raises(OverflowError, match="overflowed"):
+            pdn_grid._factor_block(grid, np.array([-math.inf, 1.0]), np.zeros(2), slice(0, 2),
+                                   pdn_grid._Sector(np.arange(2)))
+
+    @pytest.mark.parametrize("cut,unknowns", [(math.inf, 6), (-1, 4)],
+                             ids=["whole", "reduced"])
+    def test_branches_lost_to_rounding_are_named(self, cut, unknowns):
+        # A 3x3 plane behind one 1-ohm droop branch at a corner, at 1e-20
+        # ohm/sq, drawn from the opposite corner: only its symmetric sector,
+        # six orbits, four on even wavefronts, is factored. Its block is
+        # positive definite, but the sheet conductance, 1e20, is more than
+        # 1/eps times the branch's 1 S, so the rounded block is the plane's
+        # floating Laplacian and its last pivot is not positive. The error
+        # names the ratio, and the pivot only by its step in the factor: in
+        # the reduced block's S it is no lattice node.
+        grid = ResistiveGrid(3, 3, 1.0, 1e-20)
+        problem = GridProblem(grid, {0: 1.0}, {8: 1.0}, droop_resistance_ohm=1.0)
+        with pytest.raises(SingularSystem) as raised:
+            self._solve(problem, cut)
+        assert str(raised.value) == (
+            f"sector block is numerically singular (not positive definite at step {unknowns} "
+            f"of {unknowns} of its band Cholesky); the sheet conductance is 1e+20 times the "
+            "smallest VR branch conductance")
 
 
 class TestScaledSolution:
@@ -1139,21 +1201,27 @@ class TestGridProblemValidation:
             solve_dc(problem)
 
 
-def _wavefront_band(block: sp.csc_matrix, i: np.ndarray,
-                    j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A symmetric block's upper triangle scattered from CSC into LAPACK's
-    band storage, its unknowns taken by wavefront (i + j, then i, of each
-    one's lattice node), and that order: the reference for the bands
-    _factor_block assembles from the stencil."""
+def _wavefront_band(block: sp.csc_matrix, i: np.ndarray, j: np.ndarray,
+                    lower: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric block's upper triangle, or its lower one if lower,
+    scattered from CSC into LAPACK's band storage, its unknowns taken by
+    wavefront (i + j, then i, of each one's lattice node), and that order:
+    the reference for the bands _factor_block assembles from the stencil.
+    Entry (r, c) goes to [w + r - c, c] in the upper band and to [r - c, c]
+    in the lower one."""
     order = np.lexsort((i, i + j))
     position = np.empty(order.size, dtype=np.int64)
     position[order] = np.arange(order.size)
     col = np.repeat(position, np.diff(block.indptr))
     offset = col - position[block.indices]
     width = int(offset.max(initial=0))
-    upper = offset >= 0
     band = np.zeros((width + 1, order.size), order="F")
-    band[width - offset[upper], col[upper]] = block.data[upper]
+    if lower:
+        kept = offset <= 0
+        band[-offset[kept], col[kept]] = block.data[kept]
+    else:
+        kept = offset >= 0
+        band[width - offset[kept], col[kept]] = block.data[kept]
     return band, order
 
 
@@ -1217,7 +1285,7 @@ def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float
     band, order = _wavefront_band(lap_ff, free % grid.nx, free // grid.nx)
     band, info = dpbtrf(band, overwrite_ab=1)
     assert info == 0
-    lu = pdn_grid._BandCholesky(band, order)
+    lu = pdn_grid._BandCholesky(band, order, False)
 
     source_v = np.fromiter(sources.values(), dtype=float, count=k)
     v_ref = source_v[0]
@@ -1651,11 +1719,11 @@ _ONE_COLOUR_PLANES = [
 
 class TestBandAssembly:
     """Each sector block, assembled from the stencil, against P^T A P of the
-    COO assembly, built here by sparse products: the band dpbtrf receives
-    and its wavefront order. A block above the band cut is reduced to its
-    even wavefronts: its Schur complement, in the band dpbtrf receives and
-    the CSC block SuperLU receives, against S formed here from P^T A P by
-    sparse products."""
+    COO assembly, built here by sparse products: the upper band dpbtrf
+    receives and its wavefront order. A block above the band cut is reduced
+    to its even wavefronts: its Schur complement, in the lower band dpbtrf
+    receives and the CSC block SuperLU receives, against S formed here from
+    P^T A P by sparse products."""
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1672,7 +1740,7 @@ class TestBandAssembly:
         bands, blocks = [], []
         monkeypatch.setattr(pdn_grid, "dpbtrf",
                             lambda band, **kw: bands.append(band.copy()) or dpbtrf(band, **kw))
-        monkeypatch.setattr(pdn_grid.spla, "splu", lambda block, **kw: blocks.append(block))
+        monkeypatch.setattr(spla, "splu", lambda block, **kw: blocks.append(block))
         args = (op.grid, op.diag, op.shunt, op.free)
         for sector in op.sectors:
             want, lo = _reference_sector_block(grid, free, lap_ff,
@@ -1682,6 +1750,7 @@ class TestBandAssembly:
             monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", math.inf)
             lu = pdn_grid._factor_block(*args, sector)
             got_band = bands[-1]
+            assert not lu.lower
             assert (lu.order == want_order).all()
             assert got_band.shape == want_band.shape
             if _coo_rows_keep_their_order(grid, droop, fanout):
@@ -1693,7 +1762,7 @@ class TestBandAssembly:
 
             want_s, lo_even = _reduced_reference(want, lo, grid.nx)
             want_band, want_order = _wavefront_band(want_s, lo_even % grid.nx,
-                                                    lo_even // grid.nx)
+                                                    lo_even // grid.nx, lower=True)
             monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", -1)
             monkeypatch.setattr(pdn_grid, "_REDUCED_MAX_WIDTH", math.inf)
             reduced = pdn_grid._factor_block(*args, sector)
@@ -1702,6 +1771,7 @@ class TestBandAssembly:
             pdn_grid._factor_block(*args, sector)
             got_block = blocks[-1]
             assert (lo[reduced.even] == lo_even).all()
+            assert reduced.schur.lower
             assert (reduced.schur.order == want_order).all()
             assert got_band.shape == want_band.shape
             assert got_block.has_canonical_format and got_block.nnz == want_s.nnz
@@ -1785,9 +1855,12 @@ class TestBackwardError:
             solve_dc(problem)
 
     def test_perturbed_solution_raises(self, recorded_solves):
+        # The message names the sheet conductance, 1000 S, over the weakest
+        # VR branch, 1 / (2e-3 ohm * 3 contacts).
         _, perturb = recorded_solves
         perturb[0] = 1e-6
-        with pytest.raises(SingularSystem, match="backward error"):
+        with pytest.raises(SingularSystem, match="backward error .* exceeds 1e-10; the sheet "
+                           "conductance is 6 times the smallest VR branch conductance$"):
             solve_dc(_fanout_problem())
 
 
