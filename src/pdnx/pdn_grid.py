@@ -66,6 +66,11 @@ _RESIDUAL_TOL = 1e-10
 # is neither factorised nor solved: dropping that share raises the backward
 # error by at most this much, far below _RESIDUAL_TOL.
 _SECTOR_SHARE_TOL = 1e-3 * _RESIDUAL_TOL
+# A drooped plane with a VR whose mean branch drop is below this fraction of
+# max |w| is solved for u as well (see solve_dc). In 600 random A1, A2 and
+# A3 POL planes, currents from w moved by at most 6e-14 of themselves under
+# linear changes of the sinks above 1e-5, and by up to 1.5e-6 below 1e-6.
+_IDLE_DROP = 1e-4
 # Largest lattice build_problem will discretise; checked before allocation.
 _MAX_NODES = 1_000_000
 # Widest wavefront bandwidth at which a sector block is factored whole by
@@ -73,11 +78,13 @@ _MAX_NODES = 1_000_000
 # wavefronts and S is factored in the lower band, whose dpbtrf is faster
 # than the upper one only above w = 64. Per block, median of 9 (one CPU,
 # BLAS on one thread, OpenBLAS's SkylakeX kernel), whole against reduced:
-# 1.8 against 2.1 ms at w = 48, 7.8 against 6.8 ms at w = 64 (4.7 against
-# 4.5 ms on a quieter run), 7.2 against 4.5 ms at w = 72 and 34 against
-# 19 ms at w = 96. compare10's and calib_a1_spread's blocks (w <= 53) stay
-# whole, bit for bit.
-_BAND_MAX_WIDTH = 64
+# 1.8 against 2.1 ms at w = 48, 7.2 against 4.5 ms at w = 72 and 34 against
+# 19 ms at w = 96. At w = 64, mesh_ladder's A2/64 symmetric sector (8,128
+# unknowns), reduced was faster in each of five runs (median of 15 each,
+# OpenBLAS 0.3.31): factored in 3.8-4.8 against 4.2-5.5 ms, factored and
+# solved once in 4.4-5.5 against 4.6-5.9 ms. compare10's and
+# calib_a1_spread's blocks (w <= 53) stay whole, bit for bit.
+_BAND_MAX_WIDTH = 63
 # Widest bandwidth at which a reduced block's Schur complement S is factored
 # by band Cholesky; a wider one goes to SuperLU, which needs less memory.
 # Measured on the S of n x (n + 1) lattices pinned along one side (same
@@ -767,6 +774,7 @@ class _PlaneOperator:
     br_vr: np.ndarray              # per VR branch: its VR, plane node, conductance
     br_node: np.ndarray
     br_g: np.ndarray
+    to_vr: np.ndarray              # per VR, its branches' conductance (0 when pinned)
 
     @property
     def grid(self) -> ResistiveGrid:
@@ -782,7 +790,10 @@ class _PlaneOperator:
         """u_free = sum over sectors of P_k (P_k^T A P_k)^-1 P_k^T rhs.
 
         The sectors span the free nodes and A maps each into itself, so the
-        sum solves A u_free = rhs for any rhs. A sector with
+        sum solves A u_free = rhs for any rhs. solve_dc calls it once per
+        plane solve: on b for a pinned plane, and on b - c d, the drops
+        below the plane's level, for a drooped one (then on b as well if a
+        VR is idle, see _IDLE_DROP). A sector with
         ||P_k^T rhs|| <= _SECTOR_SHARE_TOL * ||rhs|| is neither factorised nor
         solved: rhs's component in it, at most that large, is left as
         residual (a mirror-symmetric demand has rounding-level antisymmetric
@@ -796,18 +807,6 @@ class _PlaneOperator:
             if dnrm2(part) > cutoff:
                 sector.lift(sector.factor(self).solve(part), u_free)
         return u_free
-
-    def correct(self, residual: np.ndarray) -> np.ndarray:
-        """A^-1 residual on the sectors factorised so far.
-
-        They include every sector the solve being corrected used; a
-        residual's rounding-level share in the others gets no factor.
-        """
-        correction = np.zeros(residual.size)
-        for sector in self.sectors:
-            if sector.lu is not None:
-                sector.lift(sector.lu.solve(sector.restrict(residual)), correction)
-        return correction
 
 
 # The most recently built operator. A problem with the same key reuses it and
@@ -866,9 +865,10 @@ def _stencil_product(grid: ResistiveGrid, diag: np.ndarray, off: float,
     return y
 
 
-def _branch_products(n: int, k: int, br_vr: np.ndarray, br_node: np.ndarray,
+def _branch_products(n: int, to_vr: np.ndarray, br_vr: np.ndarray, br_node: np.ndarray,
                      br_g: np.ndarray) -> tuple[Callable, Callable]:
-    """L_fp @ u_pinned and L_p @ u of the drooped system, from its branches.
+    """L_fp @ u_pinned and L_p @ u of the drooped system, from its branches;
+    to_vr is the diagonal of L_p, each VR's branch conductance.
 
     Each sum runs in the order of a sorted CSR product: per plane node over
     its VRs in order; per VR over its contacts by node index, then its own
@@ -880,13 +880,13 @@ def _branch_products(n: int, k: int, br_vr: np.ndarray, br_node: np.ndarray,
         raise ValueError("a VR's contact nodes must be distinct")
     neg_g = -br_g
     by_g = neg_g[order]
-    diag = np.bincount(br_vr, weights=br_g, minlength=k)
+    k = to_vr.size
 
     def couple(u_pinned: np.ndarray) -> np.ndarray:
         return np.bincount(br_node, weights=neg_g * u_pinned[br_vr], minlength=n)
 
     def outflow(u: np.ndarray) -> np.ndarray:
-        return np.bincount(by_vr, weights=by_g * u[by_node], minlength=k) + diag * u[n:]
+        return np.bincount(by_vr, weights=by_g * u[by_node], minlength=k) + to_vr * u[n:]
 
     return couple, outflow
 
@@ -957,12 +957,13 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
     else:
         br_vr = br_node = np.zeros(0, dtype=np.int64)
         br_g = np.zeros(0)
+    to_vr = np.bincount(br_vr, weights=br_g, minlength=k)
     diag = np.bincount(np.concatenate([edge_a, edge_b, br_node]),
                        weights=np.concatenate([np.full(2 * edge_a.size, g_sheet), br_g]),
                        minlength=n)
     if contacts is not None:
         free, pinned = slice(0, n), slice(n, n + k)
-        couple, outflow = _branch_products(n, k, br_vr, br_node, br_g)
+        couple, outflow = _branch_products(n, to_vr, br_vr, br_node, br_g)
     else:
         pinned = np.array(source_nodes, dtype=np.int64)
         is_pinned = np.zeros(n, dtype=bool)
@@ -987,7 +988,7 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
         norm_inf=float(_stencil_product(grid, diag, g_sheet, on_free)[free].max()),
         sectors=_sectors(grid, diag, free),
         couple=couple, outflow=outflow,
-        edge_a=edge_a, edge_b=edge_b, br_vr=br_vr, br_node=br_node, br_g=br_g,
+        edge_a=edge_a, edge_b=edge_b, br_vr=br_vr, br_node=br_node, br_g=br_g, to_vr=to_vr,
     )
 
 
@@ -1002,9 +1003,19 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     the sinks and the source voltages change the right-hand side. The
     unknowns are the drops u = v - v_ref below the first source voltage:
     Laplacian rows sum to zero, so this is exact, and it keeps the rail
-    voltage out of the differences the currents are computed from. They are
-    solved sector by sector and summed; the normwise backward error of the
-    sum on the whole free block,
+    voltage out of the differences the currents are computed from. Behind
+    droop branches the plane sits at a level c = sum(b) / sum(d) below its
+    VRs, d = A 1 its conductance to them, often far below the drops across
+    it, so the one solve is for w = u - c from A w = b - c d, rounded at
+    w's own scale, and u = w + c. Against a long-double refined reference
+    on 18 drooped planes (the shipped DSCH cells, A1 and A2 at resolutions
+    16 to 96) the VR currents come in within 2.8e-14 relative (up to
+    7.4e-13 when u was solved) and the sheet loss, from w, within 6.4e-14.
+    A VR that draws next to nothing sits where w is about -c, and w's
+    rounding swamps its current: a plane with one (_IDLE_DROP) is solved
+    for u as well, and its currents and voltages come from u. A pinned
+    plane is solved for u. The normwise backward error of u on the whole
+    free block,
     ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2), must come in at or below
     1e-10 (J. L. Rigal and J. Gaches, J. ACM 14, 1967); unlike ||r|| / ||b||
     it does not grow with the conductance scale of the plane; above it the
@@ -1024,7 +1035,20 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     injections = np.zeros(op.n_all)
     injections[problem.sink_nodes] = -problem.sink_currents
     rhs = injections[op.free] - op.couple(u_pinned)
-    u_free = op.solve(rhs)
+    u = np.empty(op.n_all)
+    u[op.pinned] = u_pinned
+    if op.br_g.size:
+        # The drops w = u - c below the plane's level c: A maps 1 to d, the
+        # branch conductance per node, so A w = b - c d.
+        level = float(np.sum(rhs)) / float(np.sum(op.shunt))
+        w = op.solve(rhs - level * op.shunt)
+        u[op.free] = w + level
+        # An idle VR's current is lost to w's rounding (_IDLE_DROP).
+        if (np.abs(op.outflow(u)) < _IDLE_DROP * np.abs(w).max() * op.to_vr).any():
+            u[op.free] = op.solve(rhs)
+    else:
+        u[op.free] = w = op.solve(rhs)
+    u_free = u[op.free]
     scale = op.norm_inf * float(np.linalg.norm(u_free)) + float(np.linalg.norm(rhs))
     backward_error = float(np.linalg.norm(op.product(u_free) - rhs)
                            / max(scale, np.finfo(float).tiny))
@@ -1037,9 +1061,6 @@ def solve_dc(problem: GridProblem) -> GridSolution:
             f"nodal solve backward error {backward_error:.2e} exceeds {_RESIDUAL_TOL:.0e}"
             + _stiffness(op.g_sheet, op.shunt)
         )
-    u = np.empty(op.n_all)
-    u[op.free] = u_free
-    u[op.pinned] = u_pinned
 
     vr = op.outflow(u)
     # Plane-side terminal voltage: the source voltage less the power the
@@ -1050,27 +1071,16 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     plane_voltages = source_v - np.divide(branch_loss, vr, out=np.zeros_like(vr),
                                           where=vr != 0.0)
 
-    g_sheet = 1.0 / problem.grid.sheet_resistance_ohm_sq
-    if op.br_g.size:
-        # Behind droop branches the whole plane can sit further below its
-        # sources than the drops across it, and u's error, a fraction of u,
-        # would swamp those drops. They are refined once about the plane's
-        # level c = sum(b) / sum(d), d = A 1 its conductance to the VRs:
-        # w = u - c solves A w = b - c d (exact: A maps 1 to d), and that
-        # residual is rounded at the scale of w, not of u.
-        to_vrs = -op.couple(np.ones(source_v.size))
-        level = float(np.sum(rhs)) / float(np.sum(to_vrs))
-        w = u_free - level
-        w += op.correct(rhs - level * to_vrs - op.product(w))
-        du = w[op.edge_a] - w[op.edge_b]
-    else:
-        du = u[op.edge_a] - u[op.edge_b]
+    # With droop every plane node is free, and the sheet loss is taken from
+    # w, whose differences carry no rounding at the plane's level.
+    sheet = w if op.br_g.size else u
+    du = sheet[op.edge_a] - sheet[op.edge_b]
     voltages = u + v_ref
     voltages[op.pinned] = source_v
     return GridSolution(
         node_voltages=voltages[:n],
         vr_currents=vr,
-        horizontal_loss_w=2.0 * float(np.sum(du * du * g_sheet)),
+        horizontal_loss_w=2.0 * float(np.sum(du * du * op.g_sheet)),
         vr_plane_voltages=plane_voltages,
         source_voltages=source_v,
         residual=backward_error,

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import pdnx
@@ -625,6 +625,8 @@ class TestPolCurrentCurve:
            sheet=st.floats(1e-4, 2e-3),
            droop=st.sampled_from([0.0, 0.05, 0.6, 2.0]),
            resolution=st.sampled_from([8, 9, 16, 17, 24, 33]))
+    # A POL plane with a VR that draws 3.6e-9 of 1000 A.
+    @example(arch="A2", weight=1.0, sheet=1.0 / 512, droop=0.05, resolution=9)
     def test_equals_evaluate_at_every_weight(self, datasets, arch, weight, sheet, droop,
                                             resolution):
         cal = replace(datasets.calibration, demand_weight=weight,
