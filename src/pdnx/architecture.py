@@ -18,11 +18,11 @@ converter loss and its domain's vertical losses. The POL plane carries the
 die current; every upstream plane carries the per-site draw of the bank it
 feeds, and since its own losses add to what its stage must deliver, its
 operating point is settled in closed form. Each plane is solved once: every
-source on an upstream plane sits at one rail voltage, so its solution is
-linear in the sinks, and the operating point is the base-demand solution
-scaled (pdn_grid.GridSolution.scaled). The source power is defined as POL
-power plus the sum of all loss terms, so that identity holds by construction
-and checks nothing.
+VR on a plane sits at one rail voltage (pdn_grid.GridProblem), so its
+solution is linear in the sinks, and the operating point is the base-demand
+solution scaled (pdn_grid.GridSolution.scaled). The source power is defined
+as POL power plus the sum of all loss terms, so that identity holds by
+construction and checks nothing.
 
 An evaluation is a generator: it yields each plane problem it needs solved
 and is sent the solution. One loop, _drive, solves what the generators

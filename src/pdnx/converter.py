@@ -27,10 +27,6 @@ class ConverterTopology:
     i_at_peak_a: float            # load current at peak efficiency
     n_switches: int
     switch_density_per_mm2: float
-    n_inductors: int = 0
-    total_inductance_uh: float = 0.0   # carried as metadata only
-    n_capacitors: int = 0
-    total_capacitance_uf: float = 0.0  # carried as metadata only
 
     def __post_init__(self):
         if not 0 < self.v_out_v < self.v_in_v:

@@ -270,8 +270,9 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             name=row["name"],
             platform_area_mm2=_number(row, "platform_area_mm2"),
             material=material,
-            resistivity_ohm_m=float(row.get("resistivity_ohm_m")
-                                    or calibration.resistivity_ohm_m[material]),
+            resistivity_ohm_m=(calibration.resistivity_ohm_m[material]
+                               if row.get("resistivity_ohm_m") is None
+                               else _number(row, "resistivity_ohm_m")),
             cross_area_um2=_number(row, "cross_area_um2"),
             height_um=_number(row, "height_um"),
             pitch_um=_number(row, "pitch_um"),
@@ -294,10 +295,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             i_at_peak_a=_number(row, "i_at_peak_a"),
             n_switches=_number(row, "n_switches", int),
             switch_density_per_mm2=_number(row, "switch_density_per_mm2"),
-            n_inductors=_number(row, "n_inductors", int, 0),
-            total_inductance_uh=_number(row, "total_inductance_uh", float, 0.0),
-            n_capacitors=_number(row, "n_capacitors", int, 0),
-            total_capacitance_uf=_number(row, "total_capacitance_uf", float, 0.0),
         )
         return topo, VrSiteCounts(periphery=_number(row, "vr_sites_periphery", int),
                                   below_die=_number(row, "vr_sites_below_die", int))

@@ -35,6 +35,8 @@ class InterconnectLevel:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{self.name}: {name} must be finite, got {value!r}")
+        if self.resistivity_ohm_m < 0:
+            raise ValueError(f"{self.name}: resistivity_ohm_m must be >= 0")
         if self.area_ratio_to_die <= 0:
             raise ValueError(f"{self.name}: area_ratio_to_die must be > 0")
         if self.platform_area_mm2 <= 0:

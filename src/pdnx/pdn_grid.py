@@ -9,37 +9,38 @@ centre, which no node represents, or two sites on one node refine the
 lattice once. Point-of-load demand is drawn as current sinks spread over
 the nodes under the die shadow; a problem keeps them as one node-index
 array and one current array, and each VR's contacts as a count per VR and
-one flat node array. Every VR is one Dirichlet node held at its source
-voltage. With pinned outputs that node is the plane node the VR snapped to;
-with output droop it is a virtual node behind one branch per footprint
-contact, the branches together carrying the droop resistance.
+one flat node array. Every VR on a plane regulates one rail, at one
+voltage, and the unknowns are the drops u = v - rail below it on the plane
+nodes. With pinned outputs a VR holds the plane node it snapped to at the
+rail; with output droop it feeds each of its footprint contacts through one
+branch from the rail, the branches together carrying the droop resistance.
 The plane operator is never formed as a sparse matrix: it is the lattice's
 5-point stencil, a diagonal (one bincount over the edges and the branches)
 and -1/R_sheet on every edge, and its products are taken from the stencil
 arrays. With droop every plane node is free, so the stencil is the free
-block and the branches give the Dirichlet couplings; with pinned sources
-the free block is the stencil at the free nodes. The free block is
-symmetric positive definite. A square plane that the diagonal mirror
-(i, j) -> (j, i) maps onto itself, diagonal and free nodes bit for bit,
-splits into a symmetric and an antisymmetric sector of about half the
-nodes each, kept as index arrays (each orbit's lower node and its mirror
-image), and each sector is factorised the first time a right-hand side has
-more than a rounding-level component in it; any other plane is one sector,
-the whole free block. A sector block taken in wavefront order over its
-lattice nodes is banded about as wide as the lattice: up to a bandwidth of
-_BAND_MAX_WIDTH its band is assembled straight from the stencil, in
-LAPACK's upper band storage, and is one LAPACK band Cholesky factor. A
-wider block is reduced exactly to its even wavefronts, half its unknowns at
-the same bandwidth, since the stencil joins each wavefront only to its two
-neighbours; that Schur complement is one band Cholesky factor in LAPACK's
-lower band storage up to _REDUCED_MAX_WIDTH, and above it is built in CSC
-and is one SuperLU factor with a minimum-degree ordering, the one place the
-solver uses scipy.sparse, which is imported there. The factors depend only
-on the lattice, the Dirichlet nodes and the branches, so the last plane's
-are kept and reused while problems on the same plane differ only in sinks
-and source voltages. Each VR's current is the net current out of its
-Dirichlet node; the plane's ohmic loss (doubled for the mirrored ground
-plane) follows from the solved voltages.
+block; with pinned sources the free block is the stencil at the free
+nodes. The free block is symmetric positive definite. A square plane that
+the diagonal mirror (i, j) -> (j, i) maps onto itself, diagonal and free
+nodes bit for bit, splits into a symmetric and an antisymmetric sector of
+about half the nodes each, kept as index arrays (each orbit's lower node
+and its mirror image), and each sector is factorised the first time a
+right-hand side has more than a rounding-level component in it; any other
+plane is one sector, the whole free block. A sector block taken in
+wavefront order over its lattice nodes is banded about as wide as the
+lattice: up to a bandwidth of _BAND_MAX_WIDTH its band is assembled
+straight from the stencil, in LAPACK's upper band storage, and is one
+LAPACK band Cholesky factor. A wider block is reduced exactly to its even
+wavefronts, half its unknowns at the same bandwidth, since the stencil
+joins each wavefront only to its two neighbours; that Schur complement is
+one band Cholesky factor in LAPACK's lower band storage up to
+_REDUCED_MAX_WIDTH, and above it is built in CSC and is one SuperLU factor
+with a minimum-degree ordering, the one place the solver uses scipy.sparse,
+which is imported there. The factors depend only on the lattice, the VR
+nodes and the branches, so the last plane's are kept and reused while
+problems on the same plane differ only in sinks and rail voltage. Each
+VR's current is what its node or its branches feed into the plane; the
+plane's ohmic loss (doubled for the mirrored ground plane) follows from the
+solved drops.
 """
 
 from __future__ import annotations
@@ -136,17 +137,20 @@ class ResistiveGrid:
 
 @dataclass(frozen=True)
 class GridProblem:
-    """A grid plus fixed-voltage source nodes and current-sink nodes.
+    """A grid plus the VR nodes of one rail and current-sink nodes.
 
-    With droop_resistance_ohm > 0, each source pins a virtual node behind a
-    series resistance instead of the plane node itself: that is how parallel
-    VRs actually share current (output droop). The series element models the
-    converter's internal series resistance, so its dissipation belongs to the
-    converter loss model, not to the plane.
+    Every VR sits at one rail voltage, rail_voltage_v: source_nodes maps
+    each VR's node to it, and any other value (unequal, NaN or infinite
+    ones) is a ValueError. With droop_resistance_ohm > 0 a VR feeds the
+    plane through a series resistance instead of holding its node at the
+    rail: that is how parallel VRs actually share current (output droop).
+    The series element models the converter's internal series resistance,
+    so its dissipation belongs to the converter loss model, not to the
+    plane.
     """
 
     grid: ResistiveGrid
-    source_nodes: dict[int, float]      # node index -> fixed voltage, insertion-ordered
+    source_nodes: dict[int, float]      # VR node index -> the rail voltage, insertion-ordered
     # Drawn current per sink (>= 0), A. A {node: amps} mapping is accepted
     # and split once into sink_nodes and this array.
     sink_currents: np.ndarray
@@ -175,6 +179,9 @@ class GridProblem:
             raise ValueError("need one sink current per sink node")
         if not self.source_nodes:
             raise ValueError("need at least one source node")
+        volts = np.array(list(self.source_nodes.values()), dtype=float)
+        if not (np.isfinite(volts).all() and (volts == volts[0]).all()):
+            raise ValueError("every VR on a plane sits at one finite rail voltage")
         sources = np.array(list(self.source_nodes), dtype=np.int64)
         if self.contact_counts is None and self.contact_nodes is None:
             counts, contacts = np.ones(sources.size, dtype=np.int64), sources
@@ -203,6 +210,10 @@ class GridProblem:
         if self.droop_resistance_ohm < 0:
             raise ValueError("droop_resistance_ohm must be >= 0")
 
+    @property
+    def rail_voltage_v(self) -> float:
+        return float(next(iter(self.source_nodes.values())))
+
 
 @dataclass
 class GridSolution:
@@ -212,24 +223,19 @@ class GridSolution:
     vr_currents: np.ndarray             # per source node, source order, A
     horizontal_loss_w: float            # both planes (power + ground return)
     vr_plane_voltages: np.ndarray       # plane-side terminal voltage per VR
-    source_voltages: np.ndarray         # per source node, source order, V
+    rail_voltage_v: float               # the VRs' one voltage, V
     residual: float = 0.0               # normwise backward error of the solve
 
     def scaled(self, k: float) -> GridSolution:
         """The solution of the same plane with every sink current times k.
 
-        Exact only when every source sits at one voltage v. The drops below
-        v are then linear in the sinks: currents scale by k, the plane loss
-        by k^2, and every voltage v - d becomes v - k*d, terminal voltages
-        included (a VR's drop there is its branch loss per ampere, which
-        scales by k as well). The backward error is scale-invariant and is
-        kept. Unequal source voltages drive a current of their own that does
-        not scale, so such a solution raises ValueError.
+        Every VR sits at the rail v, so the drops below v are linear in the
+        sinks: currents scale by k, the plane loss by k^2, and every voltage
+        v - d becomes v - k*d, terminal voltages included (a VR's drop there
+        is its branch loss per ampere, which scales by k as well). The
+        backward error is scale-invariant and is kept.
         """
-        rail = self.source_voltages[0]
-        if not (self.source_voltages == rail).all():
-            raise ValueError("only a solution whose sources sit at one voltage scales "
-                             "with its sinks")
+        rail = self.rail_voltage_v
         return replace(
             self,
             node_voltages=rail - k * (rail - self.node_voltages),
@@ -748,8 +754,8 @@ class _OddEven:
 class _PlaneOperator:
     """A plane's nodal system with its free block split into sectors.
 
-    It depends only on the lattice, the Dirichlet nodes and the VR branches
-    (`key`); sinks and source voltages enter each solve as a right-hand side.
+    It depends only on the lattice, the VR nodes and the VR branches
+    (`key`); sinks enter each solve as a right-hand side.
     A plane that its diagonal mirror maps onto itself has two sectors, the
     mirror-symmetric and the antisymmetric drops, each about half the free
     nodes (no antisymmetric one if every free node is on the mirror axis);
@@ -759,16 +765,13 @@ class _PlaneOperator:
     """
 
     key: tuple
-    n_all: int                     # plane nodes plus virtual VR nodes
-    free: np.ndarray | slice
-    pinned: np.ndarray | slice
+    free: np.ndarray | slice       # the plane nodes no VR pins
     diag: np.ndarray               # the stencil's diagonal, per plane node
     shunt: np.ndarray              # its VR branches' conductance, per plane node
     g_sheet: float
     norm_inf: float                # ||A||_inf, never below ||A||_2
     sectors: tuple[_Sector, ...]
-    couple: Callable[[np.ndarray], np.ndarray]    # u_pinned -> L_fp @ u_pinned
-    outflow: Callable[[np.ndarray], np.ndarray]   # u -> L_p @ u, per Dirichlet node
+    outflow: Callable[[np.ndarray], np.ndarray]   # plane drops u -> each VR's current
     edge_a: np.ndarray
     edge_b: np.ndarray
     br_vr: np.ndarray              # per VR branch: its VR, plane node, conductance
@@ -816,12 +819,12 @@ _operator: _PlaneOperator | None = None
 
 
 def plane_key(problem: GridProblem) -> tuple:
-    """What a plane's factor depends on: the lattice, the Dirichlet nodes in
-    order and, with droop, the droop resistance and each VR's contacts (the
-    bytes of the contact arrays).
+    """What a plane's factor depends on: the lattice, the VR nodes in order
+    and, with droop, the droop resistance and each VR's contacts (the bytes
+    of the contact arrays).
 
-    Problems with equal keys differ only in sinks and source voltages, so
-    they are solved on one factor.
+    Problems with equal keys differ only in sinks and rail voltage, so they
+    are solved on one factor.
     """
     source_nodes = tuple(int(i) for i in problem.source_nodes)
     droop = problem.droop_resistance_ohm
@@ -865,30 +868,20 @@ def _stencil_product(grid: ResistiveGrid, diag: np.ndarray, off: float,
     return y
 
 
-def _branch_products(n: int, to_vr: np.ndarray, br_vr: np.ndarray, br_node: np.ndarray,
-                     br_g: np.ndarray) -> tuple[Callable, Callable]:
-    """L_fp @ u_pinned and L_p @ u of the drooped system, from its branches;
-    to_vr is the diagonal of L_p, each VR's branch conductance.
+def _branch_outflow(k: int, br_vr: np.ndarray, br_node: np.ndarray,
+                    br_g: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Each of the k drooped VRs' current, -sum g u over its branches, from
+    the plane drops u.
 
-    Each sum runs in the order of a sorted CSR product: per plane node over
-    its VRs in order; per VR over its contacts by node index, then its own
-    diagonal. A VR's contacts must be distinct.
+    Each VR's sum runs over its contacts by node index, the order of a
+    sorted CSR product. A VR's contacts must be distinct.
     """
     order = np.lexsort((br_node, br_vr))
     by_vr, by_node = br_vr[order], br_node[order]
     if ((np.diff(by_vr) == 0) & (np.diff(by_node) == 0)).any():
         raise ValueError("a VR's contact nodes must be distinct")
-    neg_g = -br_g
-    by_g = neg_g[order]
-    k = to_vr.size
-
-    def couple(u_pinned: np.ndarray) -> np.ndarray:
-        return np.bincount(br_node, weights=neg_g * u_pinned[br_vr], minlength=n)
-
-    def outflow(u: np.ndarray) -> np.ndarray:
-        return np.bincount(by_vr, weights=by_g * u[by_node], minlength=k) + to_vr * u[n:]
-
-    return couple, outflow
+    by_g = -br_g[order]
+    return lambda u: np.bincount(by_vr, weights=by_g * u[by_node], minlength=k)
 
 
 def _sectors(grid: ResistiveGrid, diag: np.ndarray,
@@ -928,21 +921,19 @@ def _sectors(grid: ResistiveGrid, diag: np.ndarray,
 
 
 def _factor_plane(key: tuple) -> _PlaneOperator:
-    """The plane's operator: its stencil's diagonal, the products that couple
-    the free nodes to the Dirichlet nodes, and the free block's symmetry
-    sectors, each factorised on first use.
+    """The plane's operator: its stencil's diagonal, each VR's current from
+    the drops, and the free block's symmetry sectors, each factorised on
+    first use.
 
-    Every VR is a Dirichlet node: the plane node it snapped to when sources
-    are pinned, or a virtual node n + k joined to each of its contacts by a
-    branch of conductance 1/(droop * contacts) with droop. A node's diagonal
-    sums its edges as endpoint a, then as endpoint b, then its branches: the
-    order in which scipy sums the duplicates of the equivalent COO assembly
-    wherever that order is defined (a node under at most four footprints),
-    so the factor is the same bit for bit. With droop the whole stencil is
-    the free block and the branches couple it to the Dirichlet nodes; with
-    pinned sources the free block is the stencil's rows and columns at the
-    free nodes, and its rows and columns at the Dirichlet nodes couple them.
-    The free block is symmetric positive definite, and so is each sector's
+    A node's diagonal sums its edges as endpoint a, then as endpoint b, then
+    its VR branches of conductance 1/(droop * contacts): the order in which
+    scipy sums the duplicates of the COO assembly with one virtual node per
+    VR, wherever that order is defined (a node under at most four
+    footprints), so the factor is the same bit for bit. With droop the whole
+    stencil is the free block and a VR's current is what its branches
+    carry; with pinned sources the free block is the stencil at the free
+    nodes and a VR's current is its node's stencil row times the drops. The
+    free block is symmetric positive definite, and so is each sector's
     block; _factor_block factors it.
     """
     grid, source_nodes, droop, contacts = key
@@ -962,32 +953,22 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
                        weights=np.concatenate([np.full(2 * edge_a.size, g_sheet), br_g]),
                        minlength=n)
     if contacts is not None:
-        free, pinned = slice(0, n), slice(n, n + k)
-        couple, outflow = _branch_products(n, to_vr, br_vr, br_node, br_g)
+        free = slice(0, n)
+        outflow = _branch_outflow(k, br_vr, br_node, br_g)
     else:
         pinned = np.array(source_nodes, dtype=np.int64)
-        is_pinned = np.zeros(n, dtype=bool)
-        is_pinned[pinned] = True
-        free = np.flatnonzero(~is_pinned)
-        lattice = functools.partial(_stencil_product, grid, diag, -g_sheet)
-
-        def couple(u_pinned: np.ndarray) -> np.ndarray:
-            x = np.zeros(n)
-            x[pinned] = u_pinned
-            return lattice(x)[free]
+        free = np.delete(np.arange(n), pinned)
 
         def outflow(u: np.ndarray) -> np.ndarray:
-            return lattice(u)[pinned]
+            return _stencil_product(grid, diag, -g_sheet, u)[pinned]
     on_free = np.zeros(n)
     on_free[free] = 1.0
     return _PlaneOperator(
-        key=key, n_all=n + k if contacts is not None else n,
-        free=free, pinned=pinned, diag=diag, g_sheet=g_sheet,
+        key=key, free=free, diag=diag, g_sheet=g_sheet,
         shunt=np.bincount(br_node, weights=br_g, minlength=n),
         # |A| 1, summed as the rows of A are.
         norm_inf=float(_stencil_product(grid, diag, g_sheet, on_free)[free].max()),
-        sectors=_sectors(grid, diag, free),
-        couple=couple, outflow=outflow,
+        sectors=_sectors(grid, diag, free), outflow=outflow,
         edge_a=edge_a, edge_b=edge_b, br_vr=br_vr, br_node=br_node, br_g=br_g, to_vr=to_vr,
     )
 
@@ -999,54 +980,50 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     """Solve the nodal system and derive currents and the plane loss.
 
     The plane's operator and its sector factors are reused while the
-    lattice, the source nodes and the droop branches stay the same; only
-    the sinks and the source voltages change the right-hand side. The
-    unknowns are the drops u = v - v_ref below the first source voltage:
-    Laplacian rows sum to zero, so this is exact, and it keeps the rail
-    voltage out of the differences the currents are computed from. Behind
-    droop branches the plane sits at a level c = sum(b) / sum(d) below its
-    VRs, d = A 1 its conductance to them, often far below the drops across
-    it, so the one solve is for w = u - c from A w = b - c d, rounded at
-    w's own scale, and u = w + c. Against a long-double refined reference
-    on 18 drooped planes (the shipped DSCH cells, A1 and A2 at resolutions
-    16 to 96) the VR currents come in within 2.8e-14 relative (up to
-    7.4e-13 when u was solved) and the sheet loss, from w, within 6.4e-14.
-    A VR that draws next to nothing sits where w is about -c, and w's
-    rounding swamps its current: a plane with one (_IDLE_DROP) is solved
+    lattice, the VR nodes and the droop branches stay the same; only the
+    sinks change the right-hand side. The unknowns are the drops u = v - rail
+    of the plane nodes below the rail every VR sits at, so the right-hand
+    side b is minus the sinks at the free nodes, and the rail is added back
+    only for the node voltages: on a 12 V plane it stays out of the small
+    differences the currents are computed from. A pinned VR's node has
+    u = 0 and its current is its stencil row times u; a drooped VR's
+    current is -sum g u over its branches, which dissipate sum g u^2.
+    Behind droop branches the plane sits at a level c = sum(b) / sum(d)
+    below its VRs, d = A 1 its conductance to them, often far below the
+    drops across it, so the one solve is for w = u - c from A w = b - c d,
+    rounded at w's own scale, and u = w + c. Against a long-double refined
+    reference on 18 drooped planes (the shipped DSCH cells, A1 and A2 at
+    resolutions 16 to 96) the VR currents come in within 2.8e-14 relative
+    (up to 7.4e-13 when u was solved) and the sheet loss, from w, within
+    6.4e-14. A VR that draws next to nothing sits where w is about -c, and
+    w's rounding swamps its current: a plane with one (_IDLE_DROP) is solved
     for u as well, and its currents and voltages come from u. A pinned
     plane is solved for u. The normwise backward error of u on the whole
-    free block,
-    ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2), must come in at or below
-    1e-10 (J. L. Rigal and J. Gaches, J. ACM 14, 1967); unlike ||r|| / ||b||
-    it does not grow with the conductance scale of the plane; above it the
-    solve raises SingularSystem, and a backward error that is not finite
-    (sinks or conductances out of the float range) raises OverflowError, as
-    does a plane whose conductances are not finite, before it is factored.
-    Each VR's current is the net current out of its Dirichlet node.
+    free block, ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2), must come in
+    at or below 1e-10 (J. L. Rigal and J. Gaches, J. ACM 14, 1967); unlike
+    ||r|| / ||b|| it does not grow with the conductance scale of the plane;
+    above it the solve raises SingularSystem, and a backward error that is
+    not finite (sinks or conductances out of the float range) raises
+    OverflowError, as does a plane whose conductances are not finite,
+    before it is factored.
     """
     op = _plane_operator(problem)
     if not math.isfinite(op.norm_inf):
         raise OverflowError(f"plane conductance {op.norm_inf} is not finite")
-    n = problem.grid.n_nodes
-    source_v = np.array(list(problem.source_nodes.values()), dtype=float)
-    v_ref = source_v[0]
-    u_pinned = source_v - v_ref
-
-    injections = np.zeros(op.n_all)
-    injections[problem.sink_nodes] = -problem.sink_currents
-    rhs = injections[op.free] - op.couple(u_pinned)
-    u = np.empty(op.n_all)
-    u[op.pinned] = u_pinned
+    b = np.zeros(problem.grid.n_nodes)
+    b[problem.sink_nodes] = -problem.sink_currents
+    rhs = b[op.free]
     if op.br_g.size:
         # The drops w = u - c below the plane's level c: A maps 1 to d, the
         # branch conductance per node, so A w = b - c d.
         level = float(np.sum(rhs)) / float(np.sum(op.shunt))
         w = op.solve(rhs - level * op.shunt)
-        u[op.free] = w + level
+        u = w + level
         # An idle VR's current is lost to w's rounding (_IDLE_DROP).
         if (np.abs(op.outflow(u)) < _IDLE_DROP * np.abs(w).max() * op.to_vr).any():
-            u[op.free] = op.solve(rhs)
+            u = op.solve(rhs)
     else:
+        u = np.zeros(b.size)
         u[op.free] = w = op.solve(rhs)
     u_free = u[op.free]
     scale = op.norm_inf * float(np.linalg.norm(u_free)) + float(np.linalg.norm(rhs))
@@ -1063,25 +1040,22 @@ def solve_dc(problem: GridProblem) -> GridSolution:
         )
 
     vr = op.outflow(u)
-    # Plane-side terminal voltage: the source voltage less the power the
-    # VR's branches dissipate per ampere it delivers (v_src when pinned).
-    du_br = u[n + op.br_vr] - u[op.br_node]
-    branch_loss = np.bincount(op.br_vr, weights=op.br_g * du_br * du_br,
-                              minlength=source_v.size)
-    plane_voltages = source_v - np.divide(branch_loss, vr, out=np.zeros_like(vr),
-                                          where=vr != 0.0)
+    # Plane-side terminal voltage: the rail less the power the VR's branches
+    # dissipate per ampere it delivers (the rail when pinned).
+    u_br = u[op.br_node]
+    branch_loss = np.bincount(op.br_vr, weights=op.br_g * u_br * u_br, minlength=vr.size)
+    rail = problem.rail_voltage_v
+    plane_voltages = rail - np.divide(branch_loss, vr, out=np.zeros_like(vr), where=vr != 0.0)
 
     # With droop every plane node is free, and the sheet loss is taken from
     # w, whose differences carry no rounding at the plane's level.
     sheet = w if op.br_g.size else u
     du = sheet[op.edge_a] - sheet[op.edge_b]
-    voltages = u + v_ref
-    voltages[op.pinned] = source_v
     return GridSolution(
-        node_voltages=voltages[:n],
+        node_voltages=u + rail,
         vr_currents=vr,
         horizontal_loss_w=2.0 * float(np.sum(du * du * op.g_sheet)),
         vr_plane_voltages=plane_voltages,
-        source_voltages=source_v,
+        rail_voltage_v=rail,
         residual=backward_error,
     )

@@ -640,6 +640,10 @@ class TestFeasibilityCommand:
          "table1 level 'c4': pitch_um: None is not a number"),
         (lambda c4: {k: v for k, v in c4.items() if k != "area_ratio_to_die"},
          "table1 level 'c4': missing field 'area_ratio_to_die'"),
+        # With c4 at -1e-6 ohm m, A0+DSCH was reported ok at a -0.626 W c4 loss.
+        (lambda c4: {**c4, "resistivity_ohm_m": -1e-6}, "c4: resistivity_ohm_m must be >= 0"),
+        (lambda c4: {**c4, "resistivity_ohm_m": "low"},
+         "table1 level 'c4': resistivity_ohm_m: 'low' is not a number"),
         (lambda c4: None, "table1: stack level 'c4' is missing"),
         (5, "table1: levels must be a list of objects"),
         ([5], "table1: levels must be a list of objects"),

@@ -40,7 +40,6 @@ class TestBuiltins:
         assert dsch.eta_peak == 0.915
         assert dsch.i_at_peak_a == 10.0
         assert dsch.n_switches == 5
-        assert dsch.total_inductance_uh == 0.88
         assert ds.vr_site_counts["DSCH"].periphery == 48
         assert ds.vr_site_counts["DPMIH"].below_die == 7
 
@@ -190,6 +189,28 @@ class TestCalibrationValidation:
     def test_nested_and_malformed_values_rejected_at_load(self, override):
         with pytest.raises(ConfigError, match="calibration-default"):
             load_datasets({"calibration-default": override})
+
+
+class TestLevelResistivity:
+    """A table1 row's resistivity_ohm_m overrides its material's default;
+    only an absent or null field falls back to it. (A negative or
+    non-numeric one is refused: TestFeasibilityCommand in test_cli.py.)"""
+
+    @staticmethod
+    def _c4_resistivity(value) -> dict:
+        levels = [row if row["name"] != "c4" else {**row, "resistivity_ohm_m": value}
+                  for row in load_raw_dataset("table1")["levels"]]
+        return {"table1": {"levels": levels}}
+
+    def test_zero_is_kept(self):
+        # Read with `or`, 0.0 became the c4 default.
+        assert load_datasets(self._c4_resistivity(0.0)).levels["c4"].resistivity_ohm_m == 0.0
+
+    def test_absent_or_null_is_the_material_default(self):
+        assert not any("resistivity_ohm_m" in row for row in load_raw_dataset("table1")["levels"])
+        for ds in (load_datasets(), load_datasets(self._c4_resistivity(None))):
+            assert ds.levels["c4"].resistivity_ohm_m == 1.4e-07
+            assert ds.calibration.resistivity_ohm_m["solder"] == 1.4e-07
 
 
 class TestIntegralGridResolution:

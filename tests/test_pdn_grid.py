@@ -276,7 +276,7 @@ class TestDroopDenseOracle:
     def test_multi_contact_fanout_matches_dense(self, nx, ny):
         grid = ResistiveGrid(nx, ny, 0.7, 0.0013)
         n = grid.n_nodes
-        sources = {0: 1.0, n - 1: 0.98, nx - 1: 1.01}
+        sources = dict.fromkeys((0, n - 1, nx - 1), 0.98)
         fanout = {0: (0, 1, nx), n - 1: (n - 1, n - 2), nx - 1: (nx - 1,)}
         sinks = {i: 0.5 + 0.1 * i for i in range(1, n - 1) if i != nx - 1}
         droop = 2e-3
@@ -318,15 +318,14 @@ class TestDropFormPrecision:
 
 
 @st.composite
-def _random_problems(draw, one_rail=False):
+def _random_problems(draw):
     nx = draw(st.integers(2, 6))
     ny = draw(st.integers(1, 6))
     n = nx * ny
     grid = ResistiveGrid(nx, ny, draw(st.floats(0.1, 2.0)), draw(st.floats(1e-4, 1e-2)))
     nodes = draw(st.permutations(range(n)))
     n_src = draw(st.integers(1, n - 1))
-    rail = draw(st.floats(0.9, 1.1))
-    sources = {node: rail if one_rail else draw(st.floats(0.9, 1.1)) for node in nodes[:n_src]}
+    sources = dict.fromkeys(nodes[:n_src], draw(st.floats(0.9, 1.1)))
     sinks = {node: draw(st.floats(0.1, 10.0)) for node in nodes[n_src:]}
     droop = draw(st.sampled_from([0.0, 1e-4, 3e-3]))
     fanout = {node: tuple(sorted({node, *draw(st.lists(st.integers(0, n - 1), max_size=3))}))
@@ -373,11 +372,11 @@ class TestUnifiedOperatorProperties:
                                             rel=1e-10)
 
     @settings(max_examples=40, deadline=None)
-    @given(_random_problems(one_rail=True), st.floats(0.1, 10.0))
+    @given(_random_problems(), st.floats(0.1, 10.0))
     def test_loss_linear_in_sheet_resistance(self, problem, factor):
         # With every VR on one rail, scaling every resistance (sheet and
         # droop) leaves the currents as they are and scales the plane loss by
-        # the same factor. Unequal rails would add a circulating current.
+        # the same factor.
         grid = problem.grid
         scaled = GridProblem(
             ResistiveGrid(grid.nx, grid.ny, grid.cell_pitch_mm,
@@ -434,10 +433,10 @@ class TestFactorReuse:
     # not their own mirror image. Pinned at 0 and 35 it has two, and its
     # sinks have a component in each.
 
-    def test_sinks_and_source_voltages_reuse_the_factor(self, factorisations):
+    def test_sinks_and_rail_voltage_reuse_the_factor(self, factorisations):
         solve_dc(_fanout_problem())
         solve_dc(_fanout_problem(sink_currents={i: 2.0 for i in range(7, 20)}))
-        solve_dc(_fanout_problem(source_nodes={0: 1.02, 35: 0.97}))
+        solve_dc(_fanout_problem(source_nodes={0: 12.0, 35: 12.0}))
         assert len(factorisations.planes) == 1
         assert factorisations.sectors == [(36, 36)]
 
@@ -726,8 +725,8 @@ class TestBandFactor:
 
 
 class TestScaledSolution:
-    """GridSolution.scaled(k) is the solution at k times the sinks when every
-    source sits at one voltage."""
+    """GridSolution.scaled(k) is the solution at k times the sinks: every VR
+    on a plane sits at one rail voltage."""
 
     @staticmethod
     def _agrees(scaled, fresh) -> None:
@@ -776,10 +775,17 @@ class TestScaledSolution:
         scaled = solve_dc(problem).scaled(3.0)
         self._agrees(scaled, fresh)
 
-    def test_refuses_unequal_source_voltages(self):
-        solution = solve_dc(_fanout_problem(source_nodes={0: 1.02, 35: 0.97}))
-        with pytest.raises(ValueError, match="one voltage"):
-            solution.scaled(2.0)
+    @pytest.mark.parametrize("sources", [
+        {0: 1.02, 35: 0.97}, dict.fromkeys((0, 35), math.nan),
+        dict.fromkeys((0, 35), math.inf), dict.fromkeys((0, 35), -math.inf)],
+        ids=["unequal", "nan", "inf", "-inf"])
+    def test_a_problem_off_one_finite_rail_is_refused(self, sources):
+        # A NaN rail once ended as an OverflowError in the solve; with the
+        # rail out of the solve it would reach the node voltages.
+        with pytest.raises(ValueError, match="one finite rail voltage"):
+            _fanout_problem(source_nodes=sources)
+        rail = _fanout_problem(source_nodes={0: 12, 35: 12.0}).rail_voltage_v
+        assert rail == 12.0 and isinstance(rail, float)
 
 
 def _refined_droop_reference(problem: GridProblem) -> tuple[np.ndarray, np.longdouble]:
@@ -1458,15 +1464,16 @@ def _coo_rows_keep_their_order(grid: ResistiveGrid, droop: float, fanout: dict) 
 
 @st.composite
 def _stencil_problems(draw):
-    """Random lattices (nx != ny too) with sources in shuffled order, pinned
-    or drooped, and footprints that overlap: boxes or scattered nodes."""
+    """Random lattices (nx != ny too) with sources on one rail in shuffled
+    order, pinned or drooped, and footprints that overlap: boxes or
+    scattered nodes."""
     nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     n = nx * ny
     assume(n >= 2)
     grid = ResistiveGrid(nx, ny, draw(st.floats(0.1, 2.0)), draw(st.floats(1e-5, 1e-2)))
     nodes = draw(st.permutations(range(n)))
     n_src = draw(st.integers(1, n - 1))
-    sources = {node: draw(st.floats(0.9, 12.0)) for node in nodes[:n_src]}
+    sources = dict.fromkeys(nodes[:n_src], draw(st.floats(0.9, 12.0)))
     sinks = {node: draw(st.floats(0.0, 10.0)) for node in nodes[n_src:]}
     assume(sum(sinks.values()) > 0)
     droop = draw(st.sampled_from([0.0, 1e-4, 3e-3]) | st.floats(1e-5, 1e-2))
@@ -1608,11 +1615,11 @@ def _mirror(node: int, nx: int) -> int:
 @st.composite
 def _mirror_problems(draw):
     """Square lattices whose VR set and footprints the diagonal mirror maps
-    onto themselves, pinned or drooped, VRs in shuffled order; source
-    voltages and sinks mirror-symmetric or drawn node by node.
+    onto themselves, pinned or drooped, VRs in shuffled order on one rail;
+    sinks mirror-symmetric or drawn node by node.
 
-    Returns grid, sources, sinks, droop, fanout and whether the voltages and
-    sinks were drawn symmetric on one rail.
+    Returns grid, sources, sinks, droop, fanout and whether the sinks were
+    drawn symmetric.
     """
     nx = draw(st.integers(2, 8))
     n = nx * nx
@@ -1620,7 +1627,7 @@ def _mirror_problems(draw):
     picked = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     nodes = draw(st.permutations(sorted({m for p in picked for m in (p, _mirror(p, nx))})))
     assume(len(nodes) < n)
-    symmetric, one_rail = draw(st.booleans()), draw(st.booleans())
+    symmetric = draw(st.booleans())
 
     def drawn(strategy, keys):
         """One value per orbit when symmetric, else one per node."""
@@ -1631,7 +1638,7 @@ def _mirror_problems(draw):
                 values[orbit] = draw(strategy)
         return {key: values[min(key, _mirror(key, nx)) if symmetric else key] for key in keys}
 
-    sources = dict.fromkeys(nodes, 1.0) if one_rail else drawn(st.floats(0.9, 1.1), nodes)
+    sources = dict.fromkeys(nodes, draw(st.floats(0.9, 1.1)))
     sinks = drawn(st.just(0.0) | st.floats(0.1, 10.0), [i for i in range(n) if i not in sources])
     assume(sum(sinks.values()) > 0)
     droop = draw(st.sampled_from([0.0, 1e-4, 3e-3]) | st.floats(1e-5, 1e-2))
@@ -1646,7 +1653,7 @@ def _mirror_problems(draw):
                                 for jj in range(max(j - dj, 0), min(j + dj, nx - 1) + 1)
                                 for ii in range(max(i - di, 0), min(i + di, nx - 1) + 1))
         fanout[node] = tuple(sorted(c if node == low else _mirror(c, nx) for c in fanout[low]))
-    return grid, sources, sinks, droop, fanout, symmetric and one_rail
+    return grid, sources, sinks, droop, fanout, symmetric
 
 
 class TestMirrorSectors:
@@ -1942,13 +1949,13 @@ class TestBackwardError:
         norm_inf = np.abs(dense).sum(axis=1).max()
         assert pdn_grid._operator.norm_inf == pytest.approx(norm_inf, rel=1e-14)
         assert np.linalg.norm(dense, 2) <= norm_inf * (1.0 + 1e-12)
-        # The bound is on the drops u = w + c that solve A u = b, c the
-        # plane's level with droop (0 without), whose shifted system
-        # A w = b - c d, d = A 1, was the one solved.
-        injections = np.zeros(op.n_all)
+        # The bound is on the drops u = w + c that solve A u = b, b minus
+        # the sinks at the free nodes and c the plane's level with droop (0
+        # without), whose shifted system A w = b - c d, d = A 1, was the one
+        # solved.
+        injections = np.zeros(problem.grid.n_nodes)
         injections[problem.sink_nodes] = -problem.sink_currents
-        source_v = np.array(list(problem.source_nodes.values()))
-        rhs = injections[op.free] - op.couple(source_v - source_v[0])
+        rhs = injections[op.free]
         level = 0.0
         if problem.droop_resistance_ohm > 0.0:
             d = dense.sum(axis=1)
