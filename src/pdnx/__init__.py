@@ -9,8 +9,8 @@ four vertically integrated alternatives.
 from .architecture import (ARCHITECTURE_NAMES, ArchitectureSpec, ComparisonTable,
                            LossBreakdown, build_architecture, compare, evaluate,
                            min_die_area_for_current, utilization_report)
-from .converter import (CalibratedLossModel, ConverterTopology, StageSpec, calibrate,
-                        efficiency_at, stage_loss, vr_footprint_area_mm2)
+from .converter import (CalibratedLossModel, ConverterTopology, StageSpec, efficiency_at,
+                        stage_loss, vr_footprint_area_mm2)
 from .datasets import Calibration, Datasets, load_datasets
 from .interconnect import (InterconnectLevel, UtilizationPolicy, connection_count,
                            effective_level_resistance, level_loss,
@@ -26,7 +26,7 @@ __all__ = [
     "DieFloorplan", "GridProblem", "GridSolution", "InterconnectLevel",
     "LossBreakdown", "ResistiveGrid", "StageSpec",
     "UtilizationPolicy", "VrSite", "build_architecture", "build_problem",
-    "calibrate", "compare", "connection_count",
+    "compare", "connection_count",
     "effective_level_resistance", "efficiency_at", "evaluate", "level_loss",
     "load_datasets", "min_die_area_for_current", "per_connection_resistance",
     "place_periphery", "place_under_die", "required_connections",

@@ -276,7 +276,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             cross_area_um2=_number(row, "cross_area_um2"),
             height_um=_number(row, "height_um"),
             pitch_um=_number(row, "pitch_um"),
-            diameter_um=None if row.get("diameter_um") is None else float(row["diameter_um"]),
             area_ratio_to_die=_number(row, "area_ratio_to_die"),
         )
 

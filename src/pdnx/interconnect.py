@@ -26,14 +26,13 @@ class InterconnectLevel:
     cross_area_um2: float         # per-connection cross section
     height_um: float              # per-connection vertical span
     pitch_um: float               # grid pitch of the field
-    diameter_um: float | None = None   # informational only
     area_ratio_to_die: float = 1.0     # platform area / die area, used when sweeping die size
 
     def __post_init__(self):
         for name in ("platform_area_mm2", "resistivity_ohm_m", "cross_area_um2", "height_um",
-                     "pitch_um", "diameter_um", "area_ratio_to_die"):
+                     "pitch_um", "area_ratio_to_die"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{self.name}: {name} must be finite, got {value!r}")
         if self.resistivity_ohm_m < 0:
             raise ValueError(f"{self.name}: resistivity_ohm_m must be >= 0")

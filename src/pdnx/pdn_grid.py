@@ -34,13 +34,14 @@ wavefronts, half its unknowns at the same bandwidth, since the stencil
 joins each wavefront only to its two neighbours; that Schur complement is
 one band Cholesky factor in LAPACK's lower band storage up to
 _REDUCED_MAX_WIDTH, and above it is built in CSC and is one SuperLU factor
-with a minimum-degree ordering, the one place the solver uses scipy.sparse,
-which is imported there. The factors depend only on the lattice, the VR
-nodes and the branches, so the last plane's are kept and reused while
-problems on the same plane differ only in sinks and rail voltage. Each
-VR's current is what its node or its branches feed into the plane; the
-plane's ohmic loss (doubled for the mirrored ground plane) follows from the
-solved drops.
+with a minimum-degree ordering, the one place the solver uses scipy.sparse.
+scipy is imported where it runs, scipy.sparse there and scipy.linalg where a
+band factor is made or solved, so a run that solves no plane never loads it.
+The factors depend only on the lattice, the VR nodes and the branches, so
+the last plane's are kept and reused while problems on the same plane differ
+only in sinks and rail voltage. Each VR's current is what its node or its
+branches feed into the plane; the plane's ohmic loss (doubled for the
+mirrored ground plane) follows from the solved drops.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.blas import dnrm2
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DegenerateGrid, SingularSystem
 from .floats import ordered_sum
@@ -467,6 +466,7 @@ class _BandCholesky:
     lower: bool
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        from scipy.linalg.lapack import dpbtrs
         y, _ = dpbtrs(self.band, b[self.order], lower=self.lower, overwrite_b=1)
         x = np.empty_like(y)
         x[self.order] = y
@@ -601,6 +601,7 @@ def _band_factor(band: np.ndarray, width: int, m: int, lower: bool, g_sheet: flo
     ratio, and the pivot only by its step in the factor: in a reduced block
     it is no lattice node.
     """
+    from scipy.linalg.lapack import dpbtrf
     band, info = dpbtrf(band.reshape(width + 1, m, order="F"), lower=lower, overwrite_ab=1)
     if info:
         if not np.isfinite(band).all():
@@ -803,6 +804,7 @@ class _PlaneOperator:
         parts). The norms are BLAS nrm2's, which scales its sum of squares so
         that a tiny rhs does not underflow to a zero norm.
         """
+        from scipy.linalg.blas import dnrm2
         u_free = np.zeros(rhs.size)
         cutoff = _SECTOR_SHARE_TOL * dnrm2(rhs)
         for sector in self.sectors:

@@ -701,23 +701,40 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "table1" in result.stdout
 
-    def test_a_default_compare_does_not_import_scipy_sparse(self, tmp_path):
-        # scipy.sparse serves only the SuperLU factor of a reduced block
-        # wider than pdn_grid._REDUCED_MAX_WIDTH, which no default run
-        # reaches, so it is imported there and not with pdnx.
+    def test_scipy_is_imported_only_where_a_plane_is_factored(self, tmp_path):
+        # pdn_grid imports scipy.linalg where a band factor is made or
+        # solved, and scipy.sparse only for the SuperLU factor of a reduced
+        # block wider than pdn_grid._REDUCED_MAX_WIDTH, which no default run
+        # reaches. One child imports pdnx, loads the datasets, then runs each
+        # command in turn, listing the scipy packages loaded after each step.
         src = str(Path(pdnx.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = ("import sys\n"
+        a0 = write_config(tmp_path, {"architectures": "A0", "topologies": ["DSCH", "DPMIH"]})
+        steps = [["datasets"], ["feasibility", "--out", str(tmp_path / "feasibility")],
+                 ["compare", "--config", a0, "--out", str(tmp_path / "a0")],
+                 ["compare", "--out", str(tmp_path / "compare")]]
+        code = ("import json, sys\n"
                 "import pdnx\n"
-                "from pdnx.cli import main\n"
                 "pdnx.load_datasets()\n"
-                f"assert main(['compare', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                timeout=120, env={**os.environ, "PYTHONPATH": path})
+                "from pdnx.cli import main\n"
+                "def loaded():\n"
+                "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+                "                   if m.split('.')[0] == 'scipy'})\n"
+                "seen = [loaded()]\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n"
+                "    seen.append(loaded())\n"
+                "print(json.dumps(seen))\n")
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(steps)],
+                                capture_output=True, text=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]"
-        assert (tmp_path / "out" / "comparison.json").exists()
+        *no_plane, default_compare = json.loads(result.stdout.splitlines()[-1])
+        assert no_plane == [[]] * 4
+        assert "scipy.linalg" in default_compare
+        assert "scipy.sparse" not in default_compare
+        for out in ("feasibility", "a0", "compare"):
+            assert any((tmp_path / out).iterdir())
 
 
 class TestStampBehavior:

@@ -30,8 +30,12 @@ class TestBuiltins:
         assert bga.pitch_um == 800.0
         assert bga.material == "solder"
         pad = ds.levels["adv_pad"]
-        assert pad.diameter_um is None
         assert pad.cross_area_um2 == 100.0
+
+    def test_diameter_is_not_read(self):
+        # table1 keeps each level's diameter_um as data; no model reads it.
+        levels = [{**row, "diameter_um": "wide"} for row in load_raw_dataset("table1")["levels"]]
+        assert load_datasets({"table1": {"levels": levels}}).levels == load_datasets().levels
 
     def test_topologies_field_for_field(self):
         ds = load_datasets()

@@ -181,7 +181,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", ["platform_area_mm2", "resistivity_ohm_m",
                                        "cross_area_um2", "height_um", "pitch_um",
-                                       "diameter_um", "area_ratio_to_die"])
+                                       "area_ratio_to_die"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_field_rejected(self, datasets, field, value):
         with pytest.raises(ValueError, match=f"c4: {field} must be finite"):

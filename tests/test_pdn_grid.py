@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.linalg.lapack as lapack
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -1861,7 +1862,7 @@ class TestBandAssembly:
         lap_ff = _coo_reference(grid, sources, sinks, droop, fanout)[0]
         free = np.arange(grid.n_nodes)[op.free]
         bands, blocks = [], []
-        monkeypatch.setattr(pdn_grid, "dpbtrf",
+        monkeypatch.setattr(lapack, "dpbtrf",
                             lambda band, **kw: bands.append(band.copy()) or dpbtrf(band, **kw))
         monkeypatch.setattr(spla, "splu", lambda block, **kw: blocks.append(block))
         args = (op.grid, op.diag, op.shunt, op.free)
