@@ -1,6 +1,7 @@
 """Calibration search behavior beyond the acceptance-gated paths."""
 
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,13 @@ from pdnx.errors import ConfigError, TargetUnreachable
 @pytest.fixture(scope="module")
 def datasets():
     return load_datasets()
+
+
+def test_the_package_attribute_is_this_module():
+    # converter.calibrate is not re-exported, so once imported pdnx.calibrate
+    # is always the calibration module, never the function.
+    assert "calibrate" not in pdnx.__all__
+    assert pdnx.calibrate is sys.modules["pdnx.calibrate"]
 
 
 def test_identity_when_no_targets(datasets):

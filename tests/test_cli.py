@@ -701,18 +701,12 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "table1" in result.stdout
 
-    def test_scipy_is_imported_only_where_a_plane_is_factored(self, tmp_path):
-        # pdn_grid imports scipy.linalg where a band factor is made or
-        # solved, and scipy.sparse only for the SuperLU factor of a reduced
-        # block wider than pdn_grid._REDUCED_MAX_WIDTH, which no default run
-        # reaches. One child imports pdnx, loads the datasets, then runs each
-        # command in turn, listing the scipy packages loaded after each step.
+    @staticmethod
+    def _scipy_after(steps):
+        # One child imports pdnx, loads the datasets, then runs each command
+        # in turn, listing the scipy packages loaded after each step.
         src = str(Path(pdnx.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        a0 = write_config(tmp_path, {"architectures": "A0", "topologies": ["DSCH", "DPMIH"]})
-        steps = [["datasets"], ["feasibility", "--out", str(tmp_path / "feasibility")],
-                 ["compare", "--config", a0, "--out", str(tmp_path / "a0")],
-                 ["compare", "--out", str(tmp_path / "compare")]]
         code = ("import json, sys\n"
                 "import pdnx\n"
                 "pdnx.load_datasets()\n"
@@ -729,12 +723,29 @@ class TestEntryPoint:
                                 capture_output=True, text=True, timeout=120,
                                 env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0, result.stderr
-        *no_plane, default_compare = json.loads(result.stdout.splitlines()[-1])
-        assert no_plane == [[]] * 4
-        assert "scipy.linalg" in default_compare
-        assert "scipy.sparse" not in default_compare
-        for out in ("feasibility", "a0", "compare"):
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_scipy_is_imported_only_where_a_plane_is_factored(self, tmp_path):
+        # pdn_grid imports scipy.linalg where a band factor is made or
+        # solved, so importing pdnx, loading the datasets and a command that
+        # factors no plane load no scipy module.
+        a0 = write_config(tmp_path, {"architectures": "A0", "topologies": ["DSCH", "DPMIH"]})
+        steps = [["datasets"], ["feasibility", "--out", str(tmp_path / "feasibility")],
+                 ["compare", "--config", a0, "--out", str(tmp_path / "a0")]]
+        assert self._scipy_after(steps) == [[]] * 4
+        for out in ("feasibility", "a0"):
             assert any((tmp_path / out).iterdir())
+
+    def test_a_default_compare_does_not_import_scipy_sparse(self, tmp_path):
+        # scipy.sparse serves only the SuperLU factor of a reduced block
+        # wider than pdn_grid._REDUCED_MAX_WIDTH, which no default run
+        # reaches, so it is imported there and not with pdnx; the band
+        # factors of a default compare load scipy.linalg.
+        before, after = self._scipy_after([["compare", "--out", str(tmp_path / "out")]])
+        assert before == []
+        assert "scipy.linalg" in after
+        assert "scipy.sparse" not in after
+        assert (tmp_path / "out" / "comparison.json").exists()
 
 
 class TestStampBehavior:
