@@ -44,6 +44,7 @@ from . import converter as conv
 from . import interconnect as ic
 from . import pdn_grid as grid
 from . import placement as plc
+from .config import ARCHITECTURE_NAMES
 from .converter import StageSpec
 from .datasets import Datasets
 from .errors import PdnxError, Unsatisfiable, ZeroConnections
@@ -51,7 +52,6 @@ from .floats import ordered_sum
 from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
 
-ARCHITECTURE_NAMES = ("A0", "A1", "A2", "A3@12V", "A3@6V")
 MIN_DIE_AREA_FLOOR_MM2 = 1.0   # stands in for what else bounds a die, such as VR footprints
 INPUT_VOLTAGE_V = 48.0         # the board rail
 REFERENCE_EFFICIENCY = 0.90    # the reference chain's one flat board-level converter

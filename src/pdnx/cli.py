@@ -20,12 +20,13 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from . import architecture as arch
-from . import reporting as rpt
-from .calibrate import parse_targets, run_calibration
-from .config import RunConfig, check_formats, load_config
+from .config import ARCHITECTURE_NAMES, RunConfig, check_formats, load_config
 from .datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
 from .errors import ConfigError, PdnxError, SingularSystem, TargetUnreachable, Unsatisfiable
+
+# architecture, reporting and calibrate load numpy, so a command imports them
+# once its configuration is loaded and checked: `pdnx datasets`, `--help` and
+# a config error load none of them.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,7 +94,7 @@ def _load(args) -> tuple[RunConfig, "object"]:
         cfg.strict = True
     datasets = load_datasets(cfg.dataset_overrides)
     for name in cfg.architectures:
-        if name not in arch.ARCHITECTURE_NAMES:
+        if name not in ARCHITECTURE_NAMES:
             raise ConfigError(f"unknown architecture '{name}'")
     for name in cfg.topologies:
         if name not in datasets.topologies:
@@ -102,6 +103,7 @@ def _load(args) -> tuple[RunConfig, "object"]:
 
 
 def _emit(cfg: RunConfig, stem: str, json_doc, csv_text: str, txt_text: str) -> list[str]:
+    from . import reporting as rpt
     written = []
     for fmt, content in (("json", rpt.dump_json(json_doc)), ("csv", csv_text),
                          ("txt", txt_text)):
@@ -128,6 +130,8 @@ def cmd_datasets(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, datasets = _load(args)
+    from . import architecture as arch
+    from . import reporting as rpt
     cell = arch.evaluate_cell(
         cfg.architectures[0], cfg.topologies[0], datasets,
         die_area_mm2=cfg.die_area_mm2, total_power_w=cfg.total_power_w,
@@ -158,6 +162,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, datasets = _load(args)
+    from . import architecture as arch
+    from . import reporting as rpt
     table = arch.compare(
         cfg.architectures, cfg.topologies, datasets,
         die_area_mm2=cfg.die_area_mm2, total_power_w=cfg.total_power_w,
@@ -214,6 +220,8 @@ def cmd_sweep(args) -> int:
             f"(known: {', '.join([*SWEEP_PARAMETERS, *SWEEP_RUN_PARAMETERS])})"
         )
     values = _parse_values(args.values)
+    from . import architecture as arch
+    from . import reporting as rpt
     arch_name = cfg.architectures[0]
     topo_name = cfg.topologies[0]
 
@@ -256,6 +264,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg, datasets = _load(args)
+    from . import reporting as rpt
+    from .calibrate import parse_targets, run_calibration
     targets = parse_targets(args.target)
     calibration, residuals = run_calibration(datasets, targets)
     doc = calibration_to_document(
@@ -274,6 +284,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_feasibility(args) -> int:
     cfg, datasets = _load(args)
+    from . import architecture as arch
+    from . import reporting as rpt
     arch_name = cfg.architectures[0]
     spec = arch.build_architecture(
         arch_name, cfg.topologies[0], datasets,

@@ -18,6 +18,7 @@ _KNOWN_KEYS = {
     "die_area_mm2", "datasets", "out_dir", "formats", "strict",
 }
 _FORMATS = ("json", "csv", "txt")
+ARCHITECTURE_NAMES = ("A0", "A1", "A2", "A3@12V", "A3@6V")
 
 
 @dataclass

@@ -44,7 +44,6 @@ class VrSite:
     y_mm: float
     footprint_mm2: float
     ring_index: int      # 0 = innermost periphery row; 0 for under-die sites
-    zone: str            # "periphery" | "under_die"
 
 
 def _ring_contour_point(half_extent: float, t: float) -> tuple[float, float, float, float]:
@@ -124,8 +123,7 @@ def place_periphery(plan: DieFloorplan, n: int, footprint_mm2: float) -> list[Vr
         offset = width / 2.0
         for i in range(n_ring):
             x, y, nx_, ny_ = _ring_contour_point(inner_half, (i + 0.5) * step)
-            sites.append(VrSite(x + nx_ * offset, y + ny_ * offset,
-                                footprint_mm2, ring, "periphery"))
+            sites.append(VrSite(x + nx_ * offset, y + ny_ * offset, footprint_mm2, ring))
     return sites
 
 
@@ -168,7 +166,7 @@ def place_under_die(plan: DieFloorplan, n: int, footprint_mm2: float) -> UnderDi
         row, col = divmod(idx, g)
         x = -half + (col + 0.5) * cell
         y = -half + (row + 0.5) * cell
-        sites.append(VrSite(x, y, footprint_mm2, 0, "under_die"))
+        sites.append(VrSite(x, y, footprint_mm2, 0))
 
     return UnderDiePlacement(
         tuple(sites),

@@ -316,18 +316,18 @@ class TestSweepBatch:
         # planes split by their mirror symmetry, and both demands are
         # symmetric up to rounding: each plane factorises its symmetric
         # sector only.
-        from pdnx import cli, pdn_grid
+        from pdnx import pdn_grid, reporting
         from pdnx.architecture import evaluate_cell
 
         planes, factored, cells = [], [], []
         factor, factor_block = pdn_grid._factor_plane, pdn_grid._factor_block
-        to_row = cli.rpt.cell_to_csv_row
+        to_row = reporting.cell_to_csv_row
         monkeypatch.setattr(pdn_grid, "_operator", None)
         monkeypatch.setattr(pdn_grid, "_factor_plane",
                             lambda key: planes.append(key) or factor(key))
         monkeypatch.setattr(pdn_grid, "_factor_block",
                             lambda *a: factored.append(a[-1].lo.size) or factor_block(*a))
-        monkeypatch.setattr(cli.rpt, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
+        monkeypatch.setattr(reporting, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
         cfg = write_config(tmp_path, {"architectures": "A3@12V", "topologies": "DSCH"})
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path),
                        "--param", "total_power", "--values", "400:1000:15") == 0
@@ -347,15 +347,15 @@ class TestSweepBatch:
         # point builds its plane, and at 800 W its worst VR is at the
         # rating up to rounding, so within it; above it the mean per-VR load
         # decides, and no plane is built.
-        from pdnx import cli, pdn_grid
+        from pdnx import pdn_grid, reporting
         from pdnx.architecture import evaluate_cell
 
         built, solved, cells = [], [], []
-        build, solve, to_row = pdn_grid.build_problem, pdn_grid.solve_dc, cli.rpt.cell_to_csv_row
+        build, solve, to_row = pdn_grid.build_problem, pdn_grid.solve_dc, reporting.cell_to_csv_row
         monkeypatch.setattr(pdn_grid, "build_problem",
                             lambda *a, **k: built.append(a[2]) or build(*a, **k))
         monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(1) or solve(p))
-        monkeypatch.setattr(cli.rpt, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
+        monkeypatch.setattr(reporting, "cell_to_csv_row", lambda c: cells.append(c) or to_row(c))
         cfg = write_config(tmp_path, {"architectures": "A1", "topologies": "DPMIH"})
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path),
                        "--param", "total_power", "--values", "400:1000:100") == 0
@@ -702,28 +702,54 @@ class TestEntryPoint:
         assert "table1" in result.stdout
 
     @staticmethod
-    def _scipy_after(steps):
+    def _loaded_after(steps):
         # One child imports pdnx, loads the datasets, then runs each command
-        # in turn, listing the scipy packages loaded after each step.
+        # in turn. After each of these steps it lists the numpy, scipy and
+        # pdnx modules loaded (to two dotted parts) and the command's exit
+        # code; the first two steps have no exit code.
         src = str(Path(pdnx.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import json, sys\n"
-                "import pdnx\n"
-                "pdnx.load_datasets()\n"
-                "from pdnx.cli import main\n"
                 "def loaded():\n"
                 "    return sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
-                "                   if m.split('.')[0] == 'scipy'})\n"
-                "seen = [loaded()]\n"
+                "                   if m.split('.')[0] in ('numpy', 'scipy', 'pdnx')})\n"
+                "import pdnx\n"
+                "seen = [[None, loaded()]]\n"
+                "pdnx.load_datasets()\n"
+                "seen.append([None, loaded()])\n"
+                "from pdnx.cli import main\n"
                 "for argv in json.loads(sys.argv[1]):\n"
-                "    assert main(argv) == 0, argv\n"
-                "    seen.append(loaded())\n"
+                "    seen.append([main(argv), loaded()])\n"
                 "print(json.dumps(seen))\n")
         result = subprocess.run([sys.executable, "-c", code, json.dumps(steps)],
                                 capture_output=True, text=True, timeout=120,
                                 env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout.splitlines()[-1])
+
+    @staticmethod
+    def _scipy(modules):
+        return [m for m in modules if m.split(".")[0] == "scipy"]
+
+    def test_numpy_is_imported_only_by_a_command_that_evaluates(self, tmp_path):
+        # Each exported name loads its submodule on first use, and the CLI
+        # imports architecture, reporting and calibrate inside the commands
+        # that evaluate. So importing pdnx, loading the datasets, `pdnx
+        # datasets`, --help and a usage or config error load no numpy and
+        # none of the modules that need it.
+        bad_arch = write_config(tmp_path, {"architectures": "A9"})
+        steps = [["datasets"], ["--help"], ["compare", "--config", str(tmp_path / "none.json")],
+                 ["evaluate", "--format", "xml"], ["evaluate", "--config", bad_arch],
+                 ["sweep", "--param", "nope", "--values", "1"], ["nonesuch"]]
+        seen = self._loaded_after(steps)
+        assert seen[0] == [None, ["pdnx"]]
+        assert seen[1] == [None, ["pdnx", "pdnx.converter", "pdnx.datasets", "pdnx.errors",
+                                  "pdnx.interconnect"]]
+        assert [code for code, _ in seen[2:]] == [0, 0, 2, 2, 2, 2, 2]
+        for _, modules in seen:
+            assert not {"numpy", "pdnx.floats", "pdnx.pdn_grid", "pdnx.architecture",
+                        "pdnx.placement", "pdnx.reporting", "pdnx.calibrate"} & set(modules)
+            assert self._scipy(modules) == []
 
     def test_scipy_is_imported_only_where_a_plane_is_factored(self, tmp_path):
         # pdn_grid imports scipy.linalg where a band factor is made or
@@ -732,7 +758,9 @@ class TestEntryPoint:
         a0 = write_config(tmp_path, {"architectures": "A0", "topologies": ["DSCH", "DPMIH"]})
         steps = [["datasets"], ["feasibility", "--out", str(tmp_path / "feasibility")],
                  ["compare", "--config", a0, "--out", str(tmp_path / "a0")]]
-        assert self._scipy_after(steps) == [[]] * 4
+        seen = self._loaded_after(steps)
+        assert [code for code, _ in seen] == [None, None, 0, 0, 0]
+        assert [self._scipy(modules) for _, modules in seen] == [[]] * 5
         for out in ("feasibility", "a0"):
             assert any((tmp_path / out).iterdir())
 
@@ -740,10 +768,11 @@ class TestEntryPoint:
         # scipy.sparse serves only the SuperLU factor of a reduced block
         # wider than pdn_grid._REDUCED_MAX_WIDTH, which no default run
         # reaches, so it is imported there and not with pdnx; the band
-        # factors of a default compare load scipy.linalg.
-        before, after = self._scipy_after([["compare", "--out", str(tmp_path / "out")]])
-        assert before == []
-        assert "scipy.linalg" in after
+        # factors of a default compare load scipy.linalg, and numpy comes
+        # with the plane solver.
+        *_, (code, after) = self._loaded_after([["compare", "--out", str(tmp_path / "out")]])
+        assert code == 0
+        assert {"numpy", "pdnx.pdn_grid", "scipy.linalg"} <= set(after)
         assert "scipy.sparse" not in after
         assert (tmp_path / "out" / "comparison.json").exists()
 

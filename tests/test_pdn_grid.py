@@ -940,7 +940,7 @@ class TestNodeCap:
 
     def test_extension_counts_toward_cap(self):
         plan = DieFloorplan(100.0, 8.0)
-        far = VrSite(5000.0, 0.0, 4.0, 0, "periphery")
+        far = VrSite(5000.0, 0.0, 4.0, 0)
         with pytest.raises(ValueError, match="node limit"):
             build_problem(plan, [far], 50.0, 1e-3, grid_resolution=32)
 
@@ -949,7 +949,7 @@ class TestNodeCap:
         # site forces does not.
         monkeypatch.setattr(pdn_grid, "_MAX_NODES", 5)
         plan = DieFloorplan(100.0, 8.0)
-        site = VrSite(0.0, 0.0, 4.0, 0, "under_die")
+        site = VrSite(0.0, 0.0, 4.0, 0)
         with pytest.raises(ValueError, match="3x3 lattice"):
             build_problem(plan, [site], 50.0, 1e-3, grid_resolution=2)
 
@@ -971,7 +971,7 @@ class TestBuildProblem:
         # the exact center of a 2x2 lattice ties all four nodes; one
         # refinement puts a node at the center
         plan = DieFloorplan(100.0, 8.0)
-        site = VrSite(0.0, 0.0, 4.0, 0, "under_die")
+        site = VrSite(0.0, 0.0, 4.0, 0)
         problem = build_problem(plan, [site], 50.0, 1e-3, grid_resolution=2)
         assert problem.grid.nx == 3
         node = next(iter(problem.source_nodes))
@@ -979,8 +979,8 @@ class TestBuildProblem:
 
     def test_coincident_sites_degenerate(self):
         plan = DieFloorplan(100.0, 8.0)
-        sites = [VrSite(1.0, 1.0, 4.0, 0, "under_die"),
-                 VrSite(1.0, 1.0, 4.0, 0, "under_die")]
+        sites = [VrSite(1.0, 1.0, 4.0, 0),
+                 VrSite(1.0, 1.0, 4.0, 0)]
         with pytest.raises(DegenerateGrid):
             build_problem(plan, sites, 50.0, 1e-3, grid_resolution=8)
 
@@ -1209,7 +1209,7 @@ class TestDiscretisationOracle:
         # site to its own node and a node under the die is left to draw
         # demand, and refines once otherwise.
         plan = DieFloorplan(81.0, 8.0)
-        placed = [VrSite(x, y, f, 0, "under_die") for x, y, f in sites]
+        placed = [VrSite(x, y, f, 0) for x, y, f in sites]
         rows = np.array(sites, dtype=float).T
 
         def lattice(r):
@@ -1252,7 +1252,7 @@ class TestDiscretisationOracle:
         # Within half a pitch of the centre site the sink snaps onto its
         # node; at half the pitch it has a node of its own.
         plan = DieFloorplan(1024.0, 8.0)
-        site = VrSite(0.0, 0.0, 0.01, 0, "under_die")
+        site = VrSite(0.0, 0.0, 0.01, 0)
         pitch = 32.0 / 32
         problem = build_problem(plan, [site], 10.0, 1e-3, 33,
                                 explicit_sinks=[(0.4 * pitch, 0.0, 1.0)])
@@ -1265,7 +1265,7 @@ class TestDiscretisationOracle:
 
     def test_repeated_explicit_sinks_accumulate_in_order(self):
         plan = DieFloorplan(100.0, 8.0)
-        site = VrSite(-4.0, -4.0, 0.01, 0, "under_die")
+        site = VrSite(-4.0, -4.0, 0.01, 0)
         sinks = [(1.0, 1.0, 0.1), (3.0, 3.0, 0.7), (1.0, 1.0, 0.2)]
         problem = build_problem(plan, [site], 2.0, 1e-3, 11, explicit_sinks=sinks)
         grid = problem.grid
@@ -1277,9 +1277,9 @@ class TestDiscretisationOracle:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_site_or_sink_rejected(self, bad):
         plan = DieFloorplan(100.0, 8.0)
-        site = VrSite(0.0, 0.0, 1.0, 0, "under_die")
+        site = VrSite(0.0, 0.0, 1.0, 0)
         with pytest.raises(ValueError, match="finite"):
-            build_problem(plan, [VrSite(bad, 0.0, 1.0, 0, "under_die")], 1.0, 1e-3, 9)
+            build_problem(plan, [VrSite(bad, 0.0, 1.0, 0)], 1.0, 1e-3, 9)
         with pytest.raises(ValueError, match="finite"):
             build_problem(plan, [site], 1.0, 1e-3, 9, explicit_sinks=[(1.0, bad, 1.0)])
 
@@ -1551,7 +1551,7 @@ class TestStencilAssembly:
         # footprints that overlap their neighbours'.
         plan = DieFloorplan(100.0, 8.0)
         corners = [(-4.0, -4.0), (4.0, -4.0), (-4.0, 4.0), (4.0, 4.0)]
-        sites = [VrSite(*corners[k], 9.0, 0, "under_die") for k in order]
+        sites = [VrSite(*corners[k], 9.0, 0) for k in order]
         assume(sum(a for _, _, a in sinks) > 0)
         try:
             problem = build_problem(plan, sites, 20.0, 1e-3, resolution,
