@@ -10,6 +10,8 @@ resistance remains the knob for the horizontal loss level itself. The POL
 currents are a closed-form function of the demand weight
 (architecture.pol_current_curve), so the scan solves the plane twice, not
 once per weight.
+
+The fits import architecture, and so numpy, only when they run.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from . import architecture as arch
 from . import interconnect as ic
 from .datasets import Calibration, Datasets
 from .errors import ConfigError, TargetUnreachable
@@ -33,6 +34,7 @@ def calibrate_a0_loss(datasets: Datasets, target_pct: float) -> tuple[Calibratio
     the line. A target below the zero-resistance loss would need a negative
     resistance and is unreachable.
     """
+    from . import architecture as arch
     cal = datasets.calibration
     spec = arch.build_architecture("A0", None, datasets)
 
@@ -59,6 +61,7 @@ def calibrate_min_die_area(datasets: Datasets, target_mm2: float) -> tuple[Calib
     ratio) of die, so n is the floor or the ceiling of the n this inverts to,
     whichever min_die_area_for_current (which sees every level) puts nearer.
     """
+    from . import architecture as arch
     cal = datasets.calibration
     c4 = datasets.levels["c4"]
     n = target_mm2 * 1e6 * c4.area_ratio_to_die * cal.policy().cap("c4") / (2 * c4.pitch_um ** 2)
@@ -76,6 +79,7 @@ def calibrate_min_die_area(datasets: Datasets, target_mm2: float) -> tuple[Calib
 def calibrate_utilizations(datasets: Datasets,
                            targets: dict[str, float]) -> tuple[Calibration, float]:
     """Back-solve ampacities so nameplate utilization hits each target fraction."""
+    from . import architecture as arch
     cal = datasets.calibration
     spec = arch.build_architecture("A1", "DSCH", datasets)
     domain_by_level = {a.level_name: a.domain_voltage_v for a in spec.stack}
@@ -98,6 +102,7 @@ def calibrate_utilizations(datasets: Datasets,
 
 def calibrate_spread(datasets: Datasets, arch_name: str, topology: str,
                      target_lo: float, target_hi: float) -> tuple[Calibration, float]:
+    from . import architecture as arch
     currents_at = arch.pol_current_curve(
         arch.build_architecture(arch_name, topology, datasets), datasets)
     best_w, best_res = None, math.inf

@@ -1,15 +1,16 @@
 """Batch command-line front end.
 
-    pdnx datasets   [--config FILE]
-    pdnx evaluate    --config FILE [--out DIR] [--format json,csv,txt] [--strict] [--stamp]
-    pdnx compare     --config FILE [...]
-    pdnx sweep       --config FILE --param NAME --values LIST [...]
-    pdnx calibrate  [--config FILE] --target NAME=VALUE [...]
-    pdnx feasibility --config FILE [...]
+    pdnx datasets    [--config FILE]
+    pdnx evaluate    [--config FILE] [--out DIR] [--format json,csv,txt] [--strict] [--stamp]
+    pdnx compare     [--config FILE] [--out DIR] [--format json,csv,txt] [--strict] [--stamp]
+    pdnx sweep       [--config FILE] [--out DIR] --param NAME --values LIST
+    pdnx calibrate   [--config FILE] [--out DIR] [--target NAME=VALUE ...]
+    pdnx feasibility [--config FILE] [--out DIR] [--format json,csv,txt] [--strict]
 
-Exit codes: 0 success, 2 config or usage error, 3 feasibility failure in
-strict mode, 4 numerical failure. All outputs are deterministic; text
-reports embed a timestamp only under --stamp.
+Each command takes only the options it reads; any other is a usage error.
+Exit codes: 0 success, 2 config or usage error, 3 feasibility failure under
+--strict (evaluate, compare, feasibility), 4 numerical failure. All outputs
+are deterministic; text reports embed a timestamp only under --stamp.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .config import ARCHITECTURE_NAMES, RunConfig, check_formats, load_config
 from .datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
 from .errors import ConfigError, PdnxError, SingularSystem, TargetUnreachable, Unsatisfiable
 
-# architecture, reporting and calibrate load numpy, so a command imports them
-# once its configuration is loaded and checked: `pdnx datasets`, `--help` and
-# a config error load none of them.
+# architecture and reporting load numpy, so a command imports them once its
+# configuration (and a calibration's targets) is loaded and checked: `pdnx
+# datasets`, `--help` and a config error load none of them.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,49 +49,54 @@ SWEEP_RUN_PARAMETERS = ("die_area", "total_power")
 _MAX_SWEEP_SAMPLES = 100_000
 
 
+# Every option a command may take, as add_argument keywords.
+_OPTIONS = {
+    "config": {"help": "run configuration (JSON or dotted key=value)"},
+    "out": {"help": "output directory (default from config)"},
+    "format": {"help": "comma list of json,csv,txt"},
+    "strict": {"action": "store_true", "help": "treat feasibility failures as errors (exit 3)"},
+    "stamp": {"action": "store_true", "help": "embed a timestamp in text reports"},
+    "param": {"required": True,
+              "help": f"one of: {', '.join([*SWEEP_PARAMETERS, *SWEEP_RUN_PARAMETERS])}"},
+    "values": {"required": True, "help": "comma list (1,2,3) or range start:stop:step"},
+    "target": {"action": "append", "default": [], "metavar": "NAME=VALUE",
+               "help": "a0_loss_pct=40 | a1_spread=16:27 | a2_spread=10:93 | "
+                       "min_die_area=1200 | utilizations=bga:0.01,c4:0.02,..."},
+}
+_REPORTS = ("config", "out", "format", "strict", "stamp")
+# Each command with its help and the options it reads.
+_COMMAND_OPTIONS = {
+    "datasets": ("list built-in datasets and overrides", ("config",)),
+    "evaluate": ("evaluate one architecture + converter", _REPORTS),
+    "compare": ("evaluate every architecture x converter cell", _REPORTS),
+    "sweep": ("evaluate along one numeric knob", ("config", "out", "param", "values")),
+    "calibrate": ("fit calibration knobs to targets", ("config", "out", "target")),
+    "feasibility": ("usage caps and minimum die area", ("config", "out", "format", "strict")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdnx",
         description="Board-to-die power delivery design space exploration",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="run configuration (JSON or dotted key=value)")
-        p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--format", help="comma list of json,csv,txt")
-        p.add_argument("--strict", action="store_true",
-                       help="treat feasibility failures as errors (exit 3)")
-        p.add_argument("--stamp", action="store_true",
-                       help="embed a timestamp in text reports")
-
-    common(sub.add_parser("datasets", help="list built-in datasets and overrides"))
-    common(sub.add_parser("evaluate", help="evaluate one architecture + converter"))
-    common(sub.add_parser("compare", help="evaluate every architecture x converter cell"))
-    p_sweep = sub.add_parser("sweep", help="evaluate along one numeric knob")
-    common(p_sweep)
-    p_sweep.add_argument("--param", required=True,
-                         help=f"one of: {', '.join([*SWEEP_PARAMETERS, *SWEEP_RUN_PARAMETERS])}")
-    p_sweep.add_argument("--values", required=True,
-                         help="comma list (1,2,3) or range start:stop:step")
-    p_cal = sub.add_parser("calibrate", help="fit calibration knobs to targets")
-    common(p_cal)
-    p_cal.add_argument("--target", action="append", default=[],
-                       metavar="NAME=VALUE",
-                       help="a0_loss_pct=40 | a1_spread=16:27 | a2_spread=10:93 | "
-                            "min_die_area=1200 | utilizations=bga:0.01,c4:0.02,...")
-    common(sub.add_parser("feasibility", help="usage caps and minimum die area"))
+    for command, (help_text, options) in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
 def _load(args) -> tuple[RunConfig, "object"]:
+    """The run config with the command's own options applied, and its datasets."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    if args.out:
+    if getattr(args, "out", None):
         cfg.out_dir = args.out
-    if args.format:
+    if getattr(args, "format", None):
         fmts = tuple(f.strip() for f in args.format.split(",") if f.strip())
         cfg.formats = check_formats(fmts, "--format")
-    if args.strict:
+    if getattr(args, "strict", False):
         cfg.strict = True
     datasets = load_datasets(cfg.dataset_overrides)
     for name in cfg.architectures:
@@ -264,9 +270,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg, datasets = _load(args)
-    from . import reporting as rpt
     from .calibrate import parse_targets, run_calibration
     targets = parse_targets(args.target)
+    from . import reporting as rpt
     calibration, residuals = run_calibration(datasets, targets)
     doc = calibration_to_document(
         calibration,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -119,7 +119,6 @@ class Datasets:
     vr_site_counts: dict[str, VrSiteCounts]
     calibration: Calibration
     reference_die_area_mm2: float
-    provenance: dict[str, str] = field(default_factory=dict)
     overridden_fields: tuple[str, ...] = ()
 
     def stack_levels(self) -> tuple[str, ...]:
@@ -243,16 +242,10 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
             resistivity_ohm_m=dict(cal_doc["resistivity_ohm_m"]),
             ampacity_a=dict(cal_doc["ampacity_a"]),
             max_usage_fraction=dict(cal_doc["max_usage_fraction"]),
-            sheet_resistance_ohm_sq=float(cal_doc["sheet_resistance_ohm_sq"]),
-            droop_share_resistance_scale=float(cal_doc["droop_share_resistance_scale"]),
-            die_grid_multiplier=float(cal_doc["die_grid_multiplier"]),
-            power_die_multiplier=float(cal_doc["power_die_multiplier"]),
-            pcb_lateral_resistance_ohm=float(cal_doc["pcb_lateral_resistance_ohm"]),
-            demand_weight=float(cal_doc["demand_weight"]),
+            **{name: _number(cal_doc, name) for name in _LOWER_BOUNDS},
             grid_resolution=int(resolution),
             dpmih_efficiency_variant=str(cal_doc["dpmih_efficiency_variant"]),
             die_attach_level=str(cal_doc["die_attach_level"]),
-            interposer_margin_mm=float(cal_doc["interposer_margin_mm"]),
             idle_shutdown=cal_doc["idle_shutdown"],
             notes=tuple(cal_doc.get("notes", ())),
         )
@@ -269,7 +262,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         return InterconnectLevel(
             name=row["name"],
             platform_area_mm2=_number(row, "platform_area_mm2"),
-            material=material,
             resistivity_ohm_m=(calibration.resistivity_ohm_m[material]
                                if row.get("resistivity_ohm_m") is None
                                else _number(row, "resistivity_ohm_m")),
@@ -318,7 +310,6 @@ def _assemble(raw: dict[str, dict], touched: tuple[str, ...]) -> Datasets:
         vr_site_counts=counts,
         calibration=calibration,
         reference_die_area_mm2=float(raw["table1"].get("reference_die_area_mm2", 500.0)),
-        provenance={name: raw[name].get("provenance", "") for name in BUILTIN_NAMES},
         overridden_fields=touched,
     )
     for name in datasets.stack_levels():

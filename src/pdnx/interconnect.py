@@ -21,7 +21,6 @@ class InterconnectLevel:
 
     name: str
     platform_area_mm2: float      # area hosting the connection field
-    material: str                 # "copper" or "solder"
     resistivity_ohm_m: float
     cross_area_um2: float         # per-connection cross section
     height_um: float              # per-connection vertical span

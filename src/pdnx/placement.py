@@ -31,10 +31,6 @@ class DieFloorplan:
     def side_mm(self) -> float:
         return math.sqrt(self.die_area_mm2)
 
-    @property
-    def perimeter_mm(self) -> float:
-        return 4.0 * self.side_mm
-
 
 @dataclass(frozen=True)
 class VrSite:

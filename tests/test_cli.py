@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -687,6 +688,40 @@ class TestFeasibilityCommand:
         assert not (tmp_path / "o").exists()
 
 
+# The options each command reads; every other report option is a usage error.
+COMMAND_OPTIONS = {
+    "datasets": {"--config"},
+    "evaluate": {"--config", "--out", "--format", "--strict", "--stamp"},
+    "compare": {"--config", "--out", "--format", "--strict", "--stamp"},
+    "sweep": {"--config", "--out", "--param", "--values"},
+    "calibrate": {"--config", "--out", "--target"},
+    "feasibility": {"--config", "--out", "--format", "--strict"},
+}
+DROPPED = [(command, option) for command, options in COMMAND_OPTIONS.items()
+           for option in ("--out", "--format", "--strict", "--stamp") if option not in options]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", COMMAND_OPTIONS)
+    def test_help_lists_exactly_the_command_options(self, capsys, command):
+        assert run_cli(command, "--help") == 0
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert listed == COMMAND_OPTIONS[command] | {"--help"}
+
+    @pytest.mark.parametrize("command,option", DROPPED)
+    def test_an_option_the_command_does_not_read_exits_2(self, tmp_path, capsys, command,
+                                                          option):
+        # Each invocation is complete without the option, so only the option
+        # can make it a usage error.
+        out = tmp_path / "out"
+        argv = {"sweep": ["--param", "total_power", "--values", "1000"]}.get(command, [])
+        argv += ["--out", str(out)] if "--out" in COMMAND_OPTIONS[command] else []
+        value = {"--out": [str(out)], "--format": ["json"]}.get(option, [])
+        assert run_cli(command, *argv, option, *value) == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         # The child finds the package where this process found it, installed
@@ -736,20 +771,24 @@ class TestEntryPoint:
         # imports architecture, reporting and calibrate inside the commands
         # that evaluate. So importing pdnx, loading the datasets, `pdnx
         # datasets`, --help and a usage or config error load no numpy and
-        # none of the modules that need it.
+        # none of the modules that need it. A bad calibration target is
+        # parsed by the calibration module, whose fits import the evaluation
+        # only when they run.
         bad_arch = write_config(tmp_path, {"architectures": "A9"})
         steps = [["datasets"], ["--help"], ["compare", "--config", str(tmp_path / "none.json")],
                  ["evaluate", "--format", "xml"], ["evaluate", "--config", bad_arch],
-                 ["sweep", "--param", "nope", "--values", "1"], ["nonesuch"]]
+                 ["sweep", "--param", "nope", "--values", "1"], ["nonesuch"],
+                 ["calibrate", "--target", "bogus=1"]]
         seen = self._loaded_after(steps)
         assert seen[0] == [None, ["pdnx"]]
         assert seen[1] == [None, ["pdnx", "pdnx.converter", "pdnx.datasets", "pdnx.errors",
                                   "pdnx.interconnect"]]
-        assert [code for code, _ in seen[2:]] == [0, 0, 2, 2, 2, 2, 2]
+        assert [code for code, _ in seen[2:]] == [0, 0, 2, 2, 2, 2, 2, 2]
         for _, modules in seen:
             assert not {"numpy", "pdnx.floats", "pdnx.pdn_grid", "pdnx.architecture",
-                        "pdnx.placement", "pdnx.reporting", "pdnx.calibrate"} & set(modules)
+                        "pdnx.placement", "pdnx.reporting"} & set(modules)
             assert self._scipy(modules) == []
+        assert ["pdnx.calibrate" in modules for _, modules in seen] == [False] * 9 + [True]
 
     def test_scipy_is_imported_only_where_a_plane_is_factored(self, tmp_path):
         # pdn_grid imports scipy.linalg where a band factor is made or

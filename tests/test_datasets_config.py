@@ -28,7 +28,7 @@ class TestBuiltins:
         assert bga.cross_area_um2 == 125664.0
         assert bga.height_um == 300.0
         assert bga.pitch_um == 800.0
-        assert bga.material == "solder"
+        assert bga.resistivity_ohm_m == ds.calibration.resistivity_ohm_m["solder"]
         pad = ds.levels["adv_pad"]
         assert pad.cross_area_um2 == 100.0
 
@@ -184,6 +184,15 @@ class TestCalibrationValidation:
                                     * override.get(multiplier, 1.0)))
         ds = load_datasets({"calibration-default": {"sheet_resistance_ohm_sq": 4e-308}})
         assert ds.calibration.sheet_resistance_ohm_sq == 4e-308
+
+    @pytest.mark.parametrize("value", ["abc", None])
+    @pytest.mark.parametrize("name", [
+        "sheet_resistance_ohm_sq", "die_grid_multiplier", "power_die_multiplier",
+        "interposer_margin_mm", "pcb_lateral_resistance_ohm", "droop_share_resistance_scale",
+        "demand_weight"])
+    def test_non_numeric_value_names_its_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^calibration-default: {name}: "):
+            load_datasets({"calibration-default": {name: value}})
 
     @pytest.mark.parametrize("override", [
         {"resistivity_ohm_m": {"copper": -1e-8}}, {"ampacity_a": {"c4": math.nan}},

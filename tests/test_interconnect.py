@@ -39,7 +39,7 @@ class TestConnectionCount:
         assert connection_count(datasets.levels["adv_pad"]) == 1_250_000
 
     def test_single_site_when_area_equals_pitch_squared(self):
-        level = InterconnectLevel("one", 0.64, "solder", 1.4e-7, 100.0, 10.0, 800.0)
+        level = InterconnectLevel("one", 0.64, 1.4e-7, 100.0, 10.0, 800.0)
         assert connection_count(level) == 1
 
     def test_scaling_invariance(self, datasets):
@@ -47,8 +47,8 @@ class TestConnectionCount:
         for level in datasets.levels.values():
             for k in (4.0, 0.25):
                 scaled = InterconnectLevel(
-                    level.name, level.platform_area_mm2 * k, level.material,
-                    level.resistivity_ohm_m, level.cross_area_um2, level.height_um,
+                    level.name, level.platform_area_mm2 * k, level.resistivity_ohm_m,
+                    level.cross_area_um2, level.height_um,
                     level.pitch_um * math.sqrt(k),
                 )
                 assert connection_count(scaled) == connection_count(level)
@@ -71,14 +71,14 @@ class TestPerConnectionResistance:
             3.3422e-4, rel=1e-4)
 
     def test_zero_height_is_zero_ohm(self):
-        level = InterconnectLevel("pad0", 500.0, "copper", 1.68e-8, 100.0, 0.0, 20.0)
+        level = InterconnectLevel("pad0", 500.0, 1.68e-8, 100.0, 0.0, 20.0)
         assert per_connection_resistance(level) == 0.0
 
     def test_doubling_cross_area_halves_resistance(self, datasets):
         for level in datasets.levels.values():
             doubled = InterconnectLevel(
-                level.name, level.platform_area_mm2, level.material,
-                level.resistivity_ohm_m, level.cross_area_um2 * 2.0,
+                level.name, level.platform_area_mm2, level.resistivity_ohm_m,
+                level.cross_area_um2 * 2.0,
                 level.height_um, level.pitch_um,
             )
             assert per_connection_resistance(doubled) == pytest.approx(
@@ -105,7 +105,7 @@ class TestEffectiveResistance:
 def _synthetic_level(per_connection_ohm: float) -> InterconnectLevel:
     # rho * h / A = per_connection_ohm with h = 50 um, A = 1000 um2.
     rho = per_connection_ohm * 1e-9 / 50e-6
-    return InterconnectLevel("synth", 500.0, "copper", rho, 1000.0, 50.0, 100.0)
+    return InterconnectLevel("synth", 500.0, rho, 1000.0, 50.0, 100.0)
 
 
 class TestLevelLoss:
@@ -177,7 +177,7 @@ class TestRequiredConnections:
 class TestValidation:
     def test_bad_pitch_rejected(self):
         with pytest.raises(ValueError):
-            InterconnectLevel("bad", 500.0, "copper", 1.68e-8, 100.0, 10.0, 0.0)
+            InterconnectLevel("bad", 500.0, 1.68e-8, 100.0, 10.0, 0.0)
 
     @pytest.mark.parametrize("field", ["platform_area_mm2", "resistivity_ohm_m",
                                        "cross_area_um2", "height_um", "pitch_um",
@@ -194,4 +194,4 @@ class TestValidation:
 
     def test_footprint_denser_than_pitch_warns_only(self):
         with pytest.warns(UserWarning):
-            InterconnectLevel("odd", 500.0, "copper", 1.68e-8, 500.0, 10.0, 20.0)
+            InterconnectLevel("odd", 500.0, 1.68e-8, 500.0, 10.0, 20.0)

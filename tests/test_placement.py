@@ -24,7 +24,7 @@ class TestPeriphery:
         # 89.44 mm of die outline at 2.69 mm site width
         width = math.sqrt(DSCH_FOOTPRINT)
         assert ring_capacity(plan, 0, width) == 33
-        assert ring_capacity(plan, 0, width) == math.floor(plan.perimeter_mm / width)
+        assert ring_capacity(plan, 0, width) == math.floor(4.0 * plan.side_mm / width)
 
     def test_48_sites_fill_two_rings(self, plan):
         sites = place_periphery(plan, 48, DSCH_FOOTPRINT)
