@@ -75,7 +75,10 @@ _COMMAND_OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """The parsed command line. An argument the command does not take is a
+    usage error reported by the command's own parser, so its usage line
+    names the command and the options it does take."""
     parser = argparse.ArgumentParser(
         prog="pdnx",
         description="Board-to-die power delivery design space exploration",
@@ -85,7 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for option in options:
             p.add_argument(f"--{option}", **_OPTIONS[option])
-    return parser
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def _load(args) -> tuple[RunConfig, "object"]:
@@ -345,9 +351,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -9,7 +9,10 @@ centre, which no node represents, or two sites on one node refine the
 lattice once. Point-of-load demand is drawn as current sinks spread over
 the nodes under the die shadow; a problem keeps them as one node-index
 array and one current array, and each VR's contacts as a count per VR and
-one flat node array. Every VR on a plane regulates one rail, at one
+one flat node array. That discretisation depends only on the floorplan, the
+sites, the resolution and the explicit sinks' positions, so the last one is
+kept and reused while problems on one placement differ only in conductances
+and currents. Every VR on a plane regulates one rail, at one
 voltage, and the unknowns are the drops u = v - rail below it on the plane
 nodes. With pinned outputs a VR holds the plane node it snapped to at the
 rail; with output droop it feeds each of its footprint contacts through one
@@ -315,6 +318,82 @@ def _build_grid(plan: DieFloorplan, x: np.ndarray, y: np.ndarray, half_width: np
     return ResistiveGrid(n, n, pitch, sheet_resistance, origin, origin)
 
 
+@dataclass(frozen=True)
+class _Lattice:
+    """A placement discretised on one lattice: all that build_problem draws
+    from the floorplan, the sites, the resolution and the explicit sinks'
+    positions, and nothing it draws from a current, conductance or voltage.
+
+    sources is None when the sites or sinks do not snap cleanly; the
+    placement is then refined. Otherwise demand lists the sink nodes and
+    parts what weighs them: without explicit sinks, the drawn nodes'
+    uniform and radial weights (profile_parts); with them, each sink's
+    index among the merged nodes and the merged nodes' order of first
+    occurrence. The arrays problems share are read-only.
+    """
+
+    grid: ResistiveGrid
+    sources: tuple[int, ...] | None = None
+    contact_counts: np.ndarray | None = None
+    contact_nodes: np.ndarray | None = None
+    demand: np.ndarray | None = None
+    parts: tuple[np.ndarray, np.ndarray] = ()
+
+    def sink_currents(self, demand_a: float, demand_weight: float,
+                      sink_a: np.ndarray | None) -> np.ndarray | None:
+        """The current at each demand node, None if the lattice draws none.
+
+        Explicit sinks on one node accumulate in the order given, and the
+        total adds the merged currents left to right in first-occurrence
+        order. A profile's total is summed left to right in node order, so
+        it depends neither on numpy's pairwise blocking nor on the Python
+        version.
+        """
+        if sink_a is not None:
+            inverse, order = self.parts
+            summed = np.bincount(inverse, weights=sink_a, minlength=order.size)[order]
+            total = ordered_sum(summed)
+            # Normalised first: demand_a / total is inf for a subnormal total.
+            return summed / total * demand_a if total > 0 else summed
+        uniform, radial = self.parts
+        w = uniform + demand_weight * radial
+        total_w = ordered_sum(w)
+        return demand_a * w / total_w if total_w > 0 else None
+
+
+def _discretise(plan: DieFloorplan, x: np.ndarray, y: np.ndarray, half_width: np.ndarray,
+                sink_xy: np.ndarray | None, resolution: int) -> _Lattice:
+    """The placement on the lattice at resolution: the sites snapped, then
+    the explicit sinks snapped and merged per node, or the demand nodes
+    weighed, then each site's footprint contacts. The lattice's sheet
+    resistance is a placeholder, 1, that each problem replaces."""
+    grid = _build_grid(plan, x, y, half_width, resolution, 1.0)
+    nodes, ambiguous = _snap_points(grid, x, y)
+    if ambiguous.any() or np.unique(nodes).size < nodes.size:
+        return _Lattice(grid)
+    if sink_xy is None:
+        demand, *parts = profile_parts(plan, grid, nodes)
+    else:
+        snapped, ambiguous = _snap_points(grid, sink_xy[:, 0], sink_xy[:, 1])
+        if ambiguous.any() or np.isin(snapped, nodes).any() or not snapped.size:
+            return _Lattice(grid)
+        merged, first, inverse = np.unique(snapped, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        demand, parts = merged[order], (inverse, order)
+    counts, contacts = _footprint_contacts(grid, x, y, half_width, nodes)
+    for shared in (demand, counts, contacts):
+        shared.flags.writeable = False
+    return _Lattice(grid, tuple(nodes.tolist()), counts, contacts, demand, tuple(parts))
+
+
+# The placement of the last problem built: its key, the bytes of what
+# _discretise reads, and its lattices, the refinement only once a build has
+# needed it. A build with the same key reuses them; any other releases them
+# first, so at most one placement's lattices are alive, and keeps its own
+# only if it returns a problem.
+_discretisation: tuple[tuple, list[_Lattice]] | None = None
+
+
 def build_problem(
     plan: DieFloorplan,
     sites: list[VrSite] | tuple[VrSite, ...],
@@ -336,11 +415,19 @@ def build_problem(
     radial profile (weight 1 + w*(1 - (r/r0)^2) with r0 the die
     half-diagonal; w = 0 is uniform), unless explicit sinks (x, y, current)
     are given; those go through the same snap. A site or sink at a cell
-    centre, two sites on one node or a sink on a site's node refine the
-    lattice once, to 2r-1 nodes across, before DegenerateGrid is raised. A
-    lattice above _MAX_NODES nodes, after extension or refinement, raises
-    ValueError before it is allocated.
+    centre, two sites on one node, a sink on a site's node or a lattice that
+    draws no demand refine the lattice once, to 2r-1 nodes across, before
+    DegenerateGrid is raised. A lattice above _MAX_NODES nodes, after
+    extension or refinement, raises ValueError before it is allocated.
+
+    The discretisation depends only on the floorplan, the sites, the
+    resolution and the explicit sinks' positions, and the last one is kept:
+    a problem that differs from the last one built only in its sheet
+    resistance, currents, demand weight, rail or droop reuses its lattice,
+    snapped nodes, contacts and demand nodes. A build that raises on a new
+    placement keeps nothing.
     """
+    global _discretisation
     if demand_a <= 0:
         raise ValueError("demand_a must be > 0")
     if not sites:
@@ -351,75 +438,49 @@ def build_problem(
     site_rows = np.array([(s.x_mm, s.y_mm, s.footprint_mm2) for s in sites], dtype=float)
     if not np.isfinite(site_rows).all():
         raise ValueError("VR site positions and footprints must be finite")
-    x, y, footprint = site_rows.T
-    half_width = np.sqrt(footprint) / 2.0
+    sink_xy = sink_a = None
     if explicit_sinks is not None:
         sink_rows = np.array(explicit_sinks, dtype=float).reshape(-1, 3)
         if not np.isfinite(sink_rows).all():
             raise ValueError("explicit sink positions and currents must be finite")
-        sink_x, sink_y, sink_a = sink_rows.T
+        sink_xy, sink_a = sink_rows[:, :2], sink_rows[:, 2]
 
+    # The resolution's type is keyed too: 33.0 equals 33, but raises where
+    # 33 builds.
+    key = (plan.side_mm, type(grid_resolution), grid_resolution, site_rows.tobytes(),
+           None if sink_xy is None else sink_xy.tobytes())
+    if _discretisation is not None and _discretisation[0] == key:
+        lattices = _discretisation[1]
+    else:
+        _discretisation = None      # release the old lattices before computing the next
+        lattices = []
+    x, y, footprint = site_rows.T
+    half_width = np.sqrt(footprint) / 2.0
     resolution = grid_resolution
     for attempt in range(2):
-        grid = _build_grid(plan, x, y, half_width, resolution, sheet_resistance_ohm_sq)
-        # A lattice the sites or sinks do not snap to cleanly is refined
-        # without drawing any demand on it.
-        nodes, ambiguous = _snap_points(grid, x, y)
-        degenerate = bool(ambiguous.any()) or np.unique(nodes).size < nodes.size
-        sink_nodes, sink_currents = np.zeros(0, dtype=np.int64), np.zeros(0)
-        if not degenerate and explicit_sinks is not None:
-            snapped, ambiguous = _snap_points(grid, sink_x, sink_y)
-            degenerate = bool(ambiguous.any() or np.isin(snapped, nodes).any())
-            if not degenerate:
-                sink_nodes, sink_currents = _explicit_sinks(snapped, sink_a, demand_a)
-        elif not degenerate:
-            sink_nodes, sink_currents = _profile_sinks(plan, grid, nodes, demand_a,
-                                                       demand_weight)
-
-        if not degenerate and sink_nodes.size:
-            counts, contacts = _footprint_contacts(grid, x, y, half_width, nodes)
-            return GridProblem(grid, dict.fromkeys(nodes.tolist(), rail_voltage_v),
-                               sink_currents, sink_nodes,
-                               droop_resistance_ohm=droop_resistance_ohm,
-                               contact_counts=counts, contact_nodes=contacts)
-        if attempt == 0:
-            # One refinement keeps the old nodes and adds the midpoints.
-            resolution = 2 * resolution - 1
-            continue
-        raise DegenerateGrid(
-            "VR sites collapse onto shared or ambiguous grid nodes even after refinement"
-        )
-    raise AssertionError("unreachable")
-
-
-def _explicit_sinks(nodes: np.ndarray, amps: np.ndarray,
-                    demand_a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Snapped sinks merged per node, in order of first occurrence, and scaled
-    to demand_a.
-
-    Currents on one node accumulate in the order given; the total adds the
-    merged currents left to right in first-occurrence order.
-    """
-    merged, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    summed = np.bincount(inverse, weights=amps, minlength=merged.size)[order]
-    total = ordered_sum(summed)
-    if total > 0:
-        # Normalised first: demand_a / total is inf for a subnormal total.
-        summed = summed / total * demand_a
-    return merged[order], summed
-
-
-def _profile_sinks(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndarray,
-                   demand_a: float, demand_weight: float) -> tuple[np.ndarray, np.ndarray]:
-    idx, uniform, radial = profile_parts(plan, grid, source_nodes)
-    w = uniform + demand_weight * radial
-    # Summed left to right in node order, so the total depends neither on
-    # numpy's pairwise blocking nor on the Python version.
-    total_w = ordered_sum(w)
-    if total_w <= 0:
-        return idx[:0], w[:0]
-    return idx, demand_a * w / total_w
+        if attempt == len(lattices):
+            lattices.append(_discretise(plan, x, y, half_width, sink_xy, resolution))
+        lattice = lattices[attempt]
+        g = lattice.grid
+        grid = ResistiveGrid(g.nx, g.ny, g.cell_pitch_mm, sheet_resistance_ohm_sq,
+                             g.x0_mm, g.y0_mm)
+        # A lattice the sites or sinks do not snap cleanly to, or that
+        # draws no demand, is refined.
+        if lattice.sources is not None:
+            sink_currents = lattice.sink_currents(demand_a, demand_weight, sink_a)
+            if sink_currents is not None:
+                problem = GridProblem(grid, dict.fromkeys(lattice.sources, rail_voltage_v),
+                                      sink_currents, lattice.demand,
+                                      droop_resistance_ohm=droop_resistance_ohm,
+                                      contact_counts=lattice.contact_counts,
+                                      contact_nodes=lattice.contact_nodes)
+                _discretisation = (key, lattices)
+                return problem
+        # One refinement keeps the old nodes and adds the midpoints.
+        resolution = 2 * resolution - 1
+    raise DegenerateGrid(
+        "VR sites collapse onto shared or ambiguous grid nodes even after refinement"
+    )
 
 
 def profile_parts(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndarray | list[int]

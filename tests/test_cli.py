@@ -718,7 +718,13 @@ class TestOptions:
         argv += ["--out", str(out)] if "--out" in COMMAND_OPTIONS[command] else []
         value = {"--out": [str(out)], "--format": ["json"]}.get(option, [])
         assert run_cli(command, *argv, option, *value) == 2
-        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"pdnx {command}: error: unrecognized arguments: {option}" in err
+        # The usage line is the command's own: it names the command and
+        # exactly the options the command takes.
+        usage = err.split(f"pdnx {command}: error")[0]
+        assert usage.startswith(f"usage: pdnx {command} ")
+        assert set(re.findall(r"--[a-z]+", usage)) == COMMAND_OPTIONS[command]
         assert not out.exists()
 
 

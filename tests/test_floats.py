@@ -51,6 +51,7 @@ def test_the_shipped_a1_demand_weights(monkeypatch):
     monkeypatch.setattr(pdn_grid, "profile_parts",
                         lambda *a: parts.append(profile_parts(*a)) or parts[-1])
     monkeypatch.setattr(pdn_grid, "_operator", None)
+    monkeypatch.setattr(pdn_grid, "_discretisation", None)
     ds = load_datasets()
     architecture.evaluate(architecture.build_architecture("A1", "DSCH", ds), ds)
     _, uniform, radial = parts[0]

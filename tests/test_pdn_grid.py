@@ -931,6 +931,55 @@ class TestSheetLoss:
         assert loss == pytest.approx(2.0 / 1e-4 * np.sum(du * du), rel=1e-13)
 
 
+def _square_plate(n: int) -> tuple[float, float]:
+    """The unit square plate, R_s = 1 and J = 1, on n x n nodes: every
+    perimeter node a pinned VR at 1 V and a sink of J h^2 at every interior
+    node. Returns the largest drop and horizontal_loss_w."""
+    h = 1.0 / (n - 1)
+    node = np.arange(n * n).reshape(n, n)
+    interior = node[1:-1, 1:-1].ravel()
+    perimeter = np.setdiff1d(node, interior)
+    problem = GridProblem(ResistiveGrid(n, n, h, 1.0), dict.fromkeys(perimeter.tolist(), 1.0),
+                          np.full(interior.size, h * h), interior)
+    solution = solve_dc(problem)
+    return 1.0 - float(solution.node_voltages.min()), solution.horizontal_loss_w
+
+
+class TestSquarePlateOracle:
+    """The lattice against the continuum it stands for: a square plate held
+    at the rail along its perimeter and loaded uniformly is Saint-Venant's
+    torsion problem for a square bar, -laplacian(u) = J R_s with u = 0 on
+    the edges (S. P. Timoshenko and J. N. Goodier, Theory of Elasticity,
+    2nd ed., 1951). On the unit square, with the odd m,
+    u = x(1 - x)/2 - sum 4 sin(m pi x) cosh(m pi (y - 1/2))
+    / ((m pi)^3 cosh(m pi / 2)), so the largest drop, at the centre, is
+    1/8 - sum 4 (-1)^((m-1)/2) / ((m pi)^3 cosh(m pi / 2)), and the
+    dissipation per sheet, the integral of J u, is
+    1/12 - sum 16 tanh(m pi / 2) / (m pi)^5."""
+
+    DROP = 1 / 8 - sum(4 * (-1) ** (m // 2) / ((m * math.pi) ** 3 * math.cosh(m * math.pi / 2))
+                       for m in range(1, 40, 2))
+    # The terms fall as 1/m^5: those past m = 4,000 add less than 1e-16.
+    LOSS = 2 * (1 / 12 - sum(16 * math.tanh(m * math.pi / 2) / (m * math.pi) ** 5
+                             for m in range(1, 4001, 2)))
+
+    def test_the_series_sums(self):
+        assert self.DROP == pytest.approx(0.0736713533, abs=1e-10)
+        assert self.LOSS == pytest.approx(2 * 0.0351442537, abs=1e-10)
+
+    def test_second_order_convergence_and_richardson(self):
+        sizes = (17, 33, 65, 129)
+        drop, loss = np.array([_square_plate(n) for n in sizes]).T
+        for figures, exact in ((drop, self.DROP), (loss, self.LOSS)):
+            error = figures - exact
+            # Each halving of the pitch cuts the error by 4: second order.
+            ratios = error[:-1] / error[1:]
+            assert ((3.9 <= ratios) & (ratios <= 4.1)).all(), ratios
+            # (h, 2h) Richardson extrapolation at 129 nodes across.
+            extrapolated = (4.0 * figures[-1] - figures[-2]) / 3.0
+            assert extrapolated == pytest.approx(exact, rel=1e-6)
+
+
 class TestNodeCap:
     def test_resolution_over_cap_rejected(self):
         plan = DieFloorplan(500.0, 8.0)
@@ -1282,6 +1331,128 @@ class TestDiscretisationOracle:
             build_problem(plan, [VrSite(bad, 0.0, 1.0, 0)], 1.0, 1e-3, 9)
         with pytest.raises(ValueError, match="finite"):
             build_problem(plan, [site], 1.0, 1e-3, 9, explicit_sinks=[(1.0, bad, 1.0)])
+
+
+# Positions on nodes, edge midpoints and cell centres of the 9 mm die's
+# lattices, inside and just outside its shadow.
+_SLOT_XY = st.sampled_from([-4.5, -2.25, 0.0, 1.125, 1.5, 2.25, 3.0, 4.5, 5.0])
+# Demand weights below -1 draw negative currents, and below about -1.5 no
+# demand at all, on a lattice or on its refinement only.
+_SLOT_VALUES = {
+    "demand": st.sampled_from([50.0, 88.4, 1000.0]),
+    "sheet": st.sampled_from([1e-3, 5e-4, 0.24]),
+    "weight": st.sampled_from([0.0, 2.0, -1.0]) | st.floats(-2.0, -1.2),
+    "droop": st.sampled_from([0.0, 1e-3, 2.7e-3]),
+    "rail": st.sampled_from([1.0, 6.0, 12.0]),
+}
+
+
+@st.composite
+def _slot_calls(draw):
+    """A sequence of build_problem calls, each changing one input of the
+    last: a value (sheet, demand, weight, droop, rail, the explicit sinks'
+    currents) or the geometry (the sites, the resolution, the sinks'
+    positions). A call may instead refuse one input (a non-finite site or
+    a sheet, droop or demand out of range), and the next changes the last
+    call that did not."""
+    site = st.tuples(_SLOT_XY, _SLOT_XY, st.sampled_from([0.01, 1.0, 4.0, 9.0]))
+    sites = st.lists(site, min_size=1, max_size=4)
+    resolution = st.sampled_from([2, 3, 4, 5, 8, 9, 16, 17])
+    positions = st.none() | st.lists(st.tuples(_SLOT_XY, _SLOT_XY), max_size=4)
+
+    def currents(count):
+        return st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=count,
+                        max_size=count)
+
+    call = {name: draw(values) for name, values in _SLOT_VALUES.items()}
+    call.update(sites=draw(sites), resolution=draw(resolution), positions=draw(positions))
+    call["currents"] = draw(currents(len(call["positions"] or [])))
+    calls = [call]
+    for _ in range(draw(st.integers(1, 7))):
+        change = draw(st.sampled_from([*_SLOT_VALUES, "currents", "sites", "resolution",
+                                       "positions", "refused"]))
+        changed = dict(call)
+        if change in _SLOT_VALUES:
+            changed[change] = draw(_SLOT_VALUES[change])
+        elif change == "currents":
+            changed["currents"] = draw(currents(len(call["positions"] or [])))
+        elif change == "positions":
+            changed["positions"] = draw(positions)
+            changed["currents"] = draw(currents(len(changed["positions"] or [])))
+        elif change == "refused":
+            bad_site = [(math.nan, *call["sites"][0][1:]), *call["sites"][1:]]
+            name, value = draw(st.sampled_from([("sites", bad_site), ("sheet", -1.0),
+                                                ("droop", -1.0), ("demand", 0.0)]))
+            calls.append({**call, name: value})
+            continue
+        else:
+            changed[change] = draw(sites if change == "sites" else resolution)
+        calls.append(call := changed)
+    return calls
+
+
+def _slot_build(call: dict):
+    """A call's problem as its fields' bits, or its error's type and message."""
+    sinks = None
+    if call["positions"] is not None:
+        sinks = [(x, y, a) for (x, y), a in zip(call["positions"], call["currents"])]
+    try:
+        problem = build_problem(
+            DieFloorplan(81.0, 8.0), [VrSite(x, y, f, 0) for x, y, f in call["sites"]],
+            call["demand"], call["sheet"], call["resolution"], rail_voltage_v=call["rail"],
+            demand_weight=call["weight"], explicit_sinks=sinks,
+            droop_resistance_ohm=call["droop"])
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (problem.sink_nodes, problem.contact_counts, problem.contact_nodes)
+    assert not any(a.flags.writeable for a in arrays), "a shared array is writeable"
+    return (problem.grid, list(problem.source_nodes.items()), problem.droop_resistance_ohm,
+            *((a.dtype, a.shape, a.tobytes()) for a in (*arrays, problem.sink_currents)))
+
+
+class TestDiscretisationSlot:
+    """build_problem keeps the last placement's discretisation; any sequence
+    of builds gives what builds from an empty slot give."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_slot_calls())
+    def test_a_build_equals_one_from_an_empty_slot(self, calls):
+        # A 25x25 cap: resolutions 16 and 17 are refused on the refinement
+        # only, and some extended lattices at 8 and 9 as well.
+        with mock.patch.object(pdn_grid, "_MAX_NODES", 25 * 25), \
+                mock.patch.object(pdn_grid, "_discretisation", None):
+            for call in calls:
+                before = pdn_grid._discretisation
+                got = _slot_build(call)
+                after = pdn_grid._discretisation
+                pdn_grid._discretisation = None
+                assert got == _slot_build(call)
+                if isinstance(got[0], type):
+                    # A failing build raises again, and holds no new placement.
+                    assert after is None or after is before
+                    pdn_grid._discretisation = after
+                    assert _slot_build(call) == got
+                pdn_grid._discretisation = after
+
+    def test_a_value_change_reuses_the_discretisation(self, monkeypatch):
+        from dataclasses import replace
+        plan = DieFloorplan(500.0, 8.0)
+        sites = list(place_under_die(plan, 48, 5 / 0.69).sites)
+        discretised = []
+        discretise = pdn_grid._discretise
+        monkeypatch.setattr(pdn_grid, "_discretise",
+                            lambda *a: discretised.append(a[-1]) or discretise(*a))
+        monkeypatch.setattr(pdn_grid, "_discretisation", None)
+        first = build_problem(plan, sites, 1000.0, 5e-4, 32, droop_resistance_ohm=1e-3)
+        second = build_problem(plan, sites, 900.0, 0.24, 32, rail_voltage_v=6.0,
+                               demand_weight=2.0, droop_resistance_ohm=2e-3)
+        # The even lattice is refined, once, for both.
+        assert discretised == [32, 63]
+        assert second.grid == replace(first.grid, sheet_resistance_ohm_sq=0.24)
+        assert second.sink_nodes is first.sink_nodes
+        assert second.contact_nodes is first.contact_nodes
+        build_problem(plan, sites, 1000.0, 5e-4, 33)
+        assert discretised == [32, 63, 33]
 
 
 class TestGridProblemValidation:
