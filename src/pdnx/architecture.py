@@ -47,7 +47,7 @@ from . import placement as plc
 from .config import ARCHITECTURE_NAMES
 from .converter import StageSpec
 from .datasets import Datasets
-from .errors import PdnxError, Unsatisfiable, ZeroConnections
+from .errors import LoadExceedsRating, PdnxError, Unsatisfiable, ZeroConnections
 from .floats import ordered_sum
 from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
@@ -238,26 +238,29 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
 
     Works backward from the POL demand, one stage at a time: each stage's
     per-VR loads come from its plane solve, its losses from the calibrated
-    curve, and its input feeds the stage upstream. A converter rating
-    violation is recorded as a failed feasibility check; evaluate_cell turns
-    it into a verdict.
+    curve, and its input feeds the stage upstream. It stops where
+    evaluate_cell does, at the first over-rated bank: a plan stopped before
+    its source-side stage raises LoadExceedsRating with the deciding check's
+    detail; a plan whose every stage was evaluated returns its breakdown,
+    with the converter_rating check of an over-rated source-side bank failed.
     """
     (outcome,) = _drive([_evaluate_steps(spec, datasets)])
     if isinstance(outcome, Exception):
         raise outcome
+    if len(outcome.converter_losses_w) < len(spec.stages):
+        raise LoadExceedsRating(outcome.feasibility[-1].detail)   # the deciding check
     return outcome
 
 
-def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets,
-                    verdict_only: bool = False) -> _Evaluation:
+def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
     """evaluate as a generator: yields each plane problem, is sent its solution.
 
-    With verdict_only the evaluation ends at the first stage, POL side
-    first, whose converter_rating check fails: the cell's verdict is then
-    fixed, and the breakdown returned covers only the stages evaluated. A
-    bank whose mean per-VR load is over its rating fails before its plane is
-    built, so none of its own checks run; any other bank fails on its plane's
-    worst VR, once its own checks have run.
+    The evaluation ends at the first stage, POL side first, whose
+    converter_rating check fails: the cell's verdict is then fixed. A bank
+    whose mean per-VR load is over its rating fails before its plane is
+    built, so its stage is missing from the breakdown; any other bank fails
+    on its plane's worst VR, once its own checks have run. Only a plan whose
+    every stage was evaluated goes on to its board rail.
     """
     usage = {e.level: e for e in utilization_report(spec, datasets)}
     feasibility = [
@@ -272,8 +275,7 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets,
 
     if not spec.stages:
         return _evaluate_reference(spec, datasets, usage, feasibility, assumptions)
-    return (yield from _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
-                                        verdict_only))
+    return (yield from _evaluate_staged(spec, datasets, usage, feasibility, assumptions))
 
 
 def _drive(evaluations: list[_Evaluation]) -> list:
@@ -383,8 +385,7 @@ def _over_rating(load_a: float, topo: conv.ConverterTopology) -> bool:
     return load_a > topo.i_max_a * (1.0 + _RATING_RTOL)
 
 
-def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
-                     verdict_only: bool) -> _Evaluation:
+def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evaluation:
     cal = datasets.calibration
     vertical: dict[str, float] = {}
     horizontal: dict[str, float] = {}
@@ -414,7 +415,7 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
         base_power = demand_w if downstream is None else ordered_sum(p for _, p in downstream)
         i_base = base_power / v_out
         mean = i_base / stage.vr_count
-        if verdict_only and _over_rating(mean, topo):
+        if _over_rating(mean, topo):
             # Some VR carries at least the mean (Kirchhoff's current law), so
             # the bank is over-rated however its plane shares the current: the
             # verdict is fixed before the plane is built.
@@ -509,10 +510,9 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
                 f"into it ({plane_in:.4g} W after a {droop:.3g} ohm output droop), so it "
                 f"passes {delivered[rail]:.4g} W on"
             )
-        if over and verdict_only:
+        if over and n > 1:
             # The cell is not_reported at this bank whatever lies upstream of
-            # it, so neither the stages nor the board rail upstream are
-            # evaluated. The breakdown ends here, for verdict's checks only.
+            # it, so neither the stages upstream nor the board rail are evaluated.
             break
     else:
         # Source-side domain: remaining vertical levels plus the board rail.
@@ -526,8 +526,8 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions,
     conv_total = ordered_sum(converter_losses.values())
     horiz_total = ordered_sum(horizontal.values())
     total_loss = conv_total + horiz_total + vert_total + pcb_loss
-    # Unset only when verdict_only ended at a POL bank decided on its mean,
-    # before its plane was built; verdict drops this breakdown.
+    # Unset only when the evaluation ended at a POL bank decided on its mean,
+    # before its plane was built; evaluate raises and verdict drops it.
     pol_power = delivered.get(f"{spec.pol_voltage_v:g}V", 0.0)
     # Everything upstream of the final VR terminals, including the losses of
     # the levels that sit between its output plane and the POL, is supplied
@@ -614,15 +614,16 @@ def evaluate_cell(
 
     A model error makes an error cell, and so does an evaluation that
     overflows the float range or yields a non-finite figure. A converter
-    bank run beyond its current rating makes a not_reported cell: its losses
-    are extrapolated and never presented as a loss figure. The cell is
-    judged at its first over-rated bank, POL side first: the stages upstream
-    of it are not evaluated, so a model error there does not make the cell
-    an error. A bank too small for its current even with perfect sharing is
-    judged on its mean per-VR load, before its plane is built, so neither
-    its own checks nor its own figures can make the cell an error. Any other
-    result is ok. The reference chain ignores the topology (same converter
-    either way).
+    bank run beyond its current rating makes a not_reported cell, on the
+    check evaluate raises or records: its losses are never presented as a
+    loss figure. The cell is judged at its first over-rated bank, POL side
+    first, as evaluate is: the stages upstream of it are not evaluated, so a
+    model error there does not make the cell an error, but the board rail
+    is when every stage was. A bank too small for its current even with
+    perfect sharing is judged on its mean per-VR load, before its plane is
+    built, so neither its own checks nor its own figures can make the cell
+    an error. Any other result is ok. The reference chain ignores the
+    topology (same converter either way).
     """
     return compare([arch_name], [topology_name], datasets, die_area_mm2=die_area_mm2,
                    total_power_w=total_power_w, pol_voltage_v=pol_voltage_v).cells[0]
@@ -631,7 +632,7 @@ def evaluate_cell(
 def _cell_steps(arch_name: str, topology_name: str, datasets: Datasets,
                 **plan) -> _Evaluation:
     spec = build_architecture(arch_name, topology_name, datasets, **plan)
-    return (yield from _evaluate_steps(spec, datasets, verdict_only=True))
+    return (yield from _evaluate_steps(spec, datasets))
 
 
 def evaluate_plans(plans: list[tuple[str, str, Datasets, dict]]) -> list:

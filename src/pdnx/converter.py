@@ -130,7 +130,7 @@ def stage_loss(
 
     Idle VRs still burn p_fixed (they keep switching) unless idle_shutdown is
     set. Loads above the rating extrapolate the loss curve; the caller judges
-    the rating (architecture.evaluate records it as a feasibility check).
+    the rating (architecture's converter_rating check, which stops evaluate).
     """
     total = 0.0
     for k, load in enumerate(vr_loads_a):

@@ -432,8 +432,8 @@ def build_problem(
         raise ValueError("demand_a must be > 0")
     if not sites:
         raise ValueError("need at least one VR site")
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2")
+    if type(grid_resolution) is not int or grid_resolution < 2:   # no bool, no float
+        raise ValueError(f"grid_resolution must be an integer >= 2, got {grid_resolution!r}")
 
     site_rows = np.array([(s.x_mm, s.y_mm, s.footprint_mm2) for s in sites], dtype=float)
     if not np.isfinite(site_rows).all():
@@ -445,9 +445,7 @@ def build_problem(
             raise ValueError("explicit sink positions and currents must be finite")
         sink_xy, sink_a = sink_rows[:, :2], sink_rows[:, 2]
 
-    # The resolution's type is keyed too: 33.0 equals 33, but raises where
-    # 33 builds.
-    key = (plan.side_mm, type(grid_resolution), grid_resolution, site_rows.tobytes(),
+    key = (plan.side_mm, grid_resolution, site_rows.tobytes(),
            None if sink_xy is None else sink_xy.tobytes())
     if _discretisation is not None and _discretisation[0] == key:
         lattices = _discretisation[1]

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 import pdnx
 from pdnx import converter as conv
-from pdnx import pdn_grid
+from pdnx import architecture, pdn_grid
 from pdnx.architecture import (ARCHITECTURE_NAMES, MIN_DIE_AREA_FLOOR_MM2, build_architecture,
                                compare, evaluate, evaluate_cell, pol_current_curve,
                                utilization_report)
 from pdnx.calibrate import calibrate_min_die_area
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets, load_raw_dataset
-from pdnx.errors import PdnxError, SingularSystem, Unsatisfiable
+from pdnx.errors import (LoadExceedsRating, PdnxError, SingularSystem, Unsatisfiable,
+                         ZeroConnections)
 from pdnx.interconnect import UtilizationPolicy, required_connections
 
 
@@ -199,7 +200,11 @@ class TestIntermediateOperatingPoint:
     @pytest.mark.parametrize("arch", ["A3@12V", "A3@6V"])
     @pytest.mark.parametrize("topo", ["DSCH", "DPMIH", "3LHD"])
     def test_equals_the_two_solve_reference(self, datasets, arch, topo):
-        spec = build_architecture(arch, topo, datasets)
+        # At 1 kW DPMIH's and 3LHD's POL banks are over their rating, and
+        # evaluate stops before the intermediate plane; at 300 W every bank
+        # is within it.
+        spec = build_architecture(arch, topo, datasets,
+                                  total_power_w=1000.0 if topo == "DSCH" else 300.0)
         got = evaluate(spec, datasets)
         with _two_solve_reference():
             want = evaluate(spec, datasets)
@@ -233,37 +238,53 @@ class TestIntermediateOperatingPoint:
 
     @pytest.mark.parametrize("arch,v_mid", [("A3@12V", 12), ("A3@6V", 6)])
     def test_over_rated_plan_keeps_its_full_breakdown(self, datasets, arch, v_mid):
-        # A cell stops at its over-rated POL bank; evaluate goes on to the
-        # stage upstream of it and the board rail.
-        b = evaluate(build_architecture(arch, "DPMIH", datasets), datasets)
-        stages = [f"stage2_DPMIH-{v_mid}to1", f"stage1_DPMIH-48to{v_mid}"]
+        # A plan whose every stage is evaluated goes on to the board rail,
+        # even when its source-side bank's worst VR is over its rating. Here
+        # three 48 V DPMIH VRs feed the DSCH bank at 1 kW, rated halfway
+        # between their mean and worst loads; a rating moves no figure.
+        counts = dict(datasets.vr_site_counts)
+        counts["DPMIH"] = replace(counts["DPMIH"], periphery=3)
+        ds = replace(datasets, vr_site_counts=counts)
+        spec = build_architecture(arch, "DSCH", ds)
+        stages = [f"stage2_DSCH-{v_mid}to1", f"stage1_DPMIH-48to{v_mid}"]
+        loads = evaluate(spec, ds).per_vr_currents_a[stages[1]]
+        rated = replace(spec.stages[0].topology,
+                        i_max_a=(max(loads) + sum(loads) / len(loads)) / 2)
+        spec = replace(spec, stages=(replace(spec.stages[0], topology=rated), spec.stages[1]))
+        b = evaluate(spec, ds)
         assert list(b.converter_losses_w) == list(b.per_vr_currents_a) == stages
+        assert b.per_vr_currents_a[stages[1]] == loads
         assert list(b.horizontal_losses_w) == ["1V", f"{v_mid}V"]
         assert list(b.domain_currents_a) == ["1V", f"{v_mid}V", "48V"]
         assert [f.status for f in b.feasibility if f.check == "converter_rating"] == \
-            ["fail", "pass"]
+            ["pass", "fail"]
         totals = [b.total_loss_w, b.source_power_w, b.pol_power_w, b.pcb_lateral_loss_w]
         assert all(math.isfinite(x) and x > 0 for x in totals)
         assert b.source_power_w == pytest.approx(b.pol_power_w + b.total_loss_w, rel=1e-12)
 
     def test_cell_is_judged_at_its_first_over_rated_bank(self, datasets):
-        # At 0.06 ohm/sq the 6 V plane has no operating point, but the cell
-        # never reaches it: its POL bank is over-rated first.
+        # At 0.06 ohm/sq the 6 V plane has no operating point (DSCH's POL
+        # bank reaches it), but a DPMIH plan never does: its POL bank is
+        # over-rated first, in the library as in a cell.
         cal = replace(datasets.calibration, sheet_resistance_ohm_sq=0.06)
         lossy = replace(datasets, calibration=cal)
         with pytest.raises(Unsatisfiable, match="no intermediate-plane operating point"):
+            evaluate(build_architecture("A3@6V", "DSCH", lossy), lossy)
+        with pytest.raises(LoadExceedsRating) as raised:
             evaluate(build_architecture("A3@6V", "DPMIH", lossy), lossy)
         cell = evaluate_cell("A3@6V", "DPMIH", lossy)
         assert cell.status == "not_reported"
         assert cell.breakdown is None
         assert cell.reason.startswith("converter rating violated: stage2_DPMIH-6to1: ")
+        assert cell.reason == "converter rating violated: " + str(raised.value)
         # Nor is a figure upstream that leaves the float range: at 1e100 W
-        # the board rail's I^2 R overflows, the bank's own figures do not.
-        with pytest.raises(OverflowError):
+        # the board rail's I^2 R would overflow, the bank's own figures do not.
+        with pytest.raises(LoadExceedsRating) as raised:
             evaluate(build_architecture("A1", "DSCH", datasets, total_power_w=1e100), datasets)
         cell = evaluate_cell("A1", "DSCH", datasets, total_power_w=1e100)
         assert cell.status == "not_reported"
         assert cell.reason.startswith("converter rating violated: stage1_DSCH: ")
+        assert cell.reason == "converter rating violated: " + str(raised.value)
 
 
 class TestReferenceArchitecture:
@@ -360,7 +381,8 @@ class TestVrSiteCounts:
     def test_each_stage_places_its_table2_sites(self, datasets, arch, topo):
         rows = {row["name"]: row for row in load_raw_dataset("table2")["topologies"]}
         want = [rows[name or topo][column] for name, column in self.SITES[arch]]
-        spec = build_architecture(arch, topo, datasets)
+        # At 300 W every bank is within its rating, so evaluate places them all.
+        spec = build_architecture(arch, topo, datasets, total_power_w=300.0)
         assert [stage.vr_count for stage in spec.stages] == want
         b = evaluate(spec, datasets)
         keys = [f"stage{n}_{stage.topology.name}" for n, stage in enumerate(spec.stages, 1)]
@@ -374,10 +396,9 @@ class TestVrSiteCounts:
 class TestRatingHandling:
     def test_3lhd_nonstrict_flags(self, datasets):
         spec = build_architecture("A1", "3LHD", datasets)
-        b = evaluate(spec, datasets)
-        fails = [f for f in b.feasibility
-                 if f.check == "converter_rating" and f.status == "fail"]
-        assert fails
+        with pytest.raises(LoadExceedsRating, match="^stage1_3LHD: mean per-VR load .* "
+                                                    "exceeds the 12 A rating of 3LHD$"):
+            evaluate(spec, datasets)
 
     def test_compare_marks_3lhd_not_reported(self, datasets):
         table = compare(["A1", "A2", "A3@12V", "A3@6V"], ["3LHD"], datasets)
@@ -521,9 +542,9 @@ class TestDroopOverflowVerdict:
 
 
 class TestMeanRatingRule:
-    """compare, sweep and the CLI's evaluate decide a bank whose mean per-VR
-    load is over its rating before its plane is built; the plane's worst VR
-    decides every other bank."""
+    """compare, sweep and evaluate, in the library as in the CLI, decide a
+    bank whose mean per-VR load is over its rating before its plane is
+    built; the plane's worst VR decides every other bank."""
 
     MEAN = re.compile(r"converter rating violated: (\S+): mean per-VR load (?:at least )?"
                       r"(\S+) A \((?:at least )?(\S+) A over (\d+) VRs\)")
@@ -547,13 +568,17 @@ class TestMeanRatingRule:
             return
         assert cell.status == "not_reported"
         key, mean = stated.group(1), float(stated.group(2))
+        # evaluate stops at the same bank, with the cell's reason.
+        with pytest.raises(LoadExceedsRating) as raised:
+            evaluate(spec, datasets)
+        assert str(raised.value).startswith(key + ": mean per-VR load ")
+        assert cell.reason == "converter rating violated: " + str(raised.value)
+        # Some VR of the bank carries at least the mean: seen on the plan
+        # with no rating, whose figures are those of the rated one.
         try:
-            b = evaluate(spec, datasets)
+            b = evaluate(_unrated(spec), datasets)
         except (PdnxError, OverflowError):
             return
-        [check] = [f for f in b.feasibility
-                   if f.check == "converter_rating" and f.detail.startswith(key + ":")]
-        assert check.status == "fail"
         # The reason states the mean to 4 significant digits.
         assert max(b.per_vr_currents_a[key]) >= mean * (1.0 - 5e-4)
         if key == pol_key:
@@ -571,9 +596,13 @@ class TestMeanRatingRule:
         assert stated is not None and stated.group(1) == "stage1_DPMIH-48to6"
         assert "mean per-VR load at least " in cell.reason
         assert float(stated.group(3)) == pytest.approx(2 * float(stated.group(2)), rel=1e-3)
-        b = evaluate(build_architecture("A3@6V", "DSCH", ds, total_power_w=1200.0), ds)
-        assert [f.status for f in b.feasibility if f.check == "converter_rating"] == \
-            ["pass", "fail"]
+        spec = build_architecture("A3@6V", "DSCH", ds, total_power_w=1200.0)
+        with pytest.raises(LoadExceedsRating) as raised:
+            evaluate(spec, ds)
+        assert cell.reason == "converter rating violated: " + str(raised.value)
+        # Once its plane is solved, each of the two carries more than the
+        # stated mean: seen on the plan with no rating.
+        b = evaluate(_unrated(spec), ds)
         loads = b.per_vr_currents_a["stage1_DPMIH-48to6"]
         assert min(loads) > float(stated.group(2)) > 100.0
 
@@ -596,6 +625,9 @@ class TestMeanRatingRule:
         monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(1) or solve(p))
         cell = evaluate_cell(arch, topo, datasets)
         assert cell.status == "not_reported" and "mean per-VR load" in cell.reason
+        with pytest.raises(LoadExceedsRating) as raised:
+            evaluate(build_architecture(arch, topo, datasets), datasets)
+        assert cell.reason == "converter rating violated: " + str(raised.value)
         assert (built, solved) == ([], [])
 
 
@@ -613,6 +645,13 @@ def _passes_on_no_power(exc: Unsatisfiable) -> bool:
 
 def _pol_currents(breakdown) -> list[float]:
     return breakdown.per_vr_currents_a[max(breakdown.per_vr_currents_a)]   # stageN sorts last
+
+
+def _unrated(spec):
+    """The plan with no converter rating: evaluate goes past every bank. A
+    rating decides a check and where evaluate stops, never a figure."""
+    return replace(spec, stages=tuple(replace(s, topology=replace(s.topology, i_max_a=math.inf))
+                                      for s in spec.stages))
 
 
 class TestPolCurrentCurve:
@@ -636,8 +675,11 @@ class TestPolCurrentCurve:
         spec = build_architecture(arch, "DSCH", ds)
         got = pol_current_curve(spec, ds)(weight)
         assert math.fsum(got) == pytest.approx(1000.0, rel=1e-9)
+        # An A3@12V plan whose POL bank is over its rating stops before its
+        # intermediate plane; with no rating it goes on, at the same POL
+        # currents. A1's and A2's one bank is never decided on its mean here.
         try:
-            want = _pol_currents(evaluate(spec, ds))
+            want = _pol_currents(evaluate(_unrated(spec) if arch == "A3@12V" else spec, ds))
         except Unsatisfiable as exc:
             # A plan whose plane passes on no power has no breakdown to
             # compare with (about 3 % of draws, all of them A2); any
@@ -675,12 +717,96 @@ class TestPolCurrentCurve:
         curve = pol_current_curve(spec, ds)
         assert len(solved) == 1
         assert curve(0.0) == curve(3.0) == curve(-1.0)
-        want = _pol_currents(evaluate(spec, ds))
-        assert curve(3.0) == pytest.approx(want, rel=1e-12)
+        # Two or three VRs are over their rating at 1 kW, so evaluate stops
+        # before the POL plane; the plane is solved on its own.
+        problem = architecture._stage_bank(spec.stages[0], spec.die, ds).problem(
+            1000.0, demand_weight=3.0)
+        assert curve(3.0) == pytest.approx(solve(problem).vr_currents.tolist(), rel=1e-12)
 
     def test_reference_chain_has_no_curve(self, datasets):
         with pytest.raises(ValueError, match="no VR bank"):
             pol_current_curve(build_architecture("A0", None, datasets), datasets)
+
+
+def _floats(tree):
+    """Every float in a breakdown's asdict tree."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return [x for item in tree for x in _floats(item)]
+    return [tree] if isinstance(tree, float) else []
+
+
+class TestOneEvaluationPath:
+    """Library evaluate stops where a cell stops: a cell's verdict is what
+    evaluate returns or raises."""
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(power=st.floats(math.log(100.0), math.log(5000.0)).map(math.exp),
+           sheet=st.floats(math.log(1e-4), math.log(1e-2)).map(math.exp),
+           droop_scale=st.floats(0.0, 12.0), weight=st.floats(0.0, 20.0))
+    def test_every_cell_is_what_evaluate_gives(self, datasets, power, sheet, droop_scale,
+                                               weight):
+        cal = replace(datasets.calibration, sheet_resistance_ohm_sq=sheet,
+                      droop_share_resistance_scale=droop_scale, demand_weight=weight)
+        ds = replace(datasets, calibration=cal)
+        for arch in ARCHITECTURE_NAMES:
+            for topo in ("DSCH", "DPMIH", "3LHD"):
+                cell = evaluate_cell(arch, topo, ds, total_power_w=power)
+                spec = build_architecture(arch, topo, ds, total_power_w=power)
+                try:
+                    b = evaluate(spec, ds)
+                except LoadExceedsRating as exc:
+                    assert (cell.status, cell.reason) == (
+                        "not_reported", "converter rating violated: " + str(exc))
+                    continue
+                except (PdnxError, OverflowError) as exc:
+                    assert cell.status == "error"
+                    assert cell.reason == str(exc) or isinstance(exc, OverflowError)
+                    continue
+                # evaluate returns only a breakdown of every stage.
+                assert len(b.converter_losses_w) == max(len(spec.stages), 1)
+                failed = [f.detail for f in b.feasibility
+                          if f.check == "converter_rating" and f.status == "fail"]
+                if not all(map(math.isfinite, _floats(asdict(b)))):
+                    assert cell.status == "error"
+                elif failed:
+                    assert (cell.status, cell.reason) == (
+                        "not_reported", "converter rating violated: " + failed[0])
+                else:
+                    assert cell.status == "ok"
+                    assert asdict(cell.breakdown) == asdict(b)
+
+    @pytest.mark.parametrize("resolution,total_loss_w", [(14, 331.8161719157615),
+                                                         (26, 172.79880250062786)])
+    def test_a2_dsch_keeps_its_over_rated_breakdown(self, resolution, total_loss_w):
+        # bench/run.py's mesh_ladder reads these breakdowns (its
+        # reference.json figures): A2's one bank is over its rating only on
+        # its worst VR, so evaluate goes on to the board rail.
+        ds = load_datasets({"calibration-default": {"grid_resolution": resolution}})
+        b = evaluate(build_architecture("A2", "DSCH", ds), ds)
+        assert list(b.converter_losses_w) == ["stage1_DSCH"]
+        assert list(b.domain_currents_a) == ["1V", "48V"] and b.pcb_lateral_loss_w > 0
+        assert [f.status for f in b.feasibility if f.check == "converter_rating"] == ["fail"]
+        assert b.total_loss_w == pytest.approx(total_loss_w, rel=0, abs=1e-9)
+
+    def test_a_plan_evaluated_through_its_last_bank_reaches_its_board_rail(self, datasets):
+        # With no bga sites the board rail cannot be fed. A2+DSCH is over its
+        # rating on its worst VR at resolution 14, so it reaches that rail
+        # and is an error, as its in-rating neighbours are; a cell decided
+        # on its mean stops before it.
+        ds = load_datasets({"calibration-default": {"grid_resolution": 14}})
+        levels = {**ds.levels, "bga": replace(ds.levels["bga"], pitch_um=1e6)}
+        ds = replace(ds, levels=levels)
+        cells = {(c.architecture, c.topology): c
+                 for c in compare(["A1", "A2"], ["DSCH", "DPMIH"], ds).cells}
+        for key in [("A1", "DSCH"), ("A2", "DSCH")]:
+            assert cells[key].status == "error"
+            assert cells[key].reason.startswith("bga has no connection sites")
+        with pytest.raises(ZeroConnections, match="^bga has no connection sites"):
+            evaluate(build_architecture("A2", "DSCH", ds), ds)
+        assert cells["A2", "DPMIH"].status == "not_reported"
 
 
 class TestPlaneMajorCompare:

@@ -754,9 +754,10 @@ class TestScaledSolution:
                       droop_share_resistance_scale=droop_scale)
         ds = replace(ds, calibration=cal)
         # The evaluation yields the POL problem, then the intermediate
-        # plane's problem at its base demand. A subnormal droop scale
+        # plane's problem at its base demand, if the POL bank is within its
+        # rating, as every bank is at 300 W. A subnormal droop scale
         # overflows the branch conductance.
-        run = _evaluate_steps(build_architecture(arch, topo, ds), ds)
+        run = _evaluate_steps(build_architecture(arch, topo, ds, total_power_w=300.0), ds)
         try:
             problem = run.send(solve_dc(run.send(None)))
         except (PdnxError, OverflowError):
@@ -1331,6 +1332,18 @@ class TestDiscretisationOracle:
             build_problem(plan, [VrSite(bad, 0.0, 1.0, 0)], 1.0, 1e-3, 9)
         with pytest.raises(ValueError, match="finite"):
             build_problem(plan, [site], 1.0, 1e-3, 9, explicit_sinks=[(1.0, bad, 1.0)])
+
+    @pytest.mark.parametrize("resolution", [33.0, 2.5, True])
+    def test_non_integer_resolution_rejected(self, resolution):
+        # 33.0 once died in numpy's arange, 2.5 as a DegenerateGrid. The
+        # refusal comes before the last placement's discretisation is touched.
+        plan = DieFloorplan(100.0, 8.0)
+        sites = [VrSite(0.0, 0.0, 1.0, 0)]
+        build_problem(plan, sites, 1.0, 1e-3, 33)
+        kept = pdn_grid._discretisation
+        with pytest.raises(ValueError, match=f"must be an integer >= 2, got {resolution!r}$"):
+            build_problem(plan, sites, 1.0, 1e-3, resolution)
+        assert pdn_grid._discretisation is kept
 
 
 # Positions on nodes, edge midpoints and cell centres of the 9 mm die's
