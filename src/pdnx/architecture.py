@@ -1,18 +1,19 @@
 """End-to-end evaluation of power delivery architectures.
 
 Composes the interconnect, converter, placement, and grid models into a
-PCB-to-POL loss breakdown. Five delivery plans are built in:
+PCB-to-POL loss breakdown. Five delivery plans are built in, each a row of
+config.PLANS that lists its package stages:
 
-  A0      reference: full conversion at the board, low voltage crosses every
-          packaging level.
+  A0      reference: no package stage; the board converts 48 V to the POL
+          rail, which crosses every packaging level.
   A1      single-stage conversion at the die periphery on the interposer.
   A2      single-stage conversion embedded in the interposer below the die.
   A3@12V  two stages: 48V-to-12V at the periphery, 12V-to-1V on a power die
           under the functional die.
   A3@6V   same with a 6 V intermediate rail.
 
-A staged plan is evaluated in one pass over its stages, from the POL back to
-the source. Each stage places its VR bank, one VR per table2 site, solves
+Every plan is evaluated in one pass over its stages, from the POL back to
+the board rail. Each stage places its VR bank, one VR per table2 site, solves
 its plane for the demand of the stage downstream of it, and charges its
 converter loss and its domain's vertical losses. The POL plane carries the
 die current; every upstream plane carries the per-site draw of the bank it
@@ -20,8 +21,11 @@ feeds, and since its own losses add to what its stage must deliver, its
 operating point is settled in closed form. Each plane is solved once: every
 VR on a plane sits at one rail voltage (pdn_grid.GridProblem), so its
 solution is linear in the sinks, and the operating point is the base-demand
-solution scaled (pdn_grid.GridSolution.scaled). The source power is defined
-as POL power plus the sum of all loss terms, so that identity holds by
+solution scaled (pdn_grid.GridSolution.scaled). The board rail then
+carries what the source-side stage draws, through the PCB plane and the
+levels on that rail; when the plan has no package stage, the board also
+converts, at the flat REFERENCE_EFFICIENCY. The source power is defined as
+POL power plus the sum of all loss terms, so that identity holds by
 construction and checks nothing.
 
 An evaluation is a generator: it yields each plane problem it needs solved
@@ -44,7 +48,7 @@ from . import converter as conv
 from . import interconnect as ic
 from . import pdn_grid as grid
 from . import placement as plc
-from .config import ARCHITECTURE_NAMES
+from .config import ARCHITECTURE_NAMES, PLANS
 from .converter import StageSpec
 from .datasets import Datasets
 from .errors import LoadExceedsRating, PdnxError, Unsatisfiable, ZeroConnections
@@ -132,7 +136,15 @@ def build_architecture(
     total_power_w: float = 1000.0,
     pol_voltage_v: float = 1.0,
 ) -> ArchitectureSpec:
-    """Assemble one of the built-in delivery plans for a given POL topology."""
+    """Assemble one of the built-in delivery plans (config.PLANS) for a POL topology.
+
+    A stage keeps its family's datasheet rails unless its row names an output
+    rail or it is fed from a rail other than 48 V; then it is retargeted to
+    its rails (ConverterTopology.for_conversion). So a one-stage plan needs
+    its topology's own POL voltage. Each stack level carries the output rail
+    of the last stage on its PCB side; the levels before the first stage
+    carry 48 V, or the POL rail when the plan has no package stage.
+    """
     cal = datasets.calibration
     die = DieFloorplan(
         die_area_mm2 if die_area_mm2 is not None else datasets.reference_die_area_mm2,
@@ -140,38 +152,27 @@ def build_architecture(
     )
     if arch_name not in ARCHITECTURE_NAMES:
         raise ValueError(f"unknown architecture '{arch_name}'")
-    stages: tuple[StageSpec, ...] = ()
-    if arch_name != "A0":
-        if topology_name is None:
+    stages: list[StageSpec] = []
+    v_in = INPUT_VOLTAGE_V
+    for placement, family, rail in PLANS[arch_name]:
+        if family is None and topology_name is None:
             raise ValueError(f"{arch_name} needs a converter topology")
-        topo = datasets.topologies[topology_name]
-        counts = datasets.vr_site_counts[topology_name]
-        if arch_name == "A1":
-            stages = (StageSpec(topo, "interposer_periphery", counts.periphery),)
-        elif arch_name == "A2":
-            stages = (StageSpec(topo, "in_interposer", counts.below_die),)
-        else:
-            intermediate = {"A3@12V": 12.0, "A3@6V": 6.0}[arch_name]
-            first_topo = datasets.topologies["DPMIH"].for_conversion(INPUT_VOLTAGE_V,
-                                                                     intermediate)
-            stages = (
-                StageSpec(first_topo, "interposer_periphery",
-                          datasets.vr_site_counts["DPMIH"].periphery),
-                StageSpec(topo.for_conversion(intermediate, pol_voltage_v), "power_die",
-                          counts.below_die),
-            )
+        family = family or topology_name
+        topo = datasets.topologies[family]
+        if rail is not None or v_in != INPUT_VOLTAGE_V:
+            topo = topo.for_conversion(v_in, pol_voltage_v if rail is None else rail)
+        sites = StageSpec.PLACEMENTS[placement][1]
+        stages.append(StageSpec(topo, placement, getattr(datasets.vr_site_counts[family], sites)))
+        v_in = topo.v_out_v
 
-    # The reference chain carries the die current through every level. With
-    # conversion in the package, the board-side levels carry the input rail,
-    # the TSVs the first stage's output rail (the intermediate rail, or the
-    # POL rail when there is one stage) and the die attach the POL rail.
-    if stages:
-        voltages = (INPUT_VOLTAGE_V, INPUT_VOLTAGE_V, stages[0].topology.v_out_v,
-                    pol_voltage_v)
-    else:
-        voltages = (pol_voltage_v,) * 4
-    stack = tuple(StackAssignment(n, v) for n, v in zip(datasets.stack_levels(), voltages))
-    return ArchitectureSpec(name=arch_name, stages=stages, stack=stack, die=die,
+    # stack index -> the output rail of the last stage before that level
+    after = {StageSpec.PLACEMENTS[s.placement][0]: s.topology.v_out_v for s in stages}
+    rail = INPUT_VOLTAGE_V if stages else pol_voltage_v
+    stack = []
+    for k, level in enumerate(datasets.stack_levels()):
+        rail = after.get(k, rail)
+        stack.append(StackAssignment(level, rail))
+    return ArchitectureSpec(name=arch_name, stages=tuple(stages), stack=tuple(stack), die=die,
                             total_power_w=total_power_w, pol_voltage_v=pol_voltage_v)
 
 
@@ -202,7 +203,6 @@ def _stage_bank(stage: StageSpec, die: DieFloorplan, datasets: Datasets) -> _Sta
             f"{n_vr} periphery sites in {rings} ring(s), "
             f"band {rings * math.sqrt(footprint):.2f} mm of {die.interposer_margin_mm:g} mm",
         )
-        multiplier = 1.0
     else:
         placed = plc.place_under_die(die, n_vr, footprint)
         sites = placed.sites
@@ -211,8 +211,8 @@ def _stage_bank(stage: StageSpec, die: DieFloorplan, datasets: Datasets) -> _Sta
         if placed.sites_overlap:
             detail += " (site footprints overlap the grid cells)"
         check = FeasibilityCheck("placement", status, detail)
-        multiplier = (cal.die_grid_multiplier if stage.placement == "in_interposer"
-                      else cal.power_die_multiplier)
+    scale = StageSpec.PLACEMENTS[stage.placement][2]
+    multiplier = 1.0 if scale is None else getattr(cal, scale)
     model = conv.calibrate(topo)
     # Parallel VRs share current through their own effective series
     # resistance (output droop); ideal pinned rails cannot reproduce any
@@ -250,32 +250,6 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
     if len(outcome.converter_losses_w) < len(spec.stages):
         raise LoadExceedsRating(outcome.feasibility[-1].detail)   # the deciding check
     return outcome
-
-
-def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
-    """evaluate as a generator: yields each plane problem, is sent its solution.
-
-    The evaluation ends at the first stage, POL side first, whose
-    converter_rating check fails: the cell's verdict is then fixed. A bank
-    whose mean per-VR load is over its rating fails before its plane is
-    built, so its stage is missing from the breakdown; any other bank fails
-    on its plane's worst VR, once its own checks have run. Only a plan whose
-    every stage was evaluated goes on to its board rail.
-    """
-    usage = {e.level: e for e in utilization_report(spec, datasets)}
-    feasibility = [
-        FeasibilityCheck(
-            "utilization", e.status,
-            f"{e.level} at {e.domain_voltage_v:g} V: {e.total_used} of {e.available} "
-            f"connections ({e.utilization_fraction:.2%} vs cap {e.cap:.0%})",
-        )
-        for e in usage.values()
-    ]
-    assumptions: list[str] = []
-
-    if not spec.stages:
-        return _evaluate_reference(spec, datasets, usage, feasibility, assumptions)
-    return (yield from _evaluate_staged(spec, datasets, usage, feasibility, assumptions))
 
 
 def _drive(evaluations: list[_Evaluation]) -> list:
@@ -344,49 +318,32 @@ def _domain_vertical_losses(spec, datasets, usage, domain_voltage_v: float,
     return losses
 
 
-def _evaluate_reference(spec, datasets, usage, feasibility, assumptions) -> LossBreakdown:
-    cal = datasets.calibration
-    i_die = spec.total_power_w / spec.pol_voltage_v
-    eta = REFERENCE_EFFICIENCY
-    assumptions.append(
-        f"reference chain modeled as one flat {eta:.0%}-efficient "
-        f"{INPUT_VOLTAGE_V:g}V-to-{spec.pol_voltage_v:g}V converter at the board"
-    )
-
-    vertical = _domain_vertical_losses(spec, datasets, usage, spec.pol_voltage_v, i_die)
-    pcb_loss = cal.pcb_lateral_resistance_ohm * i_die ** 2
-
-    conv_input = spec.total_power_w / eta
-    conv_loss = conv_input - spec.total_power_w
-    vert_total = ordered_sum(vertical.values())
-    total_loss = conv_loss + pcb_loss + vert_total
-    pol_power = spec.total_power_w - pcb_loss - vert_total
-
-    return LossBreakdown(
-        architecture=spec.name,
-        topology="reference-chain",
-        budget_power_w=spec.total_power_w,
-        vertical_losses_w=vertical,
-        horizontal_losses_w={},
-        pcb_lateral_loss_w=pcb_loss,
-        converter_losses_w={"stage1_reference": conv_loss},
-        total_loss_w=total_loss,
-        total_loss_pct=100.0 * total_loss / spec.total_power_w,
-        source_power_w=conv_input,
-        pol_power_w=pol_power,
-        per_vr_currents_a={},
-        domain_currents_a={f"{spec.pol_voltage_v:g}V": i_die},
-        feasibility=feasibility,
-        assumptions=assumptions,
-    )
-
-
 def _over_rating(load_a: float, topo: conv.ConverterTopology) -> bool:
     return load_a > topo.i_max_a * (1.0 + _RATING_RTOL)
 
 
-def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evaluation:
+def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
+    """evaluate as a generator: yields each plane problem, is sent its solution.
+
+    The evaluation ends at the first stage, POL side first, whose
+    converter_rating check fails: the cell's verdict is then fixed. A bank
+    whose mean per-VR load is over its rating fails before its plane is
+    built, so its stage is missing from the breakdown; any other bank fails
+    on its plane's worst VR, once its own checks have run. Only a plan whose
+    every stage was evaluated goes on to its board rail; a plan with no
+    package stage starts there.
+    """
+    usage = {e.level: e for e in utilization_report(spec, datasets)}
+    feasibility = [
+        FeasibilityCheck(
+            "utilization", e.status,
+            f"{e.level} at {e.domain_voltage_v:g} V: {e.total_used} of {e.available} "
+            f"connections ({e.utilization_fraction:.2%} vs cap {e.cap:.0%})",
+        )
+        for e in usage.values()
+    ]
     cal = datasets.calibration
+    assumptions: list[str] = []
     vertical: dict[str, float] = {}
     horizontal: dict[str, float] = {}
     per_vr: dict[str, list[float]] = {}
@@ -515,12 +472,21 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evalua
             # it, so neither the stages upstream nor the board rail are evaluated.
             break
     else:
-        # Source-side domain: remaining vertical levels plus the board rail.
-        i_in = demand_w / INPUT_VOLTAGE_V
-        domain_currents[f"{INPUT_VOLTAGE_V:g}V"] = i_in
-        vertical.update(_domain_vertical_losses(spec, datasets, usage, INPUT_VOLTAGE_V,
-                                                i_in))
+        # The rail the board delivers: its PCB plane and the levels that
+        # carry it. With no package stage the board converts to that rail too.
+        v_board = spec.stack[0].domain_voltage_v
+        board = f"{v_board:g}V"
+        i_in = demand_w / v_board
+        domain_currents[board] = i_in
+        domain_vertical = _domain_vertical_losses(spec, datasets, usage, v_board, i_in)
+        vertical.update(domain_vertical)
         pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
+        delivered[board] = demand_w - pcb_loss - ordered_sum(domain_vertical.values())
+        if not spec.stages:
+            eta = REFERENCE_EFFICIENCY
+            assumptions.append(f"reference chain modeled as one flat {eta:.0%}-efficient "
+                               f"{INPUT_VOLTAGE_V:g}V-to-{board} converter at the board")
+            converter_losses["stage1_reference"] = demand_w / eta - demand_w
 
     vert_total = ordered_sum(vertical.values())
     conv_total = ordered_sum(converter_losses.values())
@@ -534,10 +500,10 @@ def _evaluate_staged(spec, datasets, usage, feasibility, assumptions) -> _Evalua
     # by the source.
     source_power = pol_power + total_loss
 
-    topo_name = spec.stages[-1].topology.name.split("-")[0]
     return LossBreakdown(
         architecture=spec.name,
-        topology=topo_name,
+        topology=(spec.stages[-1].topology.name.split("-")[0] if spec.stages
+                  else "reference-chain"),
         budget_power_w=spec.total_power_w,
         vertical_losses_w=vertical,
         horizontal_losses_w=horizontal,
@@ -685,10 +651,11 @@ def compare(
     Cells come back architecture-major, but their plane solves run
     plane-major: all cells are evaluated together, and cells that share a
     plane (A3@12V and A3@6V share a POL plane, two topologies share an A3
-    intermediate plane) solve it back to back on one factor. The reference
-    chain ignores the topology: one evaluation serves every topology's cell.
+    intermediate plane) solve it back to back on one factor. A plan with no
+    package stage ignores the topology: one evaluation serves every
+    topology's cell.
     """
-    cells = [(arch, topology_names[0] if arch == "A0" else topo, topo)
+    cells = [(arch, topology_names[0] if PLANS.get(arch) == () else topo, topo)
              for arch in arch_names for topo in topology_names]
     evaluated = list(dict.fromkeys((arch, topo) for arch, topo, _ in cells))
     plan = {"die_area_mm2": die_area_mm2, "total_power_w": total_power_w,

@@ -18,7 +18,17 @@ _KNOWN_KEYS = {
     "die_area_mm2", "datasets", "out_dir", "formats", "strict",
 }
 _FORMATS = ("json", "csv", "txt")
-ARCHITECTURE_NAMES = ("A0", "A1", "A2", "A3@12V", "A3@6V")
+# The built-in delivery plans: each plan's package stages, source side first,
+# as (placement, converter family, output rail). A family or rail of None is
+# the run's POL topology or POL voltage. A0 converts at the board.
+PLANS = {
+    "A0": (),
+    "A1": (("interposer_periphery", None, None),),
+    "A2": (("in_interposer", None, None),),
+    "A3@12V": (("interposer_periphery", "DPMIH", 12.0), ("power_die", None, None)),
+    "A3@6V": (("interposer_periphery", "DPMIH", 6.0), ("power_die", None, None)),
+}
+ARCHITECTURE_NAMES = tuple(PLANS)
 
 
 @dataclass

@@ -70,10 +70,17 @@ class StageSpec:
     """One conversion stage of an architecture: topology plus where it sits."""
 
     topology: ConverterTopology
-    placement: str                     # interposer_periphery | in_interposer | power_die
+    placement: str                     # a key of PLACEMENTS
     vr_count: int                      # parallel VRs: the datasheet site count
 
-    PLACEMENTS = ("interposer_periphery", "in_interposer", "power_die")
+    # What a placement means: the stack index (PCB side first) of the first
+    # level on its die side, the VrSiteCounts field sizing its bank, and the
+    # Calibration field scaling its plane's sheet resistance (None: unscaled).
+    PLACEMENTS = {
+        "interposer_periphery": (2, "periphery", None),
+        "in_interposer": (2, "below_die", "die_grid_multiplier"),
+        "power_die": (3, "below_die", "power_die_multiplier"),
+    }
 
     def __post_init__(self):
         if self.placement not in self.PLACEMENTS:

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 import pdnx
 from pdnx import converter as conv
 from pdnx import architecture, pdn_grid
+from pdnx import interconnect as ic
 from pdnx.architecture import (ARCHITECTURE_NAMES, MIN_DIE_AREA_FLOOR_MM2, build_architecture,
                                compare, evaluate, evaluate_cell, pol_current_curve,
                                utilization_report)
 from pdnx.calibrate import calibrate_min_die_area
+from pdnx.config import PLANS
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets, load_raw_dataset
 from pdnx.errors import (LoadExceedsRating, PdnxError, SingularSystem, Unsatisfiable,
@@ -305,6 +307,107 @@ class TestReferenceArchitecture:
         assert entries["bga"].utilization_fraction > 0.60
 
 
+class TestReferenceOracle:
+    """A0 against its closed form: the board converts at a flat efficiency,
+    and the POL rail crosses the PCB plane and every packaging level."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(r_pcb=st.floats(1e-7, 1e-2), power=st.floats(1.0, 5000.0),
+           v_pol=st.floats(0.3, 5.0), area=st.floats(50.0, 2000.0))
+    def test_a0_closed_form(self, datasets, r_pcb, power, v_pol, area):
+        cal = replace(datasets.calibration, pcb_lateral_resistance_ohm=r_pcb)
+        ds = replace(datasets, calibration=cal)
+        b = evaluate(build_architecture("A0", None, ds, die_area_mm2=area,
+                                        total_power_w=power, pol_voltage_v=v_pol), ds)
+        eta, i_die = architecture.REFERENCE_EFFICIENCY, power / v_pol
+        assert b.topology == "reference-chain"
+        assert b.converter_losses_w == {"stage1_reference": pytest.approx(
+            power * (1.0 / eta - 1.0), rel=1e-12)}
+        assert b.pcb_lateral_loss_w == pytest.approx(r_pcb * i_die ** 2, rel=1e-12)
+        policy = cal.policy()
+        for name in ds.stack_levels():
+            level = ds.levels[name]
+            count = required_connections(level, i_die, policy,
+                                         level.area_ratio_to_die * area).per_net_count
+            assert b.vertical_losses_w[name] == pytest.approx(
+                ic.level_loss(level, i_die, max(count, 1)), rel=1e-12)
+        assert list(b.vertical_losses_w) == list(ds.stack_levels())
+        assert b.domain_currents_a == {f"{v_pol:g}V": i_die}
+        assert b.source_power_w == pytest.approx(power / eta, rel=1e-11)
+        assert b.per_vr_currents_a == {} and b.horizontal_losses_w == {}
+        assert [f.check for f in b.feasibility] == ["utilization"] * 4
+
+
+class TestPlanTable:
+    """The five built-in plans (config.PLANS) as build_architecture assembles them."""
+
+    LEVELS = ("bga", "c4", "tsv", "adv_pad")
+    # (plan, POL voltage) -> the rail of each stack level, PCB side first.
+    # A1 and A2 keep their topology's 1 V output, so 0.8 V is refused.
+    STACKS = {("A0", 1.0): (1.0, 1.0, 1.0, 1.0), ("A0", 0.8): (0.8, 0.8, 0.8, 0.8),
+              ("A1", 1.0): (48.0, 48.0, 1.0, 1.0), ("A1", 0.8): None,
+              ("A2", 1.0): (48.0, 48.0, 1.0, 1.0), ("A2", 0.8): None,
+              ("A3@12V", 1.0): (48.0, 48.0, 12.0, 1.0), ("A3@12V", 0.8): (48.0, 48.0, 12.0, 0.8),
+              ("A3@6V", 1.0): (48.0, 48.0, 6.0, 1.0), ("A3@6V", 0.8): (48.0, 48.0, 6.0, 0.8)}
+    # (plan, topology, POL voltage) -> (name, v_in, v_out, placement, VR count) per
+    # stage, source side first.
+    P, I, D = "interposer_periphery", "in_interposer", "power_die"
+    STAGES = {
+        ("A0", "DSCH", 1.0): (), ("A0", "DPMIH", 1.0): (),
+        ("A1", "DSCH", 1.0): (("DSCH", 48.0, 1.0, P, 48),),
+        ("A1", "DPMIH", 1.0): (("DPMIH", 48.0, 1.0, P, 8),),
+        ("A2", "DSCH", 1.0): (("DSCH", 48.0, 1.0, I, 48),),
+        ("A2", "DPMIH", 1.0): (("DPMIH", 48.0, 1.0, I, 7),),
+        ("A3@12V", "DSCH", 1.0): (("DPMIH-48to12", 48.0, 12.0, P, 8),
+                                  ("DSCH-12to1", 12.0, 1.0, D, 48)),
+        ("A3@12V", "DPMIH", 1.0): (("DPMIH-48to12", 48.0, 12.0, P, 8),
+                                   ("DPMIH-12to1", 12.0, 1.0, D, 7)),
+        ("A3@6V", "DSCH", 1.0): (("DPMIH-48to6", 48.0, 6.0, P, 8),
+                                 ("DSCH-6to1", 6.0, 1.0, D, 48)),
+        ("A3@6V", "DPMIH", 1.0): (("DPMIH-48to6", 48.0, 6.0, P, 8),
+                                  ("DPMIH-6to1", 6.0, 1.0, D, 7)),
+        ("A3@12V", "DSCH", 0.8): (("DPMIH-48to12", 48.0, 12.0, P, 8),
+                                  ("DSCH-12to0.8", 12.0, 0.8, D, 48)),
+        ("A3@6V", "DPMIH", 0.8): (("DPMIH-48to6", 48.0, 6.0, P, 8),
+                                  ("DPMIH-6to0.8", 6.0, 0.8, D, 7)),
+    }
+
+    def test_the_table_names_the_plans(self):
+        assert ARCHITECTURE_NAMES == tuple(PLANS) == ("A0", "A1", "A2", "A3@12V", "A3@6V")
+
+    @pytest.mark.parametrize("arch, v_pol", list(STACKS))
+    def test_each_level_carries_its_rail(self, datasets, arch, v_pol):
+        want = self.STACKS[arch, v_pol]
+        if want is None:
+            with pytest.raises(ValueError, match="^final stage must end at the POL voltage$"):
+                build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
+            return
+        spec = build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
+        assert [(a.level_name, a.domain_voltage_v) for a in spec.stack] == list(
+            zip(self.LEVELS, want))
+        # A0 and A3 evaluate at either POL voltage (300 W is within every rating).
+        b = evaluate(build_architecture(arch, "DSCH", datasets, total_power_w=300.0,
+                                        pol_voltage_v=v_pol), datasets)
+        assert b.pol_power_w > 0
+
+    @pytest.mark.parametrize("arch, topo, v_pol", list(STAGES))
+    def test_each_stage_is_pinned(self, datasets, arch, topo, v_pol):
+        spec = build_architecture(arch, topo, datasets, pol_voltage_v=v_pol)
+        got = tuple((s.topology.name, s.topology.v_in_v, s.topology.v_out_v, s.placement,
+                     s.vr_count) for s in spec.stages)
+        assert got == self.STAGES[arch, topo, v_pol]
+
+    @pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
+    def test_only_a0_needs_no_topology(self, datasets, arch):
+        if arch == "A0":
+            assert build_architecture(arch, None, datasets).stages == ()
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(arch)} needs a converter "
+                                                 "topology$"):
+                build_architecture(arch, None, datasets)
+
+
 class TestProposedArchitectures:
     @pytest.mark.parametrize("arch", ["A1", "A2"])
     def test_twenty_percent_class_loss(self, datasets, arch):
@@ -415,13 +518,13 @@ class TestRatingHandling:
         from pdnx import architecture
         from pdnx.reporting import cell_to_csv_row
         evaluated = []
-        real = architecture._evaluate_reference
+        real = architecture._evaluate_steps
 
         def counting(spec, *args):
             evaluated.append(spec.name)
             return real(spec, *args)
 
-        monkeypatch.setattr(architecture, "_evaluate_reference", counting)
+        monkeypatch.setattr(architecture, "_evaluate_steps", counting)
         topologies = ["DPMIH", "3LHD", "DSCH"]
         table = compare(["A0"], topologies, datasets)
         assert evaluated == ["A0"]

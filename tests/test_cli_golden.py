@@ -18,6 +18,7 @@ GOLDEN = Path(__file__).with_name("golden") / "cli"
 
 # case name -> (run config, command and arguments; --config and --out are added)
 CASES = {
+    "evaluate_a0": ({"architectures": "A0"}, ["evaluate"]),
     "evaluate_a1_dsch": ({"architectures": "A1", "topologies": "DSCH"}, ["evaluate"]),
     "evaluate_a1_dpmih": ({"architectures": "A1", "topologies": "DPMIH"}, ["evaluate"]),
     "evaluate_a3_12v_dsch": ({"architectures": "A3@12V", "topologies": "DSCH"},
