@@ -138,12 +138,12 @@ def build_architecture(
 ) -> ArchitectureSpec:
     """Assemble one of the built-in delivery plans (config.PLANS) for a POL topology.
 
-    A stage keeps its family's datasheet rails unless its row names an output
-    rail or it is fed from a rail other than 48 V; then it is retargeted to
-    its rails (ConverterTopology.for_conversion). So a one-stage plan needs
-    its topology's own POL voltage. Each stack level carries the output rail
-    of the last stage on its PCB side; the levels before the first stage
-    carry 48 V, or the POL rail when the plan has no package stage.
+    A stage is retargeted to its rails (ConverterTopology.for_conversion)
+    whenever they differ from its family's datasheet rails, so every plan
+    follows pol_voltage_v, which must lie below the 48 V board rail. Each
+    stack level carries the output rail of the last stage on its PCB side;
+    the levels before the first stage carry 48 V, or the POL rail when the
+    plan has no package stage.
     """
     cal = datasets.calibration
     die = DieFloorplan(
@@ -152,6 +152,9 @@ def build_architecture(
     )
     if arch_name not in ARCHITECTURE_NAMES:
         raise ValueError(f"unknown architecture '{arch_name}'")
+    if pol_voltage_v >= INPUT_VOLTAGE_V:
+        raise ValueError(f"pol_voltage_v {pol_voltage_v:g} V is not below the "
+                         f"{INPUT_VOLTAGE_V:g} V board rail")
     stages: list[StageSpec] = []
     v_in = INPUT_VOLTAGE_V
     for placement, family, rail in PLANS[arch_name]:
@@ -159,8 +162,9 @@ def build_architecture(
             raise ValueError(f"{arch_name} needs a converter topology")
         family = family or topology_name
         topo = datasets.topologies[family]
-        if rail is not None or v_in != INPUT_VOLTAGE_V:
-            topo = topo.for_conversion(v_in, pol_voltage_v if rail is None else rail)
+        v_out = pol_voltage_v if rail is None else rail
+        if (v_in, v_out) != (topo.v_in_v, topo.v_out_v):
+            topo = topo.for_conversion(v_in, v_out)
         sites = StageSpec.PLACEMENTS[placement][1]
         stages.append(StageSpec(topo, placement, getattr(datasets.vr_site_counts[family], sites)))
         v_in = topo.v_out_v

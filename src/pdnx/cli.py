@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from .config import ARCHITECTURE_NAMES, RunConfig, check_formats, load_config
+from .config import ARCHITECTURE_NAMES, RunConfig, load_config
 from .datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
 from .errors import ConfigError, PdnxError, SingularSystem, TargetUnreachable, Unsatisfiable
 
@@ -47,13 +47,24 @@ SWEEP_RUN_PARAMETERS = ("die_area", "total_power")
 # Most samples a start:stop:step range may ask for; checked before the list
 # is built.
 _MAX_SWEEP_SAMPLES = 100_000
+_FORMATS = ("json", "csv", "txt")
+
+
+def _formats(text: str) -> tuple[str, ...]:
+    """--format's comma list; an unknown format is a usage error."""
+    fmts = tuple(f.strip() for f in text.split(",") if f.strip())
+    bad = sorted(set(fmts) - set(_FORMATS))
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown format(s) {', '.join(bad)}")
+    return fmts
 
 
 # Every option a command may take, as add_argument keywords.
 _OPTIONS = {
     "config": {"help": "run configuration (JSON or dotted key=value)"},
-    "out": {"help": "output directory (default from config)"},
-    "format": {"help": "comma list of json,csv,txt"},
+    "out": {"default": "out", "help": "output directory (default: out)"},
+    "format": {"type": _formats, "default": _FORMATS,
+               "help": "comma list of json,csv,txt (default: all three)"},
     "strict": {"action": "store_true", "help": "treat feasibility failures as errors (exit 3)"},
     "stamp": {"action": "store_true", "help": "embed a timestamp in text reports"},
     "param": {"required": True,
@@ -95,15 +106,8 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _load(args) -> tuple[RunConfig, "object"]:
-    """The run config with the command's own options applied, and its datasets."""
+    """The run config and its datasets."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "format", None):
-        fmts = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        cfg.formats = check_formats(fmts, "--format")
-    if getattr(args, "strict", False):
-        cfg.strict = True
     datasets = load_datasets(cfg.dataset_overrides)
     for name in cfg.architectures:
         if name not in ARCHITECTURE_NAMES:
@@ -114,13 +118,13 @@ def _load(args) -> tuple[RunConfig, "object"]:
     return cfg, datasets
 
 
-def _emit(cfg: RunConfig, stem: str, json_doc, csv_text: str, txt_text: str) -> list[str]:
+def _emit(args, stem: str, json_doc, csv_text: str, txt_text: str) -> list[str]:
     from . import reporting as rpt
     written = []
     for fmt, content in (("json", rpt.dump_json(json_doc)), ("csv", csv_text),
                          ("txt", txt_text)):
-        if fmt in cfg.formats:
-            path = os.path.join(cfg.out_dir, f"{stem}.{fmt}")
+        if fmt in args.format:
+            path = os.path.join(args.out, f"{stem}.{fmt}")
             rpt.write_atomic(path, content)
             written.append(path)
     return written
@@ -152,22 +156,22 @@ def cmd_evaluate(args) -> int:
     if cell.status != "ok":
         verdict = "error" if cell.status == "error" else "not reported"
         line = f"{cell.architecture} + {cell.topology}: {verdict} ({cell.reason})"
-        _emit(cfg, "breakdown", asdict(cell),
+        _emit(args, "breakdown", asdict(cell),
               rpt.table_to_csv(arch.ComparisonTable([cell])), line + "\n")
         print(line)
         if cell.status == "error":
             return EXIT_NUMERICAL
-        return EXIT_FEASIBILITY if cfg.strict else EXIT_OK
+        return EXIT_FEASIBILITY if args.strict else EXIT_OK
 
     breakdown = cell.breakdown
-    files = _emit(cfg, "breakdown", asdict(breakdown),
+    files = _emit(args, "breakdown", asdict(breakdown),
                   rpt.breakdown_to_csv(breakdown),
                   rpt.breakdown_to_text(breakdown, stamp=args.stamp))
     print(f"{cell.architecture} + {breakdown.topology}: total loss "
           f"{breakdown.total_loss_w:.1f} W ({breakdown.total_loss_pct:.1f}% of budget)")
     for path in files:
         print(f"wrote {path}")
-    if cfg.strict and breakdown.worst_status() == "fail":
+    if args.strict and breakdown.worst_status() == "fail":
         return EXIT_FEASIBILITY
     return EXIT_OK
 
@@ -181,12 +185,12 @@ def cmd_compare(args) -> int:
         die_area_mm2=cfg.die_area_mm2, total_power_w=cfg.total_power_w,
         pol_voltage_v=cfg.pol_voltage_v,
     )
-    files = _emit(cfg, "comparison", rpt.table_to_dict(table),
+    files = _emit(args, "comparison", rpt.table_to_dict(table),
                   rpt.table_to_csv(table), rpt.table_to_text(table, stamp=args.stamp))
     print(rpt.table_to_text(table), end="")
     for path in files:
         print(f"wrote {path}")
-    if cfg.strict and any(c.status != "ok" for c in table.cells):
+    if args.strict and any(c.status != "ok" for c in table.cells):
         return EXIT_FEASIBILITY
     return EXIT_OK
 
@@ -268,7 +272,7 @@ def cmd_sweep(args) -> int:
                 cell = arch.ComparisonCell(arch_name, topo_name, "error", str(exc))
         lines.append(f"{value!r},{rpt.cell_to_csv_row(cell)}")
     csv_text = "\n".join(lines) + "\n"
-    path = os.path.join(cfg.out_dir, f"sweep_{param}.csv")
+    path = os.path.join(args.out, f"sweep_{param}.csv")
     rpt.write_atomic(path, csv_text)
     print(f"wrote {path} ({len(values)} samples)")
     return EXIT_OK
@@ -286,7 +290,7 @@ def cmd_calibrate(args) -> int:
         if targets else "identity copy of the active calibration",
         residuals=residuals,
     )
-    path = os.path.join(cfg.out_dir, "calibration-user.json")
+    path = os.path.join(args.out, "calibration-user.json")
     rpt.write_atomic(path, rpt.dump_json(doc))
     print(f"wrote {path}")
     for name, res in sorted(residuals.items()):
@@ -333,9 +337,9 @@ def cmd_feasibility(args) -> int:
         f"({min_area.density_a_mm2:.2f} A/mm2, binding level {min_area.binding_level})"
     )
     txt = "\n".join(txt_lines) + "\n"
-    _emit(cfg, "feasibility", doc, rpt.utilization_to_csv(entries), txt)
+    _emit(args, "feasibility", doc, rpt.utilization_to_csv(entries), txt)
     print(txt, end="")
-    if cfg.strict and any(e.status == "fail" for e in entries):
+    if args.strict and any(e.status == "fail" for e in entries):
         return EXIT_FEASIBILITY
     return EXIT_OK
 

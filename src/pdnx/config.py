@@ -15,9 +15,8 @@ from .errors import ConfigError
 
 _KNOWN_KEYS = {
     "architectures", "topologies", "total_power_w", "pol_voltage_v",
-    "die_area_mm2", "datasets", "out_dir", "formats", "strict",
+    "die_area_mm2", "datasets",
 }
-_FORMATS = ("json", "csv", "txt")
 # The built-in delivery plans: each plan's package stages, source side first,
 # as (placement, converter family, output rail). A family or rail of None is
 # the run's POL topology or POL voltage. A0 converts at the board.
@@ -39,9 +38,6 @@ class RunConfig:
     pol_voltage_v: float = 1.0
     die_area_mm2: float | None = None
     dataset_overrides: dict = field(default_factory=dict)
-    out_dir: str = "out"
-    formats: tuple[str, ...] = _FORMATS
-    strict: bool = False
 
 
 def _coerce_scalar(text: str):
@@ -115,14 +111,6 @@ def _as_positive(value, field_name: str) -> float:
     return float(value)
 
 
-def check_formats(fmts, source: str) -> tuple[str, ...]:
-    """The report formats as a tuple; ConfigError names any unknown one."""
-    bad = sorted(set(fmts) - set(_FORMATS))
-    if bad:
-        raise ConfigError(f"{source}: unknown format(s) {', '.join(bad)}")
-    return tuple(fmts)
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     unknown = sorted(set(doc) - _KNOWN_KEYS)
     if unknown:
@@ -142,14 +130,4 @@ def config_from_dict(doc: dict) -> RunConfig:
         if not isinstance(doc["datasets"], dict):
             raise ConfigError("field 'datasets': expected an object of dataset overrides")
         cfg.dataset_overrides = doc["datasets"]
-    if "out_dir" in doc:
-        if not isinstance(doc["out_dir"], str):
-            raise ConfigError("field 'out_dir': expected a string")
-        cfg.out_dir = doc["out_dir"]
-    if "formats" in doc:
-        cfg.formats = check_formats(_as_str_list(doc["formats"], "formats"), "field 'formats'")
-    if "strict" in doc:
-        if not isinstance(doc["strict"], bool):
-            raise ConfigError("field 'strict': expected true or false")
-        cfg.strict = doc["strict"]
     return cfg

@@ -344,10 +344,10 @@ class TestPlanTable:
 
     LEVELS = ("bga", "c4", "tsv", "adv_pad")
     # (plan, POL voltage) -> the rail of each stack level, PCB side first.
-    # A1 and A2 keep their topology's 1 V output, so 0.8 V is refused.
+    # Every plan follows the POL voltage.
     STACKS = {("A0", 1.0): (1.0, 1.0, 1.0, 1.0), ("A0", 0.8): (0.8, 0.8, 0.8, 0.8),
-              ("A1", 1.0): (48.0, 48.0, 1.0, 1.0), ("A1", 0.8): None,
-              ("A2", 1.0): (48.0, 48.0, 1.0, 1.0), ("A2", 0.8): None,
+              ("A1", 1.0): (48.0, 48.0, 1.0, 1.0), ("A1", 0.8): (48.0, 48.0, 0.8, 0.8),
+              ("A2", 1.0): (48.0, 48.0, 1.0, 1.0), ("A2", 0.8): (48.0, 48.0, 0.8, 0.8),
               ("A3@12V", 1.0): (48.0, 48.0, 12.0, 1.0), ("A3@12V", 0.8): (48.0, 48.0, 12.0, 0.8),
               ("A3@6V", 1.0): (48.0, 48.0, 6.0, 1.0), ("A3@6V", 0.8): (48.0, 48.0, 6.0, 0.8)}
     # (plan, topology, POL voltage) -> (name, v_in, v_out, placement, VR count) per
@@ -367,6 +367,10 @@ class TestPlanTable:
                                  ("DSCH-6to1", 6.0, 1.0, D, 48)),
         ("A3@6V", "DPMIH", 1.0): (("DPMIH-48to6", 48.0, 6.0, P, 8),
                                   ("DPMIH-6to1", 6.0, 1.0, D, 7)),
+        ("A1", "DSCH", 0.8): (("DSCH-48to0.8", 48.0, 0.8, P, 48),),
+        ("A1", "DPMIH", 0.8): (("DPMIH-48to0.8", 48.0, 0.8, P, 8),),
+        ("A2", "DSCH", 0.8): (("DSCH-48to0.8", 48.0, 0.8, I, 48),),
+        ("A2", "DPMIH", 0.8): (("DPMIH-48to0.8", 48.0, 0.8, I, 7),),
         ("A3@12V", "DSCH", 0.8): (("DPMIH-48to12", 48.0, 12.0, P, 8),
                                   ("DSCH-12to0.8", 12.0, 0.8, D, 48)),
         ("A3@6V", "DPMIH", 0.8): (("DPMIH-48to6", 48.0, 6.0, P, 8),
@@ -379,14 +383,10 @@ class TestPlanTable:
     @pytest.mark.parametrize("arch, v_pol", list(STACKS))
     def test_each_level_carries_its_rail(self, datasets, arch, v_pol):
         want = self.STACKS[arch, v_pol]
-        if want is None:
-            with pytest.raises(ValueError, match="^final stage must end at the POL voltage$"):
-                build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
-            return
         spec = build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
         assert [(a.level_name, a.domain_voltage_v) for a in spec.stack] == list(
             zip(self.LEVELS, want))
-        # A0 and A3 evaluate at either POL voltage (300 W is within every rating).
+        # Every plan evaluates at either POL voltage (300 W is within every rating).
         b = evaluate(build_architecture(arch, "DSCH", datasets, total_power_w=300.0,
                                         pol_voltage_v=v_pol), datasets)
         assert b.pol_power_w > 0
@@ -397,6 +397,14 @@ class TestPlanTable:
         got = tuple((s.topology.name, s.topology.v_in_v, s.topology.v_out_v, s.placement,
                      s.vr_count) for s in spec.stages)
         assert got == self.STAGES[arch, topo, v_pol]
+
+    @pytest.mark.parametrize("arch", ["A0", "A1", "A3@12V"])
+    @pytest.mark.parametrize("v_pol", [48.0, 60.0])
+    def test_a_pol_voltage_at_or_above_the_board_rail_is_refused(self, datasets, arch,
+                                                                  v_pol):
+        with pytest.raises(ValueError, match=f"^pol_voltage_v {v_pol:g} V is not below the "
+                                             "48 V board rail$"):
+            build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
 
     @pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
     def test_only_a0_needs_no_topology(self, datasets, arch):

@@ -103,10 +103,11 @@ class TestEvaluateCommand:
         cfg = write_config(tmp_path, {"architectures": "A9"})
         assert run_cli("evaluate", "--config", cfg, "--out", str(tmp_path / "x")) == 2
 
-    def test_pol_voltage_mismatch_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"pol_voltage_v": 0.8})
+    def test_pol_voltage_at_the_board_rail_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"pol_voltage_v": 48})
         assert run_cli("evaluate", "--config", cfg, "--out", str(tmp_path / "o")) == 2
-        assert "config error:" in capsys.readouterr().err
+        assert "config error: pol_voltage_v 48 V is not below the 48 V board rail" \
+            in capsys.readouterr().err
 
     def test_missing_operating_point_not_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -781,20 +782,26 @@ class TestEntryPoint:
         # parsed by the calibration module, whose fits import the evaluation
         # only when they run.
         bad_arch = write_config(tmp_path, {"architectures": "A9"})
+        # The report settings are options only, so a run config that sets one
+        # is refused as an unknown field.
+        reports = []
+        for key, value in (("out_dir", "o"), ("formats", ["json"]), ("strict", True)):
+            (tmp_path / f"{key}.json").write_text(json.dumps({key: value}))
+            reports.append(["evaluate", "--config", str(tmp_path / f"{key}.json")])
         steps = [["datasets"], ["--help"], ["compare", "--config", str(tmp_path / "none.json")],
                  ["evaluate", "--format", "xml"], ["evaluate", "--config", bad_arch],
-                 ["sweep", "--param", "nope", "--values", "1"], ["nonesuch"],
+                 *reports, ["sweep", "--param", "nope", "--values", "1"], ["nonesuch"],
                  ["calibrate", "--target", "bogus=1"]]
         seen = self._loaded_after(steps)
         assert seen[0] == [None, ["pdnx"]]
         assert seen[1] == [None, ["pdnx", "pdnx.converter", "pdnx.datasets", "pdnx.errors",
                                   "pdnx.interconnect"]]
-        assert [code for code, _ in seen[2:]] == [0, 0, 2, 2, 2, 2, 2, 2]
+        assert [code for code, _ in seen[2:]] == [0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2]
         for _, modules in seen:
             assert not {"numpy", "pdnx.floats", "pdnx.pdn_grid", "pdnx.architecture",
                         "pdnx.placement", "pdnx.reporting"} & set(modules)
             assert self._scipy(modules) == []
-        assert ["pdnx.calibrate" in modules for _, modules in seen] == [False] * 9 + [True]
+        assert ["pdnx.calibrate" in modules for _, modules in seen] == [False] * 12 + [True]
 
     def test_scipy_is_imported_only_where_a_plane_is_factored(self, tmp_path):
         # pdn_grid imports scipy.linalg where a band factor is made or

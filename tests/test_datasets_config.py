@@ -286,7 +286,6 @@ class TestConfigDialects:
       "topologies": ["DSCH"],
       "total_power_w": 1000,
       "pol_voltage_v": 1.0,
-      "strict": true,
       "datasets": {"calibration-default": {"demand_weight": 1.5}}
     }
     """
@@ -296,7 +295,6 @@ class TestConfigDialects:
     topologies = DSCH
     total_power_w = 1000
     pol_voltage_v = 1.0
-    strict = true
     datasets.calibration-default.demand_weight = 1.5
     """
 
@@ -328,7 +326,7 @@ class TestConfigDialects:
             parse_config_text('{"architectures": [}')
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ConfigError, match="formats"):
+        with pytest.raises(ConfigError, match="^unknown config field\\(s\\): formats$"):
             parse_config_text('{"formats": ["json", "xml"]}')
 
     def test_missing_file(self, tmp_path):
