@@ -48,7 +48,7 @@ from . import converter as conv
 from . import interconnect as ic
 from . import pdn_grid as grid
 from . import placement as plc
-from .config import ARCHITECTURE_NAMES, PLANS
+from .config import ARCHITECTURE_NAMES, INPUT_VOLTAGE_V, PLANS, check_pol_voltage
 from .converter import StageSpec
 from .datasets import Datasets
 from .errors import LoadExceedsRating, PdnxError, Unsatisfiable, ZeroConnections
@@ -57,7 +57,6 @@ from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
 
 MIN_DIE_AREA_FLOOR_MM2 = 1.0   # stands in for what else bounds a die, such as VR footprints
-INPUT_VOLTAGE_V = 48.0         # the board rail
 REFERENCE_EFFICIENCY = 0.90    # the reference chain's one flat board-level converter
 # A VR load is over its rating only beyond this relative margin. A plane
 # solve is accepted at a backward error up to pdn_grid's _RESIDUAL_TOL, so a
@@ -140,10 +139,11 @@ def build_architecture(
 
     A stage is retargeted to its rails (ConverterTopology.for_conversion)
     whenever they differ from its family's datasheet rails, so every plan
-    follows pol_voltage_v, which must lie below the 48 V board rail. Each
-    stack level carries the output rail of the last stage on its PCB side;
-    the levels before the first stage carry 48 V, or the POL rail when the
-    plan has no package stage.
+    follows pol_voltage_v, which must lie below the 48 V board rail and the
+    plan's fixed rails (config.check_pol_voltage). Each stack level carries
+    the output rail of the last stage on its PCB side; the levels before the
+    first stage carry 48 V, or the POL rail when the plan has no package
+    stage.
     """
     cal = datasets.calibration
     die = DieFloorplan(
@@ -152,9 +152,7 @@ def build_architecture(
     )
     if arch_name not in ARCHITECTURE_NAMES:
         raise ValueError(f"unknown architecture '{arch_name}'")
-    if pol_voltage_v >= INPUT_VOLTAGE_V:
-        raise ValueError(f"pol_voltage_v {pol_voltage_v:g} V is not below the "
-                         f"{INPUT_VOLTAGE_V:g} V board rail")
+    check_pol_voltage(arch_name, pol_voltage_v)
     stages: list[StageSpec] = []
     v_in = INPUT_VOLTAGE_V
     for placement, family, rail in PLANS[arch_name]:
@@ -242,8 +240,8 @@ def evaluate(spec: ArchitectureSpec, datasets: Datasets) -> LossBreakdown:
 
     Works backward from the POL demand, one stage at a time: each stage's
     per-VR loads come from its plane solve, its losses from the calibrated
-    curve, and its input feeds the stage upstream. It stops where
-    evaluate_cell does, at the first over-rated bank: a plan stopped before
+    curve, and its input feeds the stage upstream. It stops where a
+    compare cell does, at the first over-rated bank: a plan stopped before
     its source-side stage raises LoadExceedsRating with the deciding check's
     detail; a plan whose every stage was evaluated returns its breakdown,
     with the converter_rating check of an over-rated source-side bank failed.
@@ -365,10 +363,12 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
         rail = f"{v_out:g}V"
         assumptions.append(f"{key}: VR count pinned to the datasheet site count "
                            f"({stage.vr_count})")
-        if topo.v_in_v != INPUT_VOLTAGE_V or v_out != 1.0:
+        # build_architecture retargets a stage whose rails are not its family's.
+        datasheet = datasets.topologies.get(topo.name.split("-")[0], topo)
+        if (datasheet.v_in_v, datasheet.v_out_v) != (topo.v_in_v, v_out):
             assumptions.append(
-                f"{key}: reuses the 48V-to-1V peak-point calibration scaled to "
-                f"v_out={v_out:g} V"
+                f"{key}: reuses the {datasheet.v_in_v:g}V-to-{datasheet.v_out_v:g}V "
+                f"peak-point calibration scaled to v_out={v_out:g} V"
             )
 
         # What the bank carries: the die current at the POL; upstream, the
@@ -447,8 +447,7 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
                            - ordered_sum(domain_vertical.values()))
 
         downstream = [
-            (site, float(v_term) * load + model.loss_w(load) if load > 0
-             else (0.0 if cal.idle_shutdown else model.p_fixed_w))
+            (site, float(v_term) * load + conv.vr_loss(model, load, cal.idle_shutdown))
             for site, v_term, load in zip(sites, solution.vr_plane_voltages, loads)
         ]
         demand_w = plane_in + stage_loss_w
@@ -464,7 +463,7 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
                 f"delivers, so the stage draws {demand_w:.4g} W from upstream "
                 f"({lowest:.4g} W at its lowest VR)"
             )
-        # A plane loss that overflowed is left to the verdict's overflow check.
+        # A plane loss that overflowed is left to _verdict's overflow check.
         if not over and -math.inf < delivered[rail] <= 0:
             raise Unsatisfiable(
                 f"{key}: its {rail} plane and vertical levels lose more than its VRs put "
@@ -497,7 +496,7 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
     horiz_total = ordered_sum(horizontal.values())
     total_loss = conv_total + horiz_total + vert_total + pcb_loss
     # Unset only when the evaluation ended at a POL bank decided on its mean,
-    # before its plane was built; evaluate raises and verdict drops it.
+    # before its plane was built; evaluate raises and _verdict drops it.
     pol_power = delivered.get(f"{spec.pol_voltage_v:g}V", 0.0)
     # Everything upstream of the final VR terminals, including the losses of
     # the levels that sit between its output plane and the POL, is supplied
@@ -572,74 +571,65 @@ class ComparisonTable:
     cells: list[ComparisonCell]
 
 
-def evaluate_cell(
-    arch_name: str,
-    topology_name: str,
-    datasets: Datasets,
-    die_area_mm2: float | None = None,
-    total_power_w: float = 1000.0,
-    pol_voltage_v: float = 1.0,
-) -> ComparisonCell:
-    """Evaluate one architecture x topology cell and give its verdict.
-
-    A model error makes an error cell, and so does an evaluation that
-    overflows the float range or yields a non-finite figure. A converter
-    bank run beyond its current rating makes a not_reported cell, on the
-    check evaluate raises or records: its losses are never presented as a
-    loss figure. The cell is judged at its first over-rated bank, POL side
-    first, as evaluate is: the stages upstream of it are not evaluated, so a
-    model error there does not make the cell an error, but the board rail
-    is when every stage was. A bank too small for its current even with
-    perfect sharing is judged on its mean per-VR load, before its plane is
-    built, so neither its own checks nor its own figures can make the cell
-    an error. Any other result is ok. The reference chain ignores the
-    topology (same converter either way).
-    """
-    return compare([arch_name], [topology_name], datasets, die_area_mm2=die_area_mm2,
-                   total_power_w=total_power_w, pol_voltage_v=pol_voltage_v).cells[0]
+_OVERFLOW = "numerical overflow: a figure leaves the floating-point range"
 
 
-def _cell_steps(arch_name: str, topology_name: str, datasets: Datasets,
-                **plan) -> _Evaluation:
-    spec = build_architecture(arch_name, topology_name, datasets, **plan)
-    return (yield from _evaluate_steps(spec, datasets))
-
-
-def evaluate_plans(plans: list[tuple[str, str, Datasets, dict]]) -> list:
-    """Evaluate (architecture, topology, datasets, plan) tuples together, plane-major.
-
-    plan holds build_architecture's keyword arguments. Plans that share a
-    plane solve it back to back on one factor (see _drive). Returns, per
-    plan, its breakdown, which ends at the first over-rated bank, or the
-    exception it raised; verdict makes a cell of either.
-    """
-    runs = [_cell_steps(arch, topo, ds, **plan) for arch, topo, ds, plan in plans]
-    return _drive(runs)
-
-
-def verdict(arch_name: str, topology_name: str, outcome) -> ComparisonCell:
-    """The cell an evaluation's breakdown, or the exception it raised, makes."""
-    overflow = "numerical overflow: a figure leaves the floating-point range"
-    if isinstance(outcome, PdnxError):
-        return ComparisonCell(arch_name, topology_name, "error", str(outcome))
-    if isinstance(outcome, OverflowError):
-        return ComparisonCell(arch_name, topology_name, "error", overflow)
-    if isinstance(outcome, Exception):
-        raise outcome
-    breakdown = outcome
+def _verdict(arch_name: str, topology_name: str, breakdown: LossBreakdown) -> ComparisonCell:
+    """The cell an evaluated breakdown makes."""
     figures = [breakdown.total_loss_w, breakdown.total_loss_pct, breakdown.source_power_w,
                breakdown.pol_power_w, breakdown.pcb_lateral_loss_w,
                *breakdown.vertical_losses_w.values(), *breakdown.horizontal_losses_w.values(),
                *breakdown.converter_losses_w.values(), *breakdown.domain_currents_a.values(),
                *(i for loads in breakdown.per_vr_currents_a.values() for i in loads)]
     if not all(map(math.isfinite, figures)):
-        return ComparisonCell(arch_name, topology_name, "error", overflow)
+        return ComparisonCell(arch_name, topology_name, "error", _OVERFLOW)
     violation = next((f.detail for f in breakdown.feasibility
                       if f.check == "converter_rating" and f.status == "fail"), None)
     if violation is not None:
         return ComparisonCell(arch_name, topology_name, "not_reported",
                               "converter rating violated: " + violation)
     return ComparisonCell(arch_name, topology_name, "ok", "", breakdown)
+
+
+def _cell_steps(arch_name: str, topology_name: str, datasets: Datasets, *,
+                die_area_mm2: float | None, total_power_w: float, pol_voltage_v: float,
+                **calibration) -> Generator[grid.GridProblem, grid.GridSolution, ComparisonCell]:
+    """One cell as a generator, as _evaluate_steps, returning the cell's verdict."""
+    try:
+        if calibration:
+            datasets = replace(datasets, calibration=replace(datasets.calibration,
+                                                             **calibration))
+        spec = build_architecture(arch_name, topology_name, datasets,
+                                  die_area_mm2=die_area_mm2, total_power_w=total_power_w,
+                                  pol_voltage_v=pol_voltage_v)
+    except ValueError as exc:
+        return ComparisonCell(arch_name, topology_name, "error", str(exc))
+    try:
+        breakdown = yield from _evaluate_steps(spec, datasets)
+    except PdnxError as exc:
+        return ComparisonCell(arch_name, topology_name, "error", str(exc))
+    except OverflowError:
+        return ComparisonCell(arch_name, topology_name, "error", _OVERFLOW)
+    return _verdict(arch_name, topology_name, breakdown)
+
+
+def evaluate_plans(plans: list[tuple[str, str, Datasets, dict]]) -> list[ComparisonCell]:
+    """Evaluate (architecture, topology, datasets, plan) tuples together, plane-major.
+
+    plan holds build_architecture's die_area_mm2, total_power_w and
+    pol_voltage_v; any other key is a Calibration field the cell changes
+    before its plan is built. Plans that share a plane solve it back to
+    back on one factor (see _drive). Returns each plan's cell, judged as
+    compare says: a ValueError raised while a plan is built is its error
+    cell. Any other exception than a model error or an overflow that a
+    cell's evaluation raises, such as the ValueError of a lattice over the
+    node limit, is raised.
+    """
+    cells = _drive([_cell_steps(arch, topo, ds, **plan) for arch, topo, ds, plan in plans])
+    for cell in cells:
+        if isinstance(cell, Exception):
+            raise cell
+    return cells
 
 
 def compare(
@@ -650,7 +640,20 @@ def compare(
     total_power_w: float = 1000.0,
     pol_voltage_v: float = 1.0,
 ) -> ComparisonTable:
-    """Evaluate every architecture x topology cell; each gets evaluate_cell's verdict.
+    """Evaluate every architecture x topology cell and give each its verdict.
+
+    A plan that cannot be built (build_architecture raises ValueError)
+    makes an error cell, and so do a model error and an evaluation that
+    overflows the float range or yields a non-finite figure. A converter
+    bank run beyond its current rating makes a not_reported cell, on the
+    check evaluate raises or records: its losses are never presented as a
+    loss figure. The cell is judged at its first over-rated bank, POL side
+    first, as evaluate is: the stages upstream of it are not evaluated, so a
+    model error there does not make the cell an error, but the board rail
+    is when every stage was. A bank too small for its current even with
+    perfect sharing is judged on its mean per-VR load, before its plane is
+    built, so neither its own checks nor its own figures can make the cell
+    an error. Any other result is ok.
 
     Cells come back architecture-major, but their plane solves run
     plane-major: all cells are evaluated together, and cells that share a
@@ -664,8 +667,8 @@ def compare(
     evaluated = list(dict.fromkeys((arch, topo) for arch, topo, _ in cells))
     plan = {"die_area_mm2": die_area_mm2, "total_power_w": total_power_w,
             "pol_voltage_v": pol_voltage_v}
-    outcomes = evaluate_plans([(arch, topo, datasets, plan) for arch, topo in evaluated])
-    verdicts = {cell: verdict(*cell, outcome) for cell, outcome in zip(evaluated, outcomes)}
+    verdicts = dict(zip(evaluated, evaluate_plans(
+        [(arch, topo, datasets, plan) for arch, topo in evaluated])))
     return ComparisonTable([replace(verdicts[arch, topo], topology=shown)
                             for arch, topo, shown in cells])
 

@@ -19,9 +19,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
-from .config import ARCHITECTURE_NAMES, RunConfig, load_config
+from .config import RunConfig, load_config
 from .datasets import BUILTIN_NAMES, calibration_to_document, load_datasets, load_raw_dataset
 from .errors import ConfigError, PdnxError, SingularSystem, TargetUnreachable, Unsatisfiable
 
@@ -34,16 +34,17 @@ EXIT_CONFIG = 2
 EXIT_FEASIBILITY = 3
 EXIT_NUMERICAL = 4
 
-# Calibration knobs a sweep may vary, mapped to their calibration field.
+# Each knob a sweep may vary, mapped to the key of a sample's plan that it
+# sets (architecture.evaluate_plans): a Calibration field or a run value.
 SWEEP_PARAMETERS = {
     "sheet_resistance": "sheet_resistance_ohm_sq",
     "die_grid_multiplier": "die_grid_multiplier",
     "power_die_multiplier": "power_die_multiplier",
     "pcb_lateral_resistance": "pcb_lateral_resistance_ohm",
     "demand_weight": "demand_weight",
+    "die_area": "die_area_mm2",
+    "total_power": "total_power_w",
 }
-# Plus run-level knobs handled specially.
-SWEEP_RUN_PARAMETERS = ("die_area", "total_power")
 # Most samples a start:stop:step range may ask for; checked before the list
 # is built.
 _MAX_SWEEP_SAMPLES = 100_000
@@ -68,7 +69,7 @@ _OPTIONS = {
     "strict": {"action": "store_true", "help": "treat feasibility failures as errors (exit 3)"},
     "stamp": {"action": "store_true", "help": "embed a timestamp in text reports"},
     "param": {"required": True,
-              "help": f"one of: {', '.join([*SWEEP_PARAMETERS, *SWEEP_RUN_PARAMETERS])}"},
+              "help": f"one of: {', '.join(SWEEP_PARAMETERS)}"},
     "values": {"required": True, "help": "comma list (1,2,3) or range start:stop:step"},
     "target": {"action": "append", "default": [], "metavar": "NAME=VALUE",
                "help": "a0_loss_pct=40 | a1_spread=16:27 | a2_spread=10:93 | "
@@ -109,13 +110,16 @@ def _load(args) -> tuple[RunConfig, "object"]:
     """The run config and its datasets."""
     cfg = load_config(args.config) if args.config else RunConfig()
     datasets = load_datasets(cfg.dataset_overrides)
-    for name in cfg.architectures:
-        if name not in ARCHITECTURE_NAMES:
-            raise ConfigError(f"unknown architecture '{name}'")
     for name in cfg.topologies:
         if name not in datasets.topologies:
             raise ConfigError(f"unknown converter topology '{name}'")
     return cfg, datasets
+
+
+def _run_values(cfg: RunConfig) -> dict:
+    """The run config's values for build_architecture, compare and a sweep's plans."""
+    return {"die_area_mm2": cfg.die_area_mm2, "total_power_w": cfg.total_power_w,
+            "pol_voltage_v": cfg.pol_voltage_v}
 
 
 def _emit(args, stem: str, json_doc, csv_text: str, txt_text: str) -> list[str]:
@@ -148,11 +152,8 @@ def cmd_evaluate(args) -> int:
     cfg, datasets = _load(args)
     from . import architecture as arch
     from . import reporting as rpt
-    cell = arch.evaluate_cell(
-        cfg.architectures[0], cfg.topologies[0], datasets,
-        die_area_mm2=cfg.die_area_mm2, total_power_w=cfg.total_power_w,
-        pol_voltage_v=cfg.pol_voltage_v,
-    )
+    [cell] = arch.compare(cfg.architectures[:1], cfg.topologies[:1], datasets,
+                          **_run_values(cfg)).cells
     if cell.status != "ok":
         verdict = "error" if cell.status == "error" else "not reported"
         line = f"{cell.architecture} + {cell.topology}: {verdict} ({cell.reason})"
@@ -180,11 +181,7 @@ def cmd_compare(args) -> int:
     cfg, datasets = _load(args)
     from . import architecture as arch
     from . import reporting as rpt
-    table = arch.compare(
-        cfg.architectures, cfg.topologies, datasets,
-        die_area_mm2=cfg.die_area_mm2, total_power_w=cfg.total_power_w,
-        pol_voltage_v=cfg.pol_voltage_v,
-    )
+    table = arch.compare(cfg.architectures, cfg.topologies, datasets, **_run_values(cfg))
     files = _emit(args, "comparison", rpt.table_to_dict(table),
                   rpt.table_to_csv(table), rpt.table_to_text(table, stamp=args.stamp))
     print(rpt.table_to_text(table), end="")
@@ -230,47 +227,19 @@ def _parse_values(text: str) -> list[float]:
 def cmd_sweep(args) -> int:
     cfg, datasets = _load(args)
     param = args.param
-    if param not in SWEEP_PARAMETERS and param not in SWEEP_RUN_PARAMETERS:
-        raise ConfigError(
-            f"unknown sweep parameter '{param}' "
-            f"(known: {', '.join([*SWEEP_PARAMETERS, *SWEEP_RUN_PARAMETERS])})"
-        )
+    if param not in SWEEP_PARAMETERS:
+        raise ConfigError(f"unknown sweep parameter '{param}' "
+                          f"(known: {', '.join(SWEEP_PARAMETERS)})")
     values = _parse_values(args.values)
     from . import architecture as arch
     from . import reporting as rpt
-    arch_name = cfg.architectures[0]
-    topo_name = cfg.topologies[0]
-
-    # Every point is evaluated in one plane-major batch, so points that share
-    # a plane share its factor. A bad value is an error row.
-    cells: list[arch.ComparisonCell | None] = []
-    plans = []
-    for value in values:
-        ds = datasets
-        plan = {"die_area_mm2": cfg.die_area_mm2, "total_power_w": cfg.total_power_w,
-                "pol_voltage_v": cfg.pol_voltage_v}
-        if param == "die_area":
-            plan["die_area_mm2"] = value
-        elif param == "total_power":
-            plan["total_power_w"] = value
-        try:
-            if param in SWEEP_PARAMETERS:
-                cal = replace(ds.calibration, **{SWEEP_PARAMETERS[param]: value})
-                ds = replace(ds, calibration=cal)
-        except ValueError as exc:
-            cells.append(arch.ComparisonCell(arch_name, topo_name, "error", str(exc)))
-        else:
-            cells.append(None)
-            plans.append((arch_name, topo_name, ds, plan))
-    outcomes = iter(arch.evaluate_plans(plans))
+    # Each sample is one plan, and all are evaluated in one plane-major
+    # batch, so samples that share a plane share its factor.
+    plans = [(cfg.architectures[0], cfg.topologies[0], datasets,
+              {**_run_values(cfg), SWEEP_PARAMETERS[param]: value}) for value in values]
     lines = [f"{param},{rpt.CELL_CSV_HEADER}"]
-    for value, cell in zip(values, cells):
-        if cell is None:
-            try:
-                cell = arch.verdict(arch_name, topo_name, next(outcomes))
-            except ValueError as exc:
-                cell = arch.ComparisonCell(arch_name, topo_name, "error", str(exc))
-        lines.append(f"{value!r},{rpt.cell_to_csv_row(cell)}")
+    lines += [f"{value!r},{rpt.cell_to_csv_row(cell)}"
+              for value, cell in zip(values, arch.evaluate_plans(plans))]
     csv_text = "\n".join(lines) + "\n"
     path = os.path.join(args.out, f"sweep_{param}.csv")
     rpt.write_atomic(path, csv_text)
@@ -303,11 +272,7 @@ def cmd_feasibility(args) -> int:
     from . import architecture as arch
     from . import reporting as rpt
     arch_name = cfg.architectures[0]
-    spec = arch.build_architecture(
-        arch_name, cfg.topologies[0], datasets,
-        die_area_mm2=cfg.die_area_mm2, total_power_w=cfg.total_power_w,
-        pol_voltage_v=cfg.pol_voltage_v,
-    )
+    spec = arch.build_architecture(arch_name, cfg.topologies[0], datasets, **_run_values(cfg))
     entries = arch.utilization_report(spec, datasets)
     demand = cfg.total_power_w / cfg.pol_voltage_v
     min_area = arch.min_die_area_for_current(demand, datasets.calibration.policy(), datasets)

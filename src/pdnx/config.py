@@ -9,6 +9,7 @@ diagnostic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -28,6 +29,19 @@ PLANS = {
     "A3@6V": (("interposer_periphery", "DPMIH", 6.0), ("power_die", None, None)),
 }
 ARCHITECTURE_NAMES = tuple(PLANS)
+INPUT_VOLTAGE_V = 48.0   # the board rail
+
+
+def check_pol_voltage(arch_name: str, pol_voltage_v: float) -> None:
+    """Refuse a POL voltage that is not below the board rail and every fixed
+    rail of the plan: no stage steps its rail up."""
+    rails = [(INPUT_VOLTAGE_V, "board rail")]
+    rails += [(rail, f"intermediate rail of {arch_name}")
+              for _, _, rail in PLANS[arch_name] if rail is not None]
+    for rail, what in rails:
+        if not pol_voltage_v < rail:
+            raise ValueError(f"pol_voltage_v {pol_voltage_v:g} V is not below the "
+                             f"{rail:g} V {what}")
 
 
 @dataclass
@@ -100,14 +114,16 @@ def load_config(path: str) -> RunConfig:
 def _as_str_list(value, field_name: str) -> list[str]:
     if isinstance(value, str):
         return [value]
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+    if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
         return list(value)
-    raise ConfigError(f"field '{field_name}': expected a name or list of names")
+    raise ConfigError(f"field '{field_name}': expected a name or a non-empty list of names")
 
 
 def _as_positive(value, field_name: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"field '{field_name}': expected a positive number, got {value!r}")
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not 0 < value < math.inf):
+        raise ConfigError(f"field '{field_name}': expected a positive finite number, "
+                          f"got {value!r}")
     return float(value)
 
 
@@ -130,4 +146,11 @@ def config_from_dict(doc: dict) -> RunConfig:
         if not isinstance(doc["datasets"], dict):
             raise ConfigError("field 'datasets': expected an object of dataset overrides")
         cfg.dataset_overrides = doc["datasets"]
+    for name in cfg.architectures:
+        if name not in PLANS:
+            raise ConfigError(f"unknown architecture '{name}'")
+        try:
+            check_pol_voltage(name, cfg.pol_voltage_v)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return cfg

@@ -135,17 +135,21 @@ def stage_loss(
 ) -> float:
     """Total conversion loss of a bank of identical VRs at the given loads.
 
-    Idle VRs still burn p_fixed (they keep switching) unless idle_shutdown is
-    set. Loads above the rating extrapolate the loss curve; the caller judges
-    the rating (architecture's converter_rating check, which stops evaluate).
+    Each VR loses vr_loss at its load. Loads above the rating extrapolate
+    the loss curve; the caller judges the rating (architecture's
+    converter_rating check, which stops evaluate).
     """
     total = 0.0
     for k, load in enumerate(vr_loads_a):
         if load < 0:
             raise ValueError(f"VR {k}: load must be >= 0")
-        if load == 0.0:
-            if not idle_shutdown:
-                total += model.p_fixed_w
-        else:
-            total += model.loss_w(load)
+        total += vr_loss(model, load, idle_shutdown)
     return total
+
+
+def vr_loss(model: CalibratedLossModel, load_a: float, idle_shutdown: bool = False) -> float:
+    """One VR's conversion loss at a load >= 0. An idle VR still burns
+    p_fixed (it keeps switching) unless idle_shutdown is set."""
+    if load_a == 0.0:
+        return 0.0 if idle_shutdown else model.p_fixed_w
+    return model.loss_w(load_a)

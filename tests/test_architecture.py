@@ -15,8 +15,7 @@ from pdnx import converter as conv
 from pdnx import architecture, pdn_grid
 from pdnx import interconnect as ic
 from pdnx.architecture import (ARCHITECTURE_NAMES, MIN_DIE_AREA_FLOOR_MM2, build_architecture,
-                               compare, evaluate, evaluate_cell, pol_current_curve,
-                               utilization_report)
+                               compare, evaluate, pol_current_curve, utilization_report)
 from pdnx.calibrate import calibrate_min_die_area
 from pdnx.config import PLANS
 from pdnx.converter import ConverterTopology
@@ -24,6 +23,12 @@ from pdnx.datasets import load_datasets, load_raw_dataset
 from pdnx.errors import (LoadExceedsRating, PdnxError, SingularSystem, Unsatisfiable,
                          ZeroConnections)
 from pdnx.interconnect import UtilizationPolicy, required_connections
+
+
+def one_cell(arch, topo, ds, **run):
+    """The cell compare gives one architecture x topology."""
+    [cell] = compare([arch], [topo], ds, **run).cells
+    return cell
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +279,7 @@ class TestIntermediateOperatingPoint:
             evaluate(build_architecture("A3@6V", "DSCH", lossy), lossy)
         with pytest.raises(LoadExceedsRating) as raised:
             evaluate(build_architecture("A3@6V", "DPMIH", lossy), lossy)
-        cell = evaluate_cell("A3@6V", "DPMIH", lossy)
+        cell = one_cell("A3@6V", "DPMIH", lossy)
         assert cell.status == "not_reported"
         assert cell.breakdown is None
         assert cell.reason.startswith("converter rating violated: stage2_DPMIH-6to1: ")
@@ -283,7 +288,7 @@ class TestIntermediateOperatingPoint:
         # the board rail's I^2 R would overflow, the bank's own figures do not.
         with pytest.raises(LoadExceedsRating) as raised:
             evaluate(build_architecture("A1", "DSCH", datasets, total_power_w=1e100), datasets)
-        cell = evaluate_cell("A1", "DSCH", datasets, total_power_w=1e100)
+        cell = one_cell("A1", "DSCH", datasets, total_power_w=1e100)
         assert cell.status == "not_reported"
         assert cell.reason.startswith("converter rating violated: stage1_DSCH: ")
         assert cell.reason == "converter rating violated: " + str(raised.value)
@@ -405,6 +410,29 @@ class TestPlanTable:
         with pytest.raises(ValueError, match=f"^pol_voltage_v {v_pol:g} V is not below the "
                                              "48 V board rail$"):
             build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
+
+    @pytest.mark.parametrize("arch, v_pol, rail", [("A3@12V", 20.0, 12.0), ("A3@12V", 12.0, 12.0),
+                                                   ("A3@6V", 8.0, 6.0)])
+    def test_a_pol_voltage_at_or_above_an_intermediate_rail_is_refused(self, datasets, arch,
+                                                                       v_pol, rail):
+        # Named by the plan and its rail, not by the converter it would make
+        # (DSCH-12to20: need 0 < v_out < v_in).
+        with pytest.raises(ValueError, match=f"^pol_voltage_v {v_pol:g} V is not below the "
+                                             f"{rail:g} V intermediate rail of "
+                                             f"{re.escape(arch)}$"):
+            build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
+
+    @pytest.mark.parametrize("run, message", [
+        ({"pol_voltage_v": 60.0}, "pol_voltage_v 60 V is not below the 48 V board rail"),
+        ({"pol_voltage_v": 20.0}, "pol_voltage_v 20 V is not below the 12 V intermediate "
+                                  "rail of A3@12V"),
+        ({"total_power_w": 0.0}, "total_power_w and pol_voltage_v must be > 0 and finite"),
+        ({"die_area_mm2": math.inf}, "die_area_mm2 must be > 0 and finite"),
+    ])
+    def test_compare_makes_an_error_cell_of_a_plan_that_cannot_be_built(self, datasets, run,
+                                                                        message):
+        cell = one_cell("A3@12V", "DSCH", datasets, **run)
+        assert (cell.status, cell.reason, cell.breakdown) == ("error", message, None)
 
     @pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
     def test_only_a0_needs_no_topology(self, datasets, arch):
@@ -554,8 +582,8 @@ class TestOverflowVerdict:
         # overflow.
         topologies = dict(datasets.topologies)
         topologies["DSCH"] = replace(topologies["DSCH"], i_max_a=1e300)
-        cell = evaluate_cell(arch, "DSCH", replace(datasets, topologies=topologies),
-                             total_power_w=1e300)
+        cell = one_cell(arch, "DSCH", replace(datasets, topologies=topologies),
+                        total_power_w=1e300)
         assert cell.status == "error" and "overflow" in cell.reason
         assert cell.breakdown is None
 
@@ -565,7 +593,7 @@ class TestOverflowVerdict:
     def test_bank_over_rated_on_its_mean_wins_over_its_overflow(self, datasets, arch, key):
         # At its 30 A rating the same bank is decided on its mean, before its
         # plane is built, so none of its figures is computed.
-        cell = evaluate_cell(arch, "DSCH", datasets, total_power_w=1e300)
+        cell = one_cell(arch, "DSCH", datasets, total_power_w=1e300)
         assert cell.status == "not_reported" and cell.breakdown is None
         assert cell.reason == (f"converter rating violated: {key}: mean per-VR load "
                                f"2.083e+298 A (1e+300 A over 48 VRs) exceeds the 30 A rating "
@@ -574,11 +602,11 @@ class TestOverflowVerdict:
     def test_infinite_plane_loss_is_an_error_cell(self, datasets):
         cal = replace(datasets.calibration, sheet_resistance_ohm_sq=1e300)
         ds = replace(datasets, calibration=cal)
-        cell = evaluate_cell("A2", "DSCH", ds)
+        cell = one_cell("A2", "DSCH", ds)
         assert cell.status == "error" and "overflow" in cell.reason
 
     def test_large_finite_power_keeps_its_verdict(self, datasets):
-        cell = evaluate_cell("A1", "DSCH", datasets, total_power_w=1e30)
+        cell = one_cell("A1", "DSCH", datasets, total_power_w=1e30)
         assert cell.status == "not_reported"
 
 
@@ -598,7 +626,7 @@ class TestDroopOverflowVerdict:
         # At 500 W no DPMIH bank's mean per-VR load is over its 100 A
         # rating, so its plane is built and its droop checked.
         power = {"DSCH": 1000.0, "DPMIH": 500.0}[topo]
-        cell = evaluate_cell(arch, topo, self._with_droop(datasets, 20.0), total_power_w=power)
+        cell = one_cell(arch, topo, self._with_droop(datasets, 20.0), total_power_w=power)
         assert cell.status == "error" and cell.breakdown is None
         assert "output droop" in cell.reason and "stage" in cell.reason
 
@@ -607,11 +635,11 @@ class TestDroopOverflowVerdict:
         # A droop of about 1e-313 ohm has an infinite branch conductance, so
         # the POL solve is NaN. A3 cells used to pass the NaN currents on as
         # intermediate-plane sinks and die on a bare ValueError.
-        cell = evaluate_cell(arch, "DSCH", self._with_droop(datasets, 1e-310))
+        cell = one_cell(arch, "DSCH", self._with_droop(datasets, 1e-310))
         assert cell.status == "error" and "overflow" in cell.reason
 
     def test_reference_chain_has_no_droop(self, datasets):
-        assert evaluate_cell("A0", "DSCH", self._with_droop(datasets, 20.0)).status == "ok"
+        assert one_cell("A0", "DSCH", self._with_droop(datasets, 20.0)).status == "ok"
 
     @pytest.mark.parametrize("scale,reason", [
         (9.32, "its 1V plane and vertical levels lose more than its VRs put into it"),
@@ -619,7 +647,7 @@ class TestDroopOverflowVerdict:
     def test_negative_pol_power_is_an_error(self, datasets, scale, reason):
         # At these scales A2+DSCH used to be ok with a POL power of -4.6,
         # -78.3 and -158.9 W; at the two larger ones one VR's draw is negative.
-        cell = evaluate_cell("A2", "DSCH", self._with_droop(datasets, scale))
+        cell = one_cell("A2", "DSCH", self._with_droop(datasets, scale))
         assert cell.status == "error" and cell.breakdown is None
         assert cell.reason.startswith("stage1_DSCH: its ") and reason in cell.reason
         assert _passes_on_no_power(Unsatisfiable(cell.reason))
@@ -630,7 +658,7 @@ class TestDroopOverflowVerdict:
         # total, but one VR's terminal power is negative.
         cal = replace(datasets.calibration, droop_share_resistance_scale=scale,
                       sheet_resistance_ohm_sq=0.01, demand_weight=20.0)
-        cell = evaluate_cell("A3@12V", "DSCH", replace(datasets, calibration=cal))
+        cell = one_cell("A3@12V", "DSCH", replace(datasets, calibration=cal))
         assert cell.status == status
         if status == "error":
             assert cell.reason.startswith("stage2_DSCH-12to1: its 0.0511 ohm per-VR output droop")
@@ -642,13 +670,13 @@ class TestDroopOverflowVerdict:
         # its droop is never checked: A2 and A3 DPMIH, once errors on it,
         # are not_reported like A1.
         ds = self._with_droop(datasets, 5.0)
-        got = {(a, t): evaluate_cell(a, t, ds) for a, t in self.STAGED}
+        got = {(a, t): one_cell(a, t, ds) for a, t in self.STAGED}
         assert {k for k, c in got.items() if c.status == "error"} == set()
         assert got[("A1", "DSCH")].status == got[("A2", "DSCH")].status == "ok"
         for (arch, topo), cell in got.items():
             if topo == "DPMIH":
                 assert cell.status == "not_reported" and "mean per-VR load" in cell.reason
-        at_20 = evaluate_cell("A2", "DPMIH", self._with_droop(datasets, 20.0))
+        at_20 = one_cell("A2", "DPMIH", self._with_droop(datasets, 20.0))
         assert (at_20.status, at_20.reason) == ("not_reported", got[("A2", "DPMIH")].reason)
 
 
@@ -701,7 +729,7 @@ class TestMeanRatingRule:
         counts = dict(datasets.vr_site_counts)
         counts["DPMIH"] = replace(counts["DPMIH"], periphery=2)
         ds = replace(datasets, vr_site_counts=counts)
-        cell = evaluate_cell("A3@6V", "DSCH", ds, total_power_w=1200.0)
+        cell = one_cell("A3@6V", "DSCH", ds, total_power_w=1200.0)
         assert cell.status == "not_reported"
         stated = self.MEAN.match(cell.reason)
         assert stated is not None and stated.group(1) == "stage1_DPMIH-48to6"
@@ -720,7 +748,7 @@ class TestMeanRatingRule:
     def test_the_plane_decides_a_bank_its_mean_does_not(self, datasets):
         # At 1.2 kW A2's 48 DSCH VRs carry 25 A each on average, within
         # their 30 A rating, but the plane loads its worst VR beyond it.
-        cell = evaluate_cell("A2", "DSCH", datasets, total_power_w=1200.0)
+        cell = one_cell("A2", "DSCH", datasets, total_power_w=1200.0)
         assert (cell.status, cell.reason) == (
             "not_reported",
             "converter rating violated: stage1_DSCH: per-VR load up to 32.3 A exceeds the "
@@ -734,7 +762,7 @@ class TestMeanRatingRule:
         monkeypatch.setattr(pdn_grid, "build_problem",
                             lambda *a, **k: built.append(1) or build(*a, **k))
         monkeypatch.setattr(pdn_grid, "solve_dc", lambda p: solved.append(1) or solve(p))
-        cell = evaluate_cell(arch, topo, datasets)
+        cell = one_cell(arch, topo, datasets)
         assert cell.status == "not_reported" and "mean per-VR load" in cell.reason
         with pytest.raises(LoadExceedsRating) as raised:
             evaluate(build_architecture(arch, topo, datasets), datasets)
@@ -864,7 +892,7 @@ class TestOneEvaluationPath:
         ds = replace(datasets, calibration=cal)
         for arch in ARCHITECTURE_NAMES:
             for topo in ("DSCH", "DPMIH", "3LHD"):
-                cell = evaluate_cell(arch, topo, ds, total_power_w=power)
+                cell = one_cell(arch, topo, ds, total_power_w=power)
                 spec = build_architecture(arch, topo, ds, total_power_w=power)
                 try:
                     b = evaluate(spec, ds)
@@ -922,7 +950,7 @@ class TestOneEvaluationPath:
 
 class TestPlaneMajorCompare:
     """compare runs every cell's stage loop together, plane-major, and gives
-    each cell exactly what evaluate_cell gives it alone."""
+    each cell exactly what one_cell gives it alone."""
 
     BENCH_ARCHS = ["A0", "A1", "A2", "A3@12V", "A3@6V"]
 
@@ -954,7 +982,7 @@ class TestPlaneMajorCompare:
                           max_size=3, unique=True))
     def test_equals_per_cell_evaluation_one_factor_per_plane(self, datasets, archs, topos):
         cells, keys, factored = self._compare_counted(archs, topos, datasets)
-        assert cells == [evaluate_cell(a, t, datasets) for a in archs for t in topos]
+        assert cells == [one_cell(a, t, datasets) for a in archs for t in topos]
         assert factored == len(set(keys))
 
     @pytest.mark.parametrize("archs,topos", [
@@ -1095,3 +1123,25 @@ class TestAssumptionsRecorded:
         text = " ".join(b.assumptions)
         assert "datasheet site count" in text
         assert "scaled to v_out=12" in text
+
+    @staticmethod
+    def _reused(b):
+        return [line for line in b.assumptions if "peak-point calibration" in line]
+
+    def test_only_a_retargeted_stage_reuses_its_datasheet_calibration(self, datasets):
+        b = evaluate(build_architecture("A1", "DSCH", datasets, pol_voltage_v=0.8), datasets)
+        assert self._reused(b) == ["stage1_DSCH-48to0.8: reuses the 48V-to-1V peak-point "
+                                   "calibration scaled to v_out=0.8 V"]
+        assert self._reused(evaluate(build_architecture("A1", "DSCH", datasets), datasets)) == []
+        # A DSCH rated 48 V to 0.8 V is not retargeted at a 0.8 V POL.
+        topologies = {**datasets.topologies,
+                      "DSCH": replace(datasets.topologies["DSCH"], v_out_v=0.8)}
+        ds = replace(datasets, topologies=topologies)
+        spec = build_architecture("A1", "DSCH", ds, pol_voltage_v=0.8)
+        assert spec.stages[0].topology is topologies["DSCH"]
+        assert self._reused(evaluate(spec, ds)) == []
+        # Its A3 POL stage is, from the 0.8 V datasheet point (POL side first).
+        b = evaluate(build_architecture("A3@12V", "DSCH", ds, total_power_w=300.0,
+                                        pol_voltage_v=0.8), ds)
+        assert self._reused(b)[0] == ("stage2_DSCH-12to0.8: reuses the 48V-to-0.8V "
+                                      "peak-point calibration scaled to v_out=0.8 V")

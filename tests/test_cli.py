@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import pdnx
 from pdnx.architecture import ARCHITECTURE_NAMES
 from pdnx.calibrate import TARGETS
-from pdnx.cli import SWEEP_PARAMETERS, SWEEP_RUN_PARAMETERS, _parse_values, main
+from pdnx.cli import SWEEP_PARAMETERS, _parse_values, main
 from pdnx.datasets import load_raw_dataset
 from pdnx.errors import ConfigError
 
@@ -262,16 +262,17 @@ class TestSweepCommand:
         assert rows[0].split(",")[3] == "error"
         assert message in rows[0]
 
-    def test_oversize_lattice_is_error_row(self, tmp_path):
+    def test_oversize_lattice_exit_2(self, tmp_path, capsys):
+        # Only a ValueError raised while a sample's plan is built is its
+        # error row. The lattice is sized after that, from the datasets, so
+        # the sweep exits 2 as evaluate and compare do, and writes no CSV.
         cfg = write_config(tmp_path, {
             "datasets": {"calibration-default": {"grid_resolution": 5000}}})
         out = tmp_path / "out"
         assert run_cli("sweep", "--config", cfg, "--out", str(out),
-                       "--param", "demand_weight", "--values", "1") == 0
-        rows = (out / "sweep_demand_weight.csv").read_text().strip().split("\n")[1:]
-        assert len(rows) == 1
-        assert rows[0].split(",")[3] == "error"
-        assert "node limit" in rows[0]
+                       "--param", "demand_weight", "--values", "1") == 2
+        assert "node limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_point_range(self, tmp_path):
         out = tmp_path / "out"
@@ -314,12 +315,12 @@ class TestSweepBatch:
     def test_sink_only_sweep_factors_each_plane_once(self, tmp_path, monkeypatch, capsys):
         # A total-power sweep changes only the sinks on both A3 planes: 41
         # points build the POL and the intermediate plane operator once each,
-        # and every point is the cell evaluate_cell gives it alone. Both
+        # and every point is the cell compare gives it alone. Both
         # planes split by their mirror symmetry, and both demands are
         # symmetric up to rounding: each plane factorises its symmetric
         # sector only.
         from pdnx import pdn_grid, reporting
-        from pdnx.architecture import evaluate_cell
+        from pdnx.architecture import compare
 
         planes, factored, cells = [], [], []
         factor, factor_block = pdn_grid._factor_plane, pdn_grid._factor_block
@@ -340,8 +341,8 @@ class TestSweepBatch:
         monkeypatch.setattr(pdn_grid, "_factor_plane", factor)
         monkeypatch.setattr(pdn_grid, "_factor_block", factor_block)
         datasets = pdnx.load_datasets()
-        assert cells == [evaluate_cell("A3@12V", "DSCH", datasets, total_power_w=400.0 + 15 * k)
-                         for k in range(41)]
+        assert cells == [cell for k in range(41) for cell in compare(
+            ["A3@12V"], ["DSCH"], datasets, total_power_w=400.0 + 15 * k).cells]
 
     def test_sweep_across_the_rating_builds_no_plane_above_it(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -350,7 +351,7 @@ class TestSweepBatch:
         # rating up to rounding, so within it; above it the mean per-VR load
         # decides, and no plane is built.
         from pdnx import pdn_grid, reporting
-        from pdnx.architecture import evaluate_cell
+        from pdnx.architecture import compare
 
         built, solved, cells = [], [], []
         build, solve, to_row = pdn_grid.build_problem, pdn_grid.solve_dc, reporting.cell_to_csv_row
@@ -370,8 +371,8 @@ class TestSweepBatch:
                    for f in cells[4].breakdown.feasibility)
         assert all("mean per-VR load " in c.reason for c in cells[5:])
         datasets = pdnx.load_datasets()
-        assert cells == [evaluate_cell("A1", "DPMIH", datasets, total_power_w=400.0 + 100 * k)
-                         for k in range(7)]
+        assert cells == [cell for k in range(7) for cell in compare(
+            ["A1"], ["DPMIH"], datasets, total_power_w=400.0 + 100 * k).cells]
 
     def test_bad_value_is_an_error_row_among_good_ones(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -429,6 +430,69 @@ class TestOneVerdict:
             [evaluated_row] = csv_rows(out / "breakdown.csv")
             assert evaluated_row == compared_row
             assert all(swept[col] == "" for col in LOSS_COLUMNS)
+
+
+COMMANDS = ("datasets", "evaluate", "compare", "sweep", "calibrate", "feasibility")
+# Run configs whose values no cell can take: each command refuses them, and
+# a sweep writes no error row per sample.
+REFUSED_RUNS = [
+    ({"pol_voltage_v": 60}, "pol_voltage_v 60 V is not below the 48 V board rail"),
+    ({"architectures": "A3@12V", "pol_voltage_v": 20},
+     "pol_voltage_v 20 V is not below the 12 V intermediate rail of A3@12V"),
+    ({"total_power_w": math.nan, "die_area_mm2": math.inf},
+     "field 'total_power_w': expected a positive finite number, got nan"),
+]
+
+
+def command_argv(command: str, cfg: str, out: Path) -> list[str]:
+    """A complete invocation of command on the run config cfg."""
+    argv = [command, "--config", cfg]
+    if command != "datasets":
+        argv += ["--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "total_power", "--values", "1000"]
+    return argv
+
+
+class TestRunValues:
+    """total_power_w, pol_voltage_v and die_area_mm2 are checked when the run
+    config is read: a bad one exits 2 naming the field on every command,
+    before any cell is built and with no file written."""
+
+    @staticmethod
+    def _refused(tmp_path, capsys, doc) -> str:
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, doc)
+        errors = []
+        for command in COMMANDS:
+            assert run_cli(*command_argv(command, cfg, out)) == 2, command
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert len(set(errors)) == 1
+        return errors[0]
+
+    @pytest.mark.parametrize("key", ["total_power_w", "pol_voltage_v", "die_area_mm2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0, -1])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, key, value):
+        err = self._refused(tmp_path, capsys, {key: value})
+        assert err == (f"config error: field '{key}': expected a positive finite number, "
+                       f"got {value!r}\n")
+
+    @pytest.mark.parametrize("doc, message", [
+        *REFUSED_RUNS,
+        ({"architectures": ["A1", "A3@6V"], "pol_voltage_v": 8},
+         "pol_voltage_v 8 V is not below the 6 V intermediate rail of A3@6V"),
+        ({"architectures": "A0", "pol_voltage_v": 48},
+         "pol_voltage_v 48 V is not below the 48 V board rail"),
+    ])
+    def test_refused_run_exit_2(self, tmp_path, capsys, doc, message):
+        # A POL voltage is named with the plan and the rail it is not below,
+        # not by a converter such as DSCH-12to20 that would step its rail up.
+        assert self._refused(tmp_path, capsys, doc) == f"config error: {message}\n"
+
+    def test_a_pol_voltage_below_every_rail_is_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"architectures": ["A0", "A3@6V"], "pol_voltage_v": 5.9})
+        assert run_cli("datasets", "--config", cfg) == 0
 
 
 class TestSweepRanges:
@@ -803,6 +867,19 @@ class TestEntryPoint:
             assert self._scipy(modules) == []
         assert ["pdnx.calibrate" in modules for _, modules in seen] == [False] * 12 + [True]
 
+    def test_a_refused_run_loads_no_numpy(self, tmp_path):
+        # Each refused run config is refused on every command before numpy,
+        # and so before any cell, is loaded.
+        steps = []
+        for k, (doc, _) in enumerate(REFUSED_RUNS):
+            (tmp_path / f"run{k}").mkdir()
+            cfg = write_config(tmp_path / f"run{k}", doc)
+            steps += [command_argv(command, cfg, tmp_path / "out") for command in COMMANDS]
+        seen = self._loaded_after(steps)
+        assert [code for code, _ in seen[2:]] == [2] * len(steps)
+        assert all("numpy" not in modules for _, modules in seen)
+        assert not (tmp_path / "out").exists()
+
     def test_scipy_is_imported_only_where_a_plane_is_factored(self, tmp_path):
         # pdn_grid imports scipy.linalg where a band factor is made or
         # solved, so importing pdnx, loading the datasets and a command that
@@ -863,7 +940,7 @@ class TestBadValueFuzz:
     negative or non-finite figure, whatever out-of-range or extreme value a
     sweep or target gets."""
 
-    @pytest.mark.parametrize("param", [*SWEEP_PARAMETERS, *SWEEP_RUN_PARAMETERS])
+    @pytest.mark.parametrize("param", SWEEP_PARAMETERS)
     @settings(max_examples=4, deadline=None)
     @example(arch="A1", values=list(FUZZ_VALUES))
     @example(arch="A2", values=list(EXTREME_VALUES))

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from pdnx.converter import StageSpec, calibrate, efficiency_at, stage_loss, vr_footprint_area_mm2
+from pdnx.converter import (StageSpec, calibrate, efficiency_at, stage_loss, vr_footprint_area_mm2,
+                            vr_loss)
 from pdnx.datasets import load_datasets
 from pdnx.errors import LoadExceedsRating
 
@@ -150,6 +151,19 @@ class TestStageLoss:
                 continue
             uneven = stage_loss(model, topo, list(shares))
             assert uneven >= even - 1e-9
+
+
+    @pytest.mark.parametrize("idle_shutdown", [False, True])
+    def test_a_bank_loses_what_its_vrs_lose(self, datasets, idle_shutdown):
+        # One rule for an idle VR serves the bank and each VR's draw.
+        topo = datasets.topologies["DSCH"]
+        model = calibrate(topo)
+        loads = [0.0, 12.5, 0.0, 31.0, 3.0]
+        total = 0.0
+        for load in loads:
+            total += vr_loss(model, load, idle_shutdown)
+        assert stage_loss(model, topo, loads, idle_shutdown=idle_shutdown) == total
+        assert vr_loss(model, 0.0, idle_shutdown) == (0.0 if idle_shutdown else model.p_fixed_w)
 
 
 class TestStageRetargeting:

@@ -309,6 +309,13 @@ class TestConfigDialects:
         cfg = parse_config_text('{"architectures": "A0"}')
         assert cfg.architectures == ["A0"]
 
+    @pytest.mark.parametrize("key", ["architectures", "topologies"])
+    def test_empty_name_list_rejected(self, key):
+        # Every command reads the first name, so an empty list is refused on read.
+        with pytest.raises(ConfigError, match=f"^field '{key}': expected a name or a "
+                                              "non-empty list of names$"):
+            parse_config_text(f'{{"{key}": []}}')
+
     def test_unknown_field_diagnosed(self):
         with pytest.raises(ConfigError, match="pol_volts"):
             parse_config_text('{"pol_volts": 1.0}')

@@ -2165,14 +2165,14 @@ class TestBackwardError:
         # the 1e-10 bound, and made the cell an error.
         from dataclasses import replace
 
-        from pdnx.architecture import evaluate_cell
+        from pdnx.architecture import compare
         from pdnx.datasets import load_datasets
 
         log, _ = recorded_solves
         ds = load_datasets()
         cal = replace(ds.calibration, sheet_resistance_ohm_sq=1e-5,
                       droop_share_resistance_scale=2.0, grid_resolution=33)
-        cell = evaluate_cell("A3@12V", "DSCH", replace(ds, calibration=cal))
+        [cell] = compare(["A3@12V"], ["DSCH"], replace(ds, calibration=cal)).cells
         assert cell.status == "ok", cell.reason
         # Solved for its drops below the plane's level, each shifted system
         # comes in at a relative residual far below the bound.
