@@ -33,8 +33,10 @@ INPUT_VOLTAGE_V = 48.0   # the board rail
 
 
 def check_pol_voltage(arch_name: str, pol_voltage_v: float) -> None:
-    """Refuse a POL voltage that is not below the board rail and every fixed
-    rail of the plan: no stage steps its rail up."""
+    """Refuse a POL voltage that is not finite and > 0, or not below the
+    board rail and every fixed rail of the plan: no stage steps its rail up."""
+    if not (math.isfinite(pol_voltage_v) and pol_voltage_v > 0):
+        raise ValueError(f"pol_voltage_v must be > 0 and finite, got {pol_voltage_v!r}")
     rails = [(INPUT_VOLTAGE_V, "board rail")]
     rails += [(rail, f"intermediate rail of {arch_name}")
               for _, _, rail in PLANS[arch_name] if rail is not None]

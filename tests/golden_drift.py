@@ -32,9 +32,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-# The BLAS kernel the goldens are frozen with (see conftest.py); set before
-# numpy and scipy load OpenBLAS.
+# The BLAS kernel and thread count the goldens are frozen with (see
+# conftest.py); set before numpy and scipy load OpenBLAS.
 os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from test_cli_golden import CASES, GOLDEN, run_case  # noqa: E402

@@ -422,6 +422,21 @@ class TestPlanTable:
                                              f"{re.escape(arch)}$"):
             build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
 
+    @pytest.mark.parametrize("arch", ARCHITECTURE_NAMES)
+    @pytest.mark.parametrize("v_pol", [-1.0, 0.0, -math.inf, math.inf, math.nan])
+    def test_a_pol_voltage_that_is_not_finite_and_positive_is_refused(self, datasets, arch,
+                                                                      v_pol):
+        # Named as the run's value, before any stage is built (not as
+        # DSCH-48to-1: need 0 < v_out < v_in).
+        with pytest.raises(ValueError, match=f"^pol_voltage_v must be > 0 and finite, "
+                                             f"got {re.escape(repr(v_pol))}$"):
+            build_architecture(arch, "DSCH", datasets, pol_voltage_v=v_pol)
+
+    def test_compare_gives_each_cell_the_pol_voltage_refusal(self, datasets):
+        table = compare(["A0", "A1", "A3@6V"], ["DSCH", "DPMIH"], datasets, pol_voltage_v=-1.0)
+        assert [(c.status, c.reason, c.breakdown) for c in table.cells] == [
+            ("error", "pol_voltage_v must be > 0 and finite, got -1.0", None)] * 6
+
     @pytest.mark.parametrize("run, message", [
         ({"pol_voltage_v": 60.0}, "pol_voltage_v 60 V is not below the 48 V board rail"),
         ({"pol_voltage_v": 20.0}, "pol_voltage_v 20 V is not below the 12 V intermediate "

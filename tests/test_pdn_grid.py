@@ -40,10 +40,18 @@ def _fanout(problem: GridProblem) -> dict:
     return {node: tuple(c.tolist()) for node, c in zip(problem.source_nodes, per_vr)}
 
 
+def _edges(grid: ResistiveGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint index arrays of every lattice edge: the horizontal edges row
+    by row, then the vertical ones, the order solve_dc sums the sheet loss in."""
+    idx = np.arange(grid.n_nodes).reshape(grid.ny, grid.nx)
+    return (np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()]),
+            np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()]))
+
+
 def _net_edge_inflow(problem: GridProblem, sol) -> np.ndarray:
     """Net current into each plane node over the lattice edges, each edge's
     current recomputed from the solved node voltages by Ohm's law."""
-    a, b = problem.grid.edges()
+    a, b = _edges(problem.grid)
     v = sol.node_voltages
     current = (v[a] - v[b]) / problem.grid.sheet_resistance_ohm_sq
     net = np.zeros(problem.grid.n_nodes)
@@ -469,6 +477,13 @@ class TestFactorReuse:
         assert len(factorisations.planes) == 1
         assert factorisations.sectors == [(19, 19), (15, 15)]
 
+    @pytest.mark.parametrize("droop", [2e-3, 0.0])
+    def test_numpy_int_source_nodes_reuse_the_factor(self, factorisations, droop):
+        solve_dc(_fanout_problem(droop_resistance_ohm=droop))
+        solve_dc(_fanout_problem(droop_resistance_ohm=droop,
+                                 source_nodes={np.int64(0): 1.0, np.int64(35): 1.0}))
+        assert len(factorisations.planes) == 1
+
     def test_a3_solves_and_factors_each_plane_once(self, factorisations, monkeypatch):
         # The final plane and the intermediate plane each factor once and
         # are solved once: the intermediate plane's operating point is its
@@ -804,7 +819,7 @@ def _refined_droop_reference(problem: GridProblem) -> tuple[np.ndarray, np.longd
     grid = problem.grid
     n = grid.n_nodes
     g = 1.0 / grid.sheet_resistance_ohm_sq
-    edge_a, edge_b = grid.edges()
+    edge_a, edge_b = _edges(grid)
     counts, contacts = problem.contact_counts, problem.contact_nodes
     br_vr = np.repeat(np.arange(counts.size), counts)
     br_g = ((1.0 / problem.droop_resistance_ohm) / counts[br_vr]).astype(ld)
@@ -927,7 +942,7 @@ class TestSheetLoss:
         d[nodes[:6]] = 1.0 / 0.1
         c = b.sum() / d.sum()
         w = np.linalg.solve(_dense_free_block(problem), b - c * d)
-        edge_a, edge_b = grid.edges()
+        edge_a, edge_b = _edges(grid)
         du = w[edge_a] - w[edge_b]
         assert loss == pytest.approx(2.0 / 1e-4 * np.sum(du * du), rel=1e-13)
 
@@ -1560,7 +1575,7 @@ def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float
     n = grid.n_nodes
     source_nodes = tuple(sources)
     k = len(source_nodes)
-    edge_a, edge_b = grid.edges()
+    edge_a, edge_b = _edges(grid)
     if droop > 0.0:
         contacts = [tuple(fanout.get(i, (i,))) for i in source_nodes]
         counts = np.array([len(c) for c in contacts])
@@ -1639,7 +1654,7 @@ def _coo_rows_keep_their_order(grid: ResistiveGrid, droop: float, fanout: dict) 
     insertion sort, stable, on up to 16 entries; beyond that equal columns
     may be summed in any order.
     """
-    edge_a, edge_b = grid.edges()
+    edge_a, edge_b = _edges(grid)
     per_node = np.bincount(np.concatenate([edge_a, edge_b]), minlength=grid.n_nodes)
     if droop > 0.0:
         branches = [c for contacts in fanout.values() for c in contacts]
