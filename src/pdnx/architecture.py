@@ -186,8 +186,8 @@ class _StageBank:
     checks: list[FeasibilityCheck]
     model: conv.CalibratedLossModel
     droop_ohm: float
-    # (current_a, demand_weight=, explicit_sinks=) -> the bank's plane problem;
-    # explicit sinks are renormalised to current_a.
+    # (current_a, explicit_sinks=) -> the bank's plane problem at the
+    # calibration's demand weight; explicit sinks are renormalised to current_a.
     problem: Callable[..., grid.GridProblem]
 
 
@@ -225,7 +225,7 @@ def _stage_bank(stage: StageSpec, die: DieFloorplan, datasets: Datasets) -> _Sta
         grid.build_problem, die, sites,
         sheet_resistance_ohm_sq=cal.sheet_resistance_ohm_sq * multiplier,
         grid_resolution=cal.grid_resolution, rail_voltage_v=topo.v_out_v,
-        droop_resistance_ohm=droop,
+        demand_weight=cal.demand_weight, droop_resistance_ohm=droop,
     )
     return _StageBank(sites, [check], model, droop, problem)
 
@@ -351,7 +351,9 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
     per_vr: dict[str, list[float]] = {}
     converter_losses: dict[str, float] = {}
     domain_currents: dict[str, float] = {}
-    delivered: dict[str, float] = {}   # per rail: what the plane passes on downstream
+    # What the POL domain passes on to the die; 0 only for a POL bank decided
+    # on its mean before its plane is built, which evaluate and _verdict drop.
+    pol_power = 0.0
     demand_w = spec.total_power_w      # what the stage being visited must supply
     downstream: list | None = None     # (site, power drawn) per VR of the bank fed
     pcb_loss = 0.0                     # unless the evaluation reaches the board rail
@@ -391,15 +393,10 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
         bank = _stage_bank(stage, spec.die, datasets)
         feasibility.extend(bank.checks)
         sites, model, droop = bank.sites, bank.model, bank.droop_ohm
-
-        def problem(current_a: float, sinks=None) -> grid.GridProblem:
-            return bank.problem(current_a, demand_weight=cal.demand_weight,
-                                explicit_sinks=sinks)
-
         if downstream is None:
             # The POL plane carries the die current with the radial profile.
             i_plane = i_base
-            solution = yield problem(i_plane)
+            solution = yield bank.problem(i_plane)
         else:
             # An upstream plane feeds each downstream VR its terminal output
             # plus its losses. The plane, its vertical levels and its stage's
@@ -409,7 +406,7 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
             # the rail, so the plane at the operating point is that same
             # solution scaled by i_plane / i_base, with no second solve.
             sinks = [(s.x_mm, s.y_mm, p / v_out) for s, p in downstream]
-            base_solution = yield problem(i_base, sinks)
+            base_solution = yield bank.problem(i_base, explicit_sinks=sinks)
             vert_base = ordered_sum(
                 _domain_vertical_losses(spec, datasets, usage, v_out, i_base).values())
             droop_drop = droop * float(ordered_sum(x * x for x in base_solution.vr_currents))
@@ -443,8 +440,9 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
         per_vr[key] = loads
         converter_losses[key] = stage_loss_w
         domain_currents[rail] = i_plane
-        delivered[rail] = (plane_in - solution.horizontal_loss_w
-                           - ordered_sum(domain_vertical.values()))
+        passed = plane_in - solution.horizontal_loss_w - ordered_sum(domain_vertical.values())
+        if downstream is None:
+            pol_power = passed
 
         downstream = [
             (site, float(v_term) * load + conv.vr_loss(model, load, cal.idle_shutdown))
@@ -464,11 +462,11 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
                 f"({lowest:.4g} W at its lowest VR)"
             )
         # A plane loss that overflowed is left to _verdict's overflow check.
-        if not over and -math.inf < delivered[rail] <= 0:
+        if not over and -math.inf < passed <= 0:
             raise Unsatisfiable(
                 f"{key}: its {rail} plane and vertical levels lose more than its VRs put "
                 f"into it ({plane_in:.4g} W after a {droop:.3g} ohm output droop), so it "
-                f"passes {delivered[rail]:.4g} W on"
+                f"passes {passed:.4g} W on"
             )
         if over and n > 1:
             # The cell is not_reported at this bank whatever lies upstream of
@@ -484,8 +482,8 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
         domain_vertical = _domain_vertical_losses(spec, datasets, usage, v_board, i_in)
         vertical.update(domain_vertical)
         pcb_loss = cal.pcb_lateral_resistance_ohm * i_in ** 2
-        delivered[board] = demand_w - pcb_loss - ordered_sum(domain_vertical.values())
         if not spec.stages:
+            pol_power = demand_w - pcb_loss - ordered_sum(domain_vertical.values())
             eta = REFERENCE_EFFICIENCY
             assumptions.append(f"reference chain modeled as one flat {eta:.0%}-efficient "
                                f"{INPUT_VOLTAGE_V:g}V-to-{board} converter at the board")
@@ -495,9 +493,6 @@ def _evaluate_steps(spec: ArchitectureSpec, datasets: Datasets) -> _Evaluation:
     conv_total = ordered_sum(converter_losses.values())
     horiz_total = ordered_sum(horizontal.values())
     total_loss = conv_total + horiz_total + vert_total + pcb_loss
-    # Unset only when the evaluation ended at a POL bank decided on its mean,
-    # before its plane was built; evaluate raises and _verdict drops it.
-    pol_power = delivered.get(f"{spec.pol_voltage_v:g}V", 0.0)
     # Everything upstream of the final VR terminals, including the losses of
     # the levels that sit between its output plane and the POL, is supplied
     # by the source.

@@ -193,7 +193,8 @@ def parse_targets(pairs: list[str]) -> dict:
 def run_calibration(datasets: Datasets, targets: dict) -> tuple[Calibration, dict[str, float]]:
     """Fit each requested target in TARGETS order; with none, return the calibration as is.
 
-    A target not in TARGETS is a ConfigError, as in parse_targets.
+    A target not in TARGETS is a ConfigError, as in parse_targets, and a fit
+    whose residual is not finite raises TargetUnreachable.
     """
     for name in targets:
         _check_known(name)
@@ -201,5 +202,9 @@ def run_calibration(datasets: Datasets, targets: dict) -> tuple[Calibration, dic
     for name, (_, fit) in TARGETS.items():
         if name in targets:
             calibration, residuals[name] = fit(datasets, targets[name])
+            if not math.isfinite(residuals[name]):
+                raise TargetUnreachable(f"target {name} unreachable: the fit's relative "
+                                        f"residual is {residuals[name]!r}",
+                                        best_residual=residuals[name])
             datasets = replace(datasets, calibration=calibration)
     return datasets.calibration, residuals

@@ -283,9 +283,10 @@ def cmd_feasibility(args) -> int:
         "binding_level": min_area.binding_level,
     }
 
-    doc = {
+    doc = {   # a level with no connection sites is infinitely used: null in JSON
         "architecture": arch_name,
-        "utilization": [asdict(e) for e in entries],
+        "utilization": [{**asdict(e), "utilization_fraction": e.utilization_fraction
+                         if math.isfinite(e.utilization_fraction) else None} for e in entries],
         "reference_min_die_area": area_doc,
     }
     txt_lines = [f"vertical-path utilization for {arch_name} "

@@ -34,7 +34,8 @@ INPUT_VOLTAGE_V = 48.0   # the board rail
 
 def check_pol_voltage(arch_name: str, pol_voltage_v: float) -> None:
     """Refuse a POL voltage that is not finite and > 0, or not below the
-    board rail and every fixed rail of the plan: no stage steps its rail up."""
+    board rail and every fixed rail of the plan (no stage steps its rail up),
+    or labelled as one of them: reports key each rail by f"{v:g}V"."""
     if not (math.isfinite(pol_voltage_v) and pol_voltage_v > 0):
         raise ValueError(f"pol_voltage_v must be > 0 and finite, got {pol_voltage_v!r}")
     rails = [(INPUT_VOLTAGE_V, "board rail")]
@@ -43,6 +44,9 @@ def check_pol_voltage(arch_name: str, pol_voltage_v: float) -> None:
     for rail, what in rails:
         if not pol_voltage_v < rail:
             raise ValueError(f"pol_voltage_v {pol_voltage_v:g} V is not below the "
+                             f"{rail:g} V {what}")
+        if f"{pol_voltage_v:g}" == f"{rail:g}":
+            raise ValueError(f"pol_voltage_v {pol_voltage_v!r} V is labelled as the "
                              f"{rail:g} V {what}")
 
 

@@ -315,31 +315,28 @@ class _Lattice:
     """A placement discretised on one lattice: all that build_problem draws
     from the floorplan, the sites, the resolution and the explicit sinks'
     positions, and nothing it draws from a current, conductance or voltage.
-
-    sources is None when the sites or sinks do not snap cleanly; the
-    placement is then refined. Otherwise demand lists the sink nodes and
-    parts what weighs them: without explicit sinks, the drawn nodes'
-    uniform and radial weights (profile_parts); with them, each sink's
-    index among the merged nodes and the merged nodes' order of first
-    occurrence. The arrays problems share are read-only.
+    demand lists the sink nodes and parts what weighs them: without explicit
+    sinks, the drawn nodes' uniform and radial weights (profile_parts); with
+    them, each sink's index among the merged nodes and the merged nodes'
+    order of first occurrence. The arrays problems share are read-only.
     """
 
     grid: ResistiveGrid
-    sources: tuple[int, ...] | None = None
-    contact_counts: np.ndarray | None = None
-    contact_nodes: np.ndarray | None = None
-    demand: np.ndarray | None = None
-    parts: tuple[np.ndarray, np.ndarray] = ()
+    sources: tuple[int, ...]
+    contact_counts: np.ndarray
+    contact_nodes: np.ndarray
+    demand: np.ndarray
+    parts: tuple[np.ndarray, np.ndarray]
 
     def sink_currents(self, demand_a: float, demand_weight: float,
-                      sink_a: np.ndarray | None) -> np.ndarray | None:
-        """The current at each demand node, None if the lattice draws none.
+                      sink_a: np.ndarray | None) -> np.ndarray:
+        """The current at each demand node.
 
         Explicit sinks on one node accumulate in the order given, and the
         total adds the merged currents left to right in first-occurrence
         order. A profile's total is summed left to right in node order, so
         it depends neither on numpy's pairwise blocking nor on the Python
-        version.
+        version; a profile whose weights sum to <= 0 raises DegenerateGrid.
         """
         if sink_a is not None:
             inverse, order = self.parts
@@ -350,40 +347,47 @@ class _Lattice:
         uniform, radial = self.parts
         w = uniform + demand_weight * radial
         total_w = ordered_sum(w)
-        return demand_a * w / total_w if total_w > 0 else None
+        if not total_w > 0:
+            raise DegenerateGrid(f"demand_weight {demand_weight!r} leaves the die "
+                                 "profile no positive total weight")
+        return demand_a * w / total_w
 
 
 def _discretise(plan: DieFloorplan, x: np.ndarray, y: np.ndarray, half_width: np.ndarray,
                 sink_xy: np.ndarray | None, resolution: int) -> _Lattice:
-    """The placement on the lattice at resolution: the sites snapped, then
-    the explicit sinks snapped and merged per node, or the demand nodes
-    weighed, then each site's footprint contacts. The lattice's sheet
-    resistance is a placeholder, 1, that each problem replaces."""
-    grid = _build_grid(plan, x, y, half_width, resolution, 1.0)
-    nodes, ambiguous = _snap_points(grid, x, y)
-    if ambiguous.any() or np.unique(nodes).size < nodes.size:
-        return _Lattice(grid)
-    if sink_xy is None:
-        demand, *parts = profile_parts(plan, grid, nodes)
-    else:
-        snapped, ambiguous = _snap_points(grid, sink_xy[:, 0], sink_xy[:, 1])
-        if ambiguous.any() or np.isin(snapped, nodes).any() or not snapped.size:
-            return _Lattice(grid)
-        merged, first, inverse = np.unique(snapped, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        demand, parts = merged[order], (inverse, order)
-    counts, contacts = _footprint_contacts(grid, x, y, half_width, nodes)
-    for shared in (demand, counts, contacts):
-        shared.flags.writeable = False
-    return _Lattice(grid, tuple(nodes.tolist()), counts, contacts, demand, tuple(parts))
+    """The placement on the lattice at resolution, or else at 2r-1 (the old
+    nodes and the midpoints): the first on which every site and explicit
+    sink snaps cleanly, the sites to distinct nodes and no sink to a site's,
+    and a node is left to draw demand; else DegenerateGrid. Its
+    sheet resistance is a placeholder, 1, that each problem replaces."""
+    for r in (resolution, 2 * resolution - 1):
+        grid = _build_grid(plan, x, y, half_width, r, 1.0)
+        nodes, ambiguous = _snap_points(grid, x, y)
+        if ambiguous.any() or np.unique(nodes).size < nodes.size:
+            continue
+        if sink_xy is None:
+            demand, *parts = profile_parts(plan, grid, nodes)
+        else:
+            snapped, ambiguous = _snap_points(grid, sink_xy[:, 0], sink_xy[:, 1])
+            if ambiguous.any() or np.isin(snapped, nodes).any():
+                continue
+            merged, first, inverse = np.unique(snapped, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            demand, parts = merged[order], (inverse, order)
+        if not demand.size:
+            continue
+        counts, contacts = _footprint_contacts(grid, x, y, half_width, nodes)
+        for shared in (demand, counts, contacts):
+            shared.flags.writeable = False
+        return _Lattice(grid, tuple(nodes.tolist()), counts, contacts, demand, tuple(parts))
+    raise DegenerateGrid("VR sites collapse onto shared or ambiguous grid nodes even "
+                         "after refinement")
 
 
-# The placement of the last problem built: its key, the bytes of what
-# _discretise reads, and its lattices, the refinement only once a build has
-# needed it. A build with the same key reuses them; any other releases them
-# first, so at most one placement's lattices are alive, and keeps its own
-# only if it returns a problem.
-_discretisation: tuple[tuple, list[_Lattice]] | None = None
+# The last problem's placement: its key, the bytes of what _discretise reads,
+# and its lattice. A build with another key releases it first, so at most one
+# placement's lattice is alive, and keeps its own only if it returns a problem.
+_discretisation: tuple[tuple, _Lattice] | None = None
 
 
 def build_problem(
@@ -407,10 +411,12 @@ def build_problem(
     radial profile (weight 1 + w*(1 - (r/r0)^2) with r0 the die
     half-diagonal; w = 0 is uniform), unless explicit sinks (x, y, current)
     are given; those go through the same snap. A site or sink at a cell
-    centre, two sites on one node, a sink on a site's node or a lattice that
-    draws no demand refine the lattice once, to 2r-1 nodes across, before
-    DegenerateGrid is raised. A lattice above _MAX_NODES nodes, after
-    extension or refinement, raises ValueError before it is allocated.
+    centre, two sites on one node, a sink on a site's node or a lattice with
+    no node left to draw demand refine the lattice once, to 2r-1 nodes
+    across, before DegenerateGrid is raised; a demand weight at which the
+    profile's weights sum to <= 0 raises it unrefined. A lattice above
+    _MAX_NODES nodes, after extension or refinement, raises ValueError
+    before it is allocated.
 
     The discretisation depends only on the floorplan, the sites, the
     resolution and the explicit sinks' positions, and the last one is kept:
@@ -440,37 +446,19 @@ def build_problem(
     key = (plan.side_mm, grid_resolution, site_rows.tobytes(),
            None if sink_xy is None else sink_xy.tobytes())
     if _discretisation is not None and _discretisation[0] == key:
-        lattices = _discretisation[1]
+        lattice = _discretisation[1]
     else:
-        _discretisation = None      # release the old lattices before computing the next
-        lattices = []
-    x, y, footprint = site_rows.T
-    half_width = np.sqrt(footprint) / 2.0
-    resolution = grid_resolution
-    for attempt in range(2):
-        if attempt == len(lattices):
-            lattices.append(_discretise(plan, x, y, half_width, sink_xy, resolution))
-        lattice = lattices[attempt]
-        g = lattice.grid
-        grid = ResistiveGrid(g.nx, g.ny, g.cell_pitch_mm, sheet_resistance_ohm_sq,
-                             g.x0_mm, g.y0_mm)
-        # A lattice the sites or sinks do not snap cleanly to, or that
-        # draws no demand, is refined.
-        if lattice.sources is not None:
-            sink_currents = lattice.sink_currents(demand_a, demand_weight, sink_a)
-            if sink_currents is not None:
-                problem = GridProblem(grid, dict.fromkeys(lattice.sources, rail_voltage_v),
-                                      sink_currents, lattice.demand,
-                                      droop_resistance_ohm=droop_resistance_ohm,
-                                      contact_counts=lattice.contact_counts,
-                                      contact_nodes=lattice.contact_nodes)
-                _discretisation = (key, lattices)
-                return problem
-        # One refinement keeps the old nodes and adds the midpoints.
-        resolution = 2 * resolution - 1
-    raise DegenerateGrid(
-        "VR sites collapse onto shared or ambiguous grid nodes even after refinement"
-    )
+        _discretisation = None      # release the old lattice before computing the next
+        x, y, footprint = site_rows.T
+        lattice = _discretise(plan, x, y, np.sqrt(footprint) / 2.0, sink_xy, grid_resolution)
+    problem = GridProblem(replace(lattice.grid, sheet_resistance_ohm_sq=sheet_resistance_ohm_sq),
+                          dict.fromkeys(lattice.sources, rail_voltage_v),
+                          lattice.sink_currents(demand_a, demand_weight, sink_a), lattice.demand,
+                          droop_resistance_ohm=droop_resistance_ohm,
+                          contact_counts=lattice.contact_counts,
+                          contact_nodes=lattice.contact_nodes)
+    _discretisation = (key, lattice)
+    return problem
 
 
 def profile_parts(plan: DieFloorplan, grid: ResistiveGrid, source_nodes: np.ndarray | list[int]

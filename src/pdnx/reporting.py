@@ -24,7 +24,7 @@ CELL_CSV_HEADER = ("architecture,topology,status,total_loss_w,total_loss_pct,"
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_atomic(path: str, content: str) -> None:

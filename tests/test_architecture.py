@@ -443,6 +443,12 @@ class TestPlanTable:
                                   "rail of A3@12V"),
         ({"total_power_w": 0.0}, "total_power_w and pol_voltage_v must be > 0 and finite"),
         ({"die_area_mm2": math.inf}, "die_area_mm2 must be > 0 and finite"),
+        # 11.99999 V would print as "12V" and overwrite the intermediate
+        # rail's figures, and 47.99999 V the board rail's.
+        ({"pol_voltage_v": 11.99999}, "pol_voltage_v 11.99999 V is labelled as the 12 V "
+                                      "intermediate rail of A3@12V"),
+        ({"pol_voltage_v": 47.99999}, "pol_voltage_v 47.99999 V is labelled as the 48 V "
+                                      "board rail"),
     ])
     def test_compare_makes_an_error_cell_of_a_plan_that_cannot_be_built(self, datasets, run,
                                                                         message):

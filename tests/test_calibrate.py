@@ -71,6 +71,14 @@ def test_a0_target_below_zero_resistance_unreachable(datasets):
         calibrate_a0_loss(datasets, floor - 1e-6)
 
 
+def test_a_fit_whose_residual_is_not_finite_is_unreachable(datasets):
+    # At a 1e308 % target A0's fitted loss overflows to inf.
+    with pytest.raises(TargetUnreachable, match="^target a0_loss_pct unreachable: the fit's "
+                                                "relative residual is inf$") as raised:
+        run_calibration(datasets, {"a0_loss_pct": 1e308})
+    assert raised.value.best_residual == math.inf
+
+
 def test_min_die_area_target(datasets):
     calibration, residual = calibrate_min_die_area(datasets, 1200.0)
     assert residual <= 1.84e-4

@@ -484,10 +484,16 @@ class TestRunValues:
          "pol_voltage_v 8 V is not below the 6 V intermediate rail of A3@6V"),
         ({"architectures": "A0", "pol_voltage_v": 48},
          "pol_voltage_v 48 V is not below the 48 V board rail"),
+        ({"architectures": "A3@12V", "pol_voltage_v": 11.99999},
+         "pol_voltage_v 11.99999 V is labelled as the 12 V intermediate rail of A3@12V"),
+        ({"architectures": "A1", "pol_voltage_v": 47.99999},
+         "pol_voltage_v 47.99999 V is labelled as the 48 V board rail"),
     ])
     def test_refused_run_exit_2(self, tmp_path, capsys, doc, message):
         # A POL voltage is named with the plan and the rail it is not below,
         # not by a converter such as DSCH-12to20 that would step its rail up.
+        # One that prints as a rail's label, which keys that rail's figures
+        # in every report, is named with its exact value and that rail.
         assert self._refused(tmp_path, capsys, doc) == f"config error: {message}\n"
 
     def test_a_pol_voltage_below_every_rail_is_accepted(self, tmp_path, capsys):
@@ -575,6 +581,16 @@ class TestCalibrateCommand:
         assert run_cli("calibrate", "--out", str(out),
                        "--target", "a0_loss_pct=5") == 4
         assert "unreachable" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a0_target_with_an_infinite_residual_exit_4(self, tmp_path, capsys):
+        # The fit's loss overflows, and an infinite residual is no fit: no
+        # calibration is written, and so no Infinity in its JSON.
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--out", str(out), "--target", "a0_loss_pct=1e308") == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: target a0_loss_pct unreachable: the fit's relative "
+            "residual is inf\n")
         assert not out.exists()
 
     def test_non_finite_plane_solve_exit_4(self, tmp_path, capsys, recwarn):
@@ -690,6 +706,23 @@ class TestFeasibilityCommand:
         util = {u["level"]: u for u in doc["utilization"]}
         assert util["bga"]["utilization_fraction"] <= 0.02
         assert 1080 <= doc["reference_min_die_area"]["min_die_area_mm2"] <= 1320
+
+    def test_a_level_without_connection_sites_is_null_in_json(self, tmp_path):
+        # A level with no connection sites is infinitely used: JSON, which
+        # has no Infinity, says null; CSV and text keep inf.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"die_area_mm2": 1e-6})
+        assert run_cli("feasibility", "--config", cfg, "--out", str(out)) == 0
+        doc = json.loads((out / "feasibility.json").read_text())
+        assert [u["utilization_fraction"] for u in doc["utilization"]] == [None] * 4
+        assert [row["utilization"] for row in csv_rows(out / "feasibility.csv")] == ["inf"] * 4
+        assert (out / "feasibility.txt").read_text().count("(inf% vs cap") == 4
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_reports_refuse_a_non_finite_float(self, value):
+        from pdnx.reporting import dump_json
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json({"utilization_fraction": value})
 
     def test_strict_a0_fails(self, tmp_path):
         cfg = write_config(tmp_path, {"architectures": "A0"})

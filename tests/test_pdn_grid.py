@@ -1364,8 +1364,9 @@ class TestDiscretisationOracle:
 # Positions on nodes, edge midpoints and cell centres of the 9 mm die's
 # lattices, inside and just outside its shadow.
 _SLOT_XY = st.sampled_from([-4.5, -2.25, 0.0, 1.125, 1.5, 2.25, 3.0, 4.5, 5.0])
-# Demand weights below -1 draw negative currents, and below about -1.5 no
-# demand at all, on a lattice or on its refinement only.
+# Demand weights below -1 draw negative currents, which GridProblem refuses,
+# and below about -1.5 a profile whose weights sum to <= 0, which
+# build_problem refuses on the lattice the placement took, unrefined.
 _SLOT_VALUES = {
     "demand": st.sampled_from([50.0, 88.4, 1000.0]),
     "sheet": st.sampled_from([1e-3, 5e-4, 0.24]),
@@ -1474,13 +1475,38 @@ class TestDiscretisationSlot:
         first = build_problem(plan, sites, 1000.0, 5e-4, 32, droop_resistance_ohm=1e-3)
         second = build_problem(plan, sites, 900.0, 0.24, 32, rail_voltage_v=6.0,
                                demand_weight=2.0, droop_resistance_ohm=2e-3)
-        # The even lattice is refined, once, for both.
-        assert discretised == [32, 63]
+        # The even lattice is refined in the one discretisation, for both.
+        assert discretised == [32]
+        assert first.grid.nx == 63
         assert second.grid == replace(first.grid, sheet_resistance_ohm_sq=0.24)
         assert second.sink_nodes is first.sink_nodes
         assert second.contact_nodes is first.contact_nodes
         build_problem(plan, sites, 1000.0, 5e-4, 33)
-        assert discretised == [32, 63, 33]
+        assert discretised == [32, 33]
+
+    def test_a_zero_total_profile_is_refused_unrefined(self, monkeypatch):
+        # Eight sites on the die's 3-across lattice (4.5 mm pitch) leave the
+        # centre node alone to draw demand, and its radial part equals its
+        # uniform part: at weight -1 the profile sums to 0. That is the
+        # demand weight's doing, not the placement's, so the 2.25 mm
+        # refinement is never built.
+        plan = DieFloorplan(81.0, 8.0)
+        sites = [VrSite(x, y, 0.01, 0) for y in (-4.5, 0.0, 4.5) for x in (-4.5, 0.0, 4.5)
+                 if (x, y) != (0.0, 0.0)]
+        built = []
+        build_grid = pdn_grid._build_grid
+        monkeypatch.setattr(pdn_grid, "_build_grid",
+                            lambda *a: built.append(a[-2]) or build_grid(*a))
+        monkeypatch.setattr(pdn_grid, "_discretisation", None)
+        with pytest.raises(DegenerateGrid, match=r"^demand_weight -1\.0 leaves the die "
+                                                 "profile no positive total weight$"):
+            build_problem(plan, sites, 50.0, 1e-3, 3, demand_weight=-1.0)
+        assert built == [3]
+        assert pdn_grid._discretisation is None
+        problem = build_problem(plan, sites, 50.0, 1e-3, 3)
+        centre = problem.grid.n_nodes // 2
+        assert (problem.grid.cell_pitch_mm, _sinks(problem)) == (4.5, {centre: 50.0})
+        assert built == [3, 3]
 
 
 class TestGridProblemValidation:
