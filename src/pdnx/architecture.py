@@ -51,7 +51,7 @@ from . import placement as plc
 from .config import ARCHITECTURE_NAMES, INPUT_VOLTAGE_V, PLANS, check_pol_voltage
 from .converter import StageSpec
 from .datasets import Datasets
-from .errors import LoadExceedsRating, PdnxError, Unsatisfiable, ZeroConnections
+from .errors import DegenerateGrid, LoadExceedsRating, PdnxError, Unsatisfiable, ZeroConnections
 from .floats import ordered_sum
 from .interconnect import UtilizationPolicy
 from .placement import DieFloorplan
@@ -192,10 +192,17 @@ class _StageBank:
 
 
 def _stage_bank(stage: StageSpec, die: DieFloorplan, datasets: Datasets) -> _StageBank:
-    """Place a stage's VR bank and model its plane."""
+    """Place a stage's VR bank and model its plane.
+
+    Every VR needs a lattice node of its own, so a bank of more VRs than
+    the largest lattice build_problem accepts raises DegenerateGrid before
+    it is placed."""
     cal = datasets.calibration
     topo = stage.topology
     n_vr = stage.vr_count
+    if n_vr > grid._MAX_NODES:
+        raise DegenerateGrid(f"{n_vr} VR sites need a lattice node each, above the "
+                             f"{grid._MAX_NODES} node limit")
     footprint = conv.vr_footprint_area_mm2(topo)
     if stage.placement == "interposer_periphery":
         sites = plc.place_periphery(die, n_vr, footprint)

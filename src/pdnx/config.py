@@ -102,8 +102,6 @@ def parse_config_text(source: str) -> RunConfig:
             doc = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
     else:
         doc = _parse_dotted(source)
     return config_from_dict(doc)

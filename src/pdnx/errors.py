@@ -22,7 +22,8 @@ class AreaExceeded(PdnxError):
 
 
 class DegenerateGrid(PdnxError):
-    """Two VR sites collapse onto one grid node even after refinement."""
+    """Two VR sites collapse onto one grid node even after refinement, or a
+    bank has more VRs than the largest lattice has nodes."""
 
 
 class SingularSystem(PdnxError):

@@ -22,15 +22,17 @@ The plane operator is never formed as a sparse matrix: it is the lattice's
 branches) and -1/R_sheet on every edge, and its products are taken from the
 stencil arrays. With droop every plane node is free, so the stencil is the free
 block; with pinned sources the free block is the stencil at the free
-nodes. The free block is symmetric positive definite. A square plane that
-the diagonal mirror (i, j) -> (j, i) maps onto itself, diagonal and free
-nodes bit for bit, splits into a symmetric and an antisymmetric sector of
-about half the nodes each, kept as index arrays (each orbit's lower node
-and its mirror image), and each sector is factorised the first time a
-right-hand side has more than a rounding-level component in it; any other
-plane is one sector, the whole free block. A sector block taken in
-wavefront order over its lattice nodes is banded about as wide as the
-lattice: up to a bandwidth of _BAND_MAX_WIDTH its band is assembled
+nodes. The free block is symmetric positive definite. Sectors, factors and
+solves address nodes by their lattice index alone: a right-hand side or a
+solution is one value per lattice node, 0 at the pinned ones. A square
+plane that the diagonal mirror (i, j) -> (j, i) maps onto itself, diagonal
+and free nodes bit for bit, splits into a symmetric and an antisymmetric
+sector of about half the nodes each, kept as lattice-node arrays (each
+orbit's lower node and its mirror image), and each sector is factorised the
+first time a right-hand side has more than a rounding-level component in
+it; any other plane is one sector, the whole free block. A sector block
+taken in wavefront order over its lattice nodes is banded about as wide as
+the lattice: up to a bandwidth of _BAND_MAX_WIDTH its band is assembled
 straight from the stencil, in LAPACK's upper band storage, and is one
 LAPACK band Cholesky factor. A wider block is reduced exactly to its even
 wavefronts, half its unknowns at the same bandwidth, since the stencil
@@ -514,53 +516,54 @@ class _BandCholesky:
 
 @dataclass
 class _Sector:
-    """One symmetry sector of a plane's free block, as free-node index arrays.
+    """One symmetry sector of a plane's free block, as lattice-node arrays.
 
-    Unknown k of a mirror sector is the orbit of free node lo[k] and its
-    mirror image hi[k], lo[k] the lower: the symmetric sector (parity +1)
-    has one unknown per orbit, hi[k] == lo[k] on the mirror axis, and the
-    antisymmetric one (parity -1) one per off-axis pair. Its basis column
-    P_k is 1 at lo[k] and parity at hi[k], so restrict (P^T x) and lift
-    (P y) are gathers and scatters that sum at most two entries. hi is None
-    for the whole free block: one unknown per free node, P = I. The block
-    P^T A P is assembled from the stencil and factorised by _factor_block
-    the first time a right-hand side has more than a rounding-level
-    component P^T b in it (see _PlaneOperator.solve), and kept in lu.
+    Unknown k is the orbit of free node lo[k] and its mirror image hi[k],
+    lo[k] the lower: the symmetric sector (parity +1) has one unknown per
+    orbit, hi[k] == lo[k] on the mirror axis, and the antisymmetric one
+    (parity -1) one per off-axis pair. The whole free block is the sector
+    hi = lo, parity +1: one unknown per free node. Basis column P_k is 1 at
+    lo[k] and parity at hi[k], so restrict (P^T x) and lift (P y) are
+    gathers and scatters over lattice-length vectors that sum at most two
+    entries. The block P^T A P is assembled from the stencil and factorised
+    by _factor_block the first time a right-hand side has more than a
+    rounding-level component P^T b in it (see _PlaneOperator.solve), and
+    kept in lu.
     """
 
     lo: np.ndarray
-    hi: np.ndarray | None = None
+    hi: np.ndarray
     parity: float = 1.0
     lu: _BandCholesky | _OddEven | None = None
 
+    @functools.cached_property
+    def paired(self) -> np.ndarray:
+        """The unknowns whose orbit is two nodes: lo[k] != hi[k]."""
+        return np.flatnonzero(self.lo != self.hi)
+
     def restrict(self, x: np.ndarray) -> np.ndarray:
         """P^T x: at most two entries of x summed per unknown."""
-        if self.hi is None:
-            return x
         y = x[self.lo]
-        return np.add(y, self.parity * x[self.hi], out=y, where=self.lo != self.hi)
+        y[self.paired] += self.parity * x[self.hi[self.paired]]
+        return y
 
     def lift(self, y: np.ndarray, out: np.ndarray) -> None:
         """out += P y."""
-        if self.hi is None:
-            out += y
-            return
-        out[self.lo] += y
-        paired = self.lo != self.hi
-        out[self.hi[paired]] += self.parity * y[paired]
+        np.add.at(out, self.lo, y)
+        np.add.at(out, self.hi[self.paired], self.parity * y[self.paired])
 
     def factor(self, op: _PlaneOperator) -> _BandCholesky | _OddEven:
         if self.lu is None:
-            self.lu = _factor_block(op.grid, op.diag, op.shunt, op.free, self)
+            self.lu = _factor_block(op.grid, op.diag, op.shunt, self)
         return self.lu
 
 
 def _factor_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray,
-                  free: np.ndarray | slice, sector: _Sector) -> _BandCholesky | _OddEven:
+                  sector: _Sector) -> _BandCholesky | _OddEven:
     """A factor of a sector's block P^T A P, with .solve(b), assembled
     straight from the plane's 5-point stencil: diag per lattice node and
     -g_sheet on every lattice edge; shunt is each lattice node's VR branch
-    conductance and free lists the free nodes.
+    conductance.
 
     The unknowns are taken by wavefront, i + j then i over the lattice node
     (i, j) of lo[k]. The mirror keeps i + j, so the entries above the
@@ -587,15 +590,13 @@ def _factor_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray,
     wavefronts by _reduce_block.
     """
     nx = grid.nx
-    nodes = np.arange(grid.n_nodes)[free]
-    lo = nodes[sector.lo]
-    hi = lo if sector.hi is None else nodes[sector.hi]
+    lo = sector.lo
     m = lo.size
     unknowns = np.arange(m)
     unknown = np.full(grid.n_nodes, -1)     # per lattice node, -1: none
-    unknown[hi] = unknowns
+    unknown[sector.hi] = unknowns
     unknown[lo] = unknowns
-    weight = np.where(lo == hi, 1.0, 2.0)   # nodes per orbit
+    weight = np.where(lo == sector.hi, 1.0, 2.0)   # nodes per orbit
     j, i = np.divmod(lo, nx)
     order = np.argsort((i + j) * nx + i, kind="stable")    # by i + j, then i
     position = np.empty(m, dtype=np.int64)
@@ -612,7 +613,7 @@ def _factor_block(grid: ResistiveGrid, diag: np.ndarray, shunt: np.ndarray,
     width = int(offset.max(initial=0))
     if width > _BAND_MAX_WIDTH:
         # Freed first: the reduced block's band is its peak of memory.
-        del nodes, hi, unknowns, position, below, left, row, col, kept, col_position, offset
+        del unknowns, position, below, left, row, col, kept, col_position, offset
         return _reduce_block(grid, diag, shunt, lo, i, j, unknown, weight, order)
     g_sheet = 1.0 / grid.sheet_resistance_ohm_sq
     band = np.bincount(np.concatenate([position * (width + 1) + width,
@@ -808,7 +809,9 @@ class _PlaneOperator:
     """A plane's nodal system with its free block split into sectors.
 
     It depends only on the lattice, the VR nodes and the VR branches
-    (`key`); sinks enter each solve as a right-hand side.
+    (`key`); sinks enter each solve as a right-hand side. free lists the
+    free nodes in both modes, every lattice node with droop; solve and
+    product take and return one value per lattice node.
     A plane that its diagonal mirror maps onto itself has two sectors, the
     mirror-symmetric and the antisymmetric drops, each about half the free
     nodes (no antisymmetric one if every free node is on the mirror axis);
@@ -818,7 +821,7 @@ class _PlaneOperator:
     """
 
     key: tuple
-    free: np.ndarray | slice       # the plane nodes no VR pins
+    free: np.ndarray               # the plane nodes no VR pins, ascending
     diag: np.ndarray               # the stencil's diagonal, per plane node
     shunt: np.ndarray              # its VR branches' conductance, per plane node
     g_sheet: float
@@ -834,34 +837,34 @@ class _PlaneOperator:
     def grid(self) -> ResistiveGrid:
         return self.key[0]
 
-    def product(self, u_free: np.ndarray) -> np.ndarray:
-        """A u_free, the free block's product, from the stencil."""
-        x = np.zeros(self.diag.size)
-        x[self.free] = u_free
-        return _stencil_product(self.grid, self.diag, -self.g_sheet, x)[self.free]
+    def product(self, u: np.ndarray) -> np.ndarray:
+        """The stencil's product with u, per lattice node: A u at the free
+        nodes when u is 0 at the pinned ones."""
+        return _stencil_product(self.grid, self.diag, -self.g_sheet, u)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """u_free = sum over sectors of P_k (P_k^T A P_k)^-1 P_k^T rhs.
+        """u = sum over sectors of P_k (P_k^T A P_k)^-1 P_k^T rhs, per lattice
+        node, 0 at the pinned ones.
 
         The sectors span the free nodes and A maps each into itself, so the
-        sum solves A u_free = rhs for any rhs. solve_dc calls it once per
-        plane solve: on b for a pinned plane, and on b - c d, the drops
-        below the plane's level, for a drooped one (then on b as well if a
-        VR is idle, see _IDLE_DROP). A sector with
-        ||P_k^T rhs|| <= _SECTOR_SHARE_TOL * ||rhs|| is neither factorised nor
-        solved: rhs's component in it, at most that large, is left as
-        residual (a mirror-symmetric demand has rounding-level antisymmetric
-        parts). The norms are BLAS nrm2's, which scales its sum of squares so
-        that a tiny rhs does not underflow to a zero norm.
+        sum solves A u = rhs on the free nodes for any rhs that is 0 at the
+        pinned ones. solve_dc calls it once per plane solve: on b for a
+        pinned plane, and on b - c d, the drops below the plane's level, for
+        a drooped one (then on b as well if a VR is idle, see _IDLE_DROP). A
+        sector with ||P_k^T rhs|| <= _SECTOR_SHARE_TOL * ||rhs|| is neither
+        factorised nor solved: rhs's component in it, at most that large, is
+        left as residual (a mirror-symmetric demand has rounding-level
+        antisymmetric parts). The norms are BLAS nrm2's, which scales its sum
+        of squares so that a tiny rhs does not underflow to a zero norm.
         """
         from scipy.linalg.blas import dnrm2
-        u_free = np.zeros(rhs.size)
+        u = np.zeros(rhs.size)
         cutoff = _SECTOR_SHARE_TOL * dnrm2(rhs)
         for sector in self.sectors:
             part = sector.restrict(rhs)
             if dnrm2(part) > cutoff:
-                sector.lift(sector.factor(self).solve(part), u_free)
-        return u_free
+                sector.lift(sector.factor(self).solve(part), u)
+        return u
 
 
 # The most recently built operator. A problem with the same key reuses it and
@@ -936,9 +939,9 @@ def _branch_outflow(k: int, br_vr: np.ndarray, br_node: np.ndarray,
     return lambda u: np.bincount(by_vr, weights=by_g * u[by_node], minlength=k)
 
 
-def _sectors(grid: ResistiveGrid, diag: np.ndarray,
-             free: np.ndarray | slice) -> tuple[_Sector, ...]:
-    """The free block's sectors under the diagonal mirror (i, j) -> (j, i).
+def _sectors(grid: ResistiveGrid, diag: np.ndarray, free: np.ndarray) -> tuple[_Sector, ...]:
+    """The free block's sectors under the diagonal mirror (i, j) -> (j, i),
+    as lattice nodes; free lists the free nodes, ascending.
 
     Off the diagonal the lattice operator is a uniform -g_sheet on the
     lattice edges, which a square lattice's mirror maps onto each other. So
@@ -947,26 +950,24 @@ def _sectors(grid: ResistiveGrid, diag: np.ndarray,
     into the symmetric sector, one unknown per orbit (ones on the orbit's
     nodes), and the antisymmetric one, one unknown per node pair (+1 on the
     lower index, -1 on the higher). Either block is symmetric positive
-    definite. Otherwise the whole free block is the one sector.
+    definite. Otherwise the whole free block is the one sector, (free,
+    free). Mirror closure is read from a mask over the lattice.
     (A. Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986.)
     """
     nx = grid.nx
-    nodes = np.arange(grid.n_nodes)[free]
-    whole = (_Sector(np.arange(nodes.size)),)
+    whole = (_Sector(free, free),)
     if nx != grid.ny:
         return whole
     square = diag.reshape(nx, nx)
     if not (square == square.T).all():
         return whole
-    position = np.full(grid.n_nodes, -1)
-    position[nodes] = np.arange(nodes.size)
-    # Each free node's mirror image, as a free-block index (-1: pinned).
-    mirror = position[nodes % nx * nx + nodes // nx]
-    if (mirror < 0).any():
+    mirror = free % nx * nx + free // nx     # each free node's mirror image
+    is_free = np.zeros(grid.n_nodes, dtype=bool)
+    is_free[free] = True
+    if not is_free[mirror].all():
         return whole
-    index = np.arange(nodes.size)
-    lo = index[index <= mirror]     # each orbit's lower node, ascending
-    hi = mirror[lo]
+    lower = free <= mirror
+    lo, hi = free[lower], mirror[lower]     # each orbit's lower node, ascending
     paired = lo != hi
     return tuple(sector for sector in (_Sector(lo, hi), _Sector(lo[paired], hi[paired], -1.0))
                  if sector.lo.size)
@@ -1007,15 +1008,13 @@ def _factor_plane(key: tuple) -> _PlaneOperator:
     by_count = list(itertools.accumulate([g_sheet] * 4, initial=0.0))    # 0, g, g + g, ...
     diag = np.take(by_count, neighbours.ravel())
     np.add.at(diag, br_node, br_g)
+    pinned = np.array(source_nodes if contacts is None else (), dtype=np.int64)
     if contacts is not None:
-        free = slice(0, n)
         outflow = _branch_outflow(k, br_vr, br_node, br_g)
     else:
-        pinned = np.array(source_nodes, dtype=np.int64)
-        free = np.delete(np.arange(n), pinned)
-
         def outflow(u: np.ndarray) -> np.ndarray:
             return _stencil_product(grid, diag, -g_sheet, u)[pinned]
+    free = np.delete(np.arange(n), pinned)
     on_free = np.zeros(n)
     on_free[free] = 1.0
     return _PlaneOperator(
@@ -1038,7 +1037,8 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     lattice, the VR nodes and the droop branches stay the same; only the
     sinks change the right-hand side. The unknowns are the drops u = v - rail
     of the plane nodes below the rail every VR sits at, so the right-hand
-    side b is minus the sinks at the free nodes, and the rail is added back
+    side b is minus the sinks, per lattice node (no sink is on a VR's
+    node, so b is 0 at the pinned ones), and the rail is added back
     only for the node voltages: on a 12 V plane it stays out of the small
     differences the currents are computed from. A pinned VR's node has
     u = 0 and its current is its stencil row times u; a drooped VR's
@@ -1053,39 +1053,37 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     6.4e-14. A VR that draws next to nothing sits where w is about -c, and
     w's rounding swamps its current: a plane with one (_IDLE_DROP) is solved
     for u as well, and its currents and voltages come from u. A pinned
-    plane is solved for u. The normwise backward error of u on the whole
-    free block, ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2), must come in
-    at or below 1e-10 (J. L. Rigal and J. Gaches, J. ACM 14, 1967); unlike
-    ||r|| / ||b|| it does not grow with the conductance scale of the plane;
-    above it the solve raises SingularSystem, and a backward error that is
-    not finite (sinks or conductances out of the float range) raises
-    OverflowError, as does a plane whose conductances are not finite,
-    before it is factored.
+    plane has no level: u = w. The normwise backward error of u on the
+    whole free block, ||A u - b||_2 / (||A||_inf ||u||_2 + ||b||_2) over the
+    free nodes, must come in at or below 1e-10 (J. L. Rigal and J. Gaches,
+    J. ACM 14, 1967); unlike ||r|| / ||b|| it does not grow with the
+    conductance scale of the plane; above it the solve raises
+    SingularSystem, and a backward error that is not finite (sinks or
+    conductances out of the float range) raises OverflowError, as does a
+    plane whose conductances are not finite, before it is factored.
     """
     op = _plane_operator(problem)
     if not math.isfinite(op.norm_inf):
         raise OverflowError(f"plane conductance {op.norm_inf} is not finite")
     b = np.zeros(problem.grid.n_nodes)
     b[problem.sink_nodes] = -problem.sink_currents
-    rhs = b[op.free]
     if op.br_g.size:
         # The drops w = u - c below the plane's level c: A maps 1 to d, the
         # branch conductance per node, so A w = b - c d.
-        level = float(np.sum(rhs)) / float(np.sum(op.shunt))
-        w = op.solve(rhs - level * op.shunt)
+        level = float(np.sum(b)) / float(np.sum(op.shunt))
+        w = op.solve(b - level * op.shunt)
         u = w + level
         vr = op.outflow(u)
         # An idle VR's current is lost to w's rounding (_IDLE_DROP).
         if (np.abs(vr) < _IDLE_DROP * np.abs(w).max() * op.to_vr).any():
-            u = op.solve(rhs)
+            u = op.solve(b)
             vr = op.outflow(u)
     else:
-        u = np.zeros(b.size)
-        u[op.free] = w = op.solve(rhs)
+        u = w = op.solve(b)
         vr = op.outflow(u)
-    u_free = u[op.free]
-    scale = op.norm_inf * float(np.linalg.norm(u_free)) + float(np.linalg.norm(rhs))
-    backward_error = float(np.linalg.norm(op.product(u_free) - rhs)
+    u_free, b_free = u[op.free], b[op.free]
+    scale = op.norm_inf * float(np.linalg.norm(u_free)) + float(np.linalg.norm(b_free))
+    backward_error = float(np.linalg.norm(op.product(u)[op.free] - b_free)
                            / max(scale, np.finfo(float).tiny))
     if not math.isfinite(backward_error):
         # The sinks or the plane left the float range; verdict makes this
@@ -1104,11 +1102,10 @@ def solve_dc(problem: GridProblem) -> GridSolution:
     rail = problem.rail_voltage_v
     plane_voltages = rail - np.divide(branch_loss, vr, out=np.zeros_like(vr), where=vr != 0.0)
 
-    # With droop every plane node is free, and the sheet loss is taken from
-    # w, whose differences carry no rounding at the plane's level.
-    # Each edge's drop, the horizontal edges row by row, then the vertical
-    # ones: the order the sheet loss is summed in.
-    sheet = (w if op.br_g.size else u).reshape(problem.grid.ny, problem.grid.nx)
+    # The sheet loss is taken from w, whose differences, with droop, carry no
+    # rounding at the plane's level. Each edge's drop, the horizontal edges
+    # row by row, then the vertical ones: the order the sheet loss is summed in.
+    sheet = w.reshape(problem.grid.ny, problem.grid.nx)
     du = np.concatenate([(sheet[:, :-1] - sheet[:, 1:]).ravel(), (sheet[:-1] - sheet[1:]).ravel()])
     return GridSolution(
         node_voltages=u + rail,

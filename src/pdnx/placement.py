@@ -43,15 +43,11 @@ class VrSite:
 
 
 def _ring_contour_point(half_extent: float, t: float) -> tuple[float, float, float, float]:
-    """Point at arc length t along a square contour, clockwise from the
-    bottom-left corner (up the left edge first), plus the outward edge
-    normal. Corner points belong to the horizontal edges by the fixed
-    tie-break (t = 0 is the bottom edge's corner)."""
+    """Point at arc length t, 0 < t < 8h, along a square contour, clockwise
+    from the bottom-left corner (up the left edge first), plus the outward
+    edge normal. Corner points belong to the horizontal edges by the fixed
+    tie-break."""
     h = half_extent
-    p = 8.0 * h
-    t = t % p
-    if t == 0.0:
-        return (-h, -h, 0.0, -1.0)
     if t < 2.0 * h:
         return (-h, -h + t, -1.0, 0.0)
     if t < 4.0 * h:

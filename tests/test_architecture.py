@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import pdnx
 from pdnx import converter as conv
-from pdnx import architecture, pdn_grid
+from pdnx import architecture, pdn_grid, placement
 from pdnx import interconnect as ic
 from pdnx.architecture import (ARCHITECTURE_NAMES, MIN_DIE_AREA_FLOOR_MM2, build_architecture,
                                compare, evaluate, pol_current_curve, utilization_report)
@@ -20,8 +20,8 @@ from pdnx.calibrate import calibrate_min_die_area
 from pdnx.config import PLANS
 from pdnx.converter import ConverterTopology
 from pdnx.datasets import load_datasets, load_raw_dataset
-from pdnx.errors import (LoadExceedsRating, PdnxError, SingularSystem, Unsatisfiable,
-                         ZeroConnections)
+from pdnx.errors import (DegenerateGrid, LoadExceedsRating, PdnxError, SingularSystem,
+                         Unsatisfiable, ZeroConnections)
 from pdnx.interconnect import UtilizationPolicy, required_connections
 
 
@@ -464,6 +464,17 @@ class TestPlanTable:
                                                  "topology$"):
                 build_architecture(arch, None, datasets)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda ds: build_architecture("A9", "DSCH", ds), "unknown architecture 'A9'"),
+        (lambda ds: replace(build_architecture("A1", "DSCH", ds), pol_voltage_v=0.9),
+         "final stage must end at the POL voltage"),
+        (lambda ds: pdnx.min_die_area_for_current(-1.0, ds.calibration.policy(), ds),
+         "demand_a must be >= 0"),
+    ], ids=["unknown_plan", "last_stage_off_the_pol_rail", "negative_demand"])
+    def test_the_library_refuses_what_no_plan_can_be(self, datasets, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(datasets)
+
 
 class TestProposedArchitectures:
     @pytest.mark.parametrize("arch", ["A1", "A2"])
@@ -551,6 +562,23 @@ class TestVrSiteCounts:
         pinned = [line for line in b.assumptions if "VR count pinned" in line]
         assert pinned == [f"{key}: VR count pinned to the datasheet site count ({count})"
                           for key, count in zip(keys, want)][::-1]
+
+
+    @pytest.mark.parametrize("arch", ["A1", "A2"])
+    def test_a_bank_no_lattice_holds_is_refused_before_it_is_placed(self, datasets,
+                                                                    monkeypatch, arch):
+        # Every VR needs a lattice node of its own; placing 10^6 + 1 sites
+        # would take memory in proportion before the lattice is refused.
+        def placer(*args):
+            pytest.fail("the bank was placed")
+
+        monkeypatch.setattr(placement, "place_periphery", placer)
+        monkeypatch.setattr(placement, "place_under_die", placer)
+        spec = build_architecture(arch, "DSCH", datasets)
+        stage = replace(spec.stages[0], vr_count=pdn_grid._MAX_NODES + 1)
+        with pytest.raises(DegenerateGrid, match="^1000001 VR sites need a lattice node "
+                                                 "each, above the 1000000 node limit$"):
+            architecture._stage_bank(stage, spec.die, datasets)
 
 
 class TestRatingHandling:

@@ -91,6 +91,16 @@ class TestEvaluateCommand:
         doc = json.loads((out / "breakdown.json").read_text())
         assert doc["total_loss_pct"] > 40.0
 
+    def test_a0_strict_fails_its_check_exit_3(self, tmp_path):
+        # An ok cell whose breakdown fails a feasibility check is reported,
+        # and --strict makes that exit 3.
+        cfg = write_config(tmp_path, {"architectures": "A0"})
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--config", cfg, "--out", str(out), "--strict") == 3
+        doc = json.loads((out / "breakdown.json").read_text())
+        assert doc["total_loss_pct"] > 40.0
+        assert any(check["status"] == "fail" for check in doc["feasibility"])
+
     def test_a2_3lhd_strict_not_reported_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {"architectures": "A2", "topologies": "3LHD"})
         out = tmp_path / "out"
@@ -171,6 +181,13 @@ class TestCompareCommand:
         by_key = {(c["architecture"], c["topology"]): c for c in doc["cells"]}
         assert by_key[("A1", "DSCH")]["status"] == "ok"
         assert by_key[("A2", "DPMIH")]["status"] == "not_reported"
+
+    def test_strict_with_a_not_reported_cell_exit_3(self, tmp_path):
+        cfg = write_config(tmp_path, {"architectures": "A2", "topologies": "3LHD"})
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", cfg, "--out", str(out), "--strict") == 3
+        [cell] = json.loads((out / "comparison.json").read_text())["cells"]
+        assert cell["status"] == "not_reported"
 
     def test_droop_overflow_keeps_the_table_exit_0(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -441,6 +458,7 @@ REFUSED_RUNS = [
      "pol_voltage_v 20 V is not below the 12 V intermediate rail of A3@12V"),
     ({"total_power_w": math.nan, "die_area_mm2": math.inf},
      "field 'total_power_w': expected a positive finite number, got nan"),
+    ({"topologies": ["DSCH", "4LHD"]}, "unknown converter topology '4LHD'"),
 ]
 
 
@@ -549,7 +567,7 @@ class TestSweepRanges:
         assert "13 samples, above the 10 sample limit" in capsys.readouterr().err
         assert not (tmp_path / "sweep_total_power.csv").exists()
 
-    @pytest.mark.parametrize("text", ["3:1", "3:1:0.5", "0:1:0", "0:1:-1", "0:inf:1"])
+    @pytest.mark.parametrize("text", ["3:1", "3:1:0.5", "0:1:0", "0:1:-1", "0:inf:1", "1:2:3:4"])
     def test_bad_range_is_config_error(self, text):
         with pytest.raises(ConfigError):
             _parse_values(text)
@@ -651,6 +669,25 @@ class TestCalibrateCommand:
         assert "config error" in err
         assert f"target {target.partition('=')[0]}" in err
         assert "could not convert" not in err
+        assert not out.exists()
+
+    def test_target_without_a_value_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--out", str(out), "--target", "a1_spread") == 2
+        assert capsys.readouterr().err == ("config error: bad target 'a1_spread' "
+                                           "(want NAME=VALUE)\n")
+        assert not out.exists()
+
+    def test_a_model_error_outside_any_cell_exit_4(self, tmp_path, capsys):
+        # The spread fit places A1's periphery bank itself, outside any cell:
+        # a margin too narrow for its rings ends the run with no file.
+        cfg = write_config(tmp_path, {"datasets": {"calibration-default": {
+            "interposer_margin_mm": 1}}})
+        out = tmp_path / "out"
+        assert run_cli("calibrate", "--config", cfg, "--out", str(out),
+                       "--target", "a1_spread=16:27") == 4
+        assert capsys.readouterr().err.startswith(
+            "error: 2 periphery ring(s) need 5.38 mm of margin")
         assert not out.exists()
 
     def test_unknown_target_exit_2(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -327,6 +328,16 @@ class TestConfigDialects:
     def test_dotted_syntax_error_carries_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("total_power_w = 1000\nwhat is this\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("total_power_w = 1000\n = 5\n", "line 2: empty key"),
+        ("architectures = A1\narchitectures.x = 1\n",
+         "line 2: 'architectures.x' nests under a scalar"),
+        ('{"datasets": 5}', "field 'datasets': expected an object of dataset overrides"),
+    ], ids=["empty_key", "key_under_a_scalar", "datasets_not_an_object"])
+    def test_refused_config_text(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(text)
 
     def test_bad_json_carries_line(self):
         with pytest.raises(ConfigError, match="line"):

@@ -708,16 +708,15 @@ class TestBandFactor:
 
     def test_a_block_that_is_not_positive_definite_is_singular(self):
         # Two nodes whose diagonal, 1, is below their edge's conductance, 2.
-        grid = ResistiveGrid(2, 1, 1.0, 0.5)
+        grid, nodes = ResistiveGrid(2, 1, 1.0, 0.5), np.arange(2)
         with pytest.raises(SingularSystem, match="not positive definite"):
-            pdn_grid._factor_block(grid, np.ones(2), np.zeros(2), slice(0, 2),
-                                    pdn_grid._Sector(np.arange(2)))
+            pdn_grid._factor_block(grid, np.ones(2), np.zeros(2), pdn_grid._Sector(nodes, nodes))
 
     def test_a_band_that_is_not_finite_is_an_overflow(self):
-        grid = ResistiveGrid(2, 1, 1.0, 0.5)
+        grid, nodes = ResistiveGrid(2, 1, 1.0, 0.5), np.arange(2)
         with pytest.raises(OverflowError, match="overflowed"):
-            pdn_grid._factor_block(grid, np.array([-math.inf, 1.0]), np.zeros(2), slice(0, 2),
-                                   pdn_grid._Sector(np.arange(2)))
+            pdn_grid._factor_block(grid, np.array([-math.inf, 1.0]), np.zeros(2),
+                                   pdn_grid._Sector(nodes, nodes))
 
     @pytest.mark.parametrize("cut,unknowns", [(math.inf, 6), (-1, 4)],
                              ids=["whole", "reduced"])
@@ -1581,9 +1580,10 @@ def _dense_free_block(problem: GridProblem) -> np.ndarray:
 
 
 def _operator_block(op) -> np.ndarray:
-    """A plane operator's free block, column by column from its products."""
-    size = np.arange(op.diag.size)[op.free].size
-    return np.column_stack([op.product(unit) for unit in np.eye(size)])
+    """A plane operator's free block, column by column from its products
+    with the free nodes' unit vectors, read at the free nodes."""
+    units = np.eye(op.diag.size)[op.free]
+    return np.column_stack([op.product(unit)[op.free] for unit in units])
 
 
 def _coo_reference(grid: ResistiveGrid, sources: dict, sinks: dict, droop: float,
@@ -1751,9 +1751,11 @@ class TestStencilAssembly:
             _close_to_reference(sol, sources, vr, plane_v, node_v, loss)
             return
         assert _same(got_ff, want_ff)
-        # The stencil product sums each row as the sparse product does.
-        x = np.random.default_rng(grid.n_nodes).standard_normal(want_ff.shape[0])
-        assert _same(op.product(x), want_csc @ x)
+        # The stencil product sums each free row as the sparse product does;
+        # x is 0 at the pinned nodes, which are no unknowns.
+        x = np.zeros(grid.n_nodes)
+        x[op.free] = np.random.default_rng(grid.n_nodes).standard_normal(want_ff.shape[0])
+        assert _same(op.product(x)[op.free], want_csc @ x[op.free])
         if len(op.sectors) > 1:
             # A mirror-symmetric plane is solved on its sector factors, not
             # on the reference's whole-block factor.
@@ -2021,6 +2023,34 @@ class TestMirrorSectors:
         assert [len(op.sectors) for op in built] == sectors
 
 
+class TestSectorIndexSpace:
+    """Sectors, like the solves, address nodes by their lattice index."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_stencil_problems(), _mirror_problems().map(lambda drawn: drawn[:5])))
+    def test_sectors_hold_free_lattice_nodes(self, drawn):
+        grid, sources, sinks, droop, fanout = drawn
+        problem = GridProblem(grid, sources, sinks, droop_resistance_ohm=droop,
+                              **_contacts(sources, fanout))
+        op = pdn_grid._factor_plane(pdn_grid.plane_key(problem))
+        free = np.setdiff1d(np.arange(grid.n_nodes), [] if droop > 0.0 else list(sources))
+        assert _same(op.free, free)
+        for sector in op.sectors:
+            assert sector.lo.size == sector.hi.size > 0
+            assert np.isin(sector.lo, free).all() and np.isin(sector.hi, free).all()
+        # The first sector's orbits, each its lower node and, off the mirror
+        # axis, its image, cover every free node once.
+        first = op.sectors[0]
+        covered = np.concatenate([first.lo, first.hi[first.lo != first.hi]])
+        assert _same(np.sort(covered), free)
+        square = op.diag.reshape(grid.ny, grid.nx)
+        mirrored = (grid.nx == grid.ny and (square == square.T).all()
+                    and np.isin(free % grid.nx * grid.nx + free // grid.nx, free).all())
+        if not mirrored:
+            [sector] = op.sectors
+            assert _same(sector.lo, free) and _same(sector.hi, free) and sector.parity == 1.0
+
+
 def _reference_sector_block(grid: ResistiveGrid, free: np.ndarray, lap_ff: sp.csc_matrix,
                             parity: float | None) -> tuple[sp.csc_matrix, np.ndarray]:
     """P^T A P of a sector by sparse products, and the lower lattice node of
@@ -2085,16 +2115,17 @@ class TestBandAssembly:
                               **_contacts(sources, fanout))
         op = pdn_grid._factor_plane(pdn_grid.plane_key(problem))
         lap_ff = _coo_reference(grid, sources, sinks, droop, fanout)[0]
-        free = np.arange(grid.n_nodes)[op.free]
         bands, blocks = [], []
         monkeypatch.setattr(lapack, "dpbtrf",
                             lambda band, **kw: bands.append(band.copy()) or dpbtrf(band, **kw))
         monkeypatch.setattr(spla, "splu", lambda block, **kw: blocks.append(block))
-        args = (op.grid, op.diag, op.shunt, op.free)
+        args = (op.grid, op.diag, op.shunt)
         for sector in op.sectors:
-            want, lo = _reference_sector_block(grid, free, lap_ff,
-                                               None if sector.hi is None else sector.parity)
-            assert (free[sector.lo] == lo).all()
+            # A sector with no off-axis pair has P = I: the whole free block.
+            paired = (sector.lo != sector.hi).any()
+            want, lo = _reference_sector_block(grid, op.free, lap_ff,
+                                               sector.parity if paired else None)
+            assert (sector.lo == lo).all()
             want_band, want_order = _wavefront_band(want, lo % grid.nx, lo // grid.nx)
             monkeypatch.setattr(pdn_grid, "_BAND_MAX_WIDTH", math.inf)
             lu = pdn_grid._factor_block(*args, sector)
@@ -2178,24 +2209,27 @@ class TestBackwardError:
         # The bound is on the drops u = w + c that solve A u = b, b minus
         # the sinks at the free nodes and c the plane's level with droop (0
         # without), whose shifted system A w = b - c d, d = A 1, was the one
-        # solved.
+        # solved. The solves take and return lattice-length vectors, 0 at
+        # the pinned nodes; A's rows and unknowns are the free nodes.
         injections = np.zeros(problem.grid.n_nodes)
         injections[problem.sink_nodes] = -problem.sink_currents
-        rhs = injections[op.free]
+        free = op.free
+        rhs = injections[free]
         level = 0.0
         if problem.droop_resistance_ohm > 0.0:
             d = dense.sum(axis=1)
             assert op.shunt == pytest.approx(d, rel=1e-12, abs=1e-12 * norm_inf)
             level = float(np.sum(rhs)) / float(np.sum(op.shunt))
-        assert _same(shifted, rhs - level * op.shunt[op.free])
+        assert _same(shifted, injections - level * op.shunt)
         x = w + level
         if len(log) > first + 1:
             # A drooped plane with an idle VR is solved for u as well.
             assert len(log) == first + 2 and level != 0.0
             _, unshifted, x = log[-1]
-            assert _same(unshifted, rhs)
-        r = np.linalg.norm(op.product(x) - rhs)
-        want = r / (norm_inf * np.linalg.norm(x) + np.linalg.norm(rhs))
+            assert _same(unshifted, injections)
+        assert not x[np.delete(np.arange(x.size), free)].any()
+        r = np.linalg.norm(op.product(x)[free] - rhs)
+        want = r / (norm_inf * np.linalg.norm(x[free]) + np.linalg.norm(rhs))
         assert sol.residual == pytest.approx(want, rel=1e-12, abs=0.0)
         assert sol.residual <= r / np.linalg.norm(rhs)
         assert sol.residual <= 1e-10
@@ -2217,7 +2251,8 @@ class TestBackwardError:
         assert cell.status == "ok", cell.reason
         # Solved for its drops below the plane's level, each shifted system
         # comes in at a relative residual far below the bound.
-        relative = [np.linalg.norm(op.product(x) - b) / np.linalg.norm(b) for op, b, x in log]
+        relative = [np.linalg.norm((op.product(x) - b)[op.free]) / np.linalg.norm(b[op.free])
+                    for op, b, x in log]
         assert max(relative) <= 1e-12
 
     def test_infinite_sink_is_an_overflow(self):
